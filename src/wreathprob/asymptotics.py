@@ -50,13 +50,17 @@ def cumulant_from_moments(moment, n: int):
     """Classical joint cumulant of n variables from a subset-moment oracle.
 
     moment receives a tuple of argument indices (a block) and must return
-    the expectation of the product of those variables.
+    the expectation of the product of those variables.  Each distinct
+    block is asked for once.
     """
+    seen = {}
     total = Fraction(0)
     for pi in set_partitions(n):
         term = Fraction(_mobius(len(pi)))
         for block in pi:
-            term *= moment(block)
+            if block not in seen:
+                seen[block] = moment(block)
+            term *= seen[block]
         total += term
     return total
 
@@ -232,36 +236,28 @@ def scaled_quantity(family: RepFamily, condition: int, q: int, args):
     return raw * scale
 
 
-def compositions(total: int):
-    """Ordered tuples of positive integers summing to total."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            yield (first,) + rest
-
-
 def composition_double_sum(c_of, l1: int, l2: int, weight=None):
     """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i).
 
-    weight, if given, maps the common length r to an extra factor.
+    weight, if given, maps the common length r to an extra factor.  A
+    dynamic program over composition prefixes: at length r, ways[(i, j)]
+    sums prod c(a_k+b_k) over pairs of r-part compositions of i and j.
     """
-    by_length: dict[int, list] = {}
-    for a in compositions(l1):
-        by_length.setdefault(len(a), []).append(a)
+    c = {m: c_of(m) for m in range(2, l1 + l2 + 1)}
+    ways = {(0, 0): Fraction(1)}
     total = Fraction(0)
-    for b in compositions(l2):
-        r = len(b)
-        for a in by_length.get(r, ()):
-            term = Fraction(l1 * l2, r)
-            for x, y in zip(a, b):
-                term = term * c_of(x + y)
-                if not term:
-                    break
-            if term and weight is not None:
-                term = term * weight(r)
-            total += term
+    for r in range(1, min(l1, l2) + 1):
+        longer: dict = {}
+        for (i, j), v in ways.items():
+            for x in range(i + 1, l1 + 1):
+                for y in range(j + 1, l2 + 1):
+                    step = c[x - i + y - j]
+                    if step:
+                        longer[(x, y)] = longer.get((x, y), 0) + v * step
+        ways = longer
+        if ways.get((l1, l2)):
+            term = Fraction(l1 * l2, r) * ways[(l1, l2)]
+            total += term if weight is None else term * weight(r)
     return total
 
 

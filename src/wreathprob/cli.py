@@ -110,6 +110,8 @@ class RunConfig:
             raise UsageError("n-samples must be nonnegative")
         if self.bound is not None and int(self.bound) < 1:
             raise UsageError("bound must be positive")
+        if int(self.seed) < 0:
+            raise UsageError("seed must be nonnegative")
 
 
 CONFIG_KEYS = {
@@ -292,7 +294,7 @@ def _load_family(value):
                 raise UsageError(f"cannot load family {text!r}: {exc}")
     try:
         return family_from_json(doc)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad family descriptor: {exc}")
 
 

@@ -92,20 +92,20 @@ def moments_to_free_cumulants(moments: list[Fraction]) -> list[Fraction]:
     """
     n = len(moments)
     m = [Fraction(1)] + [Fraction(v) for v in moments]
-
-    def gap_fill(s: int, total: int) -> Fraction:
-        # sum over weak compositions of `total` into s parts of moment products
-        if s == 0:
-            return Fraction(1) if total == 0 else Fraction(0)
-        acc = Fraction(0)
-        for first in range(total + 1):
-            acc += m[first] * gap_fill(s - 1, total - first)
-        return acc
+    # gap_fill[s][t]: sum over weak compositions of t into s parts of
+    # moment products, built one part at a time; only t <= n - s is read
+    gap_fill = [[Fraction(1)] + [Fraction(0)] * n]
+    for s in range(1, n):
+        prev = gap_fill[-1]
+        gap_fill.append([
+            sum((m[f] * prev[t - f] for f in range(t + 1)), start=Fraction(0))
+            for t in range(n - s + 1)
+        ])
 
     cumulants: list[Fraction] = []
     for k in range(1, n + 1):
         lower = sum(
-            (cumulants[s - 1] * gap_fill(s, k - s) for s in range(1, k)),
+            (cumulants[s - 1] * gap_fill[s][k - s] for s in range(1, k)),
             start=Fraction(0),
         )
         cumulants.append(m[k] - lower)

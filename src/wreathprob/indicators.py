@@ -86,15 +86,20 @@ def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:
     if size > q:
         return out
     for points in itertools.permutations(range(q), size):
-        pairs = []
-        offset = 0
-        for length in rows:
-            cyc = points[offset : offset + length]
-            for i in range(length):
-                pairs.append((cyc[i], cyc[(i + 1) % length]))
-            offset += length
-        out[tuple(sorted(pairs))] += 1
+        out[_filling(rows, points)] += 1
     return out
+
+
+def _filling(rows: tuple[int, ...], points) -> PartialPerm:
+    """Partial permutation whose cycles are the rows filled by ``points``."""
+    pairs = []
+    offset = 0
+    for length in rows:
+        cyc = points[offset : offset + length]
+        for i in range(length):
+            pairs.append((cyc[i], cyc[(i + 1) % length]))
+        offset += length
+    return tuple(sorted(pairs))
 
 
 @cache
@@ -102,20 +107,25 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     """Expansion of the natural product of two indicators in indicators.
 
     Extracted at the smallest point count where nothing truncates; the
-    test suite re-checks the same identity at larger point counts.
+    test suite re-checks the same identity at larger point counts.  The
+    symmetric group on the points permutes the fillings of ``mu``
+    transitively and leaves the other indicator and every cycle type
+    unchanged, so one filling of ``mu`` stands for all falling(q0, |mu|)
+    of them.  Indicator products commute, so the larger factor gets that
+    one filling and only the smaller is expanded.
     """
     mu = tuple(sorted(mu, reverse=True))
     nu = tuple(sorted(nu, reverse=True))
+    if sum(nu) > sum(mu):
+        mu, nu = nu, mu
     q0 = sum(mu) + sum(nu)
-    left = expand_indicator(mu, q0)
-    right = expand_indicator(nu, q0)
+    p1 = _filling(mu, range(sum(mu)))
     totals: Counter = Counter()
-    for p1, c1 in left.items():
-        for p2, c2 in right.items():
-            totals[cycle_type(compose(p1, p2))] += c1 * c2
+    for p2, c2 in expand_indicator(nu, q0).items():
+        totals[cycle_type(compose(p1, p2))] += c2
     out = {}
     for rho, total in sorted(totals.items()):
-        coeff = Fraction(total, falling(q0, sum(rho)))
+        coeff = Fraction(total * falling(q0, sum(mu)), falling(q0, sum(rho)))
         if coeff:
             out[rho] = coeff
     return out

@@ -64,8 +64,16 @@ def _beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
 
 @cache
 def _mn(betas: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu:
-        return 1
+    if not mu or mu[0] == 1:
+        # only fixed points remain (mu is descending): the value is the
+        # dimension of the remaining shape, read off its beta set
+        num = math.factorial(len(mu))
+        den = 1
+        for j, b in enumerate(betas):
+            den *= math.factorial(b)
+            for a in betas[:j]:
+                num *= b - a
+        return num // den
     k, rest = mu[0], mu[1:]
     bset = set(betas)
     total = 0

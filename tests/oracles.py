@@ -290,3 +290,40 @@ def is_noncrossing(blocks) -> bool:
 
 def noncrossing_partitions(n: int):
     return [p for p in set_partitions_rgs(n) if is_noncrossing(p)]
+
+
+# ------------------------------------------------------------ compositions
+
+
+def compositions(total: int):
+    """Ordered tuples of positive integers summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def composition_double_sum_bruteforce(c_of, l1: int, l2: int, weight=None):
+    """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i).
+
+    Loops over every pair of compositions; weight, if given, maps the
+    common length r to an extra factor.
+    """
+    by_length: dict[int, list] = {}
+    for a in compositions(l1):
+        by_length.setdefault(len(a), []).append(a)
+    total = Fraction(0)
+    for b in compositions(l2):
+        r = len(b)
+        for a in by_length.get(r, ()):
+            term = Fraction(l1 * l2, r)
+            for x, y in zip(a, b):
+                term = term * c_of(x + y)
+                if not term:
+                    break
+            if term and weight is not None:
+                term = term * weight(r)
+            total += term
+    return total

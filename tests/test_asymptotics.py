@@ -10,7 +10,6 @@ from wreathprob.asymptotics import (
     LimitParameters,
     canonical_measure,
     composition_double_sum,
-    compositions,
     condition_exponent,
     convergence_report,
     cumulant_from_moments,
@@ -39,6 +38,8 @@ from wreathprob.wreath import (
     OuterFamily,
     RestrictedFamily,
 )
+
+from oracles import composition_double_sum_bruteforce, compositions
 
 
 def test_set_partitions_are_bell_numbers():
@@ -251,6 +252,23 @@ def test_compositions_and_double_sum():
         example1_c, 2, 2, weight=lambda r: Fraction(2) ** r
     )
     assert weighted == 2 * Fraction(1, 9) * 4
+
+
+def test_double_sum_matches_bruteforce_over_all_composition_pairs():
+    # a c table with zeros and signs, so both pruning and cancellation occur
+    table = {2: Fraction(1, 3), 3: Fraction(0), 4: Fraction(-2, 5), 5: Fraction(7),
+             6: Fraction(0), 7: Fraction(1, 2), 8: Fraction(-3), 9: Fraction(0),
+             10: Fraction(5, 4), 11: Fraction(2, 9), 12: Fraction(-1)}
+    weights = (None, lambda r: Fraction(3, 2) ** -r - 1)
+    for l1 in range(1, 7):
+        for l2 in range(1, 7):
+            for weight in weights:
+                got = composition_double_sum(table.__getitem__, l1, l2, weight)
+                want = composition_double_sum_bruteforce(
+                    table.__getitem__, l1, l2, weight
+                )
+                assert isinstance(got, Fraction)
+                assert got == want, (l1, l2, weight)
 
 
 def test_example1_limit_table_reproduces_every_branch():

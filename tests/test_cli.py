@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wreathprob import cli
 from wreathprob.cli import main
 from wreathprob.groups import character_table_to_json, cyclic_group
 
@@ -53,6 +54,13 @@ def test_diagram_malformed_literal(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_family_weight_with_zero_denominator(capsys):
+    fam = '{"kind":"example1","group":"cyclic:2","weights":["1/0","1"]}'
+    code, _, err = run(capsys, "moments", "--family", fam, "--rows", "0:1", "--q", "4")
+    assert code == 2
+    assert "bad family descriptor" in err
 
 
 def test_group_builtin(capsys):
@@ -340,6 +348,22 @@ def test_sample_rejects_bad_stats(capsys):
     assert main(base + ["--stats", "sigma:0:2"]) == 2
     assert main(["sample", "--family", LEFT_REGULAR, "--n-samples", "2"]) == 2
     capsys.readouterr()
+
+
+def test_sample_rejects_negative_seed(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "2"]
+    code, _, err = run(capsys, *base, "--seed", "-1")
+    assert code == 2
+    assert "seed" in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "sample", "seed": -1}))
+    code, _, err = run(capsys, *base, "--config", str(cfg))
+    assert code == 2
+    assert "seed" in err
 
 
 def test_sample_non_samplable_family(capsys):

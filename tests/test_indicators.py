@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 from wreathprob.diagrams import free_cumulants, profile_moment
+from wreathprob.groups import symmetric3_group
 from wreathprob.indicators import (
     IndicatorSum,
     compose,
@@ -19,6 +20,7 @@ from wreathprob.indicators import (
     profile_moment_in_free_cumulants,
 )
 from wreathprob.partitions import falling, indicator_scalar, partitions_of
+from wreathprob.wreath import IrreducibleFamily
 
 
 def test_compose_applies_right_factor_first():
@@ -146,19 +148,36 @@ def test_kerov_expansions_frozen():
     }
 
 
+def _kerov_value(l, lam):
+    """The one-row indicator of length l evaluated through its Kerov polynomial."""
+    cumulants = free_cumulants(lam, l + 1)
+    value = Fraction(0)
+    for mono, coeff in indicator_in_free_cumulants(l).items():
+        prod = Fraction(coeff)
+        for idx in mono:
+            prod *= cumulants[idx - 1]
+        value += prod
+    return value
+
+
 def test_kerov_expansions_hold_beyond_interpolation_range():
     for l in range(1, 6):
-        expansion = indicator_in_free_cumulants(l)
-        held_out = partitions_of(l + 3)
-        for lam in held_out:
-            cumulants = free_cumulants(lam, l + 1)
-            value = Fraction(0)
-            for mono, coeff in expansion.items():
-                prod = Fraction(coeff)
-                for idx in mono:
-                    prod *= cumulants[idx - 1]
-                value += prod
-            assert value == indicator_scalar(lam, (l,)), (l, lam)
+        for lam in partitions_of(l + 3):
+            assert _kerov_value(l, lam) == indicator_scalar(lam, (l,)), (l, lam)
+
+
+def test_one_row_indicators_on_large_shapes_match_kerov_polynomials():
+    # characters on up to 80 boxes, where the rim-hook recursion ends in
+    # its fixed-point shortcut, against the Kerov polynomials in the free
+    # cumulants of the same shapes (frozen in test_kerov_expansions_frozen)
+    fam = IrreducibleFamily(
+        symmetric3_group(), ["1/6", "2/3", "1/6"], [(2, 1), (3, 1), (1,)]
+    )
+    shapes = fam.shapes(120)
+    assert max(sum(lam) for lam in shapes) == 80
+    for lam in shapes:
+        for l in range(1, 5):
+            assert indicator_scalar(lam, (l,)) == _kerov_value(l, lam), (lam, l)
 
 
 def test_free_cumulants_as_indicators_frozen():
