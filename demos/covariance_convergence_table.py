@@ -6,7 +6,7 @@ Exact covariances marching toward their limits
 
 from fractions import Fraction
 
-from wreathprob.asymptotics import convergence_report, family_limits
+from wreathprob.asymptotics import convergence_report
 from wreathprob.groups import cyclic_group
 from wreathprob.wreath import Example1Family
 
@@ -15,7 +15,7 @@ from wreathprob.wreath import Example1Family
 # of the order-2 group, each color equally likely.
 
 fam = Example1Family(cyclic_group(2))
-params = family_limits(fam, max_index=4)
+params = fam.limits(max_index=4)
 print("limit densities:", dict(params.c))
 
 ############################################################

@@ -15,7 +15,6 @@ from wreathprob.sampling import (
     spec_name,
 )
 from wreathprob.wreath import Example1Family
-from wreathprob.asymptotics import family_limits
 
 ############################################################
 # Draw canonical random partition tuples at q = 400 and collect
@@ -31,7 +30,7 @@ stats = fluctuation_statistics(batch, specs)
 # Compare the empirical covariance against the predicted one and
 # test the third and fourth moments against Gaussian bands.
 
-params = family_limits(fam, max_index=4)
+params = fam.limits(max_index=4)
 predicted = predicted_r_covariance(params, specs)
 report = normality_check(
     stats, names=[spec_name(s) for s in specs], predicted_cov=predicted

@@ -14,10 +14,8 @@ Most day-to-day entry points are re-exported here; the topical modules
 
 from .asymptotics import (
     LimitParameters,
-    canonical_measure,
     convergence_report,
     disjoint_cumulant,
-    family_limits,
     natural_cumulant,
     r_cumulant,
     scaled_quantity,
@@ -65,7 +63,6 @@ __all__ = [
     "TensorFamily",
     "TransitionMeasure",
     "builtin_group",
-    "canonical_measure",
     "character",
     "character_table_from_json",
     "character_table_to_json",
@@ -76,7 +73,6 @@ __all__ = [
     "expand_indicator",
     "factorized_character",
     "family_from_json",
-    "family_limits",
     "fluctuation_statistics",
     "free_cumulants",
     "indicator_scalar",

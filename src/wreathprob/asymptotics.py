@@ -10,24 +10,14 @@ and, for the first two cumulant orders, converge to limits assembled from
 the constant table c_{slot, index}.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from itertools import repeat
 
 from .diagrams import free_cumulants
 from .indicators import IndicatorSum, free_cumulant_as_indicators
-from .wreath import (
-    Example1Family,
-    InducedFamily,
-    IrreducibleFamily,
-    OuterFamily,
-    RepFamily,
-    RestrictedFamily,
-    TensorFamily,
-    enumerate_irreps,
-)
+from .wreath import Example1Family, IrreducibleFamily, RepFamily
 
 
 def set_partitions(n: int):
@@ -99,23 +89,6 @@ def disjoint_cumulant(family: RepFamily, q: int, args):
     return cumulant_from_moments(moment, len(items))
 
 
-def canonical_measure(family: RepFamily, q: int) -> dict:
-    """Probability of each partition tuple under the family's size-q measure."""
-    if isinstance(family, Example1Family):
-        out = {}
-        for lam_tuple in enumerate_irreps(family.ct, q):
-            p = family.canonical_probability(q, lam_tuple)
-            if p:
-                out[lam_tuple] = p
-        return out
-    if isinstance(family, IrreducibleFamily):
-        return {family.shapes(q): Fraction(1)}
-    from .bruteforce import family_character_values, measure_from_character, wreath_group
-
-    wg = wreath_group(family.ct, q)
-    return measure_from_character(wg, family_character_values(family, q))
-
-
 def r_cumulant(family: RepFamily, q: int, args, route: str = "indicator"):
     """Cumulant of free cumulants of the random slot diagrams.
 
@@ -129,7 +102,7 @@ def r_cumulant(family: RepFamily, q: int, args, route: str = "indicator"):
         converted = [(slot, free_cumulant_as_indicators(n)) for slot, n in args]
         return natural_cumulant(family, q, converted)
     if route == "measure":
-        measure = canonical_measure(family, q)
+        measure = family.canonical_measure(q)
         values = []
         for slot, n in args:
             values.append(
@@ -210,30 +183,33 @@ def condition_exponent(condition: int, args) -> int:
     raise ValueError("condition must be 1, 2, 3, or 4")
 
 
-def scaled_quantity(family: RepFamily, condition: int, q: int, args):
-    """One scaled cumulant of the boundedness conditions; exact when possible.
+def raw_cumulant(family: RepFamily, condition: int, q: int, args):
+    """The unscaled cumulant behind one scaled quantity.
 
     args per condition: 1 -> list of (colors, perm) elements at size q;
     2 and 3 -> list of (slot, row length); 4 -> list of (slot, R-index).
     """
     if condition == 1:
-        raw = element_cumulant(family, q, [e for e in args])
-        exponent = condition_exponent(1, args)
-    elif condition == 2:
-        raw = disjoint_cumulant(family, q, [(s, (l,)) for s, l in args])
-        exponent = condition_exponent(2, args)
-    elif condition == 3:
-        raw = natural_cumulant(family, q, [(s, (l,)) for s, l in args])
-        exponent = condition_exponent(3, args)
-    elif condition == 4:
-        raw = r_cumulant(family, q, list(args))
-        exponent = condition_exponent(4, args)
-    else:
-        raise ValueError("condition must be 1, 2, 3, or 4")
-    scale = _q_power(q, exponent)
+        return element_cumulant(family, q, list(args))
+    if condition == 2:
+        return disjoint_cumulant(family, q, [(s, (l,)) for s, l in args])
+    if condition == 3:
+        return natural_cumulant(family, q, [(s, (l,)) for s, l in args])
+    if condition == 4:
+        return r_cumulant(family, q, list(args))
+    raise ValueError("condition must be 1, 2, 3, or 4")
+
+
+def _scale(raw, q: int, condition: int, args):
+    scale = _q_power(q, condition_exponent(condition, args))
     if isinstance(scale, float):
         return float(raw) * scale
     return raw * scale
+
+
+def scaled_quantity(family: RepFamily, condition: int, q: int, args):
+    """One scaled cumulant (args as for ``raw_cumulant``); exact when possible."""
+    return _scale(raw_cumulant(family, condition, q, args), q, condition, args)
 
 
 def composition_double_sum(c_of, l1: int, l2: int, weight=None):
@@ -492,7 +468,7 @@ def tensor_limits(left: Example1Family, right: Example1Family) -> LimitParameter
     from .groups import conjugate_value
 
     for fam in (left, right):
-        if not isinstance(fam, Example1Family) or fam.multiplicities is None:
+        if getattr(fam, "multiplicities", None) is None:
             raise ValueError("tensor limits need explicit fibre representations")
     ct = left.ct
     order = len(ct.group.mult)
@@ -516,31 +492,6 @@ def tensor_limits(left: Example1Family, right: Example1Family) -> LimitParameter
         mult = value_as_fraction(dot) / order
         weights.append(mult * ct.irreps[z].dim / (dims[0] * dims[1]))
     return example1_limits(weights)
-
-
-def family_limits(family: RepFamily, max_index: int = 6) -> LimitParameters:
-    """Limit table assembled along the family's constructor tree."""
-    if isinstance(family, Example1Family):
-        return example1_limits(family.weights, max_l=max_index)
-    if isinstance(family, IrreducibleFamily):
-        return irreducible_limits(family, max_index=max_index + 1)
-    if isinstance(family, RestrictedFamily):
-        return restrict_limits(
-            family_limits(family.parent, max_index), 1 / family.ratio
-        )
-    if isinstance(family, InducedFamily):
-        return induce_limits(
-            family_limits(family.parent, max_index), family.ratio, family.ct
-        )
-    if isinstance(family, OuterFamily):
-        return outer_limits(
-            family_limits(family.left, max_index),
-            family_limits(family.right, max_index),
-            family.ratio,
-        )
-    if isinstance(family, TensorFamily):
-        return tensor_limits(family.left, family.right)
-    raise ValueError(f"no limit table for family kind {family.kind!r}")
 
 
 @dataclass
@@ -590,21 +541,6 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _grid_point(payload):
-    family, condition, q, args = payload
-    if condition == 1:
-        raw = element_cumulant(family, q, list(args))
-    elif condition == 2:
-        raw = disjoint_cumulant(family, q, [(s, (l,)) for s, l in args])
-    elif condition == 3:
-        raw = natural_cumulant(family, q, [(s, (l,)) for s, l in args])
-    elif condition == 4:
-        raw = r_cumulant(family, q, list(args))
-    else:
-        raise ValueError("condition must be 1, 2, 3, or 4")
-    return raw
-
-
 def convergence_report(
     family: RepFamily,
     condition: int,
@@ -622,18 +558,18 @@ def convergence_report(
     zeros, and the relative error at the largest q is within tolerance.
     """
     q_grid = sorted(q_grid)
-    payloads = [(family, condition, q, tuple(args)) for q in q_grid]
+    args = tuple(args)
+    columns = (repeat(family), repeat(condition), q_grid, repeat(args))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raws = list(pool.map(_grid_point, payloads))
+            raws = list(pool.map(raw_cumulant, *columns))
     else:
-        raws = [_grid_point(p) for p in payloads]
+        raws = list(map(raw_cumulant, *columns))
     rows = []
     for q, raw in zip(q_grid, raws):
-        scale = _q_power(q, condition_exponent(condition, args))
-        scaled = float(raw) * scale if isinstance(scale, float) else raw * scale
+        scaled = _scale(raw, q, condition, args)
         err = None
         if limit is not None:
             err = abs(scaled - limit)
@@ -651,7 +587,3 @@ def convergence_report(
             close = last <= tolerance * abs(limit)
         verdict = bool(decreasing and close)
     return ConvergenceReport(description=description, rows=rows, verdict=verdict)
-
-
-def report_json(reports) -> str:
-    return json.dumps([r.to_json() for r in reports], indent=2)

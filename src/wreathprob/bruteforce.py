@@ -30,6 +30,10 @@ from .wreath import (
 
 Element = tuple[tuple[int, ...], tuple[int, ...]]
 
+# Largest wreath group built element by element.  WreathGroup is the only
+# code that allocates group elements, so this one budget decides feasibility.
+MAX_ELEMENTS = 50000
+
 
 def w_mul(gmult, a: Element, b: Element) -> Element:
     """(v, pi)(w, sigma): colors merge through pi, permutations compose."""
@@ -58,10 +62,16 @@ class WreathGroup:
     """Full element enumeration of one wreath product."""
 
     def __init__(self, ct: CharacterTable, q: int):
+        order = ct.group.order**q * math.factorial(q)
+        if order > MAX_ELEMENTS:
+            raise ValueError(
+                f"the wreath group at q={q} has {order} elements, past the "
+                f"enumeration budget of {MAX_ELEMENTS}"
+            )
         self.ct = ct
         self.q = q
         group = ct.group
-        self.order = group.order**q * math.factorial(q)
+        self.order = order
         perms = list(itertools.permutations(range(q)))
         self.elements: list[Element] = [
             (colors, perm)
@@ -324,8 +334,10 @@ def family_character_values(family: RepFamily, q: int) -> list:
 
 
 def _family_values(family: RepFamily, q: int) -> list:
-    wg = wreath_group(family.ct, q)
     kind = family.kind
+    if kind == "restricted":
+        return _restricted_values(family, q)
+    wg = wreath_group(family.ct, q)
     if kind == "example1":
         return _example1_values(family, wg)
     if kind == "irreducible":
@@ -333,19 +345,6 @@ def _family_values(family: RepFamily, q: int) -> list:
         values = wg.irreducible_character(shapes)
         dim = wreath_dimension(wg.ct, shapes)
         return [values[wg.class_of[i]] * Fraction(1, dim) for i in range(wg.order)]
-    if kind == "restricted":
-        r = family.r_of(q)
-        parent_values = family_character_values(family.parent, r)
-        parent_wg = wreath_group(family.ct, r)
-        group = family.ct.group
-        out = []
-        for colors, perm in wg.elements:
-            embedded = (
-                colors + (group.identity,) * (r - q),
-                perm + tuple(range(q, r)),
-            )
-            out.append(parent_values[parent_wg.index[embedded]])
-        return out
     if kind == "induced":
         return _induced_values(family, wg)
     if kind == "outer":
@@ -377,6 +376,23 @@ def _example1_values(family: Example1Family, wg: WreathGroup) -> list:
             value = value * fibre_char[g]
         values.append(value)
     return values
+
+
+def _restricted_values(family, q: int) -> list:
+    # the parent lives on r >= q points: enumerating its larger group first
+    # lets an over-budget request fail before the smaller group is built
+    r = family.r_of(q)
+    parent_values = family_character_values(family.parent, r)
+    parent_wg = wreath_group(family.ct, r)
+    group = family.ct.group
+    out = []
+    for colors, perm in wreath_group(family.ct, q).elements:
+        embedded = (
+            colors + (group.identity,) * (r - q),
+            perm + tuple(range(q, r)),
+        )
+        out.append(parent_values[parent_wg.index[embedded]])
+    return out
 
 
 def _induced_values(family, wg: WreathGroup) -> list:

@@ -11,18 +11,10 @@ import argparse
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import (
-    canonical_measure,
-    convergence_report,
-    disjoint_cumulant,
-    family_limits,
-    natural_cumulant,
-    r_cumulant,
-)
+from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant, r_cumulant
 from .bruteforce import WreathGroup, tensor_algebra_image
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants, minima_maxima, profile_moment, transition_measure
@@ -59,82 +51,25 @@ class InfeasibleError(Exception):
 # ------------------------------------------------------------ configuration
 
 
-@dataclass
-class RunConfig:
-    """Validated inputs of one CLI invocation."""
-
-    command: str
-    group: str | None = None
-    family: object = None
-    q: int | None = None
-    q_grid: list | None = None
-    n_samples: int | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    workers: int = 1
-    bound: int | None = None
-    extra: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_namespace(cls, ns):
-        known = {
-            "command",
-            "group",
-            "family",
-            "q",
-            "q_grid",
-            "n_samples",
-            "seed",
-            "out",
-            "format",
-            "workers",
-            "bound",
-        }
-        fields = {k: v for k, v in vars(ns).items() if k in known}
-        extra = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in known and k != "config" and v is not None
-        }
-        return cls(extra=extra, **fields)
-
-    def validate(self):
-        if self.format not in ("csv", "json"):
-            raise UsageError(f"format must be csv or json, got {self.format!r}")
-        if self.workers is None or int(self.workers) < 1:
-            raise UsageError("workers must be at least 1")
-        if self.q is not None and int(self.q) < 0:
-            raise UsageError("q must be nonnegative")
-        if self.n_samples is not None and int(self.n_samples) < 0:
-            raise UsageError("n-samples must be nonnegative")
-        if self.bound is not None and int(self.bound) < 1:
-            raise UsageError("bound must be positive")
-        if int(self.seed) < 0:
-            raise UsageError("seed must be nonnegative")
+# integer options and the smallest value each accepts
+INT_OPTIONS = {"q": 0, "n_samples": 0, "workers": 1, "bound": 1, "seed": 0}
 
 
-CONFIG_KEYS = {
-    "command",
-    "group",
-    "family",
-    "partition",
-    "q",
-    "q_grid",
-    "n_samples",
-    "seed",
-    "out",
-    "format",
-    "workers",
-    "bound",
-    "scope",
-    "kind",
-    "condition",
-    "rows",
-    "stats",
-    "limit",
-    "tolerance",
-}
+def _validate(ns):
+    """Coerce and range-check options; config values arrive as any JSON type."""
+    if ns.format not in ("csv", "json"):
+        raise UsageError(f"format must be csv or json, got {ns.format!r}")
+    for name, low in INT_OPTIONS.items():
+        value = getattr(ns, name, None)
+        if value is None and name != "workers":  # workers is never unset
+            continue
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise UsageError(f"{name} must be at least {low}, got {value}")
+        setattr(ns, name, value)
 
 
 def _apply_config(ns, argv):
@@ -147,9 +82,10 @@ def _apply_config(ns, argv):
         raise UsageError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
+    # the invoked command's own flags are the only keys a config may set
+    unknown = set(doc) - (set(vars(ns)) - {"config"})
     if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+        raise UsageError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
     if "command" in doc and doc["command"] != ns.command:
         raise UsageError(
             f"config is for command {doc['command']!r}, invoked {ns.command!r}"
@@ -160,9 +96,7 @@ def _apply_config(ns, argv):
         if token.startswith("--")
     }
     for key, value in doc.items():
-        if key == "command" or key in explicit:
-            continue
-        if hasattr(ns, key):
+        if key not in explicit:
             setattr(ns, key, value)
 
 
@@ -381,27 +315,30 @@ def cmd_group(ns):
     return 1 if problems else 0
 
 
+def _limit_table(fam, max_index=6):
+    """The family's limit table, or None where its constructor tree has none."""
+    try:
+        return fam.limits(max_index)
+    except ValueError:
+        return None
+
+
 def cmd_family(ns):
     fam = _load_family(ns.family)
+    params = _limit_table(fam)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": fam.kind,
         "descriptor": fam.to_json(),
-        "num_slots": ct_slots(fam),
+        "num_slots": fam.ct.num_irreps,
+        "limits": params.to_json() if params else None,
     }
-    try:
-        doc["limits"] = family_limits(fam).to_json()
-    except ValueError:
-        doc["limits"] = None
-    if ns.q is not None:
-        q = int(ns.q)
-        if q > 8 or (
-            fam.kind not in ("example1", "irreducible")
-            and fam.ct.group.order**q > 5000
-        ):
+    q = ns.q
+    if q is not None:
+        if q > 8:
             raise InfeasibleError(f"measure enumeration infeasible at q={q}")
         try:
-            measure = canonical_measure(fam, q)
+            measure = fam.canonical_measure(q)
         except ValueError as exc:
             raise InfeasibleError(str(exc))
         doc["measure"] = {
@@ -415,16 +352,12 @@ def cmd_family(ns):
     return 0
 
 
-def ct_slots(fam):
-    return len(fam.ct.irreps)
-
-
 def _grid_values(ns, evaluate):
     grid = _parse_grid(ns.q_grid) if ns.q_grid else None
     if grid is None:
         if ns.q is None:
             raise UsageError("need --q or --q-grid")
-        grid = [int(ns.q)]
+        grid = [ns.q]
     rows = []
     for q in grid:
         try:
@@ -479,16 +412,9 @@ def cmd_cumulants(ns):
     return 0
 
 
-def _auto_limit(fam, condition, args):
+def _auto_limit(params, condition, args):
     """Predicted limit of the scaled quantity: mean or covariance entry."""
-    if not args:
-        return None
-    # the limit table only answers up to its build depth; size it to the
-    # requested orders or high-order rows would silently predict zero
-    need = max(l for _, l in args) + 1
-    try:
-        params = family_limits(fam, max_index=max(6, need))
-    except ValueError:
+    if params is None:
         return None
     if len(args) == 1:
         slot, l = args[0]
@@ -527,7 +453,10 @@ def cmd_limits(ns):
         raise UsageError("need --q-grid")
     limit = _parse_limit(ns.limit)
     if limit == "auto":
-        limit = _auto_limit(fam, condition, args)
+        # the limit table only answers up to its build depth; size it to the
+        # requested orders or high-order rows would silently predict zero
+        need = max(l for _, l in args) + 1
+        limit = _auto_limit(_limit_table(fam, max(6, need)), condition, args)
     tolerance = Fraction(ns.tolerance) if ns.tolerance else Fraction(15, 100)
     try:
         report = convergence_report(
@@ -557,13 +486,13 @@ def cmd_sample(ns):
         raise InfeasibleError(f"family kind {fam.kind!r} has no direct sampler")
     if ns.q is None:
         raise UsageError("need --q")
-    q = int(ns.q)
-    n = int(ns.n_samples if ns.n_samples is not None else 1000)
-    seed = int(ns.seed)
+    q = ns.q
+    n = ns.n_samples if ns.n_samples is not None else 1000
+    seed = ns.seed
     if ns.stats:
         specs = _parse_stats(ns.stats)
     else:
-        specs = [("R", slot, 3) for slot in range(ct_slots(fam))]
+        specs = [("R", slot, 3) for slot in range(fam.ct.num_irreps)]
     if n == 0:
         csv_text = "# schema_version=1\nsample,statistic,raw,centered_scaled\n"
         summary = {
@@ -578,13 +507,8 @@ def cmd_sample(ns):
         csv_text = batch_csv(batch, specs)
         predicted = None
         if all(spec[0] == "R" for spec in specs):
-            depth = max((spec[2] - 1 for spec in specs), default=1)
-            try:
-                predicted = predicted_r_covariance(
-                    family_limits(fam, max_index=max(6, depth)), specs
-                )
-            except ValueError:
-                predicted = None
+            depth = max(spec[2] - 1 for spec in specs)
+            predicted = predicted_r_covariance(fam.limits(max(6, depth)), specs)
         stats = fluctuation_statistics(batch, specs)
         summary = normality_check(
             stats, [spec_name(s) for s in specs], predicted_cov=predicted
@@ -657,9 +581,10 @@ def _check_factorization_lemma(ct, bound, failures):
         factor_sets.append(((0, (2,)), (1, (1,))))
         factor_sets.append(((1, (2,)),))
     for q in range(1, bound + 1):
-        if ct.group.order**q * _factorial(q) > 50000:
-            raise InfeasibleError(f"brute force too large at q={q}")
-        wg = WreathGroup(ct, q)
+        try:
+            wg = WreathGroup(ct, q)
+        except ValueError as exc:
+            raise InfeasibleError(f"brute force too large: {exc}")
         for lam_tuple in enumerate_irreps(ct, q):
             chi = wg.irreducible_character(lam_tuple)
             dim = wreath_dimension(ct, lam_tuple)
@@ -718,13 +643,6 @@ def _check_structure_constants(bound, failures):
     return cases
 
 
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def cmd_verify(ns):
     scope = ns.scope
     failures = []
@@ -742,7 +660,7 @@ def cmd_verify(ns):
             checks.append({"check": "wreath-orthogonality", "cases": total})
     if scope in ("lemma", "all"):
         ct = _load_group(ns.group) if ns.group else builtin_group("cyclic:2")
-        bound = int(ns.bound) if ns.bound else 3
+        bound = ns.bound or 3
         try:
             cases = _check_factorization_lemma(ct, bound, failures)
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
@@ -751,7 +669,7 @@ def cmd_verify(ns):
             failures.append({"check": "factorization-lemma", "error": str(exc)})
         checks.append({"check": "factorization-lemma", "cases": cases})
     if scope in ("structure-constants", "all"):
-        bound = int(ns.bound) if ns.bound else 6
+        bound = ns.bound or 6
         cases = _check_structure_constants(bound, failures)
         checks.append({"check": "structure-constants", "cases": cases})
     if not checks:
@@ -772,7 +690,7 @@ def cmd_report(ns):
     grid = _parse_grid(ns.q_grid)
     if grid is None:
         raise UsageError("need --q-grid")
-    slots = ct_slots(fam)
+    slots = fam.ct.num_irreps
     quantities = []
     for slot in range(slots):
         quantities.append((3, [(slot, 1)]))
@@ -781,16 +699,16 @@ def cmd_report(ns):
         quantities.append((3, [(slot, 1), (slot, 1)]))
     if slots > 1:
         quantities.append((3, [(0, 1), (1, 1)]))
+    params = _limit_table(fam)
     reports = []
     for condition, args in quantities:
-        limit = _auto_limit(fam, condition, args)
         try:
             rep = convergence_report(
                 fam,
                 condition,
                 args,
                 grid,
-                limit=limit,
+                limit=_auto_limit(params, condition, args),
                 description=f"condition {condition} at {args}",
                 workers=ns.workers,
             )
@@ -804,11 +722,8 @@ def cmd_report(ns):
         "q_grid": grid,
         "reports": [r.to_json() for r in reports],
         "all_pass": all(verdicts) if verdicts else None,
+        "limits": params.to_json() if params else None,
     }
-    try:
-        doc["limits"] = family_limits(fam).to_json()
-    except ValueError:
-        doc["limits"] = None
     _emit(json.dumps(doc, indent=2), ns.out)
     return 0
 
@@ -910,7 +825,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _apply_config(ns, argv)
-        RunConfig.from_namespace(ns).validate()
+        _validate(ns)
         return COMMANDS[ns.command](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -133,9 +133,24 @@ class RepFamily:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def _slot_weight_table(self):
-        """(label, weight) pairs when the family carries per-slot weights."""
-        return None
+    @classmethod
+    def from_json(cls, doc) -> "RepFamily":
+        raise NotImplementedError
+
+    def limits(self, max_index: int = 6):
+        """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
+        raise ValueError(f"no limit table for family kind {self.kind!r}")
+
+    def canonical_measure(self, q: int) -> dict:
+        """Probability of each partition tuple under the size-q measure.
+
+        Decomposes the family's character over the enumerated wreath group;
+        families with a closed form override this.
+        """
+        from .bruteforce import family_character_values, measure_from_character, wreath_group
+
+        values = family_character_values(self, q)
+        return measure_from_character(wreath_group(self.ct, q), values)
 
 
 class Example1Family(RepFamily):
@@ -192,6 +207,15 @@ class Example1Family(RepFamily):
             out *= Fraction(dimension(lam) ** 2, math.factorial(n) ** 2)
         return out
 
+    def canonical_measure(self, q: int) -> dict:
+        masses = {t: self.canonical_probability(q, t) for t in enumerate_irreps(self.ct, q)}
+        return {t: p for t, p in masses.items() if p}
+
+    def limits(self, max_index: int = 6):
+        from .asymptotics import example1_limits
+
+        return example1_limits(self.weights, max_l=max_index)
+
     def to_json(self) -> dict:
         from .groups import character_table_to_json
 
@@ -202,8 +226,12 @@ class Example1Family(RepFamily):
             doc["weights"] = [_fraction_to_json(w) for w in self.weights]
         return doc
 
-    def _slot_weight_table(self):
-        return list(zip(self.ct.labels(), self.weights))
+    @classmethod
+    def from_json(cls, doc) -> "Example1Family":
+        weights = doc.get("weights")
+        if weights is not None:
+            weights = [_fraction_from_json(w) for w in weights]
+        return cls(_group_from_json(doc["group"]), doc.get("multiplicities"), weights)
 
 
 class IrreducibleFamily(RepFamily):
@@ -265,6 +293,14 @@ class IrreducibleFamily(RepFamily):
             out *= indicator_scalar(shapes[slot], rows)
         return out
 
+    def canonical_measure(self, q: int) -> dict:
+        return {self.shapes(q): Fraction(1)}
+
+    def limits(self, max_index: int = 6):
+        from .asymptotics import irreducible_limits
+
+        return irreducible_limits(self, max_index=max_index + 1)
+
     def to_json(self) -> dict:
         from .groups import character_table_to_json
 
@@ -275,11 +311,40 @@ class IrreducibleFamily(RepFamily):
             "bases": [list(b) for b in self.bases],
         }
 
-    def _slot_weight_table(self):
-        return list(zip(self.ct.labels(), self.weights))
+    @classmethod
+    def from_json(cls, doc) -> "IrreducibleFamily":
+        weights = [_fraction_from_json(w) for w in doc["weights"]]
+        bases = doc.get("bases")
+        if bases is not None:
+            bases = [tuple(b) for b in bases]
+        return cls(_group_from_json(doc["group"]), weights, bases)
 
 
-class RestrictedFamily(RepFamily):
+class _ConstructorFamily(RepFamily):
+    """A constructor over other families, described by its arguments.
+
+    ``fields`` names the constructor arguments in descriptor order: a
+    ``ratio`` is a fraction, every other field a nested family.
+    """
+
+    fields: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        doc = {"kind": self.kind}
+        for name in self.fields:
+            value = getattr(self, name)
+            doc[name] = _fraction_to_json(value) if name == "ratio" else value.to_json()
+        return doc
+
+    @classmethod
+    def from_json(cls, doc) -> "_ConstructorFamily":
+        def decode(name):
+            return (_fraction_from_json if name == "ratio" else family_from_json)(doc[name])
+
+        return cls(**{name: decode(name) for name in cls.fields})
+
+
+class RestrictedFamily(_ConstructorFamily):
     """Restriction from a family living on floor(ratio * q) points, ratio >= 1.
 
     Restricting keeps the ambient measure and shrinks the indicator's
@@ -288,6 +353,7 @@ class RestrictedFamily(RepFamily):
     """
 
     kind = "restricted"
+    fields = ("ratio", "parent")
 
     def __init__(self, parent: RepFamily, ratio):
         super().__init__(parent.ct)
@@ -307,15 +373,13 @@ class RestrictedFamily(RepFamily):
         parent_value = self.parent._joint_moment(r, items)
         return Fraction(falling(q, total), falling(r, total)) * parent_value
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ratio": _fraction_to_json(self.ratio),
-            "parent": self.parent.to_json(),
-        }
+    def limits(self, max_index: int = 6):
+        from .asymptotics import restrict_limits
+
+        return restrict_limits(self.parent.limits(max_index), 1 / self.ratio)
 
 
-class InducedFamily(RepFamily):
+class InducedFamily(_ConstructorFamily):
     """Induction from a family living on floor(ratio * q) points, ratio <= 1.
 
     The fresh points behave like independent regular-representation
@@ -325,6 +389,7 @@ class InducedFamily(RepFamily):
     """
 
     kind = "induced"
+    fields = ("ratio", "parent")
 
     def __init__(self, parent: RepFamily, ratio):
         super().__init__(parent.ct)
@@ -359,15 +424,13 @@ class InducedFamily(RepFamily):
             total += weight * self.parent._joint_moment(r, tuple(reduced))
         return total
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ratio": _fraction_to_json(self.ratio),
-            "parent": self.parent.to_json(),
-        }
+    def limits(self, max_index: int = 6):
+        from .asymptotics import induce_limits
+
+        return induce_limits(self.parent.limits(max_index), self.ratio, self.ct)
 
 
-class OuterFamily(RepFamily):
+class OuterFamily(_ConstructorFamily):
     """Outer product: two independent blocks induced up to the full group.
 
     Every pinned cycle must land inside one block, rows of equal length
@@ -376,6 +439,7 @@ class OuterFamily(RepFamily):
     """
 
     kind = "outer"
+    fields = ("ratio", "left", "right")
 
     def __init__(self, left: RepFamily, right: RepFamily, ratio):
         if left.ct.num_irreps != right.ct.num_irreps:
@@ -434,16 +498,15 @@ class OuterFamily(RepFamily):
             )
         return total
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ratio": _fraction_to_json(self.ratio),
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
+    def limits(self, max_index: int = 6):
+        from .asymptotics import outer_limits
+
+        return outer_limits(
+            self.left.limits(max_index), self.right.limits(max_index), self.ratio
+        )
 
 
-class TensorFamily(RepFamily):
+class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply element by element, which has no
@@ -452,8 +515,7 @@ class TensorFamily(RepFamily):
     """
 
     kind = "tensor"
-
-    brute_limit = 5  # q above this would enumerate the full wreath group
+    fields = ("left", "right")
 
     def __init__(self, left: RepFamily, right: RepFamily):
         if left.ct.num_irreps != right.ct.num_irreps:
@@ -463,21 +525,14 @@ class TensorFamily(RepFamily):
         self.right = right
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        if q > self.brute_limit:
-            raise ValueError(
-                f"tensor moments need explicit enumeration; q={q} exceeds "
-                f"the supported scale {self.brute_limit}"
-            )
         from .bruteforce import tensor_joint_moment
 
         return tensor_joint_moment(self, q, items)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
+    def limits(self, max_index: int = 6):
+        from .asymptotics import tensor_limits
+
+        return tensor_limits(self.left, self.right)
 
 
 def _fraction_to_json(f: Fraction):
@@ -499,38 +554,21 @@ def _group_from_json(doc) -> CharacterTable:
     return character_table_from_json(doc)
 
 
+FAMILY_KINDS = {
+    "example1": Example1Family,
+    "irreducible": IrreducibleFamily,
+    "restricted": RestrictedFamily,
+    "induced": InducedFamily,
+    "outer": OuterFamily,
+    "tensor": TensorFamily,
+}
+
+
 def family_from_json(doc) -> RepFamily:
     """Build a family from its JSON descriptor (groups inline or by name)."""
+    if not isinstance(doc, dict):
+        raise ValueError("a family descriptor must be a JSON object")
     kind = doc.get("kind")
-    if kind == "example1":
-        ct = _group_from_json(doc["group"])
-        weights = doc.get("weights")
-        if weights is not None:
-            weights = [_fraction_from_json(w) for w in weights]
-        return Example1Family(ct, doc.get("multiplicities"), weights)
-    if kind == "irreducible":
-        ct = _group_from_json(doc["group"])
-        weights = [_fraction_from_json(w) for w in doc["weights"]]
-        bases = doc.get("bases")
-        if bases is not None:
-            bases = [tuple(b) for b in bases]
-        return IrreducibleFamily(ct, weights, bases)
-    if kind == "restricted":
-        return RestrictedFamily(
-            family_from_json(doc["parent"]), _fraction_from_json(doc["ratio"])
-        )
-    if kind == "induced":
-        return InducedFamily(
-            family_from_json(doc["parent"]), _fraction_from_json(doc["ratio"])
-        )
-    if kind == "outer":
-        return OuterFamily(
-            family_from_json(doc["left"]),
-            family_from_json(doc["right"]),
-            _fraction_from_json(doc["ratio"]),
-        )
-    if kind == "tensor":
-        return TensorFamily(
-            family_from_json(doc["left"]), family_from_json(doc["right"])
-        )
-    raise ValueError(f"unknown family kind: {kind!r}")
+    if kind not in FAMILY_KINDS:
+        raise ValueError(f"unknown family kind: {kind!r}")
+    return FAMILY_KINDS[kind].from_json(doc)

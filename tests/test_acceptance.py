@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from wreathprob.asymptotics import (
-    canonical_measure,
     convergence_report,
     element_cumulant,
     example1_limits,
@@ -229,7 +228,7 @@ def test_criterion_07_canonical_measure_closed_form():
     ]
     for fam, qs in cases:
         for q in qs:
-            closed = canonical_measure(fam, q)
+            closed = fam.canonical_measure(q)
             wg = wreath_group(fam.ct, q)
             brute = measure_from_character(wg, family_character_values(fam, q))
             assert closed == brute, (fam.ct.group.order, q)

@@ -8,7 +8,6 @@ import pytest
 from wreathprob.asymptotics import (
     ConvergenceReport,
     LimitParameters,
-    canonical_measure,
     composition_double_sum,
     condition_exponent,
     convergence_report,
@@ -16,7 +15,6 @@ from wreathprob.asymptotics import (
     disjoint_cumulant,
     element_cumulant,
     example1_limits,
-    family_limits,
     half_power,
     induce_limits,
     irreducible_limits,
@@ -303,9 +301,9 @@ def test_half_power_exactness():
 
 def test_restriction_of_independent_boxes_is_invariant():
     fam = Example1Family(cyclic_group(2), multiplicities=(1, 3))
-    parent = family_limits(fam, max_index=5)
+    parent = fam.limits(max_index=5)
     for ratio in (Fraction(2), Fraction(3, 2), Fraction(1)):
-        child = family_limits(RestrictedFamily(fam, ratio), max_index=5)
+        child = RestrictedFamily(fam, ratio).limits(max_index=5)
         assert child.c == parent.c
         assert child.cov == parent.cov
     # and the finite-q moments agree exactly, not only in the limit
@@ -329,7 +327,7 @@ def test_restricted_point_mass_covariance_converges():
     ct = cyclic_group(2)
     parent = IrreducibleFamily(ct, weights=(Fraction(1, 2), Fraction(1, 2)))
     fam = RestrictedFamily(parent, Fraction(2))
-    predicted = family_limits(fam, max_index=4).covariance(0, 1, 0, 1)
+    predicted = fam.limits(max_index=4).covariance(0, 1, 0, 1)
     assert predicted == Fraction(1, 8)
     report = convergence_report(
         fam, 3, [(0, 1), (0, 1)], [20, 40, 60], limit=predicted
@@ -340,7 +338,7 @@ def test_restricted_point_mass_covariance_converges():
 def test_induction_limit_means():
     ct = symmetric3_group()
     fam = Example1Family(ct)
-    parent = family_limits(fam, max_index=4)
+    parent = fam.limits(max_index=4)
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
         child = induce_limits(parent, p, ct)
         # left-regular weights are reproduced for every density
@@ -350,7 +348,7 @@ def test_induction_limit_means():
         child.covariance(0, 1, 0, 1)
     # induced family moments agree with the limit at leading order
     induced = InducedFamily(fam, Fraction(1, 2))
-    assert family_limits(induced).c == {
+    assert induced.limits().c == {
         (0, 2): Fraction(1, 6),
         (1, 2): Fraction(1, 6),
         (2, 2): Fraction(2, 3),
@@ -370,7 +368,7 @@ def test_outer_limit_covariance_matches_finite_q_trend():
     left = Example1Family(ct)
     right = Example1Family(ct, multiplicities=(1, 3))
     fam = OuterFamily(left, right, Fraction(1, 2))
-    params = family_limits(fam, max_index=4)
+    params = fam.limits(max_index=4)
     assert params.c_value(0, 2) == Fraction(3, 8)
     predicted = params.covariance(0, 1, 0, 1)
     # half of each parent's disjoint part plus the double sum at c' = 3/8
@@ -413,13 +411,13 @@ def test_irreducible_limits_values():
 def test_canonical_measure_dispatch():
     ct = cyclic_group(2)
     fam = Example1Family(ct)
-    measure = canonical_measure(fam, 4)
+    measure = fam.canonical_measure(4)
     assert sum(measure.values()) == 1
-    point = canonical_measure(
-        IrreducibleFamily(ct, weights=(Fraction(1, 2), Fraction(1, 2))), 6
-    )
+    point = IrreducibleFamily(
+        ct, weights=(Fraction(1, 2), Fraction(1, 2))
+    ).canonical_measure(6)
     assert list(point.values()) == [Fraction(1)]
-    brute = canonical_measure(RestrictedFamily(fam, Fraction(2)), 2)
+    brute = RestrictedFamily(fam, Fraction(2)).canonical_measure(2)
     assert sum(brute.values()) == 1
 
 

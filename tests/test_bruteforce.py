@@ -4,7 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
+import pytest
+
 from wreathprob.bruteforce import (
+    MAX_ELEMENTS,
     WreathGroup,
     algebra_product,
     indicator_image,
@@ -214,3 +217,10 @@ def test_cross_slot_overlaps_vanish():
     lam_tuple = ((2,), (1,))
     value = normalized_trace(wg, lam_tuple, prod)
     assert value == indicator_scalar((2,), (1,)) * indicator_scalar((1,), (1,))
+
+
+def test_enumeration_budget_refuses_before_allocating():
+    # S3 wr S8 has 6^8 * 8! (about 6.8e10) elements: refused at once
+    with pytest.raises(ValueError, match="enumeration budget"):
+        WreathGroup(symmetric3_group(), 8)
+    assert 6**4 * math.factorial(4) <= MAX_ELEMENTS < 2**7 * math.factorial(7)

@@ -105,6 +105,15 @@ def test_family_measure_infeasible(capsys):
     assert "infeasible" in err
 
 
+def test_family_measure_past_enumeration_budget(capsys):
+    # S3 wr S4 is within the budget, but the restricted parent lives on 8
+    # points and S3 wr S8 (about 6.8e10 elements) is far past it
+    fam = '{"kind":"restricted","ratio":"2","parent":{"kind":"example1","group":"S3"}}'
+    code, _, err = run(capsys, "family", "--family", fam, "--q", "4")
+    assert code == 3
+    assert "infeasible" in err
+
+
 def test_moments_csv(capsys):
     code, out, _ = run(
         capsys,
@@ -433,6 +442,27 @@ def test_config_validation(tmp_path, capsys):
     mismatched.write_text(json.dumps({"command": "limits"}))
     assert main(["moments", "--config", str(mismatched)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["q", "n_samples", "workers", "bound", "seed"])
+def test_config_non_integer_value_is_a_usage_error(key, tmp_path, capsys):
+    command = "verify" if key == "bound" else "sample"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, key: "x"}))
+    argv = [command, "--config", str(cfg)]
+    if command == "sample":
+        argv += ["--family", LEFT_REGULAR]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
+def test_config_rejects_keys_of_other_commands(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "moments", "bound": 3}))
+    code, _, err = run(capsys, "moments", "--config", str(cfg))
+    assert code == 2
+    assert "bound" in err
 
 
 def test_report_aggregates(capsys):

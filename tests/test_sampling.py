@@ -6,7 +6,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wreathprob.asymptotics import family_limits
 from wreathprob.diagrams import transition_measure
 from wreathprob.groups import cyclic_group
 from wreathprob.partitions import dimension, falling, indicator_scalar, partitions_of
@@ -230,7 +229,7 @@ def test_normality_degenerate_flag():
 
 def test_predicted_covariance_table():
     fam = Example1Family(cyclic_group(2))
-    params = family_limits(fam)
+    params = fam.limits()
     specs = [("R", 0, 2), ("R", 1, 2), ("R", 0, 3)]
     cov = predicted_r_covariance(params, specs)
     expected = np.array(
@@ -254,7 +253,7 @@ def test_r3_fluctuations_match_limit():
         stats,
         ["r3a", "r3b"],
         predicted_cov=predicted_r_covariance(
-            family_limits(fam), [("R", 0, 3), ("R", 1, 3)]
+            fam.limits(), [("R", 0, 3), ("R", 1, 3)]
         ),
     )
     for entry in report["statistics"]:

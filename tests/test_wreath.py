@@ -242,6 +242,16 @@ def test_family_json_round_trip():
     for fam in families:
         doc = json.loads(json.dumps(fam.to_json()))
         clone = family_from_json(doc)
+        assert clone.to_json() == doc
         for factors in [[(0, (1,))], [(0, (2,))], [(0, (1,)), (1, (1,))]]:
             q = 3
             assert clone.moment(q, factors) == fam.moment(q, factors)
+
+
+def test_family_from_json_rejects_unknown_kinds():
+    with pytest.raises(ValueError, match="unknown family kind"):
+        family_from_json({"kind": "twisted", "group": "cyclic:2"})
+    with pytest.raises(ValueError, match="unknown family kind"):
+        family_from_json({"kind": "restricted", "ratio": "2", "parent": {"group": "S3"}})
+    with pytest.raises(ValueError, match="JSON object"):
+        family_from_json({"kind": "tensor", "left": [], "right": []})
