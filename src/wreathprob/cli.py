@@ -51,8 +51,18 @@ class InfeasibleError(Exception):
 # ------------------------------------------------------------ configuration
 
 
-# integer options and the smallest value each accepts
-INT_OPTIONS = {"q": 0, "n_samples": 0, "workers": 1, "bound": 1, "seed": 0}
+# integer options and the smallest value each accepts (None: checked later)
+INT_OPTIONS = {
+    "q": 0, "n_samples": 0, "workers": 1, "bound": 1, "seed": 0, "condition": None,
+}
+
+
+def _coerce(name, value, convert, what):
+    """convert(value), or a usage error naming the option if that fails."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"{name} must be {what}, got {value!r}")
 
 
 def _validate(ns):
@@ -63,13 +73,12 @@ def _validate(ns):
         value = getattr(ns, name, None)
         if value is None and name != "workers":  # workers is never unset
             continue
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
-        if value < low:
+        value = _coerce(name, value, int, "an integer")
+        if low is not None and value < low:
             raise UsageError(f"{name} must be at least {low}, got {value}")
         setattr(ns, name, value)
+    if getattr(ns, "tolerance", None) is not None:
+        ns.tolerance = _coerce("tolerance", ns.tolerance, Fraction, "a rational number")
 
 
 def _apply_config(ns, argv):
@@ -120,7 +129,7 @@ def _parse_grid(value):
     if value is None:
         return None
     if isinstance(value, list):
-        grid = [int(x) for x in value]
+        grid = [_coerce("q_grid", x, int, "a list of integers") for x in value]
     else:
         try:
             grid = [int(x) for x in str(value).split(",") if x.strip()]
@@ -136,21 +145,26 @@ def _parse_rows(value):
     if value is None:
         raise UsageError("missing factor rows (--rows)")
     if isinstance(value, list):
-        return [(int(s), tuple(int(r) for r in rows)) for s, rows in value]
-    out = []
-    for chunk in str(value).split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            slot_text, rows_text = chunk.split(":")
-            slot = int(slot_text)
-            rows = tuple(int(r) for r in rows_text.split(","))
-        except ValueError:
-            raise UsageError(f"malformed factor {chunk!r}; expected slot:r1,r2")
-        if slot < 0 or any(r < 1 for r in rows):
-            raise UsageError(f"factor {chunk!r} needs slot >= 0 and rows >= 1")
-        out.append((slot, rows))
+        out = _coerce(
+            "rows", value,
+            lambda factors: [(int(s), tuple(int(r) for r in rows)) for s, rows in factors],
+            "a list of [slot, [r1, r2, ...]] pairs",
+        )
+    else:
+        out = []
+        for chunk in str(value).split(";"):
+            chunk = chunk.strip()
+            if not chunk:
+                continue
+            try:
+                slot_text, rows_text = chunk.split(":")
+                out.append((int(slot_text), tuple(int(r) for r in rows_text.split(","))))
+            except ValueError:
+                raise UsageError(f"malformed factor {chunk!r}; expected slot:r1,r2")
+    for slot, rows in out:
+        if slot < 0 or not rows or any(r < 1 for r in rows):
+            factor = f"{slot}:{','.join(map(str, rows))}"
+            raise UsageError(f"factor {factor!r} needs slot >= 0 and rows >= 1")
     if not out:
         raise UsageError("empty factor list")
     return out
@@ -159,7 +173,11 @@ def _parse_rows(value):
 def _parse_stats(value):
     """Statistic list: 'R:0:3;character:0:2;p:1:2' -> spec triples."""
     if isinstance(value, list):
-        out = [(str(k), int(s), int(i)) for k, s, i in value]
+        out = _coerce(
+            "stats", value,
+            lambda specs: [(str(k), int(s), int(i)) for k, s, i in specs],
+            "a list of [kind, slot, index] triples",
+        )
     else:
         out = []
         for chunk in str(value).split(";"):
@@ -190,10 +208,7 @@ def _parse_limit(value):
         return "auto"
     if value == "none":
         return None
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed limit {value!r}; use p/q, a float, or 'none'")
+    return _coerce("limit", value, Fraction, "p/q, a float, 'auto' or 'none'")
 
 
 def _load_group(spec):
@@ -435,7 +450,7 @@ def _auto_limit(params, condition, args):
 
 def cmd_limits(ns):
     fam = _load_family(ns.family)
-    condition = int(ns.condition)
+    condition = ns.condition
     if condition == 1:
         raise UsageError(
             "condition 1 takes explicit group elements; use the library API"
@@ -457,7 +472,7 @@ def cmd_limits(ns):
         # requested orders or high-order rows would silently predict zero
         need = max(l for _, l in args) + 1
         limit = _auto_limit(_limit_table(fam, max(6, need)), condition, args)
-    tolerance = Fraction(ns.tolerance) if ns.tolerance else Fraction(15, 100)
+    tolerance = ns.tolerance if ns.tolerance is not None else Fraction(15, 100)
     try:
         report = convergence_report(
             fam,

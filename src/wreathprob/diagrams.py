@@ -114,11 +114,5 @@ def moments_to_free_cumulants(moments: list[Fraction]) -> list[Fraction]:
 
 def free_cumulants(lam, up_to: int) -> list[Fraction]:
     """Free cumulants R_1..R_up_to of a diagram or of a measure directly."""
-    if isinstance(lam, TransitionMeasure):
-        return free_cumulants_of_measure(lam, up_to)
-    tm = transition_measure(lam)
-    return moments_to_free_cumulants(tm.moments(up_to))
-
-
-def free_cumulants_of_measure(tm: TransitionMeasure, up_to: int) -> list[Fraction]:
+    tm = lam if isinstance(lam, TransitionMeasure) else transition_measure(lam)
     return moments_to_free_cumulants(tm.moments(up_to))

@@ -40,15 +40,6 @@ def compose(p1: PartialPerm, p2: PartialPerm) -> PartialPerm:
     return tuple(out)
 
 
-def compose_disjoint(p1: PartialPerm, p2: PartialPerm) -> PartialPerm | None:
-    """Product that vanishes (None) unless the supports are disjoint."""
-    m1 = dict(p1)
-    m2 = dict(p2)
-    if m1.keys() & m2.keys():
-        return None
-    return tuple(sorted(p1 + p2))
-
-
 def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
     """Cycle lengths on the support, fixed points included, descending."""
     mapping = dict(pp)

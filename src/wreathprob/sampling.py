@@ -1,18 +1,17 @@
 """Monte Carlo sampling of canonical measures and Gaussian-fluctuation checks.
 
-Diagrams grow one box at a time, each step choosing an addable corner with
-probability equal to the transition-measure weight of its content.  Small
-diagrams use exact rational weights; past a size threshold the weights are
-computed in log space with float64, which only perturbs the law at machine
-precision.  Root seeds expand to per-sample seeds through a counter scheme,
+A Plancherel-distributed diagram of n boxes is the shape that
+Robinson-Schensted row insertion builds from n i.i.d. uniforms: the
+insertion is the Plancherel growth process, so the law is exact at every
+size.  Root seeds expand to per-sample seeds through a counter scheme,
 so serial and parallel runs produce identical batches.
 """
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,97 +24,43 @@ from .indicators import (
 from .partitions import falling
 from .wreath import Example1Family, RepFamily
 
-EXACT_GROWTH_LIMIT = 64
 
+def growth_weights(lam):
+    """Exact growth-step law: (content, grown diagram, probability) triples.
 
-def _addable_rows(lam):
-    rows = [r for r in range(len(lam)) if r == 0 or lam[r - 1] > lam[r]]
-    rows.append(len(lam))
-    return rows
-
-
-def growth_choices(lam):
-    """Addable corners as (content, grown diagram) pairs, content ascending."""
+    Each addable corner is weighted by the transition measure of ``lam`` at
+    its content; the triples come in ascending content order.
+    """
     lam = tuple(lam)
-    out = []
-    for r in _addable_rows(lam):
-        if r == len(lam):
-            grown = lam + (1,)
-            content = -r
-        else:
-            grown = lam[:r] + (lam[r] + 1,) + lam[r + 1 :]
+    tm = transition_measure(lam)
+    by_content = dict(zip(tm.atoms, tm.weights))
+    out = [(-len(lam), lam + (1,), by_content[-len(lam)])]
+    for r in range(len(lam)):
+        if r == 0 or lam[r - 1] > lam[r]:
             content = lam[r] - r
-        out.append((content, grown))
+            grown = lam[:r] + (lam[r] + 1,) + lam[r + 1 :]
+            out.append((content, grown, by_content[content]))
     out.sort()
     return out
 
 
-def growth_weights(lam):
-    """Exact growth-step law: (content, grown diagram, probability) triples."""
-    tm = transition_measure(tuple(lam))
-    by_content = dict(zip(tm.atoms, tm.weights))
-    out = []
-    for content, grown in growth_choices(lam):
-        out.append((content, grown, by_content[content]))
-    return out
-
-
-def _corner_data(lam):
-    """Addable rows with minima contents, plus maxima contents; rows ascending."""
-    rows = []
-    minima = []
-    maxima = []
-    depth = len(lam)
-    for i in range(depth):
-        if i == 0 or lam[i - 1] > lam[i]:
-            rows.append(i)
-            minima.append(lam[i] - i)
-        if i == depth - 1 or lam[i] > lam[i + 1]:
-            maxima.append(lam[i] - 1 - i)
-    rows.append(depth)
-    minima.append(-depth)
-    return rows, minima, maxima
-
-
-def _float_growth_weights(minima, maxima):
-    # transition weights via interlacing products, in log space for stability
-    x = np.array(minima, dtype=np.float64)
-    logs = np.zeros(len(x))
-    if maxima:
-        y = np.array(maxima, dtype=np.float64)
-        logs += np.log(np.abs(x[:, None] - y[None, :])).sum(axis=1)
-    diff = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(diff, 1.0)
-    logs -= np.log(diff).sum(axis=1)
-    logs -= logs.max()
-    return np.exp(logs)
-
-
-@lru_cache(maxsize=200000)
-def _exact_step(lam_tuple):
-    tm = transition_measure(lam_tuple)
-    by_content = dict(zip(tm.atoms, tm.weights))
-    rows, minima, _ = _corner_data(lam_tuple)
-    cum = np.cumsum([float(by_content[c]) for c in minima])
-    return rows, cum
-
-
 def sample_plancherel(n: int, rng) -> tuple:
-    """One random partition of n via the growth process; Plancherel law."""
-    lam: list = []
-    for size in range(n):
-        if size < EXACT_GROWTH_LIMIT:
-            rows, cum = _exact_step(tuple(lam))
+    """One random partition of n with the Plancherel law dim(lam)^2 / n!.
+
+    Row-inserts n uniforms from ``rng`` (Robinson-Schensted) and returns
+    the row lengths of the insertion tableau.
+    """
+    rows: list = []
+    for value in rng.random(n).tolist():
+        for row in rows:
+            k = bisect_right(row, value)
+            if k == len(row):
+                row.append(value)
+                break
+            row[k], value = value, row[k]
         else:
-            rows, minima, maxima = _corner_data(lam)
-            cum = np.cumsum(_float_growth_weights(minima, maxima))
-        pick = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        r = rows[min(pick, len(rows) - 1)]
-        if r == len(lam):
-            lam.append(1)
-        else:
-            lam[r] += 1
-    return tuple(lam)
+            rows.append([value])
+    return tuple(len(row) for row in rows)
 
 
 def sample_canonical(family: RepFamily, q: int, rng) -> tuple:
@@ -140,15 +85,12 @@ class SampleBatch:
     q: int
     root_seed: int
     samples: list = field(default_factory=list)
+    # per statistic key: the centered-scaled column, and the raw one
     statistics_cache: dict = field(default_factory=dict)
+    raw_statistics: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.samples)
-
-    @property
-    def seeds(self):
-        """Per-sample seed sequences under the counter scheme."""
-        return [(self.root_seed, i) for i in range(len(self.samples))]
 
 
 def _sample_range(payload):
@@ -263,6 +205,7 @@ def fluctuation_statistics(batch: SampleBatch, specs) -> np.ndarray:
             )
             mean = exact_mean(batch.family, batch.q, spec)
             center = float(mean) if mean is not None else raw.mean()
+            batch.raw_statistics[key] = raw
             batch.statistics_cache[key] = (raw - center) * statistic_scaling(
                 batch.q, spec
             )
@@ -338,13 +281,12 @@ def predicted_r_covariance(params, specs) -> np.ndarray:
 def batch_csv(batch: SampleBatch, specs) -> str:
     """One row per sample per statistic, raw and scaled-centered values."""
     stats = fluctuation_statistics(batch, specs)
+    raws = [batch.raw_statistics[tuple(spec)] for spec in specs]
+    names = [spec_name(spec) for spec in specs]
     lines = ["# schema_version=1", "sample,statistic,raw,centered_scaled"]
-    for i, t in enumerate(batch.samples):
-        for j, spec in enumerate(specs):
-            raw = statistic_value(t, batch.q, spec)
-            lines.append(
-                f"{i},{spec_name(spec)},{float(raw)!r},{float(stats[i, j])!r}"
-            )
+    for i in range(len(batch.samples)):
+        for j, name in enumerate(names):
+            lines.append(f"{i},{name},{float(raws[j][i])!r},{float(stats[i, j])!r}")
     return "\n".join(lines) + "\n"
 
 

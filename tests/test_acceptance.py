@@ -3,7 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` for the
 explicit PASS lines).  Checks 1-10 and 12 are exact; check 11 verifies
 Gaussian fluctuations of a fixed-seed Monte Carlo batch inside
-3-standard-error bands and takes a few minutes on one core.
+3-standard-error bands and takes under a minute on one core.
 """
 
 import itertools
@@ -32,7 +32,6 @@ from wreathprob.cyclotomics import value_as_fraction
 from wreathprob.diagrams import (
     dilate,
     free_cumulants,
-    free_cumulants_of_measure,
     transition_measure,
 )
 from wreathprob.groups import cyclic_group, symmetric3_group
@@ -79,9 +78,9 @@ def test_criterion_02_dilation_scales_free_cumulants():
     for n in range(9):
         for lam in partitions_of(n):
             tm = transition_measure(lam)
-            base = free_cumulants_of_measure(tm, 6)
+            base = free_cumulants(tm, 6)
             for p in factors:
-                scaled = free_cumulants_of_measure(dilate(tm, p), 6)
+                scaled = free_cumulants(dilate(tm, p), 6)
                 for k in range(1, 7):
                     assert scaled[k - 1] == p**k * base[k - 1], (lam, p, k)
     _announce(2, "R_n of a p-dilated measure is p^n R_n, sizes <= 8")

@@ -457,6 +457,42 @@ def test_config_non_integer_value_is_a_usage_error(key, tmp_path, capsys):
     assert key in err and "Traceback" not in err
 
 
+LIMITS_FLAGS = {"family": LEFT_REGULAR, "rows": "0:2", "q_grid": "4,8", "condition": "3"}
+SAMPLE_FLAGS = {"family": LEFT_REGULAR, "q": "4", "n_samples": "3", "stats": "R:0:2"}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("limits", "condition", "x"),
+        ("limits", "tolerance", "x"),
+        ("limits", "q_grid", [4, "x"]),
+        ("limits", "rows", [[0, ["x"]]]),
+        ("sample", "stats", [["R", 0, "x"]]),
+    ],
+)
+def test_config_malformed_value_is_a_usage_error(command, key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, key: value}))
+    flags = LIMITS_FLAGS if command == "limits" else SAMPLE_FLAGS
+    argv = [command, "--config", str(cfg)]
+    for name, flag_value in flags.items():
+        if name != key:
+            argv += ["--" + name.replace("_", "-"), flag_value]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
+def test_limits_malformed_tolerance_flag(capsys):
+    argv = ["limits", "--tolerance", "x"]
+    for name, value in LIMITS_FLAGS.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "tolerance" in err
+
+
 def test_config_rejects_keys_of_other_commands(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "moments", "bound": 3}))

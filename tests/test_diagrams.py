@@ -5,7 +5,6 @@ from fractions import Fraction
 from wreathprob.diagrams import (
     dilate,
     free_cumulants,
-    free_cumulants_of_measure,
     minima_maxima,
     moments_to_free_cumulants,
     profile_moment,
@@ -114,7 +113,6 @@ def test_free_cumulants_accepts_a_measure_directly():
     lam = (4, 2, 1)
     tm = transition_measure(lam)
     assert free_cumulants(tm, 5) == free_cumulants(lam, 5)
-    assert free_cumulants(tm, 5) == free_cumulants_of_measure(tm, 5)
 
 
 def test_moment_cumulant_inversion_matches_noncrossing_sum():
@@ -138,5 +136,5 @@ def test_dilation_scales_cumulants_homogeneously():
         base = free_cumulants(lam, 6)
         for p in (Fraction(1, 2), Fraction(2), Fraction(3)):
             tm = dilate(transition_measure(lam), p)
-            scaled = free_cumulants_of_measure(tm, 6)
+            scaled = free_cumulants(tm, 6)
             assert scaled == [p**n * base[n - 1] for n in range(1, 7)]

