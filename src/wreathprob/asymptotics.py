@@ -145,8 +145,8 @@ def element_cumulant(family: RepFamily, q: int, elements):
     """
     from .bruteforce import family_character_values, w_mul, wreath_group
 
-    wg = wreath_group(family.ct, q)
     values = family_character_values(family, q)
+    wg = wreath_group(family.ct, q)
     mult = family.ct.group.mult
 
     def moment(block):

@@ -2,9 +2,9 @@
 
 Everything here works with the full element list of the wreath product
 of a small base group with a small symmetric group: multiplication,
-conjugacy classes, irreducible characters by the induced-character
-formula over a block subgroup, images of indicators in the group
-algebra, and normalized characters of every representation family.
+conjugacy classes read off cycle data, irreducible characters by
+assigning cycles to slots, images of indicators in the group algebra,
+and normalized characters of every representation family.
 These serve as the ground truth that the closed-form moment rules and
 the factorized character are tested against.
 """
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
+from .asymptotics import permutation_length
 from .cyclotomics import conjugate_value, value_as_fraction
 from .groups import CharacterTable, projection_coefficients
 from .partitions import character as sym_character
-from .partitions import dimension
 from .wreath import (
     Example1Family,
     RepFamily,
@@ -31,8 +30,20 @@ from .wreath import (
 Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 # Largest wreath group built element by element.  WreathGroup is the only
-# code that allocates group elements, so this one budget decides feasibility.
+# code that allocates group elements, so this one budget decides feasibility;
+# family_character_values checks every group a family needs before the first.
 MAX_ELEMENTS = 50000
+
+
+def check_budget(ct: CharacterTable, q: int) -> int:
+    """Order of the wreath group at q, or ValueError if past the budget."""
+    order = ct.group.order**q * math.factorial(q)
+    if order > MAX_ELEMENTS:
+        raise ValueError(
+            f"the wreath group at q={q} has {order} elements, past the "
+            f"enumeration budget of {MAX_ELEMENTS}"
+        )
+    return order
 
 
 def w_mul(gmult, a: Element, b: Element) -> Element:
@@ -48,30 +59,47 @@ def w_mul(gmult, a: Element, b: Element) -> Element:
     return colors, perm
 
 
-def w_inv(group, a: Element) -> Element:
-    v, p = a
-    q = len(p)
+def cycle_data(mult, colors, perm) -> list[tuple[int, int]]:
+    """(length, colour product) of each cycle of the element (colors, perm).
+
+    A cycle is walked backwards from its least point c0: the product is
+    colors[c0] * colors[perm^-1(c0)] * colors[perm^-2(c0)] * ...
+    """
+    q = len(perm)
     pinv = [0] * q
-    for i, image in enumerate(p):
+    for i, image in enumerate(perm):
         pinv[image] = i
-    colors = tuple(group.inverse[v[p[j]]] for j in range(q))
-    return colors, tuple(pinv)
+    seen = [False] * q
+    out = []
+    for c0 in range(q):
+        if seen[c0]:
+            continue
+        seen[c0] = True
+        g = colors[c0]
+        point = pinv[c0]
+        length = 1
+        while point != c0:
+            seen[point] = True
+            g = mult[g][colors[point]]
+            point = pinv[point]
+            length += 1
+        out.append((length, g))
+    return out
 
 
 class WreathGroup:
-    """Full element enumeration of one wreath product."""
+    """Full element enumeration of one wreath product, with class-level characters.
+
+    A class is a multiset of (cycle length, G-class of the cycle's colour
+    product), kept sorted in ``class_types`` (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, ch. I app. B).
+    """
 
     def __init__(self, ct: CharacterTable, q: int):
-        order = ct.group.order**q * math.factorial(q)
-        if order > MAX_ELEMENTS:
-            raise ValueError(
-                f"the wreath group at q={q} has {order} elements, past the "
-                f"enumeration budget of {MAX_ELEMENTS}"
-            )
+        self.order = check_budget(ct, q)
         self.ct = ct
         self.q = q
         group = ct.group
-        self.order = order
         perms = list(itertools.permutations(range(q)))
         self.elements: list[Element] = [
             (colors, perm)
@@ -80,133 +108,95 @@ class WreathGroup:
         ]
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.identity = self.index[((group.identity,) * q, tuple(range(q)))]
-        self._gen_indices = self._generators()
-        self.classes = self._conjugacy_classes()
+        self.class_types, self.classes = self._conjugacy_classes()
         self.class_of = [0] * self.order
         for k, cls in enumerate(self.classes):
             for i in cls:
                 self.class_of[i] = k
-        self._conj_counters: dict[int, list] = {}
         self._characters: dict[tuple, list] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.index[w_mul(self.ct.group.mult, self.elements[a], self.elements[b])]
 
-    def inv(self, a: int) -> int:
-        return self.index[w_inv(self.ct.group, self.elements[a])]
-
-    def _generators(self) -> list[int]:
-        group = self.ct.group
-        gens = []
-        for g in range(group.order):
-            if g == group.identity:
-                continue
-            colors = (g,) + (group.identity,) * (self.q - 1)
-            gens.append(self.index[(colors, tuple(range(self.q)))])
-        for i in range(self.q - 1):
-            perm = list(range(self.q))
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-            gens.append(self.index[((group.identity,) * self.q, tuple(perm))])
-        return gens
-
     def _conjugacy_classes(self):
-        seen = [False] * self.order
-        classes = []
-        for start in range(self.order):
-            if seen[start]:
-                continue
-            orbit = {start}
-            frontier = [start]
-            seen[start] = True
-            while frontier:
-                x = frontier.pop()
-                for s in self._gen_indices:
-                    y = self.mul(self.mul(s, x), self.inv(s))
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.add(y)
-                        frontier.append(y)
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda cls: (self.identity not in cls, min(cls)))
-        return tuple(classes)
-
-    def conjugates_of_class(self, class_index: int):
-        """Counter of y * rep * y^-1 over all y, for the class representative."""
-        if class_index not in self._conj_counters:
-            rep = self.classes[class_index][0]
-            counter: Counter = Counter()
-            for y in range(self.order):
-                counter[self.mul(self.mul(y, rep), self.inv(y))] += 1
-            self._conj_counters[class_index] = counter
-        return self._conj_counters[class_index]
-
-    # ------------------------------------------------------------ characters
-
-    def _blocks(self, sizes) -> list[tuple[int, int]]:
-        out = []
-        start = 0
-        for n in sizes:
-            out.append((start, start + n))
-            start += n
-        assert start == self.q
-        return out
-
-    def _preserves_blocks(self, perm, blocks) -> bool:
-        return all(
-            all(start <= perm[i] < end for i in range(start, end))
-            for start, end in blocks
+        mult = self.ct.group.mult
+        class_of_g = self.ct.group.class_of
+        by_type: dict[tuple, list[int]] = {}
+        # the index's own ints go into the classes: fresh ones from
+        # enumerate() would cost one int object per element
+        for (colors, perm), i in self.index.items():
+            key = tuple(sorted(
+                (length, class_of_g[g]) for length, g in cycle_data(mult, colors, perm)
+            ))
+            by_type.setdefault(key, []).append(i)
+        ordered = sorted(
+            by_type.items(), key=lambda item: (self.identity not in item[1], item[1][0])
+        )
+        return (
+            tuple(key for key, _ in ordered),
+            tuple(tuple(cls) for _, cls in ordered),
         )
 
-    def _block_character(self, element: Element, blocks, lam_tuple):
-        """Character of the block subgroup: one twisted irreducible per block."""
-        colors, perm = element
-        group = self.ct.group
-        value = 1
-        for slot, (start, end) in enumerate(blocks):
-            lam = lam_tuple[slot]
-            lengths = []
-            seen = set()
-            pinv = {perm[i]: i for i in range(start, end)}
-            for c0 in range(start, end):
-                if c0 in seen:
-                    continue
-                # walk the cycle backwards, multiplying colors as we go
-                g = colors[c0]
-                seen.add(c0)
-                point = pinv[c0]
-                length = 1
-                while point != c0:
-                    seen.add(point)
-                    g = group.mult[g][colors[point]]
-                    point = pinv[point]
-                    length += 1
-                lengths.append(length)
-                value = value * self.ct.value(slot, g)
-                if value == 0:
-                    return 0
-            value = value * sym_character(lam, tuple(sorted(lengths, reverse=True)))
-        return value
+    def conjugates_of_class(self, class_index: int) -> dict[int, int]:
+        """How often y * rep * y^-1 lands on each element, over all y.
+
+        Every conjugate of the representative is hit |centralizer| =
+        order / class size times.
+        """
+        cls = self.classes[class_index]
+        return dict.fromkeys(cls, self.order // len(cls))
+
+    # ------------------------------------------------------------ characters
 
     def irreducible_character(self, lam_tuple) -> list:
         """Class-function values of the irreducible for one partition tuple."""
         key = tuple(lam_tuple)
-        if key in self._characters:
-            return self._characters[key]
-        sizes = [sum(lam) for lam in lam_tuple]
-        blocks = self._blocks(sizes)
-        subgroup_order = 1
-        for n in sizes:
-            subgroup_order *= self.ct.group.order**n * math.factorial(n)
-        values = []
-        for k in range(len(self.classes)):
-            total = 0
-            for idx, count in self.conjugates_of_class(k).items():
-                x = self.elements[idx]
-                if self._preserves_blocks(x[1], blocks):
-                    total = total + count * self._block_character(x, blocks, lam_tuple)
-            values.append(Fraction(1, subgroup_order) * total)
-        self._characters[key] = values
-        return values
+        if key not in self._characters:
+            self._characters[key] = [self._class_value(key, t) for t in self.class_types]
+        return self._characters[key]
+
+    def _class_value(self, lam_tuple, cycles):
+        """The irreducible's value on the class with these (length, G-class) cycles.
+
+        The irreducible is induced from the block subgroup
+        prod_rho G wr S_{|lam^rho|}, and the blocks an element fixes are the
+        assignments of its cycles to slots that fill slot rho with exactly
+        |lam^rho| points.  Each such assignment contributes the slot
+        character at every cycle's colour class times, per slot, the
+        symmetric-group character at the lengths it received.  The integer
+        parts are summed per product of slot characters first, so exact
+        cyclotomic arithmetic runs once per distinct product.
+        """
+        irreps = self.ct.irreps
+        room = [sum(lam) for lam in lam_tuple]
+        lengths: list[list[int]] = [[] for _ in lam_tuple]
+        picked: list[tuple[int, int]] = []
+        terms: dict[tuple, int] = {}
+
+        def assign(c):
+            if c == len(cycles):
+                coeff = math.prod(map(sym_character, lam_tuple, lengths))
+                if coeff:
+                    product = tuple(sorted(picked))
+                    terms[product] = terms.get(product, 0) + coeff
+                return
+            length, g_class = cycles[c]
+            for slot, irrep in enumerate(irreps):
+                if room[slot] < length or irrep.values[g_class] == 0:
+                    continue
+                room[slot] -= length
+                lengths[slot].append(length)
+                picked.append((slot, g_class))
+                assign(c + 1)
+                picked.pop()
+                lengths[slot].pop()
+                room[slot] += length
+
+        assign(0)
+        return sum(
+            coeff * math.prod(irreps[slot].values[g_class] for slot, g_class in product)
+            for product, coeff in terms.items()
+        )
 
     def class_sizes(self) -> list[int]:
         return [len(cls) for cls in self.classes]
@@ -242,12 +232,11 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
     dim = wg.ct.irreps[slot].dim
     mapping = dict(pp)
     support = sorted(mapping)
-    cycles = _cycle_count(mapping)
-    scale = dim ** (len(support) - cycles)
     perm = list(range(wg.q))
     for a, b in mapping.items():
         perm[a] = b
     perm = tuple(perm)
+    scale = dim ** permutation_length(perm)
     out: dict[int, object] = {}
     for assignment in itertools.product(range(group.order), repeat=len(support)):
         coeff = scale
@@ -260,20 +249,6 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
         idx = wg.index[(tuple(colors), perm)]
         out[idx] = out.get(idx, 0) + coeff
     return out
-
-
-def _cycle_count(mapping: dict) -> int:
-    seen = set()
-    count = 0
-    for start in mapping:
-        if start in seen:
-            continue
-        count += 1
-        point = start
-        while point not in seen:
-            seen.add(point)
-            point = mapping[point]
-    return count
 
 
 def indicator_image(wg: WreathGroup, slot: int, summ) -> dict[int, object]:
@@ -299,16 +274,6 @@ def algebra_product(wg: WreathGroup, a: dict, b: dict) -> dict[int, object]:
     return out
 
 
-def normalized_trace(wg: WreathGroup, lam_tuple, algebra: dict) -> Fraction:
-    """Normalized character of the irreducible on a group-algebra element."""
-    values = wg.irreducible_character(lam_tuple)
-    dim = wreath_dimension(wg.ct, lam_tuple)
-    total = 0
-    for idx, coeff in algebra.items():
-        total = total + coeff * values[wg.class_of[idx]]
-    return value_as_fraction(total * Fraction(1, dim))
-
-
 def tensor_algebra_image(wg: WreathGroup, factors) -> dict[int, object]:
     """Group-algebra image of a product of per-slot indicator sums."""
     per_slot = _normalize_factors(factors)
@@ -328,6 +293,9 @@ def family_character_values(family: RepFamily, q: int) -> list:
     """Normalized character of the family's representation, per element."""
     key = (id(family), q)
     if key not in _FAMILY_VALUES_CACHE:
+        # every group the character needs is checked before any is built
+        for size in sorted(family.enumeration_sizes(q)):
+            check_budget(family.ct, size)
         _FAMILY_VALUES_CACHE[key] = _family_values(family, q)
         _CACHE_KEEPALIVE.append(family)
     return _FAMILY_VALUES_CACHE[key]
@@ -401,7 +369,6 @@ def _induced_values(family, wg: WreathGroup) -> list:
     parent_values = family_character_values(family.parent, r)
     parent_wg = wreath_group(family.ct, r)
     group = family.ct.group
-    out = [0] * wg.order
     per_class = []
     for k in range(len(wg.classes)):
         total = 0
@@ -414,9 +381,7 @@ def _induced_values(family, wg: WreathGroup) -> list:
             inner = (colors[:r], perm[:r])
             total = total + count * parent_values[parent_wg.index[inner]]
         per_class.append(total * Fraction(1, wg.order))
-    for i in range(wg.order):
-        out[i] = per_class[wg.class_of[i]]
-    return out
+    return [per_class[k] for k in wg.class_of]
 
 
 def _outer_values(family, wg: WreathGroup) -> list:
@@ -440,7 +405,7 @@ def _outer_values(family, wg: WreathGroup) -> list:
                 * right_values[right_wg.index[second]]
             )
         per_class.append(total * Fraction(1, wg.order))
-    return [per_class[wg.class_of[i]] for i in range(wg.order)]
+    return [per_class[k] for k in wg.class_of]
 
 
 # ------------------------------------------------------------ brute moments
@@ -448,8 +413,8 @@ def _outer_values(family, wg: WreathGroup) -> list:
 
 def brute_moment(family: RepFamily, q: int, factors) -> Fraction:
     """Family moment computed from the explicit normalized character."""
-    wg = wreath_group(family.ct, q)
     values = family_character_values(family, q)
+    wg = wreath_group(family.ct, q)
     algebra = tensor_algebra_image(wg, factors)
     total = 0
     for idx, coeff in algebra.items():

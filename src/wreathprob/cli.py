@@ -87,7 +87,7 @@ def _apply_config(ns, argv):
         return
     try:
         doc = json.loads(Path(ns.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise UsageError("config must be a JSON object")
@@ -113,6 +113,8 @@ def _apply_config(ns, argv):
 
 
 def _parse_partition(text):
+    if not isinstance(text, str):
+        raise UsageError(f"partition must be a string like '3,1', got {text!r}")
     text = text.strip()
     if not text:
         return ()
@@ -214,6 +216,8 @@ def _parse_limit(value):
 def _load_group(spec):
     if spec is None:
         raise UsageError("missing group (--group)")
+    if not isinstance(spec, str):
+        raise UsageError(f"group must be a builtin name or a JSON path, got {spec!r}")
     try:
         return builtin_group(spec)
     except ValueError:
@@ -234,16 +238,16 @@ def _load_family(value):
         if text.startswith("{"):
             try:
                 doc = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise UsageError(f"malformed family JSON: {exc}")
         else:
             try:
                 doc = json.loads(Path(text).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, json.JSONDecodeError, RecursionError) as exc:
                 raise UsageError(f"cannot load family {text!r}: {exc}")
     try:
         return family_from_json(doc)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise UsageError(f"bad family descriptor: {exc}")
 
 
@@ -600,15 +604,22 @@ def _check_factorization_lemma(ct, bound, failures):
             wg = WreathGroup(ct, q)
         except ValueError as exc:
             raise InfeasibleError(f"brute force too large: {exc}")
+        # the images, summed per class, do not depend on the irreducible
+        images = []
+        for factors in factor_sets:
+            per_class = {}
+            for idx, coeff in tensor_algebra_image(wg, factors).items():
+                k = wg.class_of[idx]
+                per_class[k] = per_class.get(k, 0) + coeff
+            images.append(per_class)
         for lam_tuple in enumerate_irreps(ct, q):
             chi = wg.irreducible_character(lam_tuple)
             dim = wreath_dimension(ct, lam_tuple)
-            for factors in factor_sets:
+            for factors, image in zip(factor_sets, images):
                 cases += 1
-                image = tensor_algebra_image(wg, factors)
                 actual = 0
-                for idx, coeff in image.items():
-                    actual = actual + coeff * chi[wg.class_of[idx]]
+                for k, coeff in image.items():
+                    actual = actual + coeff * chi[k]
                 actual = value_as_fraction(actual) / dim
                 expected = factorized_character(lam_tuple, factors)
                 if actual != expected:

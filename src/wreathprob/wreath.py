@@ -141,6 +141,10 @@ class RepFamily:
         """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
         raise ValueError(f"no limit table for family kind {self.kind!r}")
 
+    def enumeration_sizes(self, q: int) -> set[int]:
+        """The q of every wreath group the explicit character at q builds."""
+        return {q}
+
     def canonical_measure(self, q: int) -> dict:
         """Probability of each partition tuple under the size-q measure.
 
@@ -365,6 +369,9 @@ class RestrictedFamily(_ConstructorFamily):
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
 
+    def enumeration_sizes(self, q: int) -> set[int]:
+        return {q} | self.parent.enumeration_sizes(self.r_of(q))
+
     def _joint_moment(self, q: int, items) -> Fraction:
         r = self.r_of(q)
         total = sum(sum(rows) for _, rows in items)
@@ -400,6 +407,9 @@ class InducedFamily(_ConstructorFamily):
 
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
+
+    def enumeration_sizes(self, q: int) -> set[int]:
+        return {q} | self.parent.enumeration_sizes(self.r_of(q))
 
     def regular_weight(self, slot: int) -> Fraction:
         dim = self.ct.irreps[slot].dim
@@ -454,6 +464,10 @@ class OuterFamily(_ConstructorFamily):
     def split_of(self, q: int) -> tuple[int, int]:
         q1 = math.floor(self.ratio * q)
         return q1, q - q1
+
+    def enumeration_sizes(self, q: int) -> set[int]:
+        q1, q2 = self.split_of(q)
+        return {q} | self.left.enumeration_sizes(q1) | self.right.enumeration_sizes(q2)
 
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
@@ -528,6 +542,9 @@ class TensorFamily(_ConstructorFamily):
         from .bruteforce import tensor_joint_moment
 
         return tensor_joint_moment(self, q, items)
+
+    def enumeration_sizes(self, q: int) -> set[int]:
+        return {q} | self.left.enumeration_sizes(q) | self.right.enumeration_sizes(q)
 
     def limits(self, max_index: int = 6):
         from .asymptotics import tensor_limits

@@ -2,13 +2,15 @@
 
 Everything here is deliberately written from different first principles
 than the library (pentagonal-number recurrences, branching rules,
-permutation modules, seminormal matrices) so agreement is meaningful.
+permutation modules, seminormal matrices, conjugation orbits and
+induced characters) so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 
@@ -327,3 +329,154 @@ def composition_double_sum_bruteforce(c_of, l1: int, l2: int, weight=None):
                 term = term * weight(r)
             total += term
     return total
+
+
+# ------------------------------------------------------------ wreath groups
+
+
+def w_inv(group, a):
+    """Inverse of (colors, perm) in the wreath product over ``group``."""
+    v, p = a
+    q = len(p)
+    pinv = [0] * q
+    for i, image in enumerate(p):
+        pinv[image] = i
+    colors = tuple(group.inverse[v[p[j]]] for j in range(q))
+    return colors, tuple(pinv)
+
+
+def _w_mul(gmult, a, b):
+    # the same law as the library's w_mul, written out again
+    v, p = a
+    w, s = b
+    pinv = {image: i for i, image in enumerate(p)}
+    colors = tuple(gmult[v[i]][w[pinv[i]]] for i in range(len(p)))
+    return colors, tuple(p[i] for i in s)
+
+
+class OrbitWreathGroup:
+    """A wreath product with classes from conjugation orbits, characters induced.
+
+    Elements are enumerated in the library's order (colors outer, permutations
+    inner).  Classes are breadth-first orbits under conjugation by the
+    generators; an irreducible is the induced character of a block subgroup,
+    summed over every conjugate of each class representative.
+    """
+
+    def __init__(self, ct, q: int):
+        self.ct = ct
+        self.q = q
+        group = ct.group
+        perms = list(itertools.permutations(range(q)))
+        self.elements = [
+            (colors, perm)
+            for colors in itertools.product(range(group.order), repeat=q)
+            for perm in perms
+        ]
+        self.order = len(self.elements)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.identity = self.index[((group.identity,) * q, tuple(range(q)))]
+        self.classes = self._orbit_classes()
+        self._conjugates: dict[int, Counter] = {}
+
+    def mul(self, a: int, b: int) -> int:
+        return self.index[_w_mul(self.ct.group.mult, self.elements[a], self.elements[b])]
+
+    def conjugate(self, y: int, x: int) -> int:
+        """y * x * y^-1."""
+        inverse = self.index[w_inv(self.ct.group, self.elements[y])]
+        return self.mul(self.mul(y, x), inverse)
+
+    def conjugates_of_class(self, class_index: int) -> Counter:
+        """Counter of y * rep * y^-1 over all y, for the class representative."""
+        if class_index not in self._conjugates:
+            rep = self.classes[class_index][0]
+            self._conjugates[class_index] = Counter(
+                self.conjugate(y, rep) for y in range(self.order)
+            )
+        return self._conjugates[class_index]
+
+    def _generators(self) -> list[int]:
+        group = self.ct.group
+        q = self.q
+        gens = []
+        for g in range(group.order):
+            if g != group.identity:
+                colors = (g,) + (group.identity,) * (q - 1)
+                gens.append(self.index[(colors, tuple(range(q)))])
+        for i in range(q - 1):
+            perm = list(range(q))
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+            gens.append(self.index[((group.identity,) * q, tuple(perm))])
+        return gens
+
+    def _orbit_classes(self):
+        gens = self._generators()
+        seen = [False] * self.order
+        classes = []
+        for start in range(self.order):
+            if seen[start]:
+                continue
+            orbit = {start}
+            frontier = [start]
+            seen[start] = True
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = self.conjugate(s, x)
+                    if not seen[y]:
+                        seen[y] = True
+                        orbit.add(y)
+                        frontier.append(y)
+            classes.append(tuple(sorted(orbit)))
+        classes.sort(key=lambda cls: (self.identity not in cls, min(cls)))
+        return tuple(classes)
+
+    def _block_character(self, element, blocks, lam_tuple):
+        """Character of the block subgroup: one twisted irreducible per block."""
+        colors, perm = element
+        group = self.ct.group
+        value = 1
+        for slot, (start, end) in enumerate(blocks):
+            lengths = []
+            seen = set()
+            pinv = {perm[i]: i for i in range(start, end)}
+            for c0 in range(start, end):
+                if c0 in seen:
+                    continue
+                # walk the cycle backwards, multiplying colors as we go
+                g = colors[c0]
+                seen.add(c0)
+                point = pinv[c0]
+                length = 1
+                while point != c0:
+                    seen.add(point)
+                    g = group.mult[g][colors[point]]
+                    point = pinv[point]
+                    length += 1
+                lengths.append(length)
+                value = value * self.ct.value(slot, g)
+            mu = tuple(sorted(lengths, reverse=True))
+            value = value * symmetric_character_table(end - start)[lam_tuple[slot]][mu]
+        return value
+
+    def irreducible_character(self, lam_tuple) -> list:
+        """Induced from prod_rho G wr S_{|lam^rho|} on consecutive point blocks."""
+        blocks = []
+        start = 0
+        subgroup_order = 1
+        for lam in lam_tuple:
+            n = sum(lam)
+            blocks.append((start, start + n))
+            start += n
+            subgroup_order *= self.ct.group.order**n * math.factorial(n)
+        values = []
+        for k in range(len(self.classes)):
+            total = 0
+            for idx, count in self.conjugates_of_class(k).items():
+                colors, perm = self.elements[idx]
+                if all(lo <= perm[i] < hi for lo, hi in blocks for i in range(lo, hi)):
+                    block_value = self._block_character((colors, perm), blocks, lam_tuple)
+                    total = total + count * block_value
+            values.append(Fraction(1, subgroup_order) * total)
+        return values

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,16 +12,25 @@ from wreathprob.bruteforce import (
     WreathGroup,
     algebra_product,
     indicator_image,
-    normalized_trace,
     phi_image,
-    w_inv,
     w_mul,
     wreath_group,
 )
 from wreathprob.cyclotomics import conjugate_value, value_as_fraction
-from wreathprob.groups import cyclic_group, symmetric3_group
+from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.partitions import indicator_scalar
 from wreathprob.wreath import enumerate_irreps, wreath_dimension
+
+from oracles import OrbitWreathGroup, w_inv
+
+
+def normalized_trace(wg, lam_tuple, algebra):
+    """Normalized character of the irreducible on a group-algebra element."""
+    values = wg.irreducible_character(lam_tuple)
+    total = 0
+    for idx, coeff in algebra.items():
+        total = total + coeff * values[wg.class_of[idx]]
+    return value_as_fraction(total) / wreath_dimension(wg.ct, lam_tuple)
 
 
 def test_group_law_axioms():
@@ -47,6 +57,44 @@ def test_conjugacy_classes_partition_group():
         assert wg.classes[0] == (wg.identity,)
         # class sizes divide the group order
         assert all(wg.order % s == 0 for s in wg.class_sizes())
+
+
+ORBIT_ORACLE_CASES = [
+    (ct, q)
+    for ct, bound in [
+        (cyclic_group(2), 4),
+        (cyclic_group(3), 3),
+        (symmetric3_group(), 3),
+        (dihedral_group(4), 2),
+    ]
+    for q in range(1, bound + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "ct, q", ORBIT_ORACLE_CASES, ids=[f"{ct.name}-q{q}" for ct, q in ORBIT_ORACLE_CASES]
+)
+def test_classes_and_characters_match_orbit_oracle(ct, q):
+    # cycle-data classes against conjugation orbits, and cycle-to-slot
+    # characters against the induced-character formula summed over conjugates
+    wg = WreathGroup(ct, q)
+    oracle = OrbitWreathGroup(ct, q)
+    assert wg.elements == oracle.elements
+    assert wg.classes == oracle.classes
+    for lam_tuple in enumerate_irreps(ct, q):
+        assert wg.irreducible_character(lam_tuple) == oracle.irreducible_character(
+            lam_tuple
+        ), lam_tuple
+
+
+def test_conjugates_of_class_counts_every_conjugation():
+    ct = symmetric3_group()
+    wg = WreathGroup(ct, 2)
+    oracle = OrbitWreathGroup(ct, 2)
+    for k in range(len(wg.classes)):
+        rep = wg.classes[k][0]
+        explicit = Counter(oracle.conjugate(y, rep) for y in range(wg.order))
+        assert wg.conjugates_of_class(k) == explicit, k
 
 
 def test_irreducible_characters_orthonormal():

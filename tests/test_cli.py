@@ -434,6 +434,66 @@ def test_config_supplies_and_flags_override(tmp_path, capsys):
     assert out.strip().splitlines()[2:] == ["8,4,4.0"]
 
 
+def test_family_budget_decided_before_any_group_is_built(capsys, monkeypatch):
+    # the left block needs S3 wr S8 (restriction by 4 at q1 = 2): refused
+    # before S3 wr S4 or S3 wr S2 is enumerated
+    from wreathprob import bruteforce
+
+    built = []
+    original = bruteforce.WreathGroup.__init__
+
+    def counting_init(self, ct, q):
+        built.append(q)
+        original(self, ct, q)
+
+    monkeypatch.setattr(bruteforce.WreathGroup, "__init__", counting_init)
+    s3 = {"kind": "example1", "group": "S3"}
+    fam = {
+        "kind": "outer",
+        "ratio": "1/2",
+        "left": {"kind": "restricted", "ratio": "4", "parent": s3},
+        "right": s3,
+    }
+    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "4")
+    assert code == 3
+    assert "enumeration budget" in err
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("diagram", "partition"), ("group", "group")],
+)
+def test_config_non_string_value_is_a_usage_error(command, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, key: 5}))
+    argv = [command, "--config", str(cfg)]
+    if command == "diagram":
+        argv.insert(1, "1")  # the positional is required; the config overrides it
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert key in err and "Traceback" not in err
+
+
+def _deep_restricted(depth):
+    # written as text: json.dumps itself recurses too deep at this depth
+    head = '{"kind":"restricted","ratio":"1","parent":'
+    return head * depth + LEFT_REGULAR + "}" * depth
+
+
+def test_deep_family_descriptor_is_a_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_deep_restricted(3000))
+    code, _, err = run(capsys, "family", "--family", str(deep), "--q", "2")
+    assert code == 2
+    assert "family" in err and "Traceback" not in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"command":"family","family":' + _deep_restricted(3000) + "}")
+    code, _, err = run(capsys, "family", "--config", str(cfg), "--q", "2")
+    assert code == 2
+    assert "config" in err and "Traceback" not in err
+
+
 def test_config_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"command": "moments", "familyy": "x"}))
