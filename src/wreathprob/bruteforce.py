@@ -59,11 +59,12 @@ def w_mul(gmult, a: Element, b: Element) -> Element:
     return colors, perm
 
 
-def cycle_data(mult, colors, perm) -> list[tuple[int, int]]:
-    """(length, colour product) of each cycle of the element (colors, perm).
+def backward_cycles(perm) -> list[tuple[int, ...]]:
+    """The cycles of perm, each walked backwards from its least point c0.
 
-    A cycle is walked backwards from its least point c0: the product is
-    colors[c0] * colors[perm^-1(c0)] * colors[perm^-2(c0)] * ...
+    An element (colors, perm) has colour product colors[c0] *
+    colors[perm^-1(c0)] * colors[perm^-2(c0)] * ... on that cycle, in
+    exactly this order of points.
     """
     q = len(perm)
     pinv = [0] * q
@@ -74,16 +75,14 @@ def cycle_data(mult, colors, perm) -> list[tuple[int, int]]:
     for c0 in range(q):
         if seen[c0]:
             continue
+        cycle = [c0]
         seen[c0] = True
-        g = colors[c0]
         point = pinv[c0]
-        length = 1
         while point != c0:
             seen[point] = True
-            g = mult[g][colors[point]]
+            cycle.append(point)
             point = pinv[point]
-            length += 1
-        out.append((length, g))
+        out.append(tuple(cycle))
     return out
 
 
@@ -108,7 +107,7 @@ class WreathGroup:
         ]
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.identity = self.index[((group.identity,) * q, tuple(range(q)))]
-        self.class_types, self.classes = self._conjugacy_classes()
+        self.class_types, self.classes = self._conjugacy_classes(perms)
         self.class_of = [0] * self.order
         for k, cls in enumerate(self.classes):
             for i in cls:
@@ -118,17 +117,23 @@ class WreathGroup:
     def mul(self, a: int, b: int) -> int:
         return self.index[w_mul(self.ct.group.mult, self.elements[a], self.elements[b])]
 
-    def _conjugacy_classes(self):
+    def _conjugacy_classes(self, perms):
         mult = self.ct.group.mult
         class_of_g = self.ct.group.class_of
+        walks = [backward_cycles(perm) for perm in perms]
         by_type: dict[tuple, list[int]] = {}
-        # the index's own ints go into the classes: fresh ones from
-        # enumerate() would cost one int object per element
-        for (colors, perm), i in self.index.items():
-            key = tuple(sorted(
-                (length, class_of_g[g]) for length, g in cycle_data(mult, colors, perm)
-            ))
-            by_type.setdefault(key, []).append(i)
+        # the elements run through perms fastest, so the walks repeat in
+        # step with them; the index's own ints go into the classes: fresh
+        # ones from enumerate() would cost one int object per element
+        for ((colors, _), i), walk in zip(self.index.items(), itertools.cycle(walks)):
+            key = []
+            for cycle in walk:
+                g = colors[cycle[0]]
+                for point in cycle[1:]:
+                    g = mult[g][colors[point]]
+                key.append((len(cycle), class_of_g[g]))
+            key.sort()
+            by_type.setdefault(tuple(key), []).append(i)
         ordered = sorted(
             by_type.items(), key=lambda item: (self.identity not in item[1], item[1][0])
         )
@@ -325,8 +330,6 @@ def _family_values(family: RepFamily, q: int) -> list:
 
 
 def _example1_values(family: Example1Family, wg: WreathGroup) -> list:
-    if family.multiplicities is None:
-        raise ValueError("explicit character needs integer multiplicities")
     ct = family.ct
     fibre_char = [
         sum(m * ct.value(slot, g) for slot, m in enumerate(family.multiplicities))

@@ -638,6 +638,13 @@ def _check_factorization_lemma(ct, bound, failures):
 
 def _check_structure_constants(bound, failures):
     """Indicator products against explicit partial-permutation algebra."""
+    expanded: dict[tuple, Counter] = {}
+
+    def expand(rows, q0):
+        if (rows, q0) not in expanded:
+            expanded[rows, q0] = expand_indicator(rows, q0)
+        return expanded[rows, q0]
+
     cases = 0
     for total in range(2, bound + 1):
         for size_mu in range(1, total):
@@ -647,14 +654,14 @@ def _check_structure_constants(bound, failures):
                     cases += 1
                     q0 = total
                     lhs = Counter()
-                    left = expand_indicator(mu, q0)
-                    right = expand_indicator(nu, q0)
+                    left = expand(mu, q0)
+                    right = expand(nu, q0)
                     for p1, m1 in left.items():
                         for p2, m2 in right.items():
                             lhs[compose(p1, p2)] += m1 * m2
                     rhs = Counter()
                     for rho, coeff in product_coefficients(mu, nu).items():
-                        for p, m in expand_indicator(rho, q0).items():
+                        for p, m in expand(rho, q0).items():
                             rhs[p] += coeff * m
                     lhs = +lhs
                     rhs = +rhs

@@ -2,9 +2,10 @@
 
 A value is a rational polynomial in a primitive root of unity, kept
 reduced modulo the corresponding cyclotomic polynomial, so equality and
-rationality tests are decidable.  Binary operations promote both sides
-to the least common root order first.  Plain ints and Fractions mix
-freely with these values.
+rationality tests are decidable.  Reduction folds each power x^k through
+a per-order table of x^k mod Phi_n, so no operation divides polynomials.
+Binary operations promote both sides to the least common root order
+first.  Plain ints and Fractions mix freely with these values.
 """
 
 from __future__ import annotations
@@ -55,15 +56,48 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+@cache
+def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Nonzero (index, coefficient) pairs of x^k mod Phi_order, 0 <= k < 2 * order.
+
+    Phi_order is monic with integer coefficients, so every row is an
+    integer vector of length phi(order) and reducing needs no division.
+    """
+    phi = [int(c) for c in cyclotomic_polynomial(order)]
+    degree = len(phi) - 1
+    row = [1] + [0] * (degree - 1)
+    rows = []
+    for _ in range(2 * order):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * p for c, p in zip(row, phi)]
+    return tuple(rows)
+
+
+_ZERO = Fraction(0)
+
+
+def _fold(acc: list, row, coeff) -> None:
+    """acc += coeff * row, for one sparse row of the power table."""
+    for i, t in row:
+        if t == 1:
+            acc[i] += coeff
+        elif t == -1:
+            acc[i] -= coeff
+        else:
+            acc[i] += coeff * t
+
+
 def _reduce(coeffs: dict[int, Fraction], order: int) -> tuple[Fraction, ...]:
-    """Reduce an exponent dict first mod x^order - 1, then mod Phi_order."""
-    dense = [Fraction(0)] * order
+    """Reduce an exponent dict mod Phi_order by folding through the power table."""
+    table = _power_table(order)
+    acc = [_ZERO] * (len(cyclotomic_polynomial(order)) - 1)
     for e, c in coeffs.items():
-        dense[e % order] += c
-    phi = list(cyclotomic_polynomial(order))
-    _, rem = _poly_divmod(dense, phi)
-    rem += [Fraction(0)] * (len(phi) - 1 - len(rem))
-    return tuple(rem)
+        if c:
+            _fold(acc, table[e % order], c)
+    return tuple(acc)
 
 
 class Cyclotomic:
@@ -76,6 +110,14 @@ class Cyclotomic:
         self.coeffs = _reduce(
             {e: Fraction(c) for e, c in coeffs.items()}, order
         )
+
+    @classmethod
+    def _of(cls, order: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
+        """Wrap a coefficient tuple that is already reduced mod Phi_order."""
+        out = object.__new__(cls)
+        out.order = order
+        out.coeffs = coeffs
+        return out
 
     @classmethod
     def root(cls, order: int, exponent: int = 1) -> "Cyclotomic":
@@ -98,36 +140,30 @@ class Cyclotomic:
         if order == self.order:
             return self.coeffs
         step = order // self.order
-        acc: dict[int, Fraction] = {}
-        for e, c in enumerate(self.coeffs):
-            if c:
-                acc[e * step] = c
-        return _reduce(acc, order)
+        return _reduce({e * step: c for e, c in enumerate(self.coeffs)}, order)
 
     def _pair(self, other):
-        if isinstance(other, Rational):
-            other = Cyclotomic(1, {0: Fraction(other)})
-        if not isinstance(other, Cyclotomic):
-            return None
+        """Common order and both coefficient tuples, for a Cyclotomic other."""
+        if other.order == self.order:
+            return self.order, self.coeffs, other.coeffs
         order = self.order * other.order // gcd(self.order, other.order)
         return order, self._promoted(order), other._promoted(order)
 
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if isinstance(other, Rational):
+            return Cyclotomic._of(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        order, a, b = pair
-        return Cyclotomic(order, {e: x + y for e, (x, y) in enumerate(zip(a, b))})
+        order, a, b = self._pair(other)
+        return Cyclotomic._of(order, tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, {e: -c for e, c in enumerate(self.coeffs)})
+        return Cyclotomic._of(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, Rational):
-            return self + (-Fraction(other))
-        if isinstance(other, Cyclotomic):
+        if isinstance(other, (*Rational, Cyclotomic)):
             return self + (-other)
         return NotImplemented
 
@@ -135,27 +171,35 @@ class Cyclotomic:
         return (-self) + other
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if isinstance(other, Rational):
+            return Cyclotomic._of(self.order, tuple(c * other for c in self.coeffs))
+        if not isinstance(other, Cyclotomic):
             return NotImplemented
-        order, a, b = pair
-        acc: dict[int, Fraction] = {}
+        order, a, b = self._pair(other)
+        degree = len(a)
+        conv = [_ZERO] * (2 * degree - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
             for j, y in enumerate(b):
                 if y:
-                    acc[i + j] = acc.get(i + j, Fraction(0)) + x * y
-        return Cyclotomic(order, acc)
+                    conv[i + j] += x * y
+        acc = conv[:degree]
+        table = _power_table(order)
+        for k in range(degree, 2 * degree - 1):
+            if conv[k]:
+                _fold(acc, table[k], conv[k])
+        return Cyclotomic._of(order, tuple(acc))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
-        acc: dict[int, Fraction] = {}
+        table = _power_table(self.order)
+        acc = [_ZERO] * len(self.coeffs)
         for e, c in enumerate(self.coeffs):
             if c:
-                acc[(-e) % self.order] = acc.get((-e) % self.order, Fraction(0)) + c
-        return Cyclotomic(self.order, acc)
+                _fold(acc, table[-e % self.order], c)
+        return Cyclotomic._of(self.order, tuple(acc))
 
     def is_rational(self) -> bool:
         return all(not c for c in self.coeffs[1:])
@@ -176,7 +220,7 @@ class Cyclotomic:
             return self.is_rational() and self.as_fraction() == other
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        order, a, b = self._pair(other)
+        _, a, b = self._pair(other)
         return a == b
 
     def __complex__(self) -> complex:

@@ -200,6 +200,13 @@ class Example1Family(RepFamily):
             prod *= self.weights[slot] ** len(rows)
         return falling(q, total_ones) * prod
 
+    def enumeration_sizes(self, q: int) -> set[int]:
+        # the explicit character is the fibre character's q-th tensor power,
+        # which weights alone do not determine
+        if self.multiplicities is None:
+            raise ValueError("explicit character needs integer multiplicities")
+        return {q}
+
     def canonical_probability(self, q: int, lam_tuple) -> Fraction:
         """Closed-form mass of one partition tuple under the size-q measure."""
         if sum(sum(lam) for lam in lam_tuple) != q:

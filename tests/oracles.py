@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from different first principles
 than the library (pentagonal-number recurrences, branching rules,
-permutation modules, seminormal matrices, conjugation orbits and
-induced characters) so agreement is meaningful.
+permutation modules, seminormal matrices, conjugation orbits,
+induced characters and polynomial long division) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -329,6 +329,76 @@ def composition_double_sum_bruteforce(c_of, l1: int, l2: int, weight=None):
                 term = term * weight(r)
             total += term
     return total
+
+
+# ------------------------------------------------------- cyclotomic numbers
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of rational polynomials, low degree first."""
+    num = [Fraction(c) for c in num]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in range(len(num) - len(den), -1, -1):
+        factor = num[shift + len(den) - 1] / den[-1]
+        quot[shift] = factor
+        if not factor:
+            continue
+        for i, c in enumerate(den):
+            num[shift + i] -= factor * c
+    rem = num[: len(den) - 1]
+    return quot, rem
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mobius(m: int) -> int:
+    sign = 1
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+@cache
+def cyclotomic_polynomial_mobius(n: int) -> tuple[Fraction, ...]:
+    """Phi_n as the product of (x^d - 1)^mu(n/d) over the divisors d of n."""
+    num = [Fraction(1)]
+    den = [Fraction(1)]
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        factor = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+        mu = _mobius(n // d)
+        if mu == 1:
+            num = _poly_mul(num, factor)
+        elif mu == -1:
+            den = _poly_mul(den, factor)
+    quot, rem = poly_divmod(num, den)
+    assert not any(rem)
+    return tuple(quot)
+
+
+def reduce_by_division(coeffs: dict[int, Fraction], order: int) -> tuple[Fraction, ...]:
+    """Exponent dict folded mod x^order - 1, then long-divided by Phi_order."""
+    dense = [Fraction(0)] * order
+    for e, c in coeffs.items():
+        dense[e % order] += Fraction(c)
+    phi = list(cyclotomic_polynomial_mobius(order))
+    if len(dense) < len(phi):
+        dense += [Fraction(0)] * (len(phi) - len(dense))
+    _, rem = poly_divmod(dense, phi)
+    return tuple(rem)
 
 
 # ------------------------------------------------------------ wreath groups

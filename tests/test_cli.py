@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -381,6 +382,39 @@ def test_sample_non_samplable_family(capsys):
     assert code == 3
 
 
+def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypatch):
+    original = cli.product_coefficients
+
+    def perturbed(mu, nu):
+        coeffs = dict(original(mu, nu))
+        if (mu, nu) == ((2,), (1,)):
+            rho = next(iter(coeffs))
+            coeffs[rho] += 1
+        return coeffs
+
+    monkeypatch.setattr(cli, "product_coefficients", perturbed)
+    code, out, _ = run(capsys, "verify", "--scope", "structure-constants", "--bound", "4")
+    assert code == 1
+    doc = json.loads(out)
+    assert not doc["passed"]
+    assert doc["failures"] == [{"check": "structure-constants", "mu": [2], "nu": [1]}]
+
+
+def test_structure_constants_expand_each_indicator_once(monkeypatch):
+    calls = Counter()
+    original = cli.expand_indicator
+
+    def counting(rows, q):
+        calls[rows, q] += 1
+        return original(rows, q)
+
+    monkeypatch.setattr(cli, "expand_indicator", counting)
+    failures = []
+    assert cli._check_structure_constants(6, failures) > 0
+    assert failures == []
+    assert calls and set(calls.values()) == {1}
+
+
 def test_verify_scopes_pass(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "structure-constants", "--bound", "4")
     assert code == 0
@@ -434,9 +468,9 @@ def test_config_supplies_and_flags_override(tmp_path, capsys):
     assert out.strip().splitlines()[2:] == ["8,4,4.0"]
 
 
-def test_family_budget_decided_before_any_group_is_built(capsys, monkeypatch):
-    # the left block needs S3 wr S8 (restriction by 4 at q1 = 2): refused
-    # before S3 wr S4 or S3 wr S2 is enumerated
+@pytest.fixture
+def wreath_builds(monkeypatch):
+    """The q of every WreathGroup built, starting from an empty group cache."""
     from wreathprob import bruteforce
 
     built = []
@@ -447,6 +481,13 @@ def test_family_budget_decided_before_any_group_is_built(capsys, monkeypatch):
         original(self, ct, q)
 
     monkeypatch.setattr(bruteforce.WreathGroup, "__init__", counting_init)
+    monkeypatch.setattr(bruteforce, "_WREATH_CACHE", {})
+    return built
+
+
+def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds):
+    # the left block needs S3 wr S8 (restriction by 4 at q1 = 2): refused
+    # before S3 wr S4 or S3 wr S2 is enumerated
     s3 = {"kind": "example1", "group": "S3"}
     fam = {
         "kind": "outer",
@@ -457,7 +498,21 @@ def test_family_budget_decided_before_any_group_is_built(capsys, monkeypatch):
     code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "4")
     assert code == 3
     assert "enumeration budget" in err
-    assert built == []
+    assert wreath_builds == []
+
+
+def test_weights_only_example1_refused_before_any_group_is_built(capsys, wreath_builds):
+    # weights do not fix the fibre character, so the explicit character of
+    # the parent at r = 4 cannot be written down: no S3 wr S4 is built
+    fam = {
+        "kind": "restricted",
+        "ratio": "2",
+        "parent": {"kind": "example1", "group": "S3", "weights": ["1/3", "1/3", "1/3"]},
+    }
+    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "2")
+    assert code == 3
+    assert "explicit character needs integer multiplicities" in err
+    assert wreath_builds == []
 
 
 @pytest.mark.parametrize(

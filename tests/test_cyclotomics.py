@@ -2,8 +2,12 @@
 
 import cmath
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reduce_by_division
 
 from wreathprob.cyclotomics import (
     Cyclotomic,
@@ -84,3 +88,77 @@ def test_numeric_embedding_agrees():
     value = 2 * z12 + z12 * z12 - 3
     expected = 2 * cmath.exp(2j * cmath.pi / 12) + cmath.exp(4j * cmath.pi / 12) - 3
     assert abs(complex(value) - expected) < 1e-12
+
+
+# ------------------------------------------------ against long division
+
+rationals = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def exponent_dicts(draw):
+    """An order in 1..12 and an unreduced {exponent: rational} over a few periods."""
+    order = draw(st.integers(1, 12))
+    terms = draw(st.dictionaries(st.integers(-order, 2 * order), rationals, max_size=6))
+    return order, terms
+
+
+def _lifted(order, terms, to):
+    step = to // order
+    return {e * step: c for e, c in terms.items()}
+
+
+def _expect(value, order, coeffs):
+    assert value.order == order
+    assert all(type(c) is Fraction for c in value.coeffs)
+    assert value.coeffs == coeffs
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponent_dicts(), exponent_dicts(), rationals)
+def test_arithmetic_matches_division_oracle(left, right, r):
+    (n, a_terms), (m, b_terms) = left, right
+    a = Cyclotomic(n, a_terms)
+    b = Cyclotomic(m, b_terms)
+    _expect(a, n, reduce_by_division(a_terms, n))
+
+    order = lcm(n, m)
+    a_up = _lifted(n, a_terms, order)
+    b_up = _lifted(m, b_terms, order)
+    total = dict(a_up)
+    difference = dict(a_up)
+    for e, c in b_up.items():
+        total[e] = total.get(e, 0) + c
+        difference[e] = difference.get(e, 0) - c
+    product: dict = {}
+    for e, x in a_up.items():
+        for f, y in b_up.items():
+            product[e + f] = product.get(e + f, 0) + x * y
+    _expect(a + b, order, reduce_by_division(total, order))
+    _expect(a - b, order, reduce_by_division(difference, order))
+    _expect(a * b, order, reduce_by_division(product, order))
+    _expect(-a, n, reduce_by_division({e: -c for e, c in a_terms.items()}, n))
+    _expect(a.conjugate(), n, reduce_by_division({-e: c for e, c in a_terms.items()}, n))
+
+    shifted = dict(a_terms)
+    shifted[0] = shifted.get(0, 0) + r
+    _expect(a + r, n, reduce_by_division(shifted, n))
+    _expect(r + a, n, reduce_by_division(shifted, n))
+    shifted[0] -= 2 * r
+    _expect(a - r, n, reduce_by_division(shifted, n))
+    flipped = {e: -c for e, c in a_terms.items()}
+    flipped[0] = flipped.get(0, 0) + r
+    _expect(r - a, n, reduce_by_division(flipped, n))
+    scaled = reduce_by_division({e: c * r for e, c in a_terms.items()}, n)
+    _expect(a * r, n, scaled)
+    _expect(r * a, n, scaled)
+
+    expected_a = reduce_by_division(a_up, order)
+    expected_b = reduce_by_division(b_up, order)
+    assert (a == b) == (expected_a == expected_b)
+    assert (a == r) == (expected_a == reduce_by_division({0: r}, order))
+    oracle_rational = not any(reduce_by_division(a_terms, n)[1:])
+    assert a.is_rational() == oracle_rational
