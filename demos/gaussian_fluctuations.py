@@ -4,7 +4,8 @@ Monte Carlo check of Gaussian fluctuations
 
 """
 
-import numpy as np
+import math
+import statistics
 
 from wreathprob.groups import cyclic_group
 from wreathprob.sampling import (
@@ -37,7 +38,10 @@ report = normality_check(
 )
 print(f"samples: {n_samples} at q = {q}")
 print("predicted covariance:", report["predicted_covariance"])
-print("empirical covariance:", np.round(report["covariance"], 4).tolist())
+print(
+    "empirical covariance:",
+    [[round(v, 4) for v in row] for row in report["covariance"]],
+)
 print("largest entry error: ", round(report["covariance_abs_error"], 4))
 for entry in report["statistics"]:
     print(
@@ -51,10 +55,14 @@ for entry in report["statistics"]:
 ############################################################
 # A bare-hands histogram of the standardized second cumulant.
 
-column = stats[:, 0] / np.sqrt(np.mean(stats[:, 0] ** 2))
-edges = np.linspace(-3, 3, 13)
-counts, _ = np.histogram(column, bins=edges)
-peak = counts.max()
+scale = math.sqrt(statistics.fmean(row[0] ** 2 for row in stats))
+column = [row[0] / scale for row in stats]
+edges = [-3 + k / 2 for k in range(13)]
+counts = [0] * 12
+for x in column:
+    if -3 <= x <= 3:
+        counts[min(math.floor(2 * (x + 3)), 11)] += 1
+peak = max(counts)
 print("\nstandardized block-size fluctuation:")
 for left, right, c in zip(edges, edges[1:], counts):
     bar = "#" * round(40 * c / peak)

@@ -4,12 +4,12 @@ Growing a random diagram one box at a time
 
 """
 
-import numpy as np
+import random
 
 from wreathprob.diagrams import free_cumulants, transition_measure
 from wreathprob.sampling import growth_weights, sample_plancherel
 
-rng = np.random.default_rng(7)
+rng = random.Random(7)
 
 ############################################################
 # Each growth step picks an addable corner with the weight the
@@ -20,8 +20,7 @@ for step in range(8):
     choices = growth_weights(lam)
     pretty = ", ".join(f"content {c}: {p}" for c, _, p in choices)
     print(f"{str(lam):<24} -> {pretty}")
-    pick = rng.choice(len(choices), p=[float(p) for _, _, p in choices])
-    lam = choices[pick][1]
+    _, lam, _ = rng.choices(choices, weights=[float(p) for _, _, p in choices])[0]
 print("grown diagram:", lam)
 
 ############################################################

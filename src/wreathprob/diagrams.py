@@ -88,31 +88,41 @@ def moments_to_free_cumulants(moments: list[Fraction]) -> list[Fraction]:
 
     Uses the composition form of the noncrossing relation: the n-th moment
     is the sum over the size s of the block containing the first point of
-    R_s times products of smaller moments filling the s gaps.
+    R_s times products of smaller moments filling the s gaps.  The
+    inversion only adds and multiplies, so integer moments are inverted
+    in integer arithmetic; the cumulants come back as Fractions.
     """
     n = len(moments)
-    m = [Fraction(1)] + [Fraction(v) for v in moments]
+    m = [1, *moments]
     # gap_fill[s][t]: sum over weak compositions of t into s parts of
     # moment products, built one part at a time; only t <= n - s is read
-    gap_fill = [[Fraction(1)] + [Fraction(0)] * n]
+    gap_fill = [[1] + [0] * n]
     for s in range(1, n):
         prev = gap_fill[-1]
         gap_fill.append([
-            sum((m[f] * prev[t - f] for f in range(t + 1)), start=Fraction(0))
-            for t in range(n - s + 1)
+            sum(m[f] * prev[t - f] for f in range(t + 1)) for t in range(n - s + 1)
         ])
 
-    cumulants: list[Fraction] = []
+    cumulants = []
     for k in range(1, n + 1):
-        lower = sum(
-            (cumulants[s - 1] * gap_fill[s][k - s] for s in range(1, k)),
-            start=Fraction(0),
-        )
+        lower = sum(cumulants[s - 1] * gap_fill[s][k - s] for s in range(1, k))
         cumulants.append(m[k] - lower)
-    return cumulants
+    return [Fraction(c) for c in cumulants]
 
 
 def free_cumulants(lam, up_to: int) -> list[Fraction]:
-    """Free cumulants R_1..R_up_to of a diagram or of a measure directly."""
-    tm = lam if isinstance(lam, TransitionMeasure) else transition_measure(lam)
-    return moments_to_free_cumulants(tm.moments(up_to))
+    """Free cumulants R_1..R_up_to of a diagram or of a measure directly.
+
+    A diagram's moments come from its profile power sums p_j (Kerov):
+    G(z) = prod(z - y) / prod(z - x) = z^-1 exp(sum_j p_j / (j z^j)), so
+    n M_n = sum_{j=1..n} p_j M_{n-j}.  G is z^-1 times a series in 1/z with
+    integer coefficients, so the moments are integers and // is exact.
+    """
+    if isinstance(lam, TransitionMeasure):
+        return moments_to_free_cumulants(lam.moments(up_to))
+    x, y = minima_maxima(lam)
+    p = [0] + [sum(a**j for a in x) - sum(b**j for b in y) for j in range(1, up_to + 1)]
+    moments = [1]
+    for n in range(1, up_to + 1):
+        moments.append(sum(p[j] * moments[n - j] for j in range(1, n + 1)) // n)
+    return moments_to_free_cumulants(moments[1:])

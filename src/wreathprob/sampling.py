@@ -4,16 +4,17 @@ A Plancherel-distributed diagram of n boxes is the shape that
 Robinson-Schensted row insertion builds from n i.i.d. uniforms: the
 insertion is the Plancherel growth process, so the law is exact at every
 size.  Root seeds expand to per-sample seeds through a counter scheme,
-so serial and parallel runs produce identical batches.
+so serial and parallel runs produce identical batches.  Everything here
+is standard library: statistics are small moment matrices over lists.
 """
 
 import json
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from itertools import accumulate
 
 from .diagrams import profile_moment, transition_measure, free_cumulants
 from .indicators import (
@@ -44,14 +45,10 @@ def growth_weights(lam):
     return out
 
 
-def sample_plancherel(n: int, rng) -> tuple:
-    """One random partition of n with the Plancherel law dim(lam)^2 / n!.
-
-    Row-inserts n uniforms from ``rng`` (Robinson-Schensted) and returns
-    the row lengths of the insertion tableau.
-    """
+def _insertion_shape(values) -> tuple:
+    """Row lengths of the Robinson-Schensted insertion tableau of ``values``."""
     rows: list = []
-    for value in rng.random(n).tolist():
+    for value in values:
         for row in rows:
             k = bisect_right(row, value)
             if k == len(row):
@@ -63,18 +60,37 @@ def sample_plancherel(n: int, rng) -> tuple:
     return tuple(len(row) for row in rows)
 
 
+def sample_plancherel(n: int, rng) -> tuple:
+    """One random partition of n with the Plancherel law dim(lam)^2 / n!.
+
+    Row-inserts n ``rng.random()`` uniforms (Robinson-Schensted) and
+    returns the row lengths of the insertion tableau.
+    """
+    return _insertion_shape([rng.random() for _ in range(n)])
+
+
 def sample_canonical(family: RepFamily, q: int, rng) -> tuple:
-    """One partition tuple from the independent-box canonical measure."""
+    """One partition tuple from the independent-box canonical measure.
+
+    Each of q uniforms picks its slot by the float slot weights, as
+    ``random.choices`` does, and is row-inserted in that slot.  Given its
+    slot a uniform is uniform on the slot's interval, so the block sizes
+    are multinomial and each block's shape is Plancherel, from q draws.
+    """
     if not isinstance(family, Example1Family):
         raise ValueError("only the independent-box family has a direct sampler")
-    probs = np.array([float(w) for w in family.weights], dtype=np.float64)
-    probs /= probs.sum()
-    sizes = rng.multinomial(q, probs)
-    return tuple(sample_plancherel(int(n), rng) for n in sizes)
+    bounds = list(accumulate(float(w) for w in family.weights))
+    scale, last = bounds[-1], len(bounds) - 1
+    blocks: list = [[] for _ in bounds]
+    for _ in range(q):
+        value = rng.random() * scale
+        blocks[bisect_right(bounds, value, 0, last)].append(value)
+    return tuple(_insertion_shape(block) for block in blocks)
 
 
-def _seed_rng(root_seed: int, index: int):
-    return np.random.default_rng([root_seed, index])
+def _seed_rng(root_seed: int, index: int) -> random.Random:
+    # str seeds are hashed with SHA-512, so the stream is version-stable
+    return random.Random(f"{root_seed}:{index}")
 
 
 @dataclass
@@ -122,47 +138,27 @@ def sample_batch(
     return SampleBatch(family=family, q=q, root_seed=root_seed, samples=samples)
 
 
-def free_cumulant_value(lam, i: int) -> Fraction:
-    """R_i of one diagram; profile-moment shortcut for i <= 4."""
-    if i < 2:
-        raise ValueError("free-cumulant statistics start at index 2")
-    if i == 2:
-        return Fraction(profile_moment(lam, 2), 2)
-    if i == 3:
-        return Fraction(profile_moment(lam, 3), 3)
-    if i == 4:
-        r2 = Fraction(profile_moment(lam, 2), 2)
-        return (profile_moment(lam, 4) - 6 * r2 * r2) / 4
-    return free_cumulants(tuple(lam), i)[i - 1]
-
-
 def statistic_value(lam_tuple, q: int, spec) -> Fraction:
     """Raw (uncentered, unscaled) value of one statistic on one sample."""
-    kind = spec[0]
+    kind, slot, i = spec
+    if kind in ("R", "p") and i < 2:
+        raise ValueError(f"{kind} statistics start at index 2")
+    lam = tuple(lam_tuple[slot])
     if kind == "R":
-        _, slot, i = spec
-        return free_cumulant_value(lam_tuple[slot], i)
+        return free_cumulants(lam, i)[i - 1]
     if kind == "p":
-        _, slot, i = spec
-        if i < 2:
-            raise ValueError("shape statistics start at index 2")
-        return profile_moment(lam_tuple[slot], i)
+        return profile_moment(lam, i)
     if kind == "character":
-        _, slot, l = spec
-        lam = lam_tuple[slot]
         n = sum(lam)
-        if n < l:
+        if n < i:
             return Fraction(0)
-        # evaluate the cycle indicator through free cumulants; direct
+        # evaluate the i-cycle indicator through free cumulants; direct
         # character recursion is infeasible on large diagrams
-        cums = free_cumulants(tuple(lam), l + 1)
+        cums = free_cumulants(lam, i + 1)
         scalar = Fraction(0)
-        for mono, coeff in indicator_in_free_cumulants(l).items():
-            term = coeff
-            for idx in mono:
-                term *= cums[idx - 1]
-            scalar += term
-        return scalar / falling(n, l)
+        for mono, coeff in indicator_in_free_cumulants(i).items():
+            scalar += coeff * math.prod(cums[idx - 1] for idx in mono)
+        return scalar / falling(n, i)
     raise ValueError(f"unknown statistic kind {spec!r}")
 
 
@@ -187,8 +183,12 @@ def exact_mean(family: RepFamily, q: int, spec):
     return None
 
 
-def fluctuation_statistics(batch: SampleBatch, specs) -> np.ndarray:
-    """Matrix of centered, scaled statistics: one row per sample.
+def _mean(xs) -> float:
+    return math.fsum(xs) / len(xs)
+
+
+def fluctuation_statistics(batch: SampleBatch, specs) -> list:
+    """Rows of centered, scaled statistics: one tuple per sample.
 
     Free-cumulant and shape statistics are centered at their exact means;
     the character statistic (a ratio of random quantities) is centered
@@ -200,17 +200,14 @@ def fluctuation_statistics(batch: SampleBatch, specs) -> np.ndarray:
     for spec in specs:
         key = tuple(spec)
         if key not in batch.statistics_cache:
-            raw = np.array(
-                [float(statistic_value(t, batch.q, spec)) for t in batch.samples]
-            )
+            raw = [float(statistic_value(t, batch.q, spec)) for t in batch.samples]
             mean = exact_mean(batch.family, batch.q, spec)
-            center = float(mean) if mean is not None else raw.mean()
+            center = float(mean) if mean is not None else _mean(raw)
+            scale = statistic_scaling(batch.q, spec)
             batch.raw_statistics[key] = raw
-            batch.statistics_cache[key] = (raw - center) * statistic_scaling(
-                batch.q, spec
-            )
+            batch.statistics_cache[key] = [(x - center) * scale for x in raw]
         columns.append(batch.statistics_cache[key])
-    return np.column_stack(columns)
+    return list(zip(*columns))
 
 
 def spec_name(spec) -> str:
@@ -218,64 +215,54 @@ def spec_name(spec) -> str:
     return f"{kind}[{slot},{index}]"
 
 
-def normality_check(stats: np.ndarray, names=None, predicted_cov=None) -> dict:
-    """Moment-based Gaussianity report with 3-standard-error bands."""
-    stats = np.asarray(stats, dtype=np.float64)
-    if stats.ndim == 1:
-        stats = stats[:, None]
-    n, k = stats.shape
+def normality_check(stats, names=None, predicted_cov=None) -> dict:
+    """Gaussianity report on rows of statistics, one row per sample."""
+    n = len(stats)
+    means = [_mean(column) for column in zip(*stats)]
+    centered = [[v - m for v in column] for m, column in zip(means, zip(*stats))]
     if names is None:
-        names = [f"stat{j}" for j in range(k)]
+        names = [f"stat{j}" for j in range(len(means))]
+    # moment checks with 3-standard-error bands
     skew_band = 3 * math.sqrt(6 / n)
     kurt_band = 3 * math.sqrt(24 / n)
     per_stat = []
-    for j in range(k):
-        x = stats[:, j]
-        mean = float(x.mean())
-        centered = x - mean
-        var = float(centered @ centered) / n
-        entry = {"name": names[j], "mean": mean, "variance": var}
+    for name, mean, c in zip(names, means, centered):
+        var = _mean([v * v for v in c])
+        entry = {"name": name, "mean": mean, "variance": var}
         if var <= 1e-24:
-            entry["degenerate"] = True
-            entry["gaussian"] = False
+            entry.update(degenerate=True, gaussian=False)
         else:
             sd = math.sqrt(var)
-            z = centered / sd
-            skew = float((z**3).mean())
-            kurt = float((z**4).mean()) - 3.0
-            entry["degenerate"] = False
-            entry["skewness"] = skew
-            entry["excess_kurtosis"] = kurt
-            entry["skew_band"] = skew_band
-            entry["kurtosis_band"] = kurt_band
-            entry["gaussian"] = abs(skew) <= skew_band and abs(kurt) <= kurt_band
+            skew = _mean([(v / sd) ** 3 for v in c])
+            kurt = _mean([(v / sd) ** 4 for v in c]) - 3.0
+            entry.update(
+                degenerate=False,
+                skewness=skew,
+                excess_kurtosis=kurt,
+                skew_band=skew_band,
+                kurtosis_band=kurt_band,
+                gaussian=abs(skew) <= skew_band and abs(kurt) <= kurt_band,
+            )
         per_stat.append(entry)
-    centered = stats - stats.mean(axis=0)
-    cov = (centered.T @ centered) / n
-    report = {
-        "n_samples": n,
-        "statistics": per_stat,
-        "covariance": cov.tolist(),
-    }
+    cov = [[_mean([u * v for u, v in zip(a, b)]) for b in centered] for a in centered]
+    report = {"n_samples": n, "statistics": per_stat, "covariance": cov}
     if predicted_cov is not None:
-        predicted = np.asarray(predicted_cov, dtype=np.float64)
-        report["predicted_covariance"] = predicted.tolist()
-        report["covariance_abs_error"] = float(np.abs(cov - predicted).max())
+        predicted = [[float(v) for v in row] for row in predicted_cov]
+        report["predicted_covariance"] = predicted
+        report["covariance_abs_error"] = max(
+            abs(c - p) for cr, pr in zip(cov, predicted) for c, p in zip(cr, pr)
+        )
     return report
 
 
-def predicted_r_covariance(params, specs) -> np.ndarray:
+def predicted_r_covariance(params, specs) -> list:
     """Limit covariance matrix for R-kind statistics from a limit table."""
-    k = len(specs)
-    out = np.zeros((k, k))
-    for a in range(k):
-        for b in range(k):
-            if specs[a][0] != "R" or specs[b][0] != "R":
-                raise ValueError("predictions cover free-cumulant statistics only")
-            _, s1, i1 = specs[a]
-            _, s2, i2 = specs[b]
-            out[a, b] = float(params.covariance(s1, i1 - 1, s2, i2 - 1))
-    return out
+    if any(spec[0] != "R" for spec in specs):
+        raise ValueError("predictions cover free-cumulant statistics only")
+    return [
+        [float(params.covariance(s1, i1 - 1, s2, i2 - 1)) for _, s2, i2 in specs]
+        for _, s1, i1 in specs
+    ]
 
 
 def batch_csv(batch: SampleBatch, specs) -> str:
@@ -286,7 +273,7 @@ def batch_csv(batch: SampleBatch, specs) -> str:
     lines = ["# schema_version=1", "sample,statistic,raw,centered_scaled"]
     for i in range(len(batch.samples)):
         for j, name in enumerate(names):
-            lines.append(f"{i},{name},{float(raws[j][i])!r},{float(stats[i, j])!r}")
+            lines.append(f"{i},{name},{raws[j][i]!r},{stats[i][j]!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -171,20 +171,21 @@ class Example1Family(RepFamily):
 
     def __init__(self, ct: CharacterTable, multiplicities=None, weights=None):
         super().__init__(ct)
-        if weights is not None:
-            self.multiplicities = tuple(multiplicities) if multiplicities else None
-            self.weights = tuple(Fraction(w) for w in weights)
-        else:
-            if multiplicities is None:
-                multiplicities = ct.dims()  # left regular
+        if weights is None and multiplicities is None:
+            multiplicities = ct.dims()  # left regular
+        self.multiplicities = None
+        if multiplicities is not None:
             self.multiplicities = tuple(int(m) for m in multiplicities)
-            fibre = sum(
-                m * r.dim for m, r in zip(self.multiplicities, ct.irreps)
-            )
-            self.weights = tuple(
-                Fraction(m * r.dim, fibre)
-                for m, r in zip(self.multiplicities, ct.irreps)
-            )
+            parts = [m * r.dim for m, r in zip(self.multiplicities, ct.irreps)]
+            implied = [Fraction(part, sum(parts)) for part in parts]
+            # the enumerated character follows the multiplicities, so
+            # weights given beside them must be the ones they imply
+            if weights is not None and [Fraction(w) for w in weights] != implied:
+                raise ValueError(
+                    "weights must equal multiplicity times dim over the fibre dimension"
+                )
+            weights = implied
+        self.weights = tuple(Fraction(w) for w in weights)
         if len(self.weights) != ct.num_irreps:
             raise ValueError("one weight per base irreducible required")
         if sum(self.weights) != 1 or any(w < 0 for w in self.weights):

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -513,6 +517,59 @@ def test_weights_only_example1_refused_before_any_group_is_built(capsys, wreath_
     assert code == 3
     assert "explicit character needs integer multiplicities" in err
     assert wreath_builds == []
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # start-up cost: every command imports the CLI, none needs numpy
+    proc = _fresh_python("import sys, wreathprob.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_sample_runs_without_numpy():
+    proc = _fresh_python(
+        "import sys; sys.modules['numpy'] = None\n"
+        "from wreathprob.cli import main\n"
+        f"sys.exit(main(['sample', '--family', {LEFT_REGULAR!r}, '--q', '60',"
+        " '--n-samples', '30', '--seed', '5', '--stats', 'R:0:2;character:0:2']))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"n_samples": 30' in proc.stdout
+
+
+def test_example1_weights_must_match_multiplicities(capsys):
+    # the enumerated character follows the multiplicities [1, 0] (all mass
+    # on slot 0), so weights 1/2, 1/2 beside them describe another family
+    fam = {
+        "kind": "example1",
+        "group": "cyclic:2",
+        "multiplicities": [1, 0],
+        "weights": ["1/2", "1/2"],
+    }
+    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "2")
+    assert code == 2
+    assert "weights must equal multiplicity times dim" in err
+    fam["weights"] = ["1", "0"]
+    code, out, _ = run(capsys, "family", "--family", json.dumps(fam), "--q", "2")
+    assert code == 0
+    atoms = {
+        tuple(tuple(l) for l in a["shapes"]): a["probability"]["exact"]
+        for a in json.loads(out)["measure"]["atoms"]
+    }
+    assert atoms == {((1, 1), ()): "1/2", ((2,), ()): "1/2"}
 
 
 @pytest.mark.parametrize(

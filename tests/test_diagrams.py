@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wreathprob.diagrams import (
     dilate,
     free_cumulants,
@@ -138,3 +141,21 @@ def test_dilation_scales_cumulants_homogeneously():
             tm = dilate(transition_measure(lam), p)
             scaled = free_cumulants(tm, 6)
             assert scaled == [p**n * base[n - 1] for n in range(1, 7)]
+
+
+def _measure_route(lam, k):
+    return moments_to_free_cumulants(transition_measure(lam).moments(k))
+
+
+def test_free_cumulants_from_power_sums_match_measure_route():
+    for n in range(13):
+        for lam in partitions_of(n):
+            for k in range(9):
+                assert free_cumulants(lam, k) == _measure_route(lam, k), (lam, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=30), st.integers(1, 10))
+def test_free_cumulants_from_power_sums_on_large_diagrams(rows, k):
+    lam = tuple(sorted(rows, reverse=True))
+    assert free_cumulants(lam, k) == _measure_route(lam, k)

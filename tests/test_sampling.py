@@ -1,10 +1,11 @@
 import itertools
 import json
 import math
+import random
+import statistics
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from wreathprob.diagrams import transition_measure
@@ -29,7 +30,7 @@ from oracles import dimension_branching, partition_count_pentagonal
 
 
 def rng_for(seed):
-    return np.random.default_rng(seed)
+    return random.Random(seed)
 
 
 def test_growth_weights_match_transition_measure():
@@ -61,14 +62,14 @@ def test_sample_plancherel_trivial():
 
 
 class PermutationRng:
-    """Stands in for a generator: ``random(n)`` yields a fixed permutation."""
+    """Stands in for a generator: ``random()`` walks a fixed permutation."""
 
     def __init__(self, perm):
-        self.perm = perm
+        n = len(perm)
+        self.values = iter([(p + 1) / (n + 1) for p in perm])
 
-    def random(self, n):
-        assert n == len(self.perm)
-        return np.array([(p + 1) / (n + 1) for p in self.perm])
+    def random(self):
+        return next(self.values)
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -146,12 +147,10 @@ def test_block_sizes_binomial():
     fam = Example1Family(cyclic_group(2))
     q, trials = 50, 4000
     rng = rng_for(11)
-    sizes = np.array(
-        [sum(sample_canonical(fam, q, rng)[0]) for _ in range(trials)], dtype=float
-    )
+    sizes = [sum(sample_canonical(fam, q, rng)[0]) for _ in range(trials)]
     se_mean = math.sqrt(q / 4) / math.sqrt(trials)
-    assert abs(sizes.mean() - q / 2) <= 4 * se_mean
-    var = sizes.var()
+    assert abs(statistics.fmean(sizes) - q / 2) <= 4 * se_mean
+    var = statistics.pvariance(sizes)
     se_var = (q / 4) * math.sqrt(2 / (trials - 1))
     assert abs(var - q / 4) <= 4 * se_var
 
@@ -161,11 +160,9 @@ def test_mean_r2_matches_qc():
     q, trials = 100, 2000
     batch = sample_batch(fam, q, trials, root_seed=13)
     for slot, c in [(0, Fraction(1, 4)), (1, Fraction(3, 4))]:
-        values = np.array(
-            [float(statistic_value(t, q, ("R", slot, 2))) for t in batch.samples]
-        )
+        values = [float(statistic_value(t, q, ("R", slot, 2))) for t in batch.samples]
         se = math.sqrt(float(c * (1 - c)) * q / trials)
-        assert abs(values.mean() - float(q * c)) <= 4 * se
+        assert abs(statistics.fmean(values) - float(q * c)) <= 4 * se
 
 
 def test_reproducibility_and_workers():
@@ -177,9 +174,9 @@ def test_reproducibility_and_workers():
     assert c.samples == a.samples
     d = sample_batch(fam, 30, 40, root_seed=100)
     assert d.samples != a.samples
-    # sample i draws from the counter-seeded stream [root_seed, i]
+    # sample i draws from the counter-seeded stream "root_seed:i"
     for i, sample in enumerate(a.samples):
-        assert sample == sample_canonical(fam, 30, np.random.default_rng([99, i]))
+        assert sample == sample_canonical(fam, 30, random.Random(f"99:{i}"))
 
 
 def test_statistics_cache():
@@ -188,7 +185,7 @@ def test_statistics_cache():
     first = fluctuation_statistics(batch, [("R", 0, 2)])
     assert ("R", 0, 2) in batch.statistics_cache
     again = fluctuation_statistics(batch, [("R", 0, 2)])
-    assert np.array_equal(first, again)
+    assert first == again
 
 
 def test_character_statistic_matches_direct_scalar():
@@ -217,7 +214,7 @@ def test_point_mass_statistics_vanish():
     stats = fluctuation_statistics(
         batch, [("R", 0, 2), ("R", 1, 3), ("p", 0, 4), ("character", 0, 2)]
     )
-    assert np.all(stats == 0)
+    assert all(v == 0 for row in stats for v in row)
     report = normality_check(stats)
     assert all(e["degenerate"] for e in report["statistics"])
     assert not any(e["gaussian"] for e in report["statistics"])
@@ -239,20 +236,20 @@ def test_statistic_errors():
 def test_normality_calibration():
     rng = rng_for(42)
     n = 5000
-    stats = rng.standard_normal((n, 2))
+    stats = [[rng.gauss(0, 1), rng.gauss(0, 1)] for _ in range(n)]
     report = normality_check(stats, ["x", "y"])
     for entry in report["statistics"]:
         assert not entry["degenerate"]
         assert entry["gaussian"]
         assert abs(entry["skewness"]) <= 3 * math.sqrt(6 / n)
         assert abs(entry["excess_kurtosis"]) <= 3 * math.sqrt(24 / n)
-    cov = np.array(report["covariance"])
-    assert abs(cov[0, 0] - 1) < 0.1 and abs(cov[1, 1] - 1) < 0.1
-    assert abs(cov[0, 1]) < 0.1
+    cov = report["covariance"]
+    assert abs(cov[0][0] - 1) < 0.1 and abs(cov[1][1] - 1) < 0.1
+    assert abs(cov[0][1]) < 0.1
 
 
 def test_normality_degenerate_flag():
-    stats = np.ones((2000, 1))
+    stats = [[1.0]] * 2000
     report = normality_check(stats)
     entry = report["statistics"][0]
     assert entry["degenerate"] and not entry["gaussian"]
@@ -263,14 +260,12 @@ def test_predicted_covariance_table():
     params = fam.limits()
     specs = [("R", 0, 2), ("R", 1, 2), ("R", 0, 3)]
     cov = predicted_r_covariance(params, specs)
-    expected = np.array(
-        [
-            [0.25, -0.25, 0.0],
-            [-0.25, 0.25, 0.0],
-            [0.0, 0.0, 0.5],
-        ]
-    )
-    assert np.array_equal(cov, expected)
+    expected = [
+        [0.25, -0.25, 0.0],
+        [-0.25, 0.25, 0.0],
+        [0.0, 0.0, 0.5],
+    ]
+    assert cov == expected
     with pytest.raises(ValueError):
         predicted_r_covariance(params, [("p", 0, 2)])
 
