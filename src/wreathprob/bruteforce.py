@@ -436,14 +436,17 @@ def measure_from_character(wg: WreathGroup, values) -> dict:
     The mass of one irreducible is its multiplicity times its dimension
     over the total dimension, all read off from exact inner products.
     """
-    sizes = wg.class_sizes()
+    # classes where the character vanishes add nothing to an inner product
+    support = [
+        (wg.class_types[k], len(cls) * values[cls[0]])
+        for k, cls in enumerate(wg.classes)
+        if values[cls[0]]
+    ]
     out = {}
     for lam_tuple in enumerate_irreps(wg.ct, wg.q):
-        chi = wg.irreducible_character(lam_tuple)
         total = 0
-        for k, cls_size in enumerate(sizes):
-            rep = wg.classes[k][0]
-            total = total + cls_size * values[rep] * conjugate_value(chi[k])
+        for cycles, weight in support:
+            total = total + weight * conjugate_value(wg._class_value(lam_tuple, cycles))
         mass = value_as_fraction(total * Fraction(1, wg.order)) * wreath_dimension(
             wg.ct, lam_tuple
         )

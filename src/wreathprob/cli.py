@@ -22,12 +22,12 @@ from .groups import builtin_group, character_table_from_json, validate_character
 from .indicators import compose, expand_indicator, product_coefficients
 from .partitions import is_partition, partitions_of
 from .sampling import (
+    SCHEMA_VERSION,
     batch_csv,
-    fluctuation_statistics,
-    normality_check,
     predicted_r_covariance,
     sample_batch,
     spec_name,
+    summary_json,
 )
 from .wreath import (
     Example1Family,
@@ -36,8 +36,6 @@ from .wreath import (
     family_from_json,
     wreath_dimension,
 )
-
-SCHEMA_VERSION = 1
 
 
 class UsageError(Exception):
@@ -508,35 +506,21 @@ def cmd_sample(ns):
     q = ns.q
     n = ns.n_samples if ns.n_samples is not None else 1000
     seed = ns.seed
+    slots = fam.ct.num_irreps
     if ns.stats:
         specs = _parse_stats(ns.stats)
     else:
-        specs = [("R", slot, 3) for slot in range(fam.ct.num_irreps)]
-    if n == 0:
-        csv_text = "# schema_version=1\nsample,statistic,raw,centered_scaled\n"
-        summary = {
-            "schema_version": SCHEMA_VERSION,
-            "q": q,
-            "root_seed": seed,
-            "n_samples": 0,
-            "insufficient_data": True,
-        }
-    else:
-        batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
-        csv_text = batch_csv(batch, specs)
-        predicted = None
-        if all(spec[0] == "R" for spec in specs):
-            depth = max(spec[2] - 1 for spec in specs)
-            predicted = predicted_r_covariance(fam.limits(max(6, depth)), specs)
-        stats = fluctuation_statistics(batch, specs)
-        summary = normality_check(
-            stats, [spec_name(s) for s in specs], predicted_cov=predicted
-        )
-        summary["schema_version"] = SCHEMA_VERSION
-        summary["q"] = q
-        summary["root_seed"] = seed
-        summary["insufficient_data"] = n < 1000
-    summary_text = json.dumps(summary, indent=2)
+        specs = [("R", slot, 3) for slot in range(slots)]
+    for spec in specs:
+        if spec[1] >= slots:
+            raise UsageError(f"statistic {spec_name(spec)} needs a slot below {slots}")
+    batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
+    predicted = None
+    if n and all(spec[0] == "R" for spec in specs):
+        depth = max(spec[2] - 1 for spec in specs)
+        predicted = predicted_r_covariance(fam.limits(max(6, depth)), specs)
+    csv_text = batch_csv(batch, specs)
+    summary_text = summary_json(batch, specs, predicted)
     if ns.out:
         _emit(csv_text, ns.out)
         _emit(summary_text, str(ns.out) + ".summary.json")

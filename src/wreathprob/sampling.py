@@ -4,7 +4,8 @@ A Plancherel-distributed diagram of n boxes is the shape that
 Robinson-Schensted row insertion builds from n i.i.d. uniforms: the
 insertion is the Plancherel growth process, so the law is exact at every
 size.  Root seeds expand to per-sample seeds through a counter scheme,
-so serial and parallel runs produce identical batches.  Everything here
+so serial and parallel runs produce identical batches.  Shapes are
+built per slot, only for the slots a statistic reads.  Everything here
 is standard library: statistics are small moment matrices over lists.
 """
 
@@ -24,6 +25,9 @@ from .indicators import (
 )
 from .partitions import falling
 from .wreath import Example1Family, RepFamily
+
+# the version of every CSV and JSON schema the package writes
+SCHEMA_VERSION = 1
 
 
 def growth_weights(lam):
@@ -69,23 +73,30 @@ def sample_plancherel(n: int, rng) -> tuple:
     return _insertion_shape([rng.random() for _ in range(n)])
 
 
-def sample_canonical(family: RepFamily, q: int, rng) -> tuple:
+def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
     """One partition tuple from the independent-box canonical measure.
 
     Each of q uniforms picks its slot by the float slot weights, as
     ``random.choices`` does, and is row-inserted in that slot.  Given its
     slot a uniform is uniform on the slot's interval, so the block sizes
     are multinomial and each block's shape is Plancherel, from q draws.
+    With ``slots``, all q uniforms are still drawn, so the stream and every
+    block size stay the same, but only those slots' blocks are inserted;
+    their shapes come back in the order given.
     """
     if not isinstance(family, Example1Family):
         raise ValueError("only the independent-box family has a direct sampler")
     bounds = list(accumulate(float(w) for w in family.weights))
     scale, last = bounds[-1], len(bounds) - 1
+    if slots is None:
+        slots = range(len(bounds))
+    elif not all(0 <= slot <= last for slot in slots):
+        raise ValueError(f"slots {list(slots)} out of range for {len(bounds)} slots")
     blocks: list = [[] for _ in bounds]
     for _ in range(q):
         value = rng.random() * scale
         blocks[bisect_right(bounds, value, 0, last)].append(value)
-    return tuple(_insertion_shape(block) for block in blocks)
+    return tuple(_insertion_shape(blocks[slot]) for slot in slots)
 
 
 def _seed_rng(root_seed: int, index: int) -> random.Random:
@@ -93,57 +104,82 @@ def _seed_rng(root_seed: int, index: int) -> random.Random:
     return random.Random(f"{root_seed}:{index}")
 
 
+def _sample_range(payload):
+    family, q, root_seed, slots, start, stop = payload
+    return [
+        sample_canonical(family, q, _seed_rng(root_seed, i), slots)
+        for i in range(start, stop)
+    ]
+
+
 @dataclass
 class SampleBatch:
-    """Independent draws from one family's canonical measure at fixed q."""
+    """Independent draws from one family's canonical measure at fixed q.
+
+    Shapes are built per slot, on demand: ``shapes[slot]`` lists that
+    slot's shape for every sample.  Sample i is replayed from its own
+    stream ``_seed_rng(root_seed, i)`` whenever a slot is built, so a
+    slot's shapes do not depend on which other slots were built.
+    """
 
     family: RepFamily
     q: int
     root_seed: int
-    samples: list = field(default_factory=list)
+    n_samples: int
+    workers: int = 1
+    shapes: dict = field(default_factory=dict)
     # per statistic key: the centered-scaled column, and the raw one
     statistics_cache: dict = field(default_factory=dict)
     raw_statistics: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.samples)
+        return self.n_samples
 
+    def build(self, slots) -> None:
+        """Store the shapes of every given slot that is not stored yet."""
+        missing = sorted(set(slots) - self.shapes.keys())
+        if not missing:
+            return
+        n, workers = self.n_samples, self.workers
+        head = (self.family, self.q, self.root_seed, missing)
+        if workers > 1 and n:
+            from concurrent.futures import ProcessPoolExecutor
 
-def _sample_range(payload):
-    family, q, root_seed, start, stop = payload
-    return [
-        sample_canonical(family, q, _seed_rng(root_seed, i))
-        for i in range(start, stop)
-    ]
+            chunk = (n + workers - 1) // workers
+            payloads = [
+                head + (start, min(start + chunk, n)) for start in range(0, n, chunk)
+            ]
+            rows = []
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for part in pool.map(_sample_range, payloads):
+                    rows.extend(part)
+        else:
+            rows = _sample_range(head + (0, n))
+        for k, slot in enumerate(missing):
+            self.shapes[slot] = [row[k] for row in rows]
+
+    @property
+    def samples(self) -> list:
+        """Every sample's full partition tuple; builds every slot."""
+        slots = range(self.family.ct.num_irreps)
+        self.build(slots)
+        return list(zip(*(self.shapes[slot] for slot in slots)))
 
 
 def sample_batch(
     family: RepFamily, q: int, n_samples: int, root_seed: int, workers: int = 1
 ) -> SampleBatch:
-    """Draw n_samples tuples; identical output for any worker count."""
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """A batch of n_samples tuples; identical output for any worker count.
 
-        chunk = (n_samples + workers - 1) // workers
-        payloads = [
-            (family, q, root_seed, start, min(start + chunk, n_samples))
-            for start in range(0, n_samples, chunk)
-        ]
-        samples = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_sample_range, payloads):
-                samples.extend(part)
-    else:
-        samples = _sample_range((family, q, root_seed, 0, n_samples))
-    return SampleBatch(family=family, q=q, root_seed=root_seed, samples=samples)
+    Nothing is drawn here: statistics build the slots they read.
+    """
+    return SampleBatch(family, q, root_seed, n_samples, workers)
 
 
-def statistic_value(lam_tuple, q: int, spec) -> Fraction:
-    """Raw (uncentered, unscaled) value of one statistic on one sample."""
-    kind, slot, i = spec
-    if kind in ("R", "p") and i < 2:
-        raise ValueError(f"{kind} statistics start at index 2")
-    lam = tuple(lam_tuple[slot])
+def statistic_value(lam, spec) -> Fraction:
+    """Raw (uncentered, unscaled) value of one statistic on its slot's shape."""
+    kind, _, i = spec
+    lam = tuple(lam)
     if kind == "R":
         return free_cumulants(lam, i)[i - 1]
     if kind == "p":
@@ -163,13 +199,15 @@ def statistic_value(lam_tuple, q: int, spec) -> Fraction:
 
 
 def statistic_scaling(q: int, spec) -> float:
-    kind = spec[0]
+    kind, _, i = spec
+    if kind in ("R", "p") and i < 2:
+        raise ValueError(f"{kind} statistics start at index 2")
     if kind == "R":
-        return float(q) ** (-(spec[2] - 1) / 2)
+        return float(q) ** (-(i - 1) / 2)
     if kind == "p":
-        return float(q) ** (-(spec[2] - 2) / 2)
+        return float(q) ** (-(i - 2) / 2)
     if kind == "character":
-        return float(q) ** (spec[2] / 2)
+        return float(q) ** (i / 2)
     raise ValueError(f"unknown statistic kind {spec!r}")
 
 
@@ -190,24 +228,29 @@ def _mean(xs) -> float:
 def fluctuation_statistics(batch: SampleBatch, specs) -> list:
     """Rows of centered, scaled statistics: one tuple per sample.
 
+    Every slot the specs read is built first, in one pass over the
+    samples; each statistic is then read off its slot's shapes.
     Free-cumulant and shape statistics are centered at their exact means;
     the character statistic (a ratio of random quantities) is centered
     empirically.
     """
-    if not batch.samples:
+    if not len(batch):
         raise ValueError("empty batch")
-    columns = []
-    for spec in specs:
-        key = tuple(spec)
-        if key not in batch.statistics_cache:
-            raw = [float(statistic_value(t, batch.q, spec)) for t in batch.samples]
-            mean = exact_mean(batch.family, batch.q, spec)
-            center = float(mean) if mean is not None else _mean(raw)
-            scale = statistic_scaling(batch.q, spec)
-            batch.raw_statistics[key] = raw
-            batch.statistics_cache[key] = [(x - center) * scale for x in raw]
-        columns.append(batch.statistics_cache[key])
-    return list(zip(*columns))
+    keys = [tuple(spec) for spec in specs]
+    # the scalings check every spec before anything is built
+    scales = {
+        key: statistic_scaling(batch.q, key)
+        for key in keys
+        if key not in batch.statistics_cache
+    }
+    batch.build(slot for _, slot, _ in scales)
+    for key, scale in scales.items():
+        raw = [float(statistic_value(lam, key)) for lam in batch.shapes[key[1]]]
+        mean = exact_mean(batch.family, batch.q, key)
+        center = float(mean) if mean is not None else _mean(raw)
+        batch.raw_statistics[key] = raw
+        batch.statistics_cache[key] = [(x - center) * scale for x in raw]
+    return list(zip(*(batch.statistics_cache[key] for key in keys)))
 
 
 def spec_name(spec) -> str:
@@ -267,21 +310,32 @@ def predicted_r_covariance(params, specs) -> list:
 
 def batch_csv(batch: SampleBatch, specs) -> str:
     """One row per sample per statistic, raw and scaled-centered values."""
-    stats = fluctuation_statistics(batch, specs)
-    raws = [batch.raw_statistics[tuple(spec)] for spec in specs]
-    names = [spec_name(spec) for spec in specs]
-    lines = ["# schema_version=1", "sample,statistic,raw,centered_scaled"]
-    for i in range(len(batch.samples)):
-        for j, name in enumerate(names):
-            lines.append(f"{i},{name},{raws[j][i]!r},{stats[i][j]!r}")
+    lines = [f"# schema_version={SCHEMA_VERSION}", "sample,statistic,raw,centered_scaled"]
+    if len(batch):
+        stats = fluctuation_statistics(batch, specs)
+        raws = [batch.raw_statistics[tuple(spec)] for spec in specs]
+        names = [spec_name(spec) for spec in specs]
+        for i in range(len(batch)):
+            for j, name in enumerate(names):
+                lines.append(f"{i},{name},{raws[j][i]!r},{stats[i][j]!r}")
     return "\n".join(lines) + "\n"
 
 
 def summary_json(batch: SampleBatch, specs, predicted_cov=None) -> str:
-    stats = fluctuation_statistics(batch, specs)
-    report = normality_check(
-        stats, [spec_name(s) for s in specs], predicted_cov=predicted_cov
-    )
-    report["q"] = batch.q
-    report["root_seed"] = batch.root_seed
+    """The batch's JSON summary: its normality report, q and seed."""
+    n = len(batch)
+    if n == 0:
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "q": batch.q,
+            "root_seed": batch.root_seed,
+            "n_samples": 0,
+        }
+    else:
+        stats = fluctuation_statistics(batch, specs)
+        report = normality_check(
+            stats, [spec_name(s) for s in specs], predicted_cov=predicted_cov
+        )
+        report.update(schema_version=SCHEMA_VERSION, q=batch.q, root_seed=batch.root_seed)
+    report["insufficient_data"] = n < 1000
     return json.dumps(report, indent=2)

@@ -11,7 +11,9 @@ from wreathprob.bruteforce import (
     MAX_ELEMENTS,
     WreathGroup,
     algebra_product,
+    family_character_values,
     indicator_image,
+    measure_from_character,
     phi_image,
     w_mul,
     wreath_group,
@@ -19,7 +21,15 @@ from wreathprob.bruteforce import (
 from wreathprob.cyclotomics import conjugate_value, value_as_fraction
 from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.partitions import indicator_scalar
-from wreathprob.wreath import enumerate_irreps, wreath_dimension
+from wreathprob.wreath import (
+    Example1Family,
+    InducedFamily,
+    IrreducibleFamily,
+    OuterFamily,
+    RestrictedFamily,
+    enumerate_irreps,
+    wreath_dimension,
+)
 
 from oracles import OrbitWreathGroup, w_inv
 
@@ -272,3 +282,42 @@ def test_enumeration_budget_refuses_before_allocating():
     with pytest.raises(ValueError, match="enumeration budget"):
         WreathGroup(symmetric3_group(), 8)
     assert 6**4 * math.factorial(4) <= MAX_ELEMENTS < 2**7 * math.factorial(7)
+
+
+def full_table_measure(wg, values):
+    """Inner products with every irreducible over every class."""
+    sizes = wg.class_sizes()
+    out = {}
+    for lam_tuple in enumerate_irreps(wg.ct, wg.q):
+        chi = wg.irreducible_character(lam_tuple)
+        total = 0
+        for k, size in enumerate(sizes):
+            total = total + size * values[wg.classes[k][0]] * conjugate_value(chi[k])
+        mass = value_as_fraction(total * Fraction(1, wg.order))
+        mass *= wreath_dimension(wg.ct, lam_tuple)
+        if mass:
+            out[lam_tuple] = mass
+    return out
+
+
+def test_measure_on_support_matches_full_table():
+    c2, c3, s3 = cyclic_group(2), cyclic_group(3), symmetric3_group()
+    third = Fraction(1, 3)
+    cases = [
+        (
+            OuterFamily(
+                Example1Family(c3), IrreducibleFamily(c3, (third, third, third)), Fraction(1, 2)
+            ),
+            4,
+        ),
+        (RestrictedFamily(Example1Family(c2), Fraction(2)), 3),
+        (InducedFamily(Example1Family(s3), Fraction(1, 2)), 3),
+    ]
+    for fam, q in cases:
+        wg = wreath_group(fam.ct, q)
+        values = family_character_values(fam, q)
+        # the character vanishes somewhere, so the support is a proper subset
+        assert any(not values[cls[0]] for cls in wg.classes), fam.kind
+        measure = measure_from_character(wg, values)
+        assert measure == full_table_measure(wg, values), fam.kind
+        assert sum(measure.values()) == 1

@@ -364,6 +364,58 @@ def test_sample_rejects_bad_stats(capsys):
     capsys.readouterr()
 
 
+def test_sample_rejects_bad_slot_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "3"]
+    for stats in ("R:5:2", "R:0:2;character:2:2"):
+        code, _, err = run(capsys, *base, "--stats", stats)
+        assert code == 2, stats
+        assert "slot" in err and "Traceback" not in err
+
+
+def test_sample_summary_key_order(tmp_path, capsys):
+    base = ["sample", "--family", LEFT_REGULAR, "--q", "12", "--seed", "3"]
+    out = tmp_path / "s.csv"
+    assert main(base + ["--n-samples", "5", "--stats", "R:0:2", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
+    assert list(doc) == [
+        "n_samples",
+        "statistics",
+        "covariance",
+        "predicted_covariance",
+        "covariance_abs_error",
+        "schema_version",
+        "q",
+        "root_seed",
+        "insufficient_data",
+    ]
+    assert main(base + ["--n-samples", "5", "--stats", "p:0:2", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
+    assert list(doc)[3:] == ["schema_version", "q", "root_seed", "insufficient_data"]
+    assert main(base + ["--n-samples", "0", "--out", str(out)]) == 0
+    doc = json.loads((tmp_path / "s.csv.summary.json").read_text())
+    assert doc == {
+        "schema_version": 1,
+        "q": 12,
+        "root_seed": 3,
+        "n_samples": 0,
+        "insufficient_data": True,
+    }
+    assert list(doc) == ["schema_version", "q", "root_seed", "n_samples", "insufficient_data"]
+    capsys.readouterr()
+
+
+def test_sample_output_same_for_any_worker_count(capsys):
+    base = ["sample", "--family", '{"kind":"example1","group":"S3"}', "--q", "30",
+            "--n-samples", "12", "--seed", "9", "--stats", "R:2:2;p:0:3;character:1:2"]
+    outputs = [run(capsys, *base, "--workers", w) for w in ("1", "2")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
 def test_sample_rejects_negative_seed(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from wreathprob.diagrams import transition_measure
-from wreathprob.groups import cyclic_group
+from wreathprob import sampling
+from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.partitions import dimension, falling, indicator_scalar, partitions_of
 from wreathprob.sampling import (
     SampleBatch,
@@ -160,7 +161,7 @@ def test_mean_r2_matches_qc():
     q, trials = 100, 2000
     batch = sample_batch(fam, q, trials, root_seed=13)
     for slot, c in [(0, Fraction(1, 4)), (1, Fraction(3, 4))]:
-        values = [float(statistic_value(t, q, ("R", slot, 2))) for t in batch.samples]
+        values = [float(statistic_value(t[slot], ("R", slot, 2))) for t in batch.samples]
         se = math.sqrt(float(c * (1 - c)) * q / trials)
         assert abs(statistics.fmean(values) - float(q * c)) <= 4 * se
 
@@ -179,6 +180,80 @@ def test_reproducibility_and_workers():
         assert sample == sample_canonical(fam, 30, random.Random(f"99:{i}"))
 
 
+LAZY_FAMILIES = [
+    Example1Family(cyclic_group(2)),
+    Example1Family(symmetric3_group()),
+    # slot 1 has multiplicity 0, so its block is always empty
+    Example1Family(symmetric3_group(), multiplicities=(1, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("fam", LAZY_FAMILIES)
+def test_sample_canonical_slots_match_full_tuple(fam):
+    n_slots = fam.ct.num_irreps
+    subsets = [
+        subset
+        for r in range(n_slots + 1)
+        for subset in itertools.permutations(range(n_slots), r)
+    ]
+    for seed in range(6):
+        full = sample_canonical(fam, 40, random.Random(seed))
+        assert len(full) == n_slots
+        for subset in subsets:
+            part = sample_canonical(fam, 40, random.Random(seed), subset)
+            assert part == tuple(full[slot] for slot in subset), (seed, subset)
+    with pytest.raises(ValueError):
+        sample_canonical(fam, 4, rng_for(0), [n_slots])
+    with pytest.raises(ValueError):
+        sample_canonical(fam, 4, rng_for(0), [-1])
+
+
+@pytest.mark.parametrize("fam", LAZY_FAMILIES[:2])
+def test_lazy_batch_same_for_any_worker_count(fam):
+    first = [("R", 0, 2), ("character", 0, 2)]
+    later = [("R", 1, 3), ("p", 0, 3)]
+    stats = {}
+    for workers in (1, 2):
+        batch = sample_batch(fam, 25, 30, root_seed=7, workers=workers)
+        one = fluctuation_statistics(batch, first)
+        assert sorted(batch.shapes) == [0]
+        # a second call builds the slot it lacks and keeps the built one
+        slot0 = batch.shapes[0]
+        two = fluctuation_statistics(batch, later + first)
+        assert batch.shapes[0] is slot0
+        assert sorted(batch.shapes) == [0, 1]
+        stats[workers] = (one, two, batch.samples)
+        assert len(batch.samples) == 30
+    assert stats[1] == stats[2]
+    eager = [sample_canonical(fam, 25, random.Random(f"7:{i}")) for i in range(30)]
+    assert stats[1][2] == eager
+    assert sample_batch(fam, 25, 0, root_seed=7, workers=2).samples == []
+
+
+def test_statistics_insert_only_the_slots_they_read(monkeypatch):
+    fam = Example1Family(cyclic_group(2))
+    q, n = 60, 20
+    sizes = [
+        [sum(lam) for lam in sample_canonical(fam, q, random.Random(f"4:{i}"))]
+        for i in range(n)
+    ]
+    inserted = []
+    real = sampling._insertion_shape
+
+    def counting(values):
+        inserted.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(sampling, "_insertion_shape", counting)
+    batch = sample_batch(fam, q, n, root_seed=4)
+    assert inserted == []
+    fluctuation_statistics(batch, [("R", 0, 2)])
+    assert inserted == [s[0] for s in sizes]
+    inserted.clear()
+    fluctuation_statistics(batch, [("R", 0, 3), ("R", 0, 2)])
+    assert inserted == []
+
+
 def test_statistics_cache():
     fam = Example1Family(cyclic_group(2))
     batch = sample_batch(fam, 20, 50, root_seed=3)
@@ -193,7 +268,7 @@ def test_character_statistic_matches_direct_scalar():
     batch = sample_batch(fam, 6, 30, root_seed=21)
     for t in batch.samples:
         for l in (1, 2, 3):
-            via = statistic_value(t, 6, ("character", 0, l))
+            via = statistic_value(t[0], ("character", 0, l))
             lam = t[0]
             n = sum(lam)
             direct = (
@@ -210,7 +285,13 @@ def test_point_mass_statistics_vanish():
     )
     q = 16
     shapes = fam.shapes(q)
-    batch = SampleBatch(family=fam, q=q, root_seed=0, samples=[shapes] * 40)
+    batch = SampleBatch(
+        family=fam,
+        q=q,
+        root_seed=0,
+        n_samples=40,
+        shapes={slot: [lam] * 40 for slot, lam in enumerate(shapes)},
+    )
     stats = fluctuation_statistics(
         batch, [("R", 0, 2), ("R", 1, 3), ("p", 0, 4), ("character", 0, 2)]
     )
@@ -230,7 +311,7 @@ def test_statistic_errors():
     with pytest.raises(ValueError):
         fluctuation_statistics(batch, [("sigma", 0, 2)])
     with pytest.raises(ValueError):
-        fluctuation_statistics(SampleBatch(fam, 8, 0, []), [("R", 0, 2)])
+        fluctuation_statistics(SampleBatch(fam, 8, 0, 0), [("R", 0, 2)])
 
 
 def test_normality_calibration():
