@@ -17,7 +17,7 @@ from itertools import repeat
 
 from .diagrams import free_cumulants
 from .indicators import IndicatorSum, free_cumulant_as_indicators
-from .wreath import Example1Family, IrreducibleFamily, RepFamily
+from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
 
 
 def set_partitions(n: int):
@@ -140,20 +140,19 @@ def permutation_length(perm) -> int:
 def element_cumulant(family: RepFamily, q: int, elements):
     """Cumulant of group elements under the normalized family character.
 
-    Enumeration-backed only; the elements should have disjoint supports so
-    that products are order-independent.
+    Each moment reads the family's class function at the class type of the
+    product element; the elements should have disjoint supports so that
+    products are order-independent.
     """
-    from .bruteforce import family_character_values, w_mul, wreath_group
-
-    values = family_character_values(family, q)
-    wg = wreath_group(family.ct, q)
-    mult = family.ct.group.mult
+    values = family.checked_class_function(q)
+    group = family.ct.group
+    identity = ((group.identity,) * q, tuple(range(q)))
 
     def moment(block):
-        prod = wg.elements[wg.identity]
+        colors, perm = identity
         for i in block:
-            prod = w_mul(mult, prod, elements[i])
-        return values[wg.index[prod]]
+            colors, perm = w_mul(group.mult, (colors, perm), elements[i])
+        return values.get(class_type(group, colors, backward_cycles(perm)), Fraction(0))
 
     return cumulant_from_moments(moment, len(elements))
 

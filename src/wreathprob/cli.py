@@ -352,8 +352,6 @@ def cmd_family(ns):
     }
     q = ns.q
     if q is not None:
-        if q > 8:
-            raise InfeasibleError(f"measure enumeration infeasible at q={q}")
         try:
             measure = fam.canonical_measure(q)
         except ValueError as exc:
@@ -504,6 +502,8 @@ def cmd_sample(ns):
     if ns.q is None:
         raise UsageError("need --q")
     q = ns.q
+    if q < 1:
+        raise UsageError(f"sample needs --q of at least 1, got {q}")
     n = ns.n_samples if ns.n_samples is not None else 1000
     seed = ns.seed
     slots = fam.ct.num_irreps

@@ -244,9 +244,3 @@ def value_as_fraction(v) -> Fraction:
     if isinstance(v, Rational):
         return Fraction(v)
     return v.as_fraction()
-
-
-def value_as_complex(v) -> complex:
-    if isinstance(v, Rational):
-        return complex(Fraction(v))
-    return complex(v)

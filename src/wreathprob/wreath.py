@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import Counter
 from fractions import Fraction
 
+from .cyclotomics import conjugate_value, value_as_fraction
 from .groups import CharacterTable
 from .indicators import IndicatorSum
+from .partitions import character as sym_character
 from .partitions import dimension, falling, indicator_scalar, partitions_of
 
 
@@ -51,6 +55,207 @@ def wreath_dimension(ct: CharacterTable, lam_tuple) -> int:
         n = sum(lam)
         out //= math.factorial(n)
         out *= dimension(lam) * ct.irreps[slot].dim ** n
+    return out
+
+
+# --------------------------------------------------------------- class types
+#
+# A conjugacy class of G wr S_q is its type: the multiset of (cycle length,
+# G-class of the cycle's colour product), kept as a sorted tuple (Macdonald,
+# *Symmetric Functions and Hall Polynomials*, ch. I app. B).  G-class 0 is
+# the identity class, so identity fixed points sort first.
+
+FIXED = (1, 0)
+
+# One budget for every family path: the class values a class function
+# computes plus, for a measure, its support times the irreducibles it is
+# paired with, all bounded before anything is enumerated.
+MAX_CLASS_WORK = 2 * 10**4
+
+
+def w_mul(gmult, a, b):
+    """(v, pi)(w, sigma): colors merge through pi, permutations compose."""
+    v, p = a
+    w, s = b
+    q = len(p)
+    pinv = [0] * q
+    for i, image in enumerate(p):
+        pinv[image] = i
+    colors = tuple(gmult[v[i]][w[pinv[i]]] for i in range(q))
+    perm = tuple(p[s[i]] for i in range(q))
+    return colors, perm
+
+
+def backward_cycles(perm) -> list[tuple[int, ...]]:
+    """The cycles of perm, each walked backwards from its least point c0.
+
+    An element (colors, perm) has colour product colors[c0] *
+    colors[perm^-1(c0)] * colors[perm^-2(c0)] * ... on that cycle, in
+    exactly this order of points.
+    """
+    q = len(perm)
+    pinv = [0] * q
+    for i, image in enumerate(perm):
+        pinv[image] = i
+    seen = [False] * q
+    out = []
+    for c0 in range(q):
+        if seen[c0]:
+            continue
+        cycle = [c0]
+        seen[c0] = True
+        point = pinv[c0]
+        while point != c0:
+            seen[point] = True
+            cycle.append(point)
+            point = pinv[point]
+        out.append(tuple(cycle))
+    return out
+
+
+def class_type(group, colors, walk) -> tuple:
+    """Type of the element (colors, perm), given perm's ``backward_cycles``."""
+    key = []
+    for cycle in walk:
+        g = colors[cycle[0]]
+        for point in cycle[1:]:
+            g = group.mult[g][colors[point]]
+        key.append((len(cycle), group.class_of[g]))
+    key.sort()
+    return tuple(key)
+
+
+def class_types(ct: CharacterTable, q: int) -> list[tuple]:
+    """Every class type of G wr S_q: sorted (length, G-class) multisets of total q."""
+    cells = [(l, c) for l in range(1, q + 1) for c in range(len(ct.group.conjugacy_classes))]
+    out = []
+    picked: list[tuple[int, int]] = []
+
+    def rec(start, remaining):
+        if not remaining:
+            out.append(tuple(picked))
+            return
+        for j in range(start, len(cells)):
+            if cells[j][0] > remaining:
+                break
+            picked.append(cells[j])
+            rec(j, remaining - cells[j][0])
+            picked.pop()
+
+    rec(0, q)
+    return out
+
+
+def centralizer(ct: CharacterTable, t) -> int:
+    """z(t) = prod (l |G| / |c|)^m m!; the class has |G|^q q! / z(t) elements."""
+    group = ct.group
+    out = 1
+    for (length, g_class), m in Counter(t).items():
+        size = len(group.conjugacy_classes[g_class])
+        out *= (length * group.order // size) ** m * math.factorial(m)
+    return out
+
+
+def wreath_order(ct: CharacterTable, q: int) -> int:
+    return ct.group.order**q * math.factorial(q)
+
+
+def _splits(ct: CharacterTable, t, room):
+    """Every way to share the cycles of type t among the slots, within room.
+
+    Yields (ways, lengths, picked): equal cycles are split at once, and
+    ``ways`` is the multinomial number of cycle-to-slot assignments behind
+    the split; ``lengths[rho]`` lists the cycle lengths slot rho receives
+    and ``picked`` one (slot, G-class) per cycle.  A slot takes no cycle of
+    a G-class its irreducible vanishes on.  The lists are reused.
+    """
+    irreps = ct.irreps
+    cells = sorted(Counter(t).items())
+    room = list(room)
+    lengths: list[list[int]] = [[] for _ in irreps]
+    picked: list[tuple[int, int]] = []
+
+    def split(i, slot, left, ways):
+        if not left:
+            i, slot = i + 1, 0
+            if i == len(cells):
+                yield ways, lengths, picked
+                return
+            left = cells[i][1]
+        if slot == len(irreps):
+            return
+        (length, g_class), _ = cells[i]
+        most = room[slot] // length if irreps[slot].values[g_class] != 0 else 0
+        for take in range(min(left, most) + 1):
+            room[slot] -= take * length
+            lengths[slot] += [length] * take
+            picked.extend([(slot, g_class)] * take)
+            yield from split(i, slot + 1, left - take, ways * math.comb(left, take))
+            del picked[len(picked) - take :]
+            del lengths[slot][len(lengths[slot]) - take :]
+            room[slot] += take * length
+
+    yield from split(-1, 0, 0, 1)
+
+
+def _colour(ct: CharacterTable, picked):
+    return math.prod(ct.irreps[slot].values[g_class] for slot, g_class in picked)
+
+
+def class_value(ct: CharacterTable, lam_tuple, t):
+    """The irreducible lam_tuple's value on the class of type t.
+
+    The irreducible is induced from the block subgroup
+    prod_rho G wr S_{|lam^rho|}, and the blocks an element fixes are the
+    splits of its cycles that fill slot rho with exactly |lam^rho| points.
+    Each split contributes the slot character at every cycle's colour
+    class times, per slot, the symmetric-group character at the lengths it
+    received.  The integer parts are summed per product of slot characters
+    first, so exact cyclotomic arithmetic runs once per distinct product.
+    """
+    terms: dict[tuple, int] = {}
+    for ways, lengths, picked in _splits(ct, t, map(sum, lam_tuple)):
+        coeff = ways * math.prod(map(sym_character, lam_tuple, lengths))
+        if coeff:
+            product = tuple(sorted(picked))
+            terms[product] = terms.get(product, 0) + coeff
+    return sum(coeff * _colour(ct, product) for product, coeff in terms.items())
+
+
+def _capped_count(k: int, n: int) -> int:
+    """k-tuples of partitions of n, capped just past the class budget.
+
+    Euler's transform of prod (1 - x^j)^-k: m a(m) = sum_j k sigma(j) a(m - j).
+    The counts never decrease, so the recurrence stops at the first past the cap.
+    """
+    a, sigma = [1], [0]
+    while len(a) <= n and a[-1] <= MAX_CLASS_WORK:
+        m = len(a)
+        sigma.append(sum(d for d in range(1, m + 1) if m % d == 0))
+        a.append(sum(k * sigma[j] * a[m - j] for j in range(1, m + 1)) // m)
+    return min(a[-1], MAX_CLASS_WORK + 1)
+
+
+def check_class_budget(work: int) -> None:
+    if work > MAX_CLASS_WORK:
+        raise ValueError(f"class work {work} passes the class budget of {MAX_CLASS_WORK}")
+
+
+def measure_from_class_function(ct: CharacterTable, q: int, values: dict) -> dict:
+    """Decompose a normalized class function into the probability it induces.
+
+    The mass of one irreducible is its dimension times the inner product
+    sum_t values[t] conj(chi(t)) / z(t) over the support.
+    """
+    support = [(t, value * Fraction(1, centralizer(ct, t))) for t, value in values.items()]
+    out = {}
+    for lam_tuple in enumerate_irreps(ct, q):
+        total = 0
+        for t, weight in support:
+            total = total + weight * conjugate_value(class_value(ct, lam_tuple, t))
+        mass = value_as_fraction(total) * wreath_dimension(ct, lam_tuple)
+        if mass:
+            out[lam_tuple] = mass
     return out
 
 
@@ -141,20 +346,33 @@ class RepFamily:
         """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
         raise ValueError(f"no limit table for family kind {self.kind!r}")
 
-    def enumeration_sizes(self, q: int) -> set[int]:
-        """The q of every wreath group the explicit character at q builds."""
-        return {q}
+    def class_cost(self, q: int) -> tuple[int, int]:
+        """(support, work) of ``class_function(q)``, counted without building it.
+
+        ``support`` bounds the class types it is nonzero on, ``work`` the
+        class values and pairs of class types it computes.
+        """
+        raise NotImplementedError
+
+    def class_function(self, q: int) -> dict:
+        """Normalized character at size q: {class type: value} on its support."""
+        raise NotImplementedError
+
+    def checked_class_function(self, q: int) -> dict:
+        """``class_function(q)`` once the class budget admits its work."""
+        check_class_budget(self.class_cost(q)[1])
+        return self.class_function(q)
 
     def canonical_measure(self, q: int) -> dict:
         """Probability of each partition tuple under the size-q measure.
 
-        Decomposes the family's character over the enumerated wreath group;
+        Decomposes the family's class function over the irreducibles;
         families with a closed form override this.
         """
-        from .bruteforce import family_character_values, measure_from_character, wreath_group
-
-        values = family_character_values(self, q)
-        return measure_from_character(wreath_group(self.ct, q), values)
+        support, work = self.class_cost(q)
+        # every irreducible is paired with every supported class type
+        check_class_budget(work + support * _capped_count(self.ct.num_irreps, q))
+        return measure_from_class_function(self.ct, q, self.class_function(q))
 
 
 class Example1Family(RepFamily):
@@ -201,12 +419,26 @@ class Example1Family(RepFamily):
             prod *= self.weights[slot] ** len(rows)
         return falling(q, total_ones) * prod
 
-    def enumeration_sizes(self, q: int) -> set[int]:
+    def class_cost(self, q: int) -> tuple[int, int]:
         # the explicit character is the fibre character's q-th tensor power,
         # which weights alone do not determine
         if self.multiplicities is None:
             raise ValueError("explicit character needs integer multiplicities")
-        return {q}
+        fixed_point_types = math.comb(q + len(self.ct.group.conjugacy_classes) - 1, q)
+        return fixed_point_types, fixed_point_types
+
+    def class_function(self, q: int) -> dict:
+        # the tensor power lives on the base group's q-fold product: only
+        # fixed-point types, each point contributing the fibre character
+        self.class_cost(q)  # refuses a weights-only family
+        mults, irreps = self.multiplicities, self.ct.irreps
+        fibre = [sum(map(operator.mul, mults, col)) for col in zip(*(r.values for r in irreps))]
+        scale = Fraction(1, sum(m * r.dim for m, r in zip(mults, irreps)) ** q)
+        products = {
+            tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=scale)
+            for classes in itertools.combinations_with_replacement(range(len(fibre)), q)
+        }
+        return {t: v for t, v in products.items() if v}
 
     def canonical_probability(self, q: int, lam_tuple) -> Fraction:
         """Closed-form mass of one partition tuple under the size-q measure."""
@@ -220,6 +452,8 @@ class Example1Family(RepFamily):
         return out
 
     def canonical_measure(self, q: int) -> dict:
+        # the closed form builds no class type: only irreducibles count
+        check_class_budget(_capped_count(self.ct.num_irreps, q))
         masses = {t: self.canonical_probability(q, t) for t in enumerate_irreps(self.ct, q)}
         return {t: p for t, p in masses.items() if p}
 
@@ -305,6 +539,18 @@ class IrreducibleFamily(RepFamily):
             out *= indicator_scalar(shapes[slot], rows)
         return out
 
+    def class_cost(self, q: int) -> tuple[int, int]:
+        # a class value walks the splits of its type among the slots, which
+        # grow like the irreducibles: each is counted as that many
+        types = _capped_count(len(self.ct.group.conjugacy_classes), q)
+        return types, types * _capped_count(self.ct.num_irreps, q)
+
+    def class_function(self, q: int) -> dict:
+        shapes = self.shapes(q)
+        scale = Fraction(1, wreath_dimension(self.ct, shapes))
+        values = {t: class_value(self.ct, shapes, t) for t in class_types(self.ct, q)}
+        return {t: v * scale for t, v in values.items() if v}
+
     def canonical_measure(self, q: int) -> dict:
         return {self.shapes(q): Fraction(1)}
 
@@ -377,8 +623,17 @@ class RestrictedFamily(_ConstructorFamily):
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
 
-    def enumeration_sizes(self, q: int) -> set[int]:
-        return {q} | self.parent.enumeration_sizes(self.r_of(q))
+    def class_cost(self, q: int) -> tuple[int, int]:
+        return self.parent.class_cost(self.r_of(q))
+
+    def class_function(self, q: int) -> dict:
+        # x at q embeds at r with r - q more identity fixed points
+        fixed = self.r_of(q) - q
+        return {
+            t[fixed:]: v
+            for t, v in self.parent.class_function(q + fixed).items()
+            if t[:fixed] == (FIXED,) * fixed
+        }
 
     def _joint_moment(self, q: int, items) -> Fraction:
         r = self.r_of(q)
@@ -416,8 +671,19 @@ class InducedFamily(_ConstructorFamily):
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
 
-    def enumeration_sizes(self, q: int) -> set[int]:
-        return {q} | self.parent.enumeration_sizes(self.r_of(q))
+    def class_cost(self, q: int) -> tuple[int, int]:
+        return self.parent.class_cost(self.r_of(q))
+
+    def class_function(self, q: int) -> dict:
+        # Frobenius: the parent's class t' meets the class t = t' plus q - r
+        # identity fixed points, weighted |W_r| z(t) / (|W_q| z_r(t'))
+        r, ct = self.r_of(q), self.ct
+        scale = Fraction(wreath_order(ct, r), wreath_order(ct, q))
+        out = {}
+        for t, v in self.parent.class_function(r).items():
+            full = (FIXED,) * (q - r) + t
+            out[full] = v * (scale * centralizer(ct, full) / centralizer(ct, t))
+        return out
 
     def regular_weight(self, slot: int) -> Fraction:
         dim = self.ct.irreps[slot].dim
@@ -473,9 +739,25 @@ class OuterFamily(_ConstructorFamily):
         q1 = math.floor(self.ratio * q)
         return q1, q - q1
 
-    def enumeration_sizes(self, q: int) -> set[int]:
+    def class_cost(self, q: int) -> tuple[int, int]:
         q1, q2 = self.split_of(q)
-        return {q} | self.left.enumeration_sizes(q1) | self.right.enumeration_sizes(q2)
+        (s1, w1), (s2, w2) = self.left.class_cost(q1), self.right.class_cost(q2)
+        types = _capped_count(len(self.ct.group.conjugacy_classes), q)
+        return min(s1 * s2, types), w1 + w2 + s1 * s2
+
+    def class_function(self, q: int) -> dict:
+        # Frobenius over the splits t = t1 + t2 into the two blocks, each
+        # weighted z(t) / (C(q, q1) z(t1) z(t2))
+        (q1, q2), ct = self.split_of(q), self.ct
+        right = self.right.class_function(q2)
+        out: dict[tuple, object] = {}
+        for t1, v1 in self.left.class_function(q1).items():
+            w1 = v1 * Fraction(1, math.comb(q, q1) * centralizer(ct, t1))
+            for t2, v2 in right.items():
+                t = tuple(sorted(t1 + t2))
+                term = w1 * v2 * Fraction(centralizer(ct, t), centralizer(ct, t2))
+                out[t] = out.get(t, 0) + term
+        return {t: v for t, v in out.items() if v}
 
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
@@ -531,9 +813,9 @@ class OuterFamily(_ConstructorFamily):
 class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
-    Normalized characters multiply element by element, which has no
-    indicator-level product rule, so exact moments are only available at
-    the explicit enumeration scale.
+    Normalized characters multiply class by class, which has no
+    indicator-level product rule, so a joint moment averages the
+    factorized character over the measure the product decomposes into.
     """
 
     kind = "tensor"
@@ -545,14 +827,25 @@ class TensorFamily(_ConstructorFamily):
         super().__init__(left.ct)
         self.left = left
         self.right = right
+        # the moments of one call share a q: keep only that q's measure
+        self._measure: tuple[int, dict] | None = None
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        from .bruteforce import tensor_joint_moment
+        if self._measure is None or self._measure[0] != q:
+            self._measure = (q, self.canonical_measure(q))
+        measure = self._measure[1]
+        return sum(
+            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
+        )
 
-        return tensor_joint_moment(self, q, items)
+    def class_cost(self, q: int) -> tuple[int, int]:
+        (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)
+        return min(s1, s2), w1 + w2
 
-    def enumeration_sizes(self, q: int) -> set[int]:
-        return {q} | self.left.enumeration_sizes(q) | self.right.enumeration_sizes(q)
+    def class_function(self, q: int) -> dict:
+        # class functions keep nonzero values only, so no product vanishes
+        right = self.right.class_function(q)
+        return {t: v * right[t] for t, v in self.left.class_function(q).items() if t in right}
 
     def limits(self, max_index: int = 6):
         from .asymptotics import tensor_limits

@@ -550,3 +550,175 @@ class OrbitWreathGroup:
                     total = total + count * block_value
             values.append(Fraction(1, subgroup_order) * total)
         return values
+
+
+# ------------------------------------------------- element-level families
+#
+# The normalized character of every family, element by element, on the
+# enumerated wreath group: restriction embeds elements, induction and the
+# outer product sum over every conjugate of a class representative.  The
+# library's class-level formulas are checked against these.
+
+
+@cache
+def enumerated_group(ct, q: int):
+    from wreathprob.bruteforce import WreathGroup
+
+    return WreathGroup(ct, q)
+
+
+def family_values(family, q: int, memo=None) -> list:
+    """Normalized character of the family's representation, per element."""
+    memo = {} if memo is None else memo
+    key = (id(family), q)
+    if key not in memo:
+        memo[key] = _FAMILY_VALUES[family.kind](family, q, memo)
+    return memo[key]
+
+
+def enumerated_sizes(family, q: int) -> set[int]:
+    """The q of every wreath group ``family_values(family, q)`` enumerates."""
+    if family.kind in ("restricted", "induced"):
+        return {q} | enumerated_sizes(family.parent, family.r_of(q))
+    if family.kind == "outer":
+        q1, q2 = family.split_of(q)
+        return {q} | enumerated_sizes(family.left, q1) | enumerated_sizes(family.right, q2)
+    if family.kind == "tensor":
+        return {q} | enumerated_sizes(family.left, q) | enumerated_sizes(family.right, q)
+    return {q}
+
+
+def _example1_values(family, q, memo):
+    if family.multiplicities is None:
+        raise ValueError("explicit character needs integer multiplicities")
+    ct = family.ct
+    fibre_char = [
+        sum(m * ct.value(slot, g) for slot, m in enumerate(family.multiplicities))
+        for g in range(ct.group.order)
+    ]
+    fibre_dim = sum(m * r.dim for m, r in zip(family.multiplicities, ct.irreps))
+    identity_perm = tuple(range(q))
+    values = []
+    for colors, perm in enumerated_group(ct, q).elements:
+        if perm != identity_perm:
+            values.append(Fraction(0))
+            continue
+        value = Fraction(1, fibre_dim**q)
+        for g in colors:
+            value = value * fibre_char[g]
+        values.append(value)
+    return values
+
+
+def _irreducible_values(family, q, memo):
+    from wreathprob.wreath import wreath_dimension
+
+    wg = enumerated_group(family.ct, q)
+    shapes = family.shapes(q)
+    chi = wg.irreducible_character(shapes)
+    dim = wreath_dimension(family.ct, shapes)
+    return [chi[wg.class_of[i]] * Fraction(1, dim) for i in range(wg.order)]
+
+
+def _restricted_values(family, q, memo):
+    r = family.r_of(q)
+    parent_values = family_values(family.parent, r, memo)
+    parent_wg = enumerated_group(family.ct, r)
+    identity = family.ct.group.identity
+    out = []
+    for colors, perm in enumerated_group(family.ct, q).elements:
+        embedded = (colors + (identity,) * (r - q), perm + tuple(range(q, r)))
+        out.append(parent_values[parent_wg.index[embedded]])
+    return out
+
+
+def _induced_values(family, q, memo):
+    wg = enumerated_group(family.ct, q)
+    r = family.r_of(q)
+    parent_values = family_values(family.parent, r, memo)
+    parent_wg = enumerated_group(family.ct, r)
+    identity = family.ct.group.identity
+    per_class = []
+    for k in range(len(wg.classes)):
+        total = 0
+        for idx, count in wg.conjugates_of_class(k).items():
+            colors, perm = wg.elements[idx]
+            if any(perm[i] != i or colors[i] != identity for i in range(r, q)):
+                continue
+            total = total + count * parent_values[parent_wg.index[(colors[:r], perm[:r])]]
+        per_class.append(total * Fraction(1, wg.order))
+    return [per_class[k] for k in wg.class_of]
+
+
+def _outer_values(family, q, memo):
+    wg = enumerated_group(family.ct, q)
+    q1, q2 = family.split_of(q)
+    left_values = family_values(family.left, q1, memo)
+    right_values = family_values(family.right, q2, memo)
+    left_wg = enumerated_group(family.ct, q1)
+    right_wg = enumerated_group(family.ct, q2)
+    per_class = []
+    for k in range(len(wg.classes)):
+        total = 0
+        for idx, count in wg.conjugates_of_class(k).items():
+            colors, perm = wg.elements[idx]
+            if any(perm[i] >= q1 for i in range(q1)):
+                continue
+            first = (colors[:q1], perm[:q1])
+            second = (colors[q1:], tuple(p - q1 for p in perm[q1:]))
+            total = total + count * (
+                left_values[left_wg.index[first]] * right_values[right_wg.index[second]]
+            )
+        per_class.append(total * Fraction(1, wg.order))
+    return [per_class[k] for k in wg.class_of]
+
+
+def _tensor_values(family, q, memo):
+    left = family_values(family.left, q, memo)
+    right = family_values(family.right, q, memo)
+    return [a * b for a, b in zip(left, right)]
+
+
+_FAMILY_VALUES = {
+    "example1": _example1_values,
+    "irreducible": _irreducible_values,
+    "restricted": _restricted_values,
+    "induced": _induced_values,
+    "outer": _outer_values,
+    "tensor": _tensor_values,
+}
+
+
+def full_table_measure(wg, values) -> dict:
+    """Inner products of per-element values with every irreducible over every class."""
+    from wreathprob.cyclotomics import conjugate_value, value_as_fraction
+    from wreathprob.wreath import enumerate_irreps, wreath_dimension
+
+    sizes = wg.class_sizes()
+    out = {}
+    for lam_tuple in enumerate_irreps(wg.ct, wg.q):
+        chi = wg.irreducible_character(lam_tuple)
+        total = 0
+        for k, size in enumerate(sizes):
+            total = total + size * values[wg.classes[k][0]] * conjugate_value(chi[k])
+        mass = value_as_fraction(total * Fraction(1, wg.order))
+        mass *= wreath_dimension(wg.ct, lam_tuple)
+        if mass:
+            out[lam_tuple] = mass
+    return out
+
+
+def enumerated_measure(family, q: int) -> dict:
+    return full_table_measure(enumerated_group(family.ct, q), family_values(family, q))
+
+
+def brute_moment(family, q: int, factors) -> Fraction:
+    """Family moment from the per-element character and the group-algebra image."""
+    from wreathprob.bruteforce import tensor_algebra_image
+    from wreathprob.cyclotomics import value_as_fraction
+
+    values = family_values(family, q)
+    total = 0
+    for idx, coeff in tensor_algebra_image(enumerated_group(family.ct, q), factors).items():
+        total = total + coeff * values[idx]
+    return value_as_fraction(total)

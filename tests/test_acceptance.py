@@ -22,12 +22,7 @@ from wreathprob.asymptotics import (
     limit_covariance_rhs,
     restrict_limits,
 )
-from wreathprob.bruteforce import (
-    family_character_values,
-    measure_from_character,
-    tensor_algebra_image,
-    wreath_group,
-)
+from wreathprob.bruteforce import WreathGroup, tensor_algebra_image
 from wreathprob.cyclotomics import value_as_fraction
 from wreathprob.diagrams import (
     dilate,
@@ -56,6 +51,8 @@ from wreathprob.wreath import (
     factorized_character,
     wreath_dimension,
 )
+
+from oracles import enumerated_measure
 
 
 def _announce(number: int, text: str) -> None:
@@ -106,7 +103,7 @@ def test_criterion_03_characters_factorize_against_enumeration():
     for ct, q_top in [(cyclic_group(2), 4), (symmetric3_group(), 3)]:
         factor_sets = _factor_multisets(ct.num_irreps, 4)
         for q in range(1, q_top + 1):
-            wg = wreath_group(ct, q)
+            wg = WreathGroup(ct, q)
             irreps = enumerate_irreps(ct, q)
             chars = {t: wg.irreducible_character(t) for t in irreps}
             dims = {t: wreath_dimension(ct, t) for t in irreps}
@@ -228,8 +225,7 @@ def test_criterion_07_canonical_measure_closed_form():
     for fam, qs in cases:
         for q in qs:
             closed = fam.canonical_measure(q)
-            wg = wreath_group(fam.ct, q)
-            brute = measure_from_character(wg, family_character_values(fam, q))
+            brute = enumerated_measure(fam, q)
             assert closed == brute, (fam.ct.group.order, q)
             assert sum(closed.values()) == 1
     _announce(7, "multinomial times growth law equals the brute decomposition")

@@ -11,12 +11,8 @@ from wreathprob.bruteforce import (
     MAX_ELEMENTS,
     WreathGroup,
     algebra_product,
-    family_character_values,
     indicator_image,
-    measure_from_character,
     phi_image,
-    w_mul,
-    wreath_group,
 )
 from wreathprob.cyclotomics import conjugate_value, value_as_fraction
 from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
@@ -27,11 +23,15 @@ from wreathprob.wreath import (
     IrreducibleFamily,
     OuterFamily,
     RestrictedFamily,
+    centralizer,
+    class_types,
     enumerate_irreps,
+    w_mul,
     wreath_dimension,
+    wreath_order,
 )
 
-from oracles import OrbitWreathGroup, w_inv
+from oracles import OrbitWreathGroup, family_values, full_table_measure, w_inv
 
 
 def normalized_trace(wg, lam_tuple, algebra):
@@ -223,7 +223,7 @@ def test_phi_image_of_indicators_acts_by_indicator_scalars():
     # per-irreducible normalized trace of an embedded indicator equals the
     # slot diagram's scalar; small instance of the factorization statement
     ct = cyclic_group(2)
-    wg = wreath_group(ct, 3)
+    wg = WreathGroup(ct, 3)
     for lam_tuple in enumerate_irreps(ct, 3):
         for slot in range(2):
             for rows in [(1,), (2,), (3,), (1, 1), (2, 1)]:
@@ -237,7 +237,7 @@ def test_phi_image_cycle_scaling_on_higher_dimensional_fibre():
     # dim**(k-1) factor per k-cycle the normalized trace lands at half
     # the indicator scalar on every irreducible concentrated in that slot
     ct = symmetric3_group()
-    wg = wreath_group(ct, 2)
+    wg = WreathGroup(ct, 2)
     image = indicator_image(wg, 2, (2,))
     for lam_tuple in enumerate_irreps(ct, 2):
         lhs = normalized_trace(wg, lam_tuple, image)
@@ -246,7 +246,7 @@ def test_phi_image_cycle_scaling_on_higher_dimensional_fibre():
 
 def test_phi_images_multiply_like_partial_permutations():
     ct = cyclic_group(2)
-    wg = wreath_group(ct, 3)
+    wg = WreathGroup(ct, 3)
     from wreathprob.indicators import IndicatorSum
 
     s1 = IndicatorSum.indicator((1,))
@@ -265,7 +265,7 @@ def test_cross_slot_overlaps_vanish():
     # products of single-point pins on different slots keep only disjoint
     # supports: the expected count is falling(q, 2), not q^2
     ct = cyclic_group(2)
-    wg = wreath_group(ct, 3)
+    wg = WreathGroup(ct, 3)
     image0 = indicator_image(wg, 0, (1,))
     image1 = indicator_image(wg, 1, (1,))
     prod = algebra_product(wg, image0, image1)
@@ -284,22 +284,6 @@ def test_enumeration_budget_refuses_before_allocating():
     assert 6**4 * math.factorial(4) <= MAX_ELEMENTS < 2**7 * math.factorial(7)
 
 
-def full_table_measure(wg, values):
-    """Inner products with every irreducible over every class."""
-    sizes = wg.class_sizes()
-    out = {}
-    for lam_tuple in enumerate_irreps(wg.ct, wg.q):
-        chi = wg.irreducible_character(lam_tuple)
-        total = 0
-        for k, size in enumerate(sizes):
-            total = total + size * values[wg.classes[k][0]] * conjugate_value(chi[k])
-        mass = value_as_fraction(total * Fraction(1, wg.order))
-        mass *= wreath_dimension(wg.ct, lam_tuple)
-        if mass:
-            out[lam_tuple] = mass
-    return out
-
-
 def test_measure_on_support_matches_full_table():
     c2, c3, s3 = cyclic_group(2), cyclic_group(3), symmetric3_group()
     third = Fraction(1, 3)
@@ -314,10 +298,31 @@ def test_measure_on_support_matches_full_table():
         (InducedFamily(Example1Family(s3), Fraction(1, 2)), 3),
     ]
     for fam, q in cases:
-        wg = wreath_group(fam.ct, q)
-        values = family_character_values(fam, q)
+        wg = WreathGroup(fam.ct, q)
+        values = family_values(fam, q)
         # the character vanishes somewhere, so the support is a proper subset
         assert any(not values[cls[0]] for cls in wg.classes), fam.kind
-        measure = measure_from_character(wg, values)
+        assert len(fam.class_function(q)) < len(wg.classes), fam.kind
+        measure = fam.canonical_measure(q)
         assert measure == full_table_measure(wg, values), fam.kind
         assert sum(measure.values()) == 1
+
+
+CLASS_SIZE_CASES = [
+    (ct, q)
+    for ct, bound in [(cyclic_group(2), 4), (symmetric3_group(), 3), (dihedral_group(4), 2)]
+    for q in range(bound + 1)
+]
+
+
+@pytest.mark.parametrize(
+    "ct, q", CLASS_SIZE_CASES, ids=[f"{ct.name}-q{q}" for ct, q in CLASS_SIZE_CASES]
+)
+def test_class_types_and_sizes_match_enumeration(ct, q):
+    # |G|^q q! / z(t), type by type, against the enumerated classes
+    wg = WreathGroup(ct, q)
+    types = class_types(ct, q)
+    assert len(types) == len(set(types)) == len(wg.class_types)
+    enumerated = dict(zip(wg.class_types, wg.class_sizes()))
+    assert {t: wreath_order(ct, q) // centralizer(ct, t) for t in types} == enumerated
+    assert all(wreath_order(ct, q) % centralizer(ct, t) == 0 for t in types)

@@ -10,7 +10,8 @@ import pytest
 
 from wreathprob import cli
 from wreathprob.cli import main
-from wreathprob.groups import character_table_to_json, cyclic_group
+from wreathprob.groups import character_table_to_json, cyclic_group, symmetric3_group
+from wreathprob.wreath import Example1Family, enumerate_irreps
 
 LEFT_REGULAR = '{"kind":"example1","group":"cyclic:2"}'
 
@@ -110,13 +111,30 @@ def test_family_measure_infeasible(capsys):
     assert "infeasible" in err
 
 
+def measure_atoms(out):
+    return {
+        tuple(tuple(l) for l in atom["shapes"]): Fraction(atom["probability"]["exact"])
+        for atom in json.loads(out)["measure"]["atoms"]
+    }
+
+
+def example1_closed_form(ct, q, multiplicities=None):
+    """The multinomial-times-Plancherel masses of an example1 family."""
+    fam = Example1Family(ct, multiplicities)
+    masses = {t: fam.canonical_probability(q, t) for t in enumerate_irreps(ct, q)}
+    return {t: p for t, p in masses.items() if p}
+
+
 def test_family_measure_past_enumeration_budget(capsys):
-    # S3 wr S4 is within the budget, but the restricted parent lives on 8
-    # points and S3 wr S8 (about 6.8e10 elements) is far past it
+    # the restricted parent lives on 2q points: S3 wr S8 has about 6.8e10
+    # elements, but example1's class function reads only its fixed-point
+    # types, which fit the class budget, and restricting example1 gives
+    # example1 back
     fam = '{"kind":"restricted","ratio":"2","parent":{"kind":"example1","group":"S3"}}'
-    code, _, err = run(capsys, "family", "--family", fam, "--q", "4")
-    assert code == 3
-    assert "infeasible" in err
+    for q in (4, 5):
+        code, out, _ = run(capsys, "family", "--family", fam, "--q", str(q))
+        assert code == 0
+        assert measure_atoms(out) == example1_closed_form(symmetric3_group(), q)
 
 
 def test_moments_csv(capsys):
@@ -280,6 +298,8 @@ def test_limits_condition_one_rejected(capsys):
 
 
 def test_infeasible_brute_family(capsys):
+    # the tensor square of the regular fibre is the fibre with
+    # multiplicities [2, 2]: E[slot-0 fixed points] = 9 * 1/2 at q = 9
     tensor = json.dumps(
         {
             "kind": "tensor",
@@ -287,11 +307,19 @@ def test_infeasible_brute_family(capsys):
             "right": {"kind": "example1", "group": "cyclic:2", "multiplicities": [1, 1]},
         }
     )
-    code, _, err = run(
+    code, out, _ = run(
         capsys, "moments", "--family", tensor, "--rows", "0:1", "--q", "9"
     )
+    assert code == 0
+    moment = Fraction(json.loads(out)["rows"][0]["moment"]["exact"])
+    assert moment == Fraction(9, 2)
+    assert moment == Example1Family(cyclic_group(2), (2, 2)).moment(9, [(0, (1,))])
+    # C2 wr S20: 21 fixed-point types times 24842 irreducibles pass the budget
+    code, _, err = run(
+        capsys, "moments", "--family", tensor, "--rows", "0:1", "--q", "20"
+    )
     assert code == 3
-    assert "infeasible" in err
+    assert "infeasible" in err and "class budget" in err
 
 
 def test_sample_deterministic_outputs(tmp_path, capsys):
@@ -432,6 +460,18 @@ def test_sample_rejects_negative_seed(tmp_path, capsys, monkeypatch):
     assert "seed" in err
 
 
+def test_sample_rejects_q_below_one(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled before checking q")
+
+    monkeypatch.setattr(cli, "sample_batch", refuse)
+    code, _, err = run(
+        capsys, "sample", "--family", LEFT_REGULAR, "--q", "0", "--n-samples", "3"
+    )
+    assert code == 2
+    assert "--q of at least 1" in err and "Traceback" not in err
+
+
 def test_sample_non_samplable_family(capsys):
     fam = '{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"]}'
     code, _, err = run(capsys, "sample", "--family", fam, "--q", "10")
@@ -526,7 +566,7 @@ def test_config_supplies_and_flags_override(tmp_path, capsys):
 
 @pytest.fixture
 def wreath_builds(monkeypatch):
-    """The q of every WreathGroup built, starting from an empty group cache."""
+    """The q of every WreathGroup built."""
     from wreathprob import bruteforce
 
     built = []
@@ -537,23 +577,110 @@ def wreath_builds(monkeypatch):
         original(self, ct, q)
 
     monkeypatch.setattr(bruteforce.WreathGroup, "__init__", counting_init)
-    monkeypatch.setattr(bruteforce, "_WREATH_CACHE", {})
     return built
 
 
-def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds):
-    # the left block needs S3 wr S8 (restriction by 4 at q1 = 2): refused
-    # before S3 wr S4 or S3 wr S2 is enumerated
-    s3 = {"kind": "example1", "group": "S3"}
+@pytest.fixture
+def class_calls(monkeypatch):
+    """Every class function, class type list and class value computed."""
+    from wreathprob import wreath
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in wreath.FAMILY_KINDS.values():
+        name = f"{cls.kind}.class_function"
+        monkeypatch.setattr(cls, "class_function", counting(name, cls.class_function))
+    for name in ("class_types", "class_value"):
+        monkeypatch.setattr(wreath, name, counting(name, getattr(wreath, name)))
+    return calls
+
+
+S3_EXAMPLE1 = {"kind": "example1", "group": "S3"}
+S3_IRREDUCIBLE = {"kind": "irreducible", "group": "S3", "weights": ["1/3", "1/3", "1/3"]}
+
+
+def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, class_calls):
+    # the left block reads S3 wr S8 (restriction by 4 at q1 = 2); an outer
+    # product of example1 blocks is example1 again
     fam = {
         "kind": "outer",
         "ratio": "1/2",
-        "left": {"kind": "restricted", "ratio": "4", "parent": s3},
-        "right": s3,
+        "left": {"kind": "restricted", "ratio": "4", "parent": S3_EXAMPLE1},
+        "right": S3_EXAMPLE1,
     }
-    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "4")
+    code, out, _ = run(capsys, "family", "--family", json.dumps(fam), "--q", "4")
+    assert code == 0
+    assert measure_atoms(out) == example1_closed_form(symmetric3_group(), 4)
+    assert wreath_builds == []
+    assert "restricted.class_function" in class_calls  # the counter sees the class path
+
+
+def test_family_induced_s3_at_q6(capsys, wreath_builds):
+    # S3 wr S6 has about 3.4e7 elements; its 221 class types do not
+    fam = {"kind": "induced", "ratio": "1/2", "parent": S3_EXAMPLE1}
+    code, out, _ = run(capsys, "family", "--family", json.dumps(fam), "--q", "6")
+    assert code == 0
+    atoms = measure_atoms(out)
+    assert sum(atoms.values()) == 1 and all(p > 0 for p in atoms.values())
+    assert wreath_builds == []
+
+
+def _workload_jobs(name, seed=11):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads.WORKLOADS[name](seed)
+
+
+@pytest.mark.parametrize("workload", ["enumeration", "exact"])
+def test_benchmark_family_jobs_build_no_group(capsys, wreath_builds, workload):
+    jobs = [
+        job
+        for job in _workload_jobs(workload)
+        if job.argv[0] in ("family", "moments", "cumulants")
+    ]
+    assert jobs
+    for job in jobs:
+        code, _, err = run(capsys, *job.argv)
+        assert code == 0, (job.key, err)
+        assert wreath_builds == [], job.key
+
+
+@pytest.mark.parametrize(
+    "fam, q",
+    [
+        # the parent's 2640 class values at S3 wr S10, each counted at 2640
+        # irreducibles
+        ({"kind": "restricted", "ratio": "2", "parent": S3_IRREDUCIBLE}, 5),
+        # 810 supported types at q = 8 times 810 irreducibles
+        (
+            {
+                "kind": "outer",
+                "ratio": "1/2",
+                "left": {"kind": "restricted", "ratio": "4", "parent": S3_EXAMPLE1},
+                "right": S3_EXAMPLE1,
+            },
+            8,
+        ),
+        ({"kind": "tensor", "left": S3_EXAMPLE1, "right": S3_EXAMPLE1}, 40),
+    ],
+)
+def test_family_past_class_budget_refused_before_any_class_is_built(
+    capsys, wreath_builds, class_calls, fam, q
+):
+    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", str(q))
     assert code == 3
-    assert "enumeration budget" in err
+    assert "class budget" in err
+    assert class_calls == []
     assert wreath_builds == []
 
 

@@ -4,27 +4,38 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from wreathprob.bruteforce import (
-    brute_moment,
-    family_character_values,
-    measure_from_character,
-    wreath_group,
-)
-from wreathprob.groups import cyclic_group, symmetric3_group
+from wreathprob.bruteforce import MAX_ELEMENTS
+from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.partitions import indicator_scalar, partitions_of
 from wreathprob.wreath import (
+    MAX_CLASS_WORK,
     Example1Family,
     InducedFamily,
     IrreducibleFamily,
     OuterFamily,
+    RepFamily,
     RestrictedFamily,
     TensorFamily,
+    _capped_count,
+    class_types,
     enumerate_irreps,
     factorized_character,
     family_from_json,
     wreath_dimension,
+    wreath_order,
+)
+
+from oracles import (
+    brute_moment,
+    enumerated_group,
+    enumerated_measure,
+    enumerated_sizes,
+    family_values,
+    full_table_measure,
 )
 
 
@@ -41,6 +52,15 @@ def test_enumerate_irreps_counts():
 
     assert len(enumerate_irreps(ct2, 5)) == count(2, 5)
     assert len(enumerate_irreps(ct3, 4)) == count(3, 4)
+
+
+def test_budget_counts_match_enumeration():
+    # the recurrence behind the class budget counts what would be enumerated
+    for ct in (cyclic_group(2), symmetric3_group(), dihedral_group(4)):
+        for q in range(7):
+            assert _capped_count(len(ct.group.conjugacy_classes), q) == len(class_types(ct, q))
+            assert _capped_count(ct.num_irreps, q) == len(enumerate_irreps(ct, q))
+    assert _capped_count(1, 10**9) == MAX_CLASS_WORK + 1
 
 
 def test_wreath_dimension_squares_fill_group():
@@ -109,9 +129,7 @@ def test_example1_closed_form_values():
 def test_canonical_measure_matches_decomposition():
     for ct, q in [(cyclic_group(2), 2), (cyclic_group(2), 3), (symmetric3_group(), 2)]:
         fam = Example1Family(ct)
-        wg = wreath_group(ct, q)
-        values = family_character_values(fam, q)
-        measure = measure_from_character(wg, values)
+        measure = enumerated_measure(fam, q)
         total = Fraction(0)
         for lam_tuple in enumerate_irreps(ct, q):
             p = fam.canonical_probability(q, lam_tuple)
@@ -130,6 +148,17 @@ def test_canonical_measure_frozen_small_case():
     assert probs[((), (1, 1))] == Fraction(1, 8)
 
 
+def test_example1_closed_form_measure_counts_only_irreducibles():
+    # the closed form builds no class type: C2 at q = 12 reads 1165
+    # irreducibles, well inside the budget, and q = 50 reads past it
+    fam = Example1Family(cyclic_group(2))
+    measure = fam.canonical_measure(12)
+    assert len(measure) == len(enumerate_irreps(cyclic_group(2), 12)) == 1165
+    assert sum(measure.values()) == 1
+    with pytest.raises(ValueError, match="class budget"):
+        fam.canonical_measure(50)
+
+
 def test_moment_equals_measure_average():
     # route two: decompose the family character, then average slot scalars
     ct = cyclic_group(2)
@@ -142,8 +171,8 @@ def test_moment_equals_measure_average():
     }
     for name, fam in families.items():
         q = 3
-        wg = wreath_group(ct, q)
-        measure = measure_from_character(wg, family_character_values(fam, q))
+        measure = enumerated_measure(fam, q)
+        assert fam.canonical_measure(q) == measure, name
         assert sum(measure.values()) == 1, name
         assert all(p > 0 for p in measure.values()), name
         for factors in [[(0, (1,))], [(0, (2,))], [(0, (1,)), (1, (1,))]]:
@@ -196,8 +225,9 @@ def test_tensor_family_matches_enumeration():
     fam = TensorFamily(left, right)
     _check_against_brute(fam, 2, FACTOR_SETS_2[:8])
     _check_against_brute(fam, 3, [[(0, (1,))], [(0, (2,))], [(0, (1,)), (1, (1,))]])
-    with pytest.raises(ValueError):
-        fam.moment(9, [(0, (1,))])
+    # C2 wr S20: 21 fixed-point types times 24842 irreducibles pass the budget
+    with pytest.raises(ValueError, match="class budget"):
+        fam.moment(20, [(0, (1,))])
 
 
 def test_irreducible_family_shapes_and_moments():
@@ -210,10 +240,8 @@ def test_irreducible_family_shapes_and_moments():
         expected = factorized_character(shapes, factors)
         assert value == expected
     # deterministic family: the decomposition is a point mass at the shapes
-    wg = wreath_group(ct, 3)
-    values = family_character_values(fam, 3)
-    measure = measure_from_character(wg, values)
-    assert measure == {fam.shapes(3): Fraction(1)}
+    assert enumerated_measure(fam, 3) == {fam.shapes(3): Fraction(1)}
+    assert RepFamily.canonical_measure(fam, 3) == {fam.shapes(3): Fraction(1)}
 
 
 def test_irreducible_family_base_dilation():
@@ -255,3 +283,56 @@ def test_family_from_json_rejects_unknown_kinds():
         family_from_json({"kind": "restricted", "ratio": "2", "parent": {"group": "S3"}})
     with pytest.raises(ValueError, match="JSON object"):
         family_from_json({"kind": "tensor", "left": [], "right": []})
+
+
+# ------------------------------------------- class functions vs enumeration
+
+PROPERTY_GROUPS = (cyclic_group(2), cyclic_group(3), symmetric3_group())
+
+
+def _leaves(ct):
+    k = ct.num_irreps
+    # nonnegative integers, not all zero
+    counts = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
+        lambda raw: raw if any(raw) else [1] + raw[1:]
+    )
+    return st.one_of(
+        counts.map(lambda mults: Example1Family(ct, mults)),
+        counts.map(lambda raw: IrreducibleFamily(ct, [Fraction(w, sum(raw)) for w in raw])),
+    )
+
+
+def _trees(ct, depth):
+    if depth == 0:
+        return _leaves(ct)
+    sub = _trees(ct, depth - 1)
+    return st.one_of(
+        _leaves(ct),
+        st.builds(RestrictedFamily, sub, st.sampled_from([1, Fraction(3, 2), 2])),
+        st.builds(InducedFamily, sub, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])),
+        st.builds(OuterFamily, sub, sub, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])),
+        st.builds(TensorFamily, sub, sub),
+    )
+
+
+@st.composite
+def _families(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(_trees(ct, 2))
+    q = draw(st.integers(1, 4))
+    assume(all(wreath_order(ct, n) <= MAX_ELEMENTS for n in enumerated_sizes(fam, q)))
+    return fam, q
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_families())
+def test_class_function_and_measure_match_enumeration(case):
+    fam, q = case
+    wg = enumerated_group(fam.ct, q)
+    values = family_values(fam, q)
+    class_function = fam.class_function(q)
+    for t, cls in zip(wg.class_types, wg.classes):
+        assert class_function.get(t, 0) == values[cls[0]], (fam.to_json(), q, t)
+    assert set(class_function) <= set(wg.class_types)
+    assert len(class_function) <= fam.class_cost(q)[0]
+    assert RepFamily.canonical_measure(fam, q) == full_table_measure(wg, values)
