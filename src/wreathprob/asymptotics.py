@@ -122,21 +122,6 @@ def r_cumulant(family: RepFamily, q: int, args, route: str = "indicator"):
     raise ValueError(f"unknown route {route!r}")
 
 
-def permutation_length(perm) -> int:
-    """Minimal number of transpositions: size minus cycle count."""
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-    return len(perm) - cycles
-
-
 def element_cumulant(family: RepFamily, q: int, elements):
     """Cumulant of group elements under the normalized family character.
 
@@ -171,7 +156,8 @@ def condition_exponent(condition: int, args) -> int:
     """Twice the exponent of q applied to the raw cumulant."""
     n = len(args)
     if condition == 1:
-        lengths = sum(permutation_length(perm) for _, perm in args)
+        # each permutation's length: size minus cycle count
+        lengths = sum(len(perm) - len(backward_cycles(perm)) for _, perm in args)
         return lengths + 2 * (n - 1)
     if condition in (2, 3):
         total = sum(l for _, l in args)

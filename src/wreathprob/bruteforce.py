@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 
-from .asymptotics import permutation_length
+from .errors import Infeasible
 from .groups import CharacterTable, projection_coefficients
 from .wreath import _normalize_factors, backward_cycles, class_type, class_value, w_mul
 from .wreath import wreath_order
@@ -20,6 +20,17 @@ from .wreath import wreath_order
 # Largest wreath group built element by element.  WreathGroup is the only
 # code that allocates group elements, so this budget decides its feasibility.
 MAX_ELEMENTS = 50000
+
+
+def check_enumeration_budget(ct: CharacterTable, q: int) -> int:
+    """The order of G wr S_q, refused past the enumeration budget."""
+    order = wreath_order(ct, q)
+    if order > MAX_ELEMENTS:
+        raise Infeasible(
+            f"the wreath group at q={q} has {order} elements, past the "
+            f"enumeration budget of {MAX_ELEMENTS}"
+        )
+    return order
 
 
 class WreathGroup:
@@ -31,12 +42,7 @@ class WreathGroup:
     """
 
     def __init__(self, ct: CharacterTable, q: int):
-        self.order = wreath_order(ct, q)
-        if self.order > MAX_ELEMENTS:
-            raise ValueError(
-                f"the wreath group at q={q} has {self.order} elements, past the "
-                f"enumeration budget of {MAX_ELEMENTS}"
-            )
+        self.order = check_enumeration_budget(ct, q)
         self.ct = ct
         self.q = q
         group = ct.group
@@ -119,7 +125,7 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
     for a, b in mapping.items():
         perm[a] = b
     perm = tuple(perm)
-    scale = dim ** permutation_length(perm)
+    scale = dim ** (len(perm) - len(backward_cycles(perm)))
     out: dict[int, object] = {}
     for assignment in itertools.product(range(group.order), repeat=len(support)):
         coeff = scale

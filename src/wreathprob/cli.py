@@ -15,9 +15,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant, r_cumulant
-from .bruteforce import WreathGroup, tensor_algebra_image
+from .bruteforce import WreathGroup, check_enumeration_budget, tensor_algebra_image
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants, minima_maxima, profile_moment, transition_measure
+from .errors import Infeasible, InputError, WreathprobError
 from .groups import builtin_group, character_table_from_json, validate_character_table
 from .indicators import compose, expand_indicator, product_coefficients
 from .partitions import is_partition, partitions_of
@@ -38,14 +39,6 @@ from .wreath import (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
-class InfeasibleError(Exception):
-    pass
-
-
 # ------------------------------------------------------------ configuration
 
 
@@ -60,23 +53,25 @@ def _coerce(name, value, convert, what):
     try:
         return convert(value)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise UsageError(f"{name} must be {what}, got {value!r}")
+        raise InputError(f"{name} must be {what}, got {value!r}")
 
 
 def _validate(ns):
     """Coerce and range-check options; config values arrive as any JSON type."""
     if ns.format not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {ns.format!r}")
+        raise InputError(f"format must be csv or json, got {ns.format!r}")
     for name, low in INT_OPTIONS.items():
         value = getattr(ns, name, None)
         if value is None and name != "workers":  # workers is never unset
             continue
         value = _coerce(name, value, int, "an integer")
         if low is not None and value < low:
-            raise UsageError(f"{name} must be at least {low}, got {value}")
+            raise InputError(f"{name} must be at least {low}, got {value}")
         setattr(ns, name, value)
     if getattr(ns, "tolerance", None) is not None:
         ns.tolerance = _coerce("tolerance", ns.tolerance, Fraction, "a rational number")
+        if ns.tolerance < 0:
+            raise InputError(f"tolerance must be nonnegative, got {ns.tolerance}")
 
 
 def _apply_config(ns, argv):
@@ -86,15 +81,15 @@ def _apply_config(ns, argv):
     try:
         doc = json.loads(Path(ns.config).read_text())
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"cannot read config: {exc}")
+        raise InputError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
-        raise UsageError("config must be a JSON object")
+        raise InputError("config must be a JSON object")
     # the invoked command's own flags are the only keys a config may set
     unknown = set(doc) - (set(vars(ns)) - {"config"})
     if unknown:
-        raise UsageError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
+        raise InputError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
     if "command" in doc and doc["command"] != ns.command:
-        raise UsageError(
+        raise InputError(
             f"config is for command {doc['command']!r}, invoked {ns.command!r}"
         )
     explicit = {
@@ -112,16 +107,16 @@ def _apply_config(ns, argv):
 
 def _parse_partition(text):
     if not isinstance(text, str):
-        raise UsageError(f"partition must be a string like '3,1', got {text!r}")
+        raise InputError(f"partition must be a string like '3,1', got {text!r}")
     text = text.strip()
     if not text:
         return ()
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"malformed partition literal {text!r}")
+        raise InputError(f"malformed partition literal {text!r}")
     if not is_partition(parts):
-        raise UsageError(f"not a partition (weakly decreasing, positive): {text!r}")
+        raise InputError(f"not a partition (weakly decreasing, positive): {text!r}")
     return parts
 
 
@@ -134,16 +129,16 @@ def _parse_grid(value):
         try:
             grid = [int(x) for x in str(value).split(",") if x.strip()]
         except ValueError:
-            raise UsageError(f"malformed q grid {value!r}")
+            raise InputError(f"malformed q grid {value!r}")
     if not grid or any(q < 1 for q in grid):
-        raise UsageError("q grid needs positive integers")
+        raise InputError("q grid needs positive integers")
     return sorted(grid)
 
 
 def _parse_rows(value):
     """Factor list: 'slot:r1,r2;slot:r' -> [(slot, (r1, r2)), (slot, (r,))]."""
     if value is None:
-        raise UsageError("missing factor rows (--rows)")
+        raise InputError("missing factor rows (--rows)")
     if isinstance(value, list):
         out = _coerce(
             "rows", value,
@@ -160,13 +155,13 @@ def _parse_rows(value):
                 slot_text, rows_text = chunk.split(":")
                 out.append((int(slot_text), tuple(int(r) for r in rows_text.split(","))))
             except ValueError:
-                raise UsageError(f"malformed factor {chunk!r}; expected slot:r1,r2")
+                raise InputError(f"malformed factor {chunk!r}; expected slot:r1,r2")
     for slot, rows in out:
         if slot < 0 or not rows or any(r < 1 for r in rows):
             factor = f"{slot}:{','.join(map(str, rows))}"
-            raise UsageError(f"factor {factor!r} needs slot >= 0 and rows >= 1")
+            raise InputError(f"factor {factor!r} needs slot >= 0 and rows >= 1")
     if not out:
-        raise UsageError("empty factor list")
+        raise InputError("empty factor list")
     return out
 
 
@@ -188,18 +183,18 @@ def _parse_stats(value):
                 kind, slot, index = chunk.split(":")
                 out.append((kind, int(slot), int(index)))
             except ValueError:
-                raise UsageError(f"malformed statistic {chunk!r}; expected kind:slot:i")
+                raise InputError(f"malformed statistic {chunk!r}; expected kind:slot:i")
     if not out:
-        raise UsageError("empty statistic list")
+        raise InputError("empty statistic list")
     for kind, slot, index in out:
         if kind not in ("R", "character", "p"):
-            raise UsageError(f"unknown statistic kind {kind!r}")
+            raise InputError(f"unknown statistic kind {kind!r}")
         if kind in ("R", "p") and index < 2:
-            raise UsageError(f"{kind} statistics start at index 2")
+            raise InputError(f"{kind} statistics start at index 2")
         if kind == "character" and index < 1:
-            raise UsageError("character statistics need a cycle length >= 1")
+            raise InputError("character statistics need a cycle length >= 1")
         if slot < 0:
-            raise UsageError("statistic slot must be nonnegative")
+            raise InputError("statistic slot must be nonnegative")
     return out
 
 
@@ -213,9 +208,9 @@ def _parse_limit(value):
 
 def _load_group(spec):
     if spec is None:
-        raise UsageError("missing group (--group)")
+        raise InputError("missing group (--group)")
     if not isinstance(spec, str):
-        raise UsageError(f"group must be a builtin name or a JSON path, got {spec!r}")
+        raise InputError(f"group must be a builtin name or a JSON path, got {spec!r}")
     try:
         return builtin_group(spec)
     except ValueError:
@@ -223,12 +218,12 @@ def _load_group(spec):
     try:
         return character_table_from_json(json.loads(Path(spec).read_text()))
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise UsageError(f"cannot load group {spec!r}: {exc}")
+        raise InputError(f"cannot load group {spec!r}: {exc}")
 
 
 def _load_family(value):
     if value is None:
-        raise UsageError("missing family descriptor (--family)")
+        raise InputError("missing family descriptor (--family)")
     if isinstance(value, dict):
         doc = value
     else:
@@ -237,16 +232,16 @@ def _load_family(value):
             try:
                 doc = json.loads(text)
             except (json.JSONDecodeError, RecursionError) as exc:
-                raise UsageError(f"malformed family JSON: {exc}")
+                raise InputError(f"malformed family JSON: {exc}")
         else:
             try:
                 doc = json.loads(Path(text).read_text())
             except (OSError, json.JSONDecodeError, RecursionError) as exc:
-                raise UsageError(f"cannot load family {text!r}: {exc}")
+                raise InputError(f"cannot load family {text!r}: {exc}")
     try:
         return family_from_json(doc)
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
-        raise UsageError(f"bad family descriptor: {exc}")
+        raise InputError(f"bad family descriptor: {exc}")
 
 
 # ---------------------------------------------------------------- rendering
@@ -352,10 +347,7 @@ def cmd_family(ns):
     }
     q = ns.q
     if q is not None:
-        try:
-            measure = fam.canonical_measure(q)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc))
+        measure = fam.canonical_measure(q)
         doc["measure"] = {
             "q": q,
             "atoms": [
@@ -371,15 +363,9 @@ def _grid_values(ns, evaluate):
     grid = _parse_grid(ns.q_grid) if ns.q_grid else None
     if grid is None:
         if ns.q is None:
-            raise UsageError("need --q or --q-grid")
+            raise InputError("need --q or --q-grid")
         grid = [ns.q]
-    rows = []
-    for q in grid:
-        try:
-            rows.append((q, evaluate(q)))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InfeasibleError(f"q={q}: {exc}")
-    return rows
+    return [(q, evaluate(q)) for q in grid]
 
 
 def cmd_moments(ns):
@@ -412,7 +398,7 @@ def cmd_cumulants(ns):
         args = _parse_rows(ns.rows)
         evaluate = lambda q: natural_cumulant(fam, q, args)
     else:
-        raise UsageError(f"unknown cumulant kind {kind!r}")
+        raise InputError(f"unknown cumulant kind {kind!r}")
     rows = _grid_values(ns, evaluate)
     if ns.format == "csv":
         csv_rows = [[str(q)] + _value_cells(v) for q, v in rows]
@@ -452,20 +438,20 @@ def cmd_limits(ns):
     fam = _load_family(ns.family)
     condition = ns.condition
     if condition == 1:
-        raise UsageError(
+        raise InputError(
             "condition 1 takes explicit group elements; use the library API"
         )
     if condition not in (2, 3, 4):
-        raise UsageError("condition must be 2, 3, or 4")
+        raise InputError("condition must be 2, 3, or 4")
     factor_rows = _parse_rows(ns.rows)
     if any(len(rows) != 1 for _, rows in factor_rows):
-        raise UsageError("limits command wants single-row factors like 0:2")
+        raise InputError("limits command wants single-row factors like 0:2")
     args = [(s, rows[0]) for s, rows in factor_rows]
     if condition == 4 and any(l < 2 for _, l in args):
-        raise UsageError("condition 4 indices start at 2")
+        raise InputError("condition 4 indices start at 2")
     grid = _parse_grid(ns.q_grid)
     if grid is None:
-        raise UsageError("need --q-grid")
+        raise InputError("need --q-grid")
     limit = _parse_limit(ns.limit)
     if limit == "auto":
         # the limit table only answers up to its build depth; size it to the
@@ -473,19 +459,16 @@ def cmd_limits(ns):
         need = max(l for _, l in args) + 1
         limit = _auto_limit(_limit_table(fam, max(6, need)), condition, args)
     tolerance = ns.tolerance if ns.tolerance is not None else Fraction(15, 100)
-    try:
-        report = convergence_report(
-            fam,
-            condition,
-            args,
-            grid,
-            limit=limit,
-            description=f"condition {condition} at {args}",
-            tolerance=tolerance,
-            workers=ns.workers,
-        )
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InfeasibleError(str(exc))
+    report = convergence_report(
+        fam,
+        condition,
+        args,
+        grid,
+        limit=limit,
+        description=f"condition {condition} at {args}",
+        tolerance=tolerance,
+        workers=ns.workers,
+    )
     if ns.format == "csv":
         _emit(report.to_csv(), ns.out)
     else:
@@ -498,12 +481,12 @@ def cmd_limits(ns):
 def cmd_sample(ns):
     fam = _load_family(ns.family)
     if not isinstance(fam, Example1Family):
-        raise InfeasibleError(f"family kind {fam.kind!r} has no direct sampler")
+        raise Infeasible(f"family kind {fam.kind!r} has no direct sampler")
     if ns.q is None:
-        raise UsageError("need --q")
+        raise InputError("need --q")
     q = ns.q
     if q < 1:
-        raise UsageError(f"sample needs --q of at least 1, got {q}")
+        raise InputError(f"sample needs --q of at least 1, got {q}")
     n = ns.n_samples if ns.n_samples is not None else 1000
     seed = ns.seed
     slots = fam.ct.num_irreps
@@ -513,7 +496,7 @@ def cmd_sample(ns):
         specs = [("R", slot, 3) for slot in range(slots)]
     for spec in specs:
         if spec[1] >= slots:
-            raise UsageError(f"statistic {spec_name(spec)} needs a slot below {slots}")
+            raise InputError(f"statistic {spec_name(spec)} needs a slot below {slots}")
     batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
     predicted = None
     if n and all(spec[0] == "R" for spec in specs):
@@ -584,10 +567,7 @@ def _check_factorization_lemma(ct, bound, failures):
         factor_sets.append(((0, (2,)), (1, (1,))))
         factor_sets.append(((1, (2,)),))
     for q in range(1, bound + 1):
-        try:
-            wg = WreathGroup(ct, q)
-        except ValueError as exc:
-            raise InfeasibleError(f"brute force too large: {exc}")
+        wg = WreathGroup(ct, q)
         # the images, summed per class, do not depend on the irreducible
         images = []
         for factors in factor_sets:
@@ -665,6 +645,11 @@ def cmd_verify(ns):
     failures = []
     checks = []
     group_specs = [ns.group] if ns.group else ["cyclic:2", "cyclic:3", "S3"]
+    if scope in ("lemma", "all"):
+        # the lemma's largest group is refused before any scope builds one
+        lemma_ct = _load_group(ns.group) if ns.group else builtin_group("cyclic:2")
+        lemma_bound = ns.bound or 3
+        check_enumeration_budget(lemma_ct, lemma_bound)
     if scope in ("characters", "all"):
         cases = _check_character_tables(group_specs, failures)
         checks.append({"check": "character-table", "cases": cases})
@@ -676,10 +661,8 @@ def cmd_verify(ns):
                     total += _check_wreath_orthogonality(ct, 2, failures)
             checks.append({"check": "wreath-orthogonality", "cases": total})
     if scope in ("lemma", "all"):
-        ct = _load_group(ns.group) if ns.group else builtin_group("cyclic:2")
-        bound = ns.bound or 3
         try:
-            cases = _check_factorization_lemma(ct, bound, failures)
+            cases = _check_factorization_lemma(lemma_ct, lemma_bound, failures)
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
             # an inconsistent table breaks the wreath character construction
             cases = 0
@@ -690,7 +673,7 @@ def cmd_verify(ns):
         cases = _check_structure_constants(bound, failures)
         checks.append({"check": "structure-constants", "cases": cases})
     if not checks:
-        raise UsageError(f"unknown verify scope {scope!r}")
+        raise InputError(f"unknown verify scope {scope!r}")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scope": scope,
@@ -706,7 +689,7 @@ def cmd_report(ns):
     fam = _load_family(ns.family)
     grid = _parse_grid(ns.q_grid)
     if grid is None:
-        raise UsageError("need --q-grid")
+        raise InputError("need --q-grid")
     slots = fam.ct.num_irreps
     quantities = []
     for slot in range(slots):
@@ -717,21 +700,18 @@ def cmd_report(ns):
     if slots > 1:
         quantities.append((3, [(0, 1), (1, 1)]))
     params = _limit_table(fam)
-    reports = []
-    for condition, args in quantities:
-        try:
-            rep = convergence_report(
-                fam,
-                condition,
-                args,
-                grid,
-                limit=_auto_limit(params, condition, args),
-                description=f"condition {condition} at {args}",
-                workers=ns.workers,
-            )
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InfeasibleError(str(exc))
-        reports.append(rep)
+    reports = [
+        convergence_report(
+            fam,
+            condition,
+            args,
+            grid,
+            limit=_auto_limit(params, condition, args),
+            description=f"condition {condition} at {args}",
+            workers=ns.workers,
+        )
+        for condition, args in quantities
+    ]
     verdicts = [r.verdict for r in reports if r.verdict is not None]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -844,12 +824,9 @@ def main(argv=None) -> int:
         _apply_config(ns, argv)
         _validate(ns)
         return COMMANDS[ns.command](ns)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"infeasible request: {exc}", file=sys.stderr)
-        return 3
+    except WreathprobError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

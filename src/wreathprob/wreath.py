@@ -24,10 +24,11 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclotomics import conjugate_value, value_as_fraction
+from .errors import Infeasible, InputError
 from .groups import CharacterTable
 from .indicators import IndicatorSum
 from .partitions import character as sym_character
-from .partitions import dimension, falling, indicator_scalar, partitions_of
+from .partitions import dimension, falling, indicator_scalar, is_partition, partitions_of
 
 
 def enumerate_irreps(ct: CharacterTable, q: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -236,9 +237,9 @@ def _capped_count(k: int, n: int) -> int:
     return min(a[-1], MAX_CLASS_WORK + 1)
 
 
-def check_class_budget(work: int) -> None:
+def check_class_budget(q: int, work: int) -> None:
     if work > MAX_CLASS_WORK:
-        raise ValueError(f"class work {work} passes the class budget of {MAX_CLASS_WORK}")
+        raise Infeasible(f"q={q}: class work {work} passes the class budget of {MAX_CLASS_WORK}")
 
 
 def measure_from_class_function(ct: CharacterTable, q: int, values: dict) -> dict:
@@ -319,6 +320,9 @@ class RepFamily:
         """Expectation of a product of per-slot indicators at size q."""
         per_slot = _normalize_factors(factors, q)
         slots = list(per_slot)
+        bad = [s for s in slots if not 0 <= s < self.ct.num_irreps]
+        if bad:
+            raise InputError(f"factor slot {bad[0]} is out of range for {self.ct.num_irreps} slots")
         total = Fraction(0)
         for combo in itertools.product(*(per_slot[s].terms.items() for s in slots)):
             coeff = Fraction(1)
@@ -360,7 +364,7 @@ class RepFamily:
 
     def checked_class_function(self, q: int) -> dict:
         """``class_function(q)`` once the class budget admits its work."""
-        check_class_budget(self.class_cost(q)[1])
+        check_class_budget(q, self.class_cost(q)[1])
         return self.class_function(q)
 
     def canonical_measure(self, q: int) -> dict:
@@ -371,7 +375,7 @@ class RepFamily:
         """
         support, work = self.class_cost(q)
         # every irreducible is paired with every supported class type
-        check_class_budget(work + support * _capped_count(self.ct.num_irreps, q))
+        check_class_budget(q, work + support * _capped_count(self.ct.num_irreps, q))
         return measure_from_class_function(self.ct, q, self.class_function(q))
 
 
@@ -423,7 +427,7 @@ class Example1Family(RepFamily):
         # the explicit character is the fibre character's q-th tensor power,
         # which weights alone do not determine
         if self.multiplicities is None:
-            raise ValueError("explicit character needs integer multiplicities")
+            raise Infeasible("explicit character needs integer multiplicities")
         fixed_point_types = math.comb(q + len(self.ct.group.conjugacy_classes) - 1, q)
         return fixed_point_types, fixed_point_types
 
@@ -453,7 +457,7 @@ class Example1Family(RepFamily):
 
     def canonical_measure(self, q: int) -> dict:
         # the closed form builds no class type: only irreducibles count
-        check_class_budget(_capped_count(self.ct.num_irreps, q))
+        check_class_budget(q, _capped_count(self.ct.num_irreps, q))
         masses = {t: self.canonical_probability(q, t) for t in enumerate_irreps(self.ct, q)}
         return {t: p for t, p in masses.items() if p}
 
@@ -501,7 +505,11 @@ class IrreducibleFamily(RepFamily):
         if bases is None:
             bases = [(1,) if w else () for w in self.weights]
         self.bases = tuple(tuple(b) for b in bases)
+        if len(self.bases) != ct.num_irreps:
+            raise ValueError("one base diagram per base irreducible required")
         for w, base in zip(self.weights, self.bases):
+            if not is_partition(base):
+                raise ValueError(f"base {list(base)} is not a partition")
             if w and not base:
                 raise ValueError("weighted slots need a base diagram")
 

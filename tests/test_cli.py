@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathprob import cli
 from wreathprob.cli import main
@@ -861,3 +865,111 @@ def test_report_aggregates(capsys):
     assert doc["all_pass"] is True
     assert len(doc["reports"]) == 9
     assert doc["limits"]["cov"] is not None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--rows", "5:1", "--q", "4"],
+        ["moments", "--rows", "5:2", "--q", "4"],
+        ["cumulants", "--rows", "2:1;0:1", "--q", "4"],
+        ["limits", "--rows", "5:2;5:2", "--q-grid", "4,8"],
+    ],
+)
+def test_out_of_range_factor_slot_is_a_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv, "--family", LEFT_REGULAR)
+    assert code == 2
+    assert "slot" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_limits_rejects_negative_tolerance(capsys):
+    argv = ["limits", "--tolerance", "-1"]
+    for name, value in LIMITS_FLAGS.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "tolerance" in err
+
+
+def _c2_irreducible(bases):
+    return json.dumps(
+        {"kind": "irreducible", "group": "cyclic:2", "weights": ["1/2", "1/2"], "bases": bases}
+    )
+
+
+# a base of zero boxes, a base that is no partition, one base too many
+MALFORMED_IRREDUCIBLE = [
+    _c2_irreducible([[1], [0]]),
+    _c2_irreducible([[1], [1, 2]]),
+    _c2_irreducible([[1], [1], [1]]),
+]
+
+
+@pytest.mark.parametrize("fam", MALFORMED_IRREDUCIBLE)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--q", "3"],
+        ["moments", "--rows", "0:1", "--q", "4"],
+        ["limits", "--rows", "0:2", "--q-grid", "4,8"],
+    ],
+)
+def test_malformed_irreducible_bases_are_a_usage_error(fam, argv, capsys):
+    code, _, err = run(capsys, *argv, "--family", fam)
+    assert code == 2
+    assert "bad family descriptor" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scope", ["lemma", "all"])
+def test_verify_budget_decided_before_any_group_is_built(scope, capsys, wreath_builds):
+    code, out, err = run(capsys, "verify", "--scope", scope, "--group", "S3", "--bound", "5")
+    assert code == 3
+    assert "enumeration budget" in err
+    assert out == ""
+    assert wreath_builds == []
+
+
+FAMILY_POOL = [
+    LEFT_REGULAR,
+    json.dumps(S3_EXAMPLE1),
+    _c2_irreducible([[2, 1], [1]]),
+    json.dumps({"kind": "restricted", "ratio": "2", "parent": json.loads(LEFT_REGULAR)}),
+    json.dumps(
+        {
+            "kind": "outer",
+            "ratio": "1/2",
+            "left": json.loads(_c2_irreducible([[1], [1]])),
+            "right": json.loads(LEFT_REGULAR),
+        }
+    ),
+    *MALFORMED_IRREDUCIBLE,
+]
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["family", "moments", "cumulants", "limits"]))
+    argv = [command, "--family", draw(st.sampled_from(FAMILY_POOL))]
+    factors = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), min_size=1, max_size=3)
+    rows = ";".join(f"{slot}:{length}" for slot, length in draw(factors))
+    q = str(draw(st.integers(0, 6)))
+    grid = ",".join(map(str, draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))))
+    if command == "family":
+        return argv + (["--q", q] if draw(st.booleans()) else [])
+    argv += ["--rows", rows]
+    if command == "cumulants":
+        argv += ["--kind", draw(st.sampled_from(["natural", "disjoint", "free"]))]
+    if command == "limits":
+        return argv + ["--condition", str(draw(st.integers(2, 4))), "--q-grid", grid]
+    return argv + (["--q-grid", grid] if draw(st.booleans()) else ["--q", q])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_cli_never_raises(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
