@@ -423,26 +423,32 @@ class Example1Family(RepFamily):
             prod *= self.weights[slot] ** len(rows)
         return falling(q, total_ones) * prod
 
-    def class_cost(self, q: int) -> tuple[int, int]:
+    def _fibre(self) -> list:
+        """The fibre character per G-class."""
         # the explicit character is the fibre character's q-th tensor power,
         # which weights alone do not determine
         if self.multiplicities is None:
             raise Infeasible("explicit character needs integer multiplicities")
-        fixed_point_types = math.comb(q + len(self.ct.group.conjugacy_classes) - 1, q)
+        columns = zip(*(r.values for r in self.ct.irreps))
+        return [sum(map(operator.mul, self.multiplicities, col)) for col in columns]
+
+    def class_cost(self, q: int) -> tuple[int, int]:
+        # fixed-point types over the G-classes the fibre character is nonzero on
+        nonzero = sum(1 for v in self._fibre() if v)
+        fixed_point_types = math.comb(q + nonzero - 1, q)
         return fixed_point_types, fixed_point_types
 
     def class_function(self, q: int) -> dict:
         # the tensor power lives on the base group's q-fold product: only
         # fixed-point types, each point contributing the fibre character
-        self.class_cost(q)  # refuses a weights-only family
-        mults, irreps = self.multiplicities, self.ct.irreps
-        fibre = [sum(map(operator.mul, mults, col)) for col in zip(*(r.values for r in irreps))]
-        scale = Fraction(1, sum(m * r.dim for m, r in zip(mults, irreps)) ** q)
-        products = {
+        fibre = self._fibre()
+        dim = sum(m * r.dim for m, r in zip(self.multiplicities, self.ct.irreps))
+        scale = Fraction(1, dim**q)
+        nonzero = [c for c, v in enumerate(fibre) if v]
+        return {
             tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=scale)
-            for classes in itertools.combinations_with_replacement(range(len(fibre)), q)
+            for classes in itertools.combinations_with_replacement(nonzero, q)
         }
-        return {t: v for t, v in products.items() if v}
 
     def canonical_probability(self, q: int, lam_tuple) -> Fraction:
         """Closed-form mass of one partition tuple under the size-q measure."""

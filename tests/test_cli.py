@@ -318,7 +318,8 @@ def test_infeasible_brute_family(capsys):
     moment = Fraction(json.loads(out)["rows"][0]["moment"]["exact"])
     assert moment == Fraction(9, 2)
     assert moment == Example1Family(cyclic_group(2), (2, 2)).moment(9, [(0, (1,))])
-    # C2 wr S20: 21 fixed-point types times 24842 irreducibles pass the budget
+    # C2 wr S20: 24842 irreducibles pass the budget (the fibres vanish off the
+    # identity, so one fixed-point type)
     code, _, err = run(
         capsys, "moments", "--family", tensor, "--rows", "0:1", "--q", "20"
     )
@@ -607,21 +608,26 @@ def class_calls(monkeypatch):
 
 
 S3_EXAMPLE1 = {"kind": "example1", "group": "S3"}
+S3_FIBRE_201 = {"kind": "example1", "group": "S3", "multiplicities": [2, 0, 1]}
 S3_IRREDUCIBLE = {"kind": "irreducible", "group": "S3", "weights": ["1/3", "1/3", "1/3"]}
 
 
 def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, class_calls):
-    # the left block reads S3 wr S8 (restriction by 4 at q1 = 2); an outer
-    # product of example1 blocks is example1 again
+    # the left block reads S3 wr S16 at q = 8 (restriction by 4 at q1 = 4);
+    # the regular fibre vanishes off the identity, so each block has one
+    # supported type; an outer product of example1 blocks is example1 again
     fam = {
         "kind": "outer",
         "ratio": "1/2",
         "left": {"kind": "restricted", "ratio": "4", "parent": S3_EXAMPLE1},
         "right": S3_EXAMPLE1,
     }
-    code, out, _ = run(capsys, "family", "--family", json.dumps(fam), "--q", "4")
-    assert code == 0
-    assert measure_atoms(out) == example1_closed_form(symmetric3_group(), 4)
+    for q in (4, 8):
+        code, out, _ = run(capsys, "family", "--family", json.dumps(fam), "--q", str(q))
+        assert code == 0
+        atoms = measure_atoms(out)
+        assert sum(atoms.values()) == 1
+        assert atoms == example1_closed_form(symmetric3_group(), q)
     assert wreath_builds == []
     assert "restricted.class_function" in class_calls  # the counter sees the class path
 
@@ -665,13 +671,15 @@ def test_benchmark_family_jobs_build_no_group(capsys, wreath_builds, workload):
         # the parent's 2640 class values at S3 wr S10, each counted at 2640
         # irreducibles
         ({"kind": "restricted", "ratio": "2", "parent": S3_IRREDUCIBLE}, 5),
-        # 810 supported types at q = 8 times 810 irreducibles
+        # the fibre 2 triv + std is nonzero on every S3 class: 153 and 15
+        # fixed-point types in the blocks, 810 supported types at q = 8 times
+        # 810 irreducibles
         (
             {
                 "kind": "outer",
                 "ratio": "1/2",
-                "left": {"kind": "restricted", "ratio": "4", "parent": S3_EXAMPLE1},
-                "right": S3_EXAMPLE1,
+                "left": {"kind": "restricted", "ratio": "4", "parent": S3_FIBRE_201},
+                "right": S3_FIBRE_201,
             },
             8,
         ),
