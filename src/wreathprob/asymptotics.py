@@ -89,37 +89,15 @@ def disjoint_cumulant(family: RepFamily, q: int, args):
     return cumulant_from_moments(moment, len(items))
 
 
-def r_cumulant(family: RepFamily, q: int, args, route: str = "indicator"):
+def r_cumulant(family: RepFamily, q: int, args):
     """Cumulant of free cumulants of the random slot diagrams.
 
-    args: list of (slot, n) with n >= 2 the free-cumulant index.  The
-    indicator route rewrites each R_n as a sum of conjugacy indicators and
-    reuses the moment oracle; the measure route enumerates the canonical
-    measure and takes classical cumulants of the diagram functionals.
-    Both agree wherever both run.
+    args: list of (slot, n) with n >= 2 the free-cumulant index.  Each R_n
+    is rewritten as a sum of conjugacy indicators, so the moment oracle
+    answers without enumerating the measure.
     """
-    if route == "indicator":
-        converted = [(slot, free_cumulant_as_indicators(n)) for slot, n in args]
-        return natural_cumulant(family, q, converted)
-    if route == "measure":
-        measure = family.canonical_measure(q)
-        values = []
-        for slot, n in args:
-            values.append(
-                {t: free_cumulants(t[slot], n)[n - 1] for t in measure}
-            )
-
-        def moment(block):
-            total = Fraction(0)
-            for t, p in measure.items():
-                prod = p
-                for i in block:
-                    prod *= values[i][t]
-                total += prod
-            return total
-
-        return cumulant_from_moments(moment, len(args))
-    raise ValueError(f"unknown route {route!r}")
+    converted = [(slot, free_cumulant_as_indicators(n)) for slot, n in args]
+    return natural_cumulant(family, q, converted)
 
 
 def element_cumulant(family: RepFamily, q: int, elements):

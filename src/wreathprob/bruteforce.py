@@ -81,15 +81,6 @@ class WreathGroup:
             tuple(tuple(cls) for _, cls in ordered),
         )
 
-    def conjugates_of_class(self, class_index: int) -> dict[int, int]:
-        """How often y * rep * y^-1 lands on each element, over all y.
-
-        Every conjugate of the representative is hit |centralizer| =
-        order / class size times.
-        """
-        cls = self.classes[class_index]
-        return dict.fromkeys(cls, self.order // len(cls))
-
     # ------------------------------------------------------------ characters
 
     def irreducible_character(self, lam_tuple) -> list:

@@ -209,9 +209,6 @@ class Cyclotomic:
             raise ValueError(f"not rational: {self!r}")
         return self.coeffs[0] if self.coeffs else Fraction(0)
 
-    def is_real(self) -> bool:
-        return self.conjugate() == self
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

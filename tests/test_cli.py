@@ -82,6 +82,17 @@ def test_group_builtin(capsys):
     assert doc["valid"]
 
 
+@pytest.mark.parametrize(
+    "spec, reason",
+    [("cyclic:0", "order must be positive"), ("dihedral:2", "dihedral groups start at n = 3")],
+)
+def test_group_builtin_keeps_its_reason(spec, reason, capsys):
+    # a builtin name is not read again as a file path
+    code, _, err = run(capsys, "group", "--group", spec)
+    assert code == 2
+    assert reason in err and "No such file" not in err
+
+
 def test_group_corrupted_table(capsys, tmp_path):
     doc = character_table_to_json(cyclic_group(2))
     doc["character_table"]["irreps"][1]["values"][1] = 1
@@ -501,7 +512,9 @@ def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypa
     assert doc["failures"] == [{"check": "structure-constants", "mu": [2], "nu": [1]}]
 
 
-def test_structure_constants_expand_each_indicator_once(monkeypatch):
+@pytest.fixture
+def expansions(monkeypatch):
+    """How often each (rows, q) indicator is expanded."""
     calls = Counter()
     original = cli.expand_indicator
 
@@ -510,10 +523,24 @@ def test_structure_constants_expand_each_indicator_once(monkeypatch):
         return original(rows, q)
 
     monkeypatch.setattr(cli, "expand_indicator", counting)
+    return calls
+
+
+def test_structure_constants_expand_each_indicator_once(expansions):
     failures = []
     assert cli._check_structure_constants(6, failures) > 0
     assert failures == []
-    assert calls and set(calls.values()) == {1}
+    assert expansions and set(expansions.values()) == {1}
+
+
+def test_structure_constants_budget_decided_before_any_expansion(capsys, expansions):
+    # bound 7 composes 683 656 partial permutations in seconds; bound 8
+    # would compose about 1.1e7
+    cli._check_structure_budget(7)
+    code, out, err = run(capsys, "verify", "--scope", "structure-constants", "--bound", "8")
+    assert code == 3 and out == ""
+    assert "structure-constant budget" in err
+    assert not expansions
 
 
 def test_verify_scopes_pass(capsys):

@@ -61,9 +61,9 @@ def test_conjugation_and_modulus():
             assert z * conjugate_value(z) == 1
     z7 = Cyclotomic.root(7)
     real_part = z7 + z7.conjugate()
-    assert real_part.is_real()
+    assert real_part == real_part.conjugate()
     assert not real_part.is_rational()
-    assert not z7.is_real()
+    assert z7 != z7.conjugate()
 
 
 def test_rationality_detection():

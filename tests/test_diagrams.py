@@ -44,7 +44,7 @@ def test_transition_measure_is_probability_with_mean_zero_variance_size():
     for n in range(13):
         for lam in partitions_of(n):
             tm = transition_measure(lam)
-            assert tm.total_mass() == 1
+            assert sum(tm.weights) == 1
             assert all(w > 0 for w in tm.weights)
             assert tm.moment(1) == 0
             assert tm.moment(2) == n

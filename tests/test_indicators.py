@@ -13,13 +13,14 @@ from wreathprob.indicators import (
     expand_indicator,
     free_cumulant_as_indicators,
     indicator_in_free_cumulants,
-    multiplicity_constant,
     product_coefficients,
     profile_moment_as_indicators,
     profile_moment_in_free_cumulants,
 )
 from wreathprob.partitions import falling, indicator_scalar, partitions_of
 from wreathprob.wreath import IrreducibleFamily
+
+from oracles import multiplicity_constant
 
 
 def test_compose_applies_right_factor_first():

@@ -7,9 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wreathprob.partitions import (
-    centralizer_order,
     character,
-    class_size,
     conjugate,
     dimension,
     falling,
@@ -19,6 +17,8 @@ from wreathprob.partitions import (
 )
 
 from oracles import (
+    centralizer_order,
+    class_size,
     dimension_branching,
     identity_matrix,
     matrix_multiply,

@@ -225,7 +225,8 @@ def test_tensor_family_matches_enumeration():
     fam = TensorFamily(left, right)
     _check_against_brute(fam, 2, FACTOR_SETS_2[:8])
     _check_against_brute(fam, 3, [[(0, (1,))], [(0, (2,))], [(0, (1,)), (1, (1,))]])
-    # C2 wr S20: 21 fixed-point types times 24842 irreducibles pass the budget
+    # C2 wr S20: the regular fibre vanishes off the identity, so the product
+    # has one fixed-point type, but 24842 irreducibles pass the budget
     with pytest.raises(ValueError, match="class budget"):
         fam.moment(20, [(0, (1,))])
 
@@ -321,13 +322,15 @@ def _families(draw):
     fam = draw(_trees(ct, 2))
     q = draw(st.integers(1, 4))
     assume(all(wreath_order(ct, n) <= MAX_ELEMENTS for n in enumerated_sizes(fam, q)))
-    return fam, q
+    factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([(1,), (2,), (1, 1)]))
+    factors = draw(st.lists(factor, min_size=1, max_size=2))
+    return fam, q, factors
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_families())
 def test_class_function_and_measure_match_enumeration(case):
-    fam, q = case
+    fam, q, factors = case
     wg = enumerated_group(fam.ct, q)
     values = family_values(fam, q)
     class_function = fam.class_function(q)
@@ -336,3 +339,4 @@ def test_class_function_and_measure_match_enumeration(case):
     assert set(class_function) <= set(wg.class_types)
     assert len(class_function) <= fam.class_cost(q)[0]
     assert RepFamily.canonical_measure(fam, q) == full_table_measure(wg, values)
+    assert fam.moment(q, factors) == brute_moment(fam, q, factors), (fam.to_json(), q, factors)
