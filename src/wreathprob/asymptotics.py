@@ -11,10 +11,12 @@ the constant table c_{slot, index}.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 
+from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants
 from .indicators import IndicatorSum, free_cumulant_as_indicators
 from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
@@ -425,36 +427,28 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
     return out
 
 
-def tensor_limits(left: Example1Family, right: Example1Family) -> LimitParameters:
-    """Pointwise product of two independent-box families: new fibre weights."""
-    from .cyclotomics import value_as_fraction
-    from .groups import conjugate_value
+def tensor_limits(
+    left: Example1Family, right: Example1Family, max_l: int = 6
+) -> LimitParameters:
+    """Pointwise product of two independent-box families: the product fibre's table.
 
+    The product fibre's multiplicity of each irreducible is its
+    class-size-weighted inner product with the product of the two fibres.
+    """
     for fam in (left, right):
-        if getattr(fam, "multiplicities", None) is None:
-            raise ValueError("tensor limits need explicit fibre representations")
+        if not isinstance(fam, Example1Family):
+            raise ValueError(f"no tensor limit table for family kind {fam.kind!r}")
     ct = left.ct
-    order = len(ct.group.mult)
-
-    def fibre_char(fam, g):
-        return sum(
-            m * ct.value(z, g) for z, m in enumerate(fam.multiplicities)
+    fibre = list(map(operator.mul, left._fibre(), right._fibre()))
+    sizes = [len(cls) for cls in ct.group.conjugacy_classes]
+    multiplicities = [
+        value_as_fraction(
+            sum(n * f * conjugate_value(v) for n, f, v in zip(sizes, fibre, irrep.values))
         )
-
-    dims = [
-        sum(m * r.dim for m, r in zip(fam.multiplicities, ct.irreps))
-        for fam in (left, right)
+        / ct.group.order
+        for irrep in ct.irreps
     ]
-    weights = []
-    for z in range(ct.num_irreps):
-        dot = 0
-        for g in range(order):
-            dot = dot + fibre_char(left, g) * fibre_char(right, g) * conjugate_value(
-                ct.value(z, g)
-            )
-        mult = value_as_fraction(dot) / order
-        weights.append(mult * ct.irreps[z].dim / (dims[0] * dims[1]))
-    return example1_limits(weights)
+    return Example1Family(ct, multiplicities).limits(max_l)
 
 
 @dataclass

@@ -171,6 +171,14 @@ def _parse_rows(value):
     return out
 
 
+def _parse_indices(value, command):
+    """Single-row factors 'slot:l;slot:l' -> [(slot, l), (slot, l)]."""
+    factors = _parse_rows(value)
+    if any(len(rows) != 1 for _, rows in factors):
+        raise InputError(f"{command} wants single-row factors like 0:2")
+    return [(slot, rows[0]) for slot, rows in factors]
+
+
 def _parse_stats(value):
     """Statistic list: 'R:0:3;character:0:2;p:1:2' -> spec triples."""
     if isinstance(value, list):
@@ -397,7 +405,7 @@ def cmd_cumulants(ns):
     fam = _load_family(ns.family)
     kind = ns.kind
     if kind == "free":
-        args = [(s, rows[0]) for s, rows in _parse_rows(ns.rows)]
+        args = _parse_indices(ns.rows, "cumulants --kind free")
         evaluate = lambda q: r_cumulant(fam, q, args)
     elif kind == "disjoint":
         args = _parse_rows(ns.rows)
@@ -451,10 +459,7 @@ def cmd_limits(ns):
         )
     if condition not in (2, 3, 4):
         raise InputError("condition must be 2, 3, or 4")
-    factor_rows = _parse_rows(ns.rows)
-    if any(len(rows) != 1 for _, rows in factor_rows):
-        raise InputError("limits command wants single-row factors like 0:2")
-    args = [(s, rows[0]) for s, rows in factor_rows]
+    args = _parse_indices(ns.rows, "limits")
     if condition == 4 and any(l < 2 for _, l in args):
         raise InputError("condition 4 indices start at 2")
     grid = _parse_grid(ns.q_grid)
@@ -760,11 +765,16 @@ def cmd_report(ns):
 
 
 def _build_parser():
+    # no abbreviated flags: _apply_config finds the explicit ones by spelling
     parser = argparse.ArgumentParser(
         prog="wreathprob",
         description="Exact asymptotics of canonical partition measures.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_text):
+        return sub.add_parser(name, help=help_text, allow_abbrev=False)
 
     def common(p, *, family=False, grid=False, sampling=False):
         p.add_argument("--config", help="JSON file supplying these flags")
@@ -782,40 +792,40 @@ def _build_parser():
             p.add_argument("--n-samples", dest="n_samples", type=int)
             p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("diagram", help="profile, measure, and cumulants of one partition")
+    p = command("diagram", "profile, measure, and cumulants of one partition")
     p.add_argument("partition", help="comma literal like 4,3,1; empty string for the empty diagram")
     common(p)
 
-    p = sub.add_parser("group", help="validate and print a character table")
+    p = command("group", "validate and print a character table")
     p.add_argument("--group", help="builtin name (cyclic:N, S3, dihedral:N) or JSON path")
     common(p)
 
-    p = sub.add_parser("family", help="describe a family: descriptor, limits, small-q measure")
+    p = command("family", "describe a family: descriptor, limits, small-q measure")
     common(p, family=True, grid=True)
 
-    p = sub.add_parser("moments", help="exact moments of per-slot indicators")
+    p = command("moments", "exact moments of per-slot indicators")
     p.add_argument("--rows", help="factors like 0:2,1;1:3")
     common(p, family=True, grid=True)
 
-    p = sub.add_parser("cumulants", help="joint cumulants of indicator data")
+    p = command("cumulants", "joint cumulants of indicator data")
     p.add_argument("--rows", help="factors like 0:2;0:1")
     p.add_argument(
         "--kind", choices=("natural", "disjoint", "free"), default="natural"
     )
     common(p, family=True, grid=True)
 
-    p = sub.add_parser("limits", help="scaled-cumulant convergence over a q grid")
+    p = command("limits", "scaled-cumulant convergence over a q grid")
     p.add_argument("--rows", help="single-row factors like 0:2;0:2")
     p.add_argument("--condition", type=int, default=3, help="scaling condition 2, 3, or 4")
     p.add_argument("--limit", help="expected limit: 'auto', 'none', or p/q")
     p.add_argument("--tolerance", help="relative tolerance at the last grid point")
     common(p, family=True, grid=True)
 
-    p = sub.add_parser("sample", help="Monte Carlo canonical-measure fluctuations")
+    p = command("sample", "Monte Carlo canonical-measure fluctuations")
     p.add_argument("--stats", help="statistics like R:0:3;character:0:2;p:0:2")
     common(p, family=True, grid=True, sampling=True)
 
-    p = sub.add_parser("verify", help="brute-force oracle identities")
+    p = command("verify", "brute-force oracle identities")
     p.add_argument(
         "--scope",
         choices=("characters", "lemma", "structure-constants", "all"),
@@ -825,7 +835,7 @@ def _build_parser():
     p.add_argument("--bound", type=int, help="size bound for brute enumeration")
     common(p)
 
-    p = sub.add_parser("report", help="aggregate limit report for one family")
+    p = command("report", "aggregate limit report for one family")
     common(p, family=True, grid=True)
 
     return parser

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cyclotomics import Cyclotomic, Rational, conjugate_value, value_as_fraction
+from .cyclotomics import Cyclotomic, conjugate_value
 
 
 class GroupTable:
@@ -112,6 +112,17 @@ class CharacterTable:
     def dims(self) -> tuple[int, ...]:
         return tuple(r.dim for r in self.irreps)
 
+    def __eq__(self, other) -> bool:
+        # the same group and characters, whatever the names and labels
+        if not isinstance(other, CharacterTable):
+            return NotImplemented
+        return self.group.mult == other.group.mult and [
+            (r.dim, r.values) for r in self.irreps
+        ] == [(r.dim, r.values) for r in other.irreps]
+
+    def __hash__(self) -> int:
+        return hash(self.group.mult)
+
 
 def validate_character_table(ct: CharacterTable) -> list[str]:
     """All structural problems with the table; empty means valid."""
@@ -208,33 +219,14 @@ def symmetric3_group() -> CharacterTable:
         for a in elements
     ]
     group = GroupTable(mult)
-
-    def cycle_count(p):
-        seen = set()
-        cycles = 0
-        for s in range(3):
-            if s in seen:
-                continue
-            cycles += 1
-            while s not in seen:
-                seen.add(s)
-                s = p[s]
-        return cycles
-
-    # class order: identity (3 cycles), transpositions (2), 3-cycles (1)
-    by_class = [cycle_count(elements[cls[0]]) for cls in group.conjugacy_classes]
-    value_map = {
-        "triv": {3: 1, 2: 1, 1: 1},
-        "sign": {3: 1, 2: -1, 1: 1},
-        "std": {3: 2, 2: 0, 1: -1},
-    }
+    # a class's fixed-point count f gives both nontrivial characters: the
+    # sign is -1 exactly on transpositions (f = 1), the standard one is f - 1
+    reps = [elements[cls[0]] for cls in group.conjugacy_classes]
+    fixed = [sum(p[i] == i for i in range(3)) for p in reps]
     irreps = [
-        Irrep(
-            1 if label != "std" else 2,
-            tuple(value_map[label][c] for c in by_class),
-            label,
-        )
-        for label in ("triv", "sign", "std")
+        Irrep(1, tuple(1 for _ in fixed), "triv"),
+        Irrep(1, tuple(-1 if f == 1 else 1 for f in fixed), "sign"),
+        Irrep(2, tuple(f - 1 for f in fixed), "std"),
     ]
     return CharacterTable(group, irreps, name="sym3")
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cache
 
 from .diagrams import free_cumulants, profile_moment
-from .partitions import dimension, falling, indicator_scalar, partitions_of
+from .partitions import falling, indicator_scalar, partitions_of
 
 PartialPerm = tuple[tuple[int, int], ...]
 

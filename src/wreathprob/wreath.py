@@ -31,21 +31,21 @@ from .partitions import character as sym_character
 from .partitions import dimension, falling, indicator_scalar, is_partition, partitions_of
 
 
+def _multipartitions(k: int, q: int):
+    """Every k-tuple of partitions of total size q."""
+    if k == 1:
+        for lam in partitions_of(q):
+            yield (lam,)
+        return
+    for size in range(q + 1):
+        for lam in partitions_of(size):
+            for rest in _multipartitions(k - 1, q - size):
+                yield (lam,) + rest
+
+
 def enumerate_irreps(ct: CharacterTable, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """All tuples of partitions, one per base-group irreducible, of total size q."""
-    slots = ct.num_irreps
-
-    def rec(slot: int, remaining: int):
-        if slot == slots - 1:
-            for lam in partitions_of(remaining):
-                yield (lam,)
-            return
-        for size in range(remaining + 1):
-            for lam in partitions_of(size):
-                for rest in rec(slot + 1, remaining - size):
-                    yield (lam,) + rest
-
-    return list(rec(0, q))
+    return list(_multipartitions(ct.num_irreps, q))
 
 
 def wreath_dimension(ct: CharacterTable, lam_tuple) -> int:
@@ -127,24 +127,14 @@ def class_type(group, colors, walk) -> tuple:
 
 
 def class_types(ct: CharacterTable, q: int) -> list[tuple]:
-    """Every class type of G wr S_q: sorted (length, G-class) multisets of total q."""
-    cells = [(l, c) for l in range(1, q + 1) for c in range(len(ct.group.conjugacy_classes))]
-    out = []
-    picked: list[tuple[int, int]] = []
+    """Every class type of G wr S_q, one per tuple of partitions over the G-classes.
 
-    def rec(start, remaining):
-        if not remaining:
-            out.append(tuple(picked))
-            return
-        for j in range(start, len(cells)):
-            if cells[j][0] > remaining:
-                break
-            picked.append(cells[j])
-            rec(j, remaining - cells[j][0])
-            picked.pop()
-
-    rec(0, q)
-    return out
+    Each part l of the c-th partition is one cycle (l, c).
+    """
+    return [
+        tuple(sorted((part, c) for c, lam in enumerate(lams) for part in lam))
+        for lams in _multipartitions(len(ct.group.conjugacy_classes), q)
+    ]
 
 
 def centralizer(ct: CharacterTable, t) -> int:
@@ -663,6 +653,20 @@ class RestrictedFamily(_ConstructorFamily):
         return restrict_limits(self.parent.limits(max_index), 1 / self.ratio)
 
 
+def _row_splits(rows):
+    """(ways, left, right): each split of rows between the two blocks.
+
+    Taking k of the m rows of one length gives C(m, k) ways; both row
+    tuples stay in descending order.
+    """
+    cells = sorted(Counter(rows).items(), reverse=True)
+    for take in itertools.product(*(range(m + 1) for _, m in cells)):
+        ways = math.prod(math.comb(m, k) for (_, m), k in zip(cells, take))
+        left = tuple(length for (length, _), k in zip(cells, take) for _ in range(k))
+        right = tuple(length for (length, m), k in zip(cells, take) for _ in range(m - k))
+        yield ways, left, right
+
+
 class OuterFamily(_ConstructorFamily):
     """Outer product: two independent blocks induced up to the full group.
 
@@ -675,7 +679,7 @@ class OuterFamily(_ConstructorFamily):
     fields = ("ratio", "left", "right")
 
     def __init__(self, left: RepFamily, right: RepFamily, ratio):
-        if left.ct.num_irreps != right.ct.num_irreps:
+        if left.ct != right.ct:
             raise ValueError("outer factors must share the base group")
         super().__init__(left.ct)
         self.left = left
@@ -710,45 +714,15 @@ class OuterFamily(_ConstructorFamily):
 
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
+        splits = [[(slot, *split) for split in _row_splits(rows)] for slot, rows in items]
         total = Fraction(0)
-        # per slot, split the multiset of row lengths between the blocks
-        slot_splits = []
-        for slot, rows in items:
-            mult: dict[int, int] = {}
-            for v in rows:
-                mult[v] = mult.get(v, 0) + 1
-            options = []
-            for take in itertools.product(*(range(m + 1) for m in mult.values())):
-                ways = 1
-                left_rows = []
-                right_rows = []
-                for (length, m), k in zip(mult.items(), take):
-                    ways *= math.comb(m, k)
-                    left_rows += [length] * k
-                    right_rows += [length] * (m - k)
-                options.append(
-                    (
-                        ways,
-                        tuple(sorted(left_rows, reverse=True)),
-                        tuple(sorted(right_rows, reverse=True)),
-                    )
-                )
-            slot_splits.append((slot, options))
-        for combo in itertools.product(*(opts for _, opts in slot_splits)):
-            ways = 1
-            left_items = []
-            right_items = []
-            for (slot, _), (w, lrows, rrows) in zip(slot_splits, combo):
-                ways *= w
-                if lrows:
-                    left_items.append((slot, lrows))
-                if rrows:
-                    right_items.append((slot, rrows))
+        for combo in itertools.product(*splits):
             # an induced family's right block is the regular family, which
             # vanishes unless every row it gets is a fixed point
-            right = self.right._joint_moment(q2, tuple(right_items))
+            right = self.right._joint_moment(q2, tuple((s, r) for s, _, _, r in combo if r))
             if right:
-                total += ways * right * self.left._joint_moment(q1, tuple(left_items))
+                left = self.left._joint_moment(q1, tuple((s, l) for s, _, l, _ in combo if l))
+                total += math.prod(w for _, w, _, _ in combo) * right * left
         return total
 
     def limits(self, max_index: int = 6):
@@ -796,7 +770,7 @@ class TensorFamily(_ConstructorFamily):
     fields = ("left", "right")
 
     def __init__(self, left: RepFamily, right: RepFamily):
-        if left.ct.num_irreps != right.ct.num_irreps:
+        if left.ct != right.ct:
             raise ValueError("tensor factors must share the base group")
         super().__init__(left.ct)
         self.left = left
@@ -824,7 +798,7 @@ class TensorFamily(_ConstructorFamily):
     def limits(self, max_index: int = 6):
         from .asymptotics import tensor_limits
 
-        return tensor_limits(self.left, self.right)
+        return tensor_limits(self.left, self.right, max_index)
 
 
 def _fraction_to_json(f: Fraction):

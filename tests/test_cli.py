@@ -211,6 +211,16 @@ def test_cumulants_natural_and_free(capsys):
     assert out.strip().splitlines()[-1] == "10,5,5.0"
 
 
+def test_free_cumulant_factors_take_one_index(capsys):
+    # a second row used to be dropped, giving the cumulant of R_3 alone
+    code, out, err = run(
+        capsys, "cumulants", "--family", LEFT_REGULAR, "--kind", "free", "--rows", "0:3,2",
+        "--q", "6",
+    )
+    assert code == 2 and out == ""
+    assert "single-row factors" in err
+
+
 def test_limits_constant_mean(capsys):
     code, out, _ = run(
         capsys,
@@ -273,6 +283,28 @@ def test_limits_auto_limit_beyond_default_table_depth(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[2].split(",")[3] == "-5"
+
+
+C2_TENSOR = json.dumps(
+    {
+        "kind": "tensor",
+        "left": {"kind": "example1", "group": "cyclic:2", "multiplicities": [1, 1]},
+        "right": {"kind": "example1", "group": "cyclic:2", "multiplicities": [2, 1]},
+    }
+)
+
+
+@pytest.mark.parametrize("family", [C2_TENSOR, LEFT_REGULAR])
+def test_limits_auto_tensor_table_beyond_default_depth(family, capsys):
+    # the product fibre is three copies of the regular one, so the tensor
+    # shares the left-regular covariance 8 (1/2)^8; its table used to stop
+    # at the default depth and predict 0
+    code, out, _ = run(
+        capsys, "limits", "--family", family, "--rows", "0:8;0:8", "--q-grid", "2",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.strip().splitlines()[2].split(",")[3] == "1/32"
 
 
 def test_sample_prediction_beyond_default_table_depth(capsys):
@@ -594,6 +626,39 @@ def test_config_supplies_and_flags_override(tmp_path, capsys):
     code, out, _ = run(capsys, "moments", "--config", str(cfg), "--q-grid", "8")
     assert code == 0
     assert out.strip().splitlines()[2:] == ["8,4,4.0"]
+
+
+def test_abbreviated_flag_is_refused(tmp_path, capsys):
+    # an abbreviation escaped the explicit-flag scan and lost to the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"family": json.loads(LEFT_REGULAR), "rows": "0:1", "q_grid": [4, 6]})
+    )
+    code, out, err = run(capsys, "moments", "--config", str(cfg), "--q-gr", "8")
+    assert code == 2 and out == ""
+    assert "--q-gr" in err
+
+
+@pytest.mark.parametrize("kind", ["outer", "tensor"])
+def test_constructor_factors_share_the_base_group(kind, capsys):
+    def descriptor(right_group):
+        doc = {
+            "kind": kind,
+            "left": {"kind": "example1", "group": "cyclic:3"},
+            "right": {"kind": "example1", "group": right_group},
+        }
+        if kind == "outer":
+            doc["ratio"] = "1/2"
+        return json.dumps(doc)
+
+    # S3 has three slots too, but its class indices are not C3's
+    code, out, err = run(capsys, "family", "--family", descriptor("S3"))
+    assert code == 2 and out == ""
+    assert "bad family descriptor" in err and "share the base group" in err
+    # a separately built table of the same group, under another name
+    c3 = dict(character_table_to_json(cyclic_group(3)), name="C3")
+    code, _, _ = run(capsys, "family", "--family", descriptor(c3), "--q", "2")
+    assert code == 0
 
 
 @pytest.fixture
@@ -1000,11 +1065,36 @@ def cli_argv(draw):
     return argv + (["--q-grid", grid] if draw(st.booleans()) else ["--q", q])
 
 
-@settings(max_examples=200, deadline=None)
-@given(cli_argv())
-def test_cli_never_raises(argv):
+@st.composite
+def sample_report_argv(draw):
+    family = draw(st.sampled_from(FAMILY_POOL))
+    if draw(st.booleans()):
+        grid = ",".join(map(str, draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))))
+        return ["report", "--family", family, "--q-grid", grid]
+    # "mean" is no statistic kind
+    stat = st.tuples(
+        st.sampled_from(["R", "p", "character", "mean"]), st.integers(0, 3), st.integers(0, 4)
+    )
+    stats = ";".join(f"{k}:{s}:{i}" for k, s, i in draw(st.lists(stat, min_size=1, max_size=2)))
+    q, n = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    return ["sample", "--family", family, "--q", str(q), "--n-samples", str(n), "--stats", stats]
+
+
+def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_argv())
+def test_cli_never_raises(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_report_argv())
+def test_sample_and_report_never_raise(argv):
+    _assert_clean_exit(argv)
