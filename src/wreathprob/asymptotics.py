@@ -11,7 +11,6 @@ the constant table c_{slot, index}.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -439,12 +438,10 @@ def tensor_limits(
         if not isinstance(fam, Example1Family):
             raise ValueError(f"no tensor limit table for family kind {fam.kind!r}")
     ct = left.ct
-    fibre = list(map(operator.mul, left._fibre(), right._fibre()))
     sizes = [len(cls) for cls in ct.group.conjugacy_classes]
+    weighted = [n * a * b for n, a, b in zip(sizes, left._fibre(), right._fibre())]
     multiplicities = [
-        value_as_fraction(
-            sum(n * f * conjugate_value(v) for n, f, v in zip(sizes, fibre, irrep.values))
-        )
+        value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
         / ct.group.order
         for irrep in ct.irreps
     ]
