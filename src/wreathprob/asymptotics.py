@@ -441,8 +441,10 @@ def tensor_limits(
     sizes = [len(cls) for cls in ct.group.conjugacy_classes]
     weighted = [n * a * b for n, a, b in zip(sizes, left._fibre(), right._fibre())]
     multiplicities = [
-        value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
-        / ct.group.order
+        int(
+            value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
+            / ct.group.order
+        )
         for irrep in ct.irreps
     ]
     return Example1Family(ct, multiplicities).limits(max_l)

@@ -110,12 +110,8 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
     group = wg.ct.group
     proj = projection_coefficients(wg.ct, slot)
     dim = wg.ct.irreps[slot].dim
-    mapping = dict(pp)
-    support = sorted(mapping)
-    perm = list(range(wg.q))
-    for a, b in mapping.items():
-        perm[a] = b
-    perm = tuple(perm)
+    perm, mask = pp
+    support = [a for a in range(wg.q) if mask >> a & 1]
     scale = dim ** (len(perm) - len(backward_cycles(perm)))
     out: dict[int, object] = {}
     for assignment in itertools.product(range(group.order), repeat=len(support)):

@@ -1,11 +1,13 @@
 """Partial permutations and normalized conjugacy-class indicators.
 
-A partial permutation is a bijection of a finite support inside the
-ambient point set, stored as a sorted tuple of (point, image) pairs.
-The indicator attached to a tuple of row lengths is the sum over all
-injective fillings of those rows by points, each filling contributing
-the partial permutation whose cycles are the filled rows (length-one
-rows pin fixed points into the support).
+A partial permutation on q points is an Ivanov-Kerov pair (images,
+support): ``images`` is a permutation of range(q) in one-line form that
+is the identity off the support, and ``support`` is an int bitmask that
+may also pin fixed points.  The product applies the right factor first
+and unions the supports.  The indicator attached to a tuple of row
+lengths is the sum over all injective fillings of those rows by points,
+each filling contributing the partial permutation whose cycles are the
+filled rows (length-one rows pin fixed points into the support).
 
 Products of indicators expand again in indicators with coefficients not
 depending on the number of points; the coefficients are extracted once
@@ -24,34 +26,25 @@ from functools import cache
 from .diagrams import free_cumulants, profile_moment
 from .partitions import falling, indicator_scalar, partitions_of
 
-PartialPerm = tuple[tuple[int, int], ...]
+PartialPerm = tuple[tuple[int, ...], int]
 
 
 def compose(p1: PartialPerm, p2: PartialPerm) -> PartialPerm:
     """Natural product: apply p2 first, then p1, on the union support."""
-    m1 = dict(p1)
-    m2 = dict(p2)
-    support = sorted(m1.keys() | m2.keys())
-    out = []
-    for a in support:
-        b = m2.get(a, a)
-        out.append((a, m1.get(b, b)))
-    return tuple(out)
+    return tuple(map(p1[0].__getitem__, p2[0])), p1[1] | p2[1]
 
 
 def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
     """Cycle lengths on the support, fixed points included, descending."""
-    mapping = dict(pp)
-    seen: set[int] = set()
+    images, support = pp
     lengths = []
-    for start in mapping:
-        if start in seen:
-            continue
+    while support:
+        point = (support & -support).bit_length() - 1
         length = 0
-        point = start
-        while point not in seen:
-            seen.add(point)
-            point = mapping[point]
+        # walk the cycle until it is back at a point already struck off
+        while support >> point & 1:
+            support &= ~(1 << point)
+            point = images[point]
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
@@ -64,20 +57,24 @@ def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:
     if size > q:
         return out
     for points in itertools.permutations(range(q), size):
-        out[_filling(rows, points)] += 1
+        out[_filling(rows, points, q)] += 1
     return out
 
 
-def _filling(rows: tuple[int, ...], points) -> PartialPerm:
-    """Partial permutation whose cycles are the rows filled by ``points``."""
-    pairs = []
-    offset = 0
+def _filling(rows: tuple[int, ...], points, q: int) -> PartialPerm:
+    """Partial permutation on q points whose cycles are the rows filled by ``points``."""
+    images = list(range(q))
+    support = 0
+    start = 0
     for length in rows:
-        cyc = points[offset : offset + length]
-        for i in range(length):
-            pairs.append((cyc[i], cyc[(i + 1) % length]))
-        offset += length
-    return tuple(sorted(pairs))
+        end = start + length
+        prev = points[end - 1]  # each row closes: its last point maps to its first
+        for point in points[start:end]:
+            images[prev] = point
+            support |= 1 << point
+            prev = point
+        start = end
+    return tuple(images), support
 
 
 @cache
@@ -97,7 +94,7 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     if sum(nu) > sum(mu):
         mu, nu = nu, mu
     q0 = sum(mu) + sum(nu)
-    p1 = _filling(mu, range(sum(mu)))
+    p1 = _filling(mu, range(sum(mu)), q0)
     totals: Counter = Counter()
     for p2, c2 in expand_indicator(nu, q0).items():
         totals[cycle_type(compose(p1, p2))] += c2

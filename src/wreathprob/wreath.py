@@ -387,7 +387,13 @@ class Example1Family(RepFamily):
             multiplicities = ct.dims()  # left regular
         self.multiplicities = None
         if multiplicities is not None:
-            self.multiplicities = tuple(int(m) for m in multiplicities)
+            mults = tuple(multiplicities) if isinstance(multiplicities, (list, tuple)) else ()
+            # bool is an int subclass, so the type is compared exactly
+            if not any(mults) or any(type(m) is not int or m < 0 for m in mults):
+                raise InputError(
+                    f"multiplicities must be non-negative integers, not all zero: {multiplicities!r}"
+                )
+            self.multiplicities = mults
             parts = [m * r.dim for m, r in zip(self.multiplicities, ct.irreps)]
             implied = [Fraction(part, sum(parts)) for part in parts]
             # the enumerated character follows the multiplicities, so

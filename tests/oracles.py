@@ -168,6 +168,74 @@ def multiplicity_constant(rows: tuple[int, ...]) -> int:
     return centralizer_order(tuple(rows))
 
 
+# ------------------------------------------ partial permutations as pairs
+#
+# The reference encoding: a partial permutation is a sorted tuple of
+# (point, image) pairs over its support, fixed points pinned as (a, a).
+
+
+def to_pairs(pp) -> tuple[tuple[int, int], ...]:
+    """The library's (images, support mask) pair as sorted (point, image) pairs."""
+    images, support = pp
+    return tuple((a, images[a]) for a in range(len(images)) if support >> a & 1)
+
+
+def from_pairs(pairs, q: int):
+    """Sorted (point, image) pairs as the library's (images, support mask) pair on q points."""
+    images = list(range(q))
+    support = 0
+    for a, b in pairs:
+        images[a] = b
+        support |= 1 << a
+    return tuple(images), support
+
+
+def pair_compose(p1, p2):
+    """Natural product of pair-encoded partial permutations: p2 first, then p1."""
+    m1 = dict(p1)
+    m2 = dict(p2)
+    out = []
+    for a in sorted(m1.keys() | m2.keys()):
+        b = m2.get(a, a)
+        out.append((a, m1.get(b, b)))
+    return tuple(out)
+
+
+def pair_cycle_type(pp) -> tuple[int, ...]:
+    """Cycle lengths of a pair-encoded partial permutation, descending."""
+    mapping = dict(pp)
+    seen: set[int] = set()
+    lengths = []
+    for start in mapping:
+        if start in seen:
+            continue
+        length = 0
+        point = start
+        while point not in seen:
+            seen.add(point)
+            point = mapping[point]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def pair_indicator(rows: tuple[int, ...], q: int) -> Counter:
+    """The indicator on q points, by type rather than by filling.
+
+    Every partial permutation on q points with support size |rows| and
+    cycle type rows, each counted once per filling that produces it.
+    """
+    target = tuple(sorted(rows, reverse=True))
+    count = multiplicity_constant(rows)
+    out: Counter = Counter()
+    for support in itertools.combinations(range(q), sum(rows)):
+        for images in itertools.permutations(support):
+            pairs = tuple(zip(support, images))
+            if pair_cycle_type(pairs) == target:
+                out[pairs] = count
+    return out
+
+
 # -------------------------------------------------------- seminormal route
 
 

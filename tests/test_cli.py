@@ -566,8 +566,8 @@ def test_structure_constants_expand_each_indicator_once(expansions):
 
 
 def test_structure_constants_budget_decided_before_any_expansion(capsys, expansions):
-    # bound 7 composes 683 656 partial permutations in seconds; bound 8
-    # would compose about 1.1e7
+    # bound 7 composes 683 656 partial permutations in 2-3 s on a shared
+    # 2-core Xeon; bound 8 would compose about 1.1e7
     cli._check_structure_budget(7)
     code, out, err = run(capsys, "verify", "--scope", "structure-constants", "--bound", "8")
     assert code == 3 and out == ""
@@ -856,6 +856,17 @@ def test_example1_weights_must_match_multiplicities(capsys):
 
 
 @pytest.mark.parametrize(
+    "multiplicities", [[1.5, 0.9], ["1", 0], [True, 0], [2, -1], [0, 0]]
+)
+def test_example1_multiplicities_must_be_non_negative_integers(multiplicities, capsys):
+    # int() used to truncate [1.5, 0.9] to the family [1, 0]
+    fam = {"kind": "example1", "group": "cyclic:2", "multiplicities": multiplicities}
+    code, out, err = run(capsys, "family", "--family", json.dumps(fam))
+    assert code == 2 and out == ""
+    assert "multiplicities must be non-negative integers" in err
+
+
+@pytest.mark.parametrize(
     "command, key",
     [("diagram", "partition"), ("group", "group")],
 )
@@ -1080,6 +1091,19 @@ def sample_report_argv(draw):
     return ["sample", "--family", family, "--q", str(q), "--n-samples", str(n), "--stats", stats]
 
 
+@st.composite
+def verify_argv(draw):
+    # "everything" is no scope, and "no-such-group" is neither builtin nor a file
+    scope = draw(st.sampled_from(["characters", "lemma", "structure-constants", "all", "everything"]))
+    argv = ["verify", "--scope", scope]
+    if draw(st.booleans()):
+        group = draw(st.sampled_from(["cyclic:2", "cyclic:3", "S3", "cyclic:0", "no-such-group"]))
+        argv += ["--group", group]
+    if draw(st.booleans()):
+        argv += ["--bound", str(draw(st.one_of(st.integers(0, 3), st.integers(8, 10))))]
+    return argv
+
+
 def _assert_clean_exit(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1097,4 +1121,13 @@ def test_cli_never_raises(argv):
 @settings(max_examples=100, deadline=None)
 @given(sample_report_argv())
 def test_sample_and_report_never_raise(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(verify_argv())
+def test_verify_never_raises(argv):
+    """Bounds 0-3 run (0 is refused as a usage error), 8-10 pass the
+    structure-constant and enumeration budgets, and no bound at all takes
+    the defaults: 6 for structure constants, 3 for the lemma."""
     _assert_clean_exit(argv)

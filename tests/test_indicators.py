@@ -4,6 +4,9 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
 from wreathprob.indicators import (
@@ -20,14 +23,21 @@ from wreathprob.indicators import (
 from wreathprob.partitions import falling, indicator_scalar, partitions_of
 from wreathprob.wreath import IrreducibleFamily
 
-from oracles import multiplicity_constant
+from oracles import (
+    from_pairs,
+    multiplicity_constant,
+    pair_compose,
+    pair_cycle_type,
+    pair_indicator,
+    to_pairs,
+)
 
 
 def test_compose_applies_right_factor_first():
-    swap01 = ((0, 1), (1, 0))
-    swap12 = ((1, 2), (2, 1))
-    assert compose(swap01, swap12) == ((0, 1), (1, 2), (2, 0))
-    assert compose(swap12, swap01) == ((0, 2), (1, 0), (2, 1))
+    swap01 = from_pairs(((0, 1), (1, 0)), 3)
+    swap12 = from_pairs(((1, 2), (2, 1)), 3)
+    assert compose(swap01, swap12) == from_pairs(((0, 1), (1, 2), (2, 0)), 3)
+    assert compose(swap12, swap01) == from_pairs(((0, 2), (1, 0), (2, 1)), 3)
 
 
 def compose_disjoint(p1, p2):
@@ -45,9 +55,35 @@ def test_compose_disjoint():
 
 
 def test_cycle_type_counts_pinned_fixed_points():
-    assert cycle_type(()) == ()
-    assert cycle_type(((4, 4),)) == (1,)
-    assert cycle_type(((0, 1), (1, 0), (5, 5))) == (2, 1)
+    assert cycle_type(from_pairs((), 6)) == ()
+    assert cycle_type(from_pairs(((4, 4),), 6)) == (1,)
+    assert cycle_type(from_pairs(((0, 1), (1, 0), (5, 5)), 6)) == (2, 1)
+
+
+@st.composite
+def pair_partial_perm(draw, q):
+    """A partial permutation on q points as sorted (point, image) pairs."""
+    support = sorted(draw(st.sets(st.integers(0, q - 1))))
+    return tuple(zip(support, draw(st.permutations(support))))
+
+
+@st.composite
+def partial_perm_case(draw):
+    q = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.integers(1, 3), max_size=3).filter(lambda r: sum(r) <= min(q, 5)))
+    return q, draw(pair_partial_perm(q)), draw(pair_partial_perm(q)), tuple(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(partial_perm_case())
+def test_partial_permutations_match_pair_oracle(case):
+    q, a, b, rows = case
+    pa, pb = from_pairs(a, q), from_pairs(b, q)
+    assert to_pairs(pa) == a
+    assert compose(pa, pb) == from_pairs(pair_compose(a, b), q)
+    assert cycle_type(pa) == pair_cycle_type(a)
+    expected = Counter({from_pairs(pp, q): c for pp, c in pair_indicator(rows, q).items()})
+    assert expand_indicator(rows, q) == expected
 
 
 def test_multiplicity_constant():
