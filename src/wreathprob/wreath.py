@@ -389,9 +389,11 @@ class Example1Family(RepFamily):
         if multiplicities is not None:
             mults = tuple(multiplicities) if isinstance(multiplicities, (list, tuple)) else ()
             # bool is an int subclass, so the type is compared exactly
-            if not any(mults) or any(type(m) is not int or m < 0 for m in mults):
+            bad = any(type(m) is not int or m < 0 for m in mults)
+            if bad or not any(mults) or len(mults) != ct.num_irreps:
                 raise InputError(
-                    f"multiplicities must be non-negative integers, not all zero: {multiplicities!r}"
+                    "multiplicities must be non-negative integers, one per base"
+                    f" irreducible, not all zero: {multiplicities!r}"
                 )
             self.multiplicities = mults
             parts = [m * r.dim for m, r in zip(self.multiplicities, ct.irreps)]

@@ -856,10 +856,11 @@ def test_example1_weights_must_match_multiplicities(capsys):
 
 
 @pytest.mark.parametrize(
-    "multiplicities", [[1.5, 0.9], ["1", 0], [True, 0], [2, -1], [0, 0]]
+    "multiplicities", [[1.5, 0.9], ["1", 0], [True, 0], [2, -1], [0, 0], [1, 0, 5], 3]
 )
 def test_example1_multiplicities_must_be_non_negative_integers(multiplicities, capsys):
-    # int() used to truncate [1.5, 0.9] to the family [1, 0]
+    # int() used to truncate [1.5, 0.9] to the family [1, 0], and zip() to
+    # drop the third multiplicity of [1, 0, 5] over the two irreducibles of C2
     fam = {"kind": "example1", "group": "cyclic:2", "multiplicities": multiplicities}
     code, out, err = run(capsys, "family", "--family", json.dumps(fam))
     assert code == 2 and out == ""
