@@ -614,7 +614,7 @@ def _check_factorization_lemma(ct, bound, failures):
 
 
 # products of partial permutations the structure-constant check may
-# compose: bound 7 makes 683 656 of them in 2-3 s on a shared 2-core Xeon,
+# compose: bound 7 makes 683 656 of them in 1.1-2.8 s on a shared 2-core Xeon,
 # bound 8 about 1.1e7
 MAX_STRUCTURE_PRODUCTS = 10**6
 

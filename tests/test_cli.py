@@ -566,7 +566,7 @@ def test_structure_constants_expand_each_indicator_once(expansions):
 
 
 def test_structure_constants_budget_decided_before_any_expansion(capsys, expansions):
-    # bound 7 composes 683 656 partial permutations in 2-3 s on a shared
+    # bound 7 composes 683 656 partial permutations in 1.1-2.8 s on a shared
     # 2-core Xeon; bound 8 would compose about 1.1e7
     cli._check_structure_budget(7)
     code, out, err = run(capsys, "verify", "--scope", "structure-constants", "--bound", "8")
@@ -1128,7 +1128,8 @@ def test_sample_and_report_never_raise(argv):
 @settings(max_examples=100, deadline=None)
 @given(verify_argv())
 def test_verify_never_raises(argv):
-    """Bounds 0-3 run (0 is refused as a usage error), 8-10 pass the
-    structure-constant and enumeration budgets, and no bound at all takes
-    the defaults: 6 for structure constants, 3 for the lemma."""
+    """Bounds 0-3 run (0 is refused as a usage error), 8-10 are past the
+    structure-constant and enumeration budgets (exit 3 wherever a scope
+    reads the bound), and no bound at all takes the defaults: 6 for
+    structure constants, 3 for the lemma."""
     _assert_clean_exit(argv)
