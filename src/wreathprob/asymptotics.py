@@ -431,8 +431,9 @@ def tensor_limits(
 ) -> LimitParameters:
     """Pointwise product of two independent-box families: the product fibre's table.
 
-    The product fibre's multiplicity of each irreducible is its
-    class-size-weighted inner product with the product of the two fibres.
+    The product of the two normalized fibres is the normalized product
+    fibre, so irreducible i weighs dim_i times its class-size-weighted
+    inner product with it.
     """
     for fam in (left, right):
         if not isinstance(fam, Example1Family):
@@ -440,14 +441,13 @@ def tensor_limits(
     ct = left.ct
     sizes = [len(cls) for cls in ct.group.conjugacy_classes]
     weighted = [n * a * b for n, a, b in zip(sizes, left._fibre(), right._fibre())]
-    multiplicities = [
-        int(
-            value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
-            / ct.group.order
-        )
+    weights = [
+        irrep.dim
+        * value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
+        / ct.group.order
         for irrep in ct.irreps
     ]
-    return Example1Family(ct, multiplicities).limits(max_l)
+    return example1_limits(weights, max_l)
 
 
 @dataclass

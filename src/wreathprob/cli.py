@@ -48,72 +48,68 @@ from .wreath import (
 # ------------------------------------------------------------ configuration
 
 
-# integer options and the smallest value each accepts (None: checked later)
-INT_OPTIONS = {
-    "q": 0, "n_samples": 0, "workers": 1, "bound": 1, "seed": 0, "condition": None,
-}
+def _at_least(low, convert=int, what="an integer"):
+    """argparse type: ``convert(text)``, refused below ``low``."""
+
+    def number(text):
+        try:
+            value = convert(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"want {what}, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return number
 
 
-def _coerce(name, value, convert, what):
-    """convert(value), or a usage error naming the option if that fails."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InputError(f"{name} must be {what}, got {value!r}")
+def _flag_text(value, separators=None):
+    """A config value as the text of its flag: lists are spelled as the flag is."""
+    if isinstance(value, str):
+        return value
+    if not isinstance(value, list):
+        return json.dumps(value)  # numbers, booleans and objects
+    if separators is None:
+        # [4, 6] -> 4,6; [[0, [2, 1]], [1, [3]]] -> 0:2,1;1:3; [["R", 0, 3]] -> R:0:3
+        separators = ";:," if any(isinstance(item, list) for item in value) else ","
+    return separators[0].join(_flag_text(item, separators[1:] or ",") for item in value)
 
 
-def _validate(ns):
-    """Coerce and range-check options; config values arrive as any JSON type."""
-    if ns.format not in ("csv", "json"):
-        raise InputError(f"format must be csv or json, got {ns.format!r}")
-    for name, low in INT_OPTIONS.items():
-        value = getattr(ns, name, None)
-        if value is None and name != "workers":  # workers is never unset
-            continue
-        value = _coerce(name, value, int, "an integer")
-        if low is not None and value < low:
-            raise InputError(f"{name} must be at least {low}, got {value}")
-        setattr(ns, name, value)
-    if getattr(ns, "tolerance", None) is not None:
-        ns.tolerance = _coerce("tolerance", ns.tolerance, Fraction, "a rational number")
-        if ns.tolerance < 0:
-            raise InputError(f"tolerance must be nonnegative, got {ns.tolerance}")
+def _config_argv(ns, argv):
+    """argv with the --config file's keys as flags between the command and the rest.
 
-
-def _apply_config(ns, argv):
-    """Fill namespace fields from --config JSON; explicit flags win."""
-    if not getattr(ns, "config", None):
-        return
+    Each key becomes its flag and each value that flag's text; null leaves
+    the flag unset.  argparse then checks them as typed flags, and the
+    explicit flags, parsed later, win.
+    """
     try:
         doc = json.loads(Path(ns.config).read_text())
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputError(f"cannot read config: {exc}")
     if not isinstance(doc, dict):
         raise InputError("config must be a JSON object")
-    # the invoked command's own flags are the only keys a config may set
-    unknown = set(doc) - (set(vars(ns)) - {"config"})
+    if doc.get("command", ns.command) != ns.command:
+        raise InputError(f"config is for command {doc['command']!r}, invoked {ns.command!r}")
+    # the namespace holds the command name, its flags, the diagram positional and --config
+    unknown = set(doc) - (set(vars(ns)) - {"partition", "config"})
     if unknown:
         raise InputError(f"unknown config keys for {ns.command!r}: {sorted(unknown)}")
-    if "command" in doc and doc["command"] != ns.command:
-        raise InputError(
-            f"config is for command {doc['command']!r}, invoked {ns.command!r}"
-        )
-    explicit = {
-        token.split("=", 1)[0].lstrip("-").replace("-", "_")
-        for token in argv
-        if token.startswith("--")
-    }
-    for key, value in doc.items():
-        if key not in explicit:
-            setattr(ns, key, value)
+    try:
+        flags = [
+            f"--{key.replace('_', '-')}={_flag_text(value)}"
+            for key, value in doc.items()
+            if key != "command" and value is not None
+        ]
+    except RecursionError:
+        raise InputError("config nests too deep")
+    start = argv.index(ns.command) + 1
+    return argv[:start] + flags + argv[start:]
 
 
 # ----------------------------------------------------------------- parsing
 
 
 def _parse_partition(text):
-    if not isinstance(text, str):
-        raise InputError(f"partition must be a string like '3,1', got {text!r}")
     text = text.strip()
     if not text:
         return ()
@@ -126,48 +122,39 @@ def _parse_partition(text):
     return parts
 
 
-def _parse_grid(value):
-    if value is None:
-        return None
-    if isinstance(value, list):
-        grid = [_coerce("q_grid", x, int, "a list of integers") for x in value]
-    else:
-        try:
-            grid = [int(x) for x in str(value).split(",") if x.strip()]
-        except ValueError:
-            raise InputError(f"malformed q grid {value!r}")
-    if not grid or any(q < 1 for q in grid):
-        raise InputError("q grid needs positive integers")
-    return sorted(grid)
+def _parse_grid(text):
+    """--q-grid '30,10,20' -> [10, 20, 30]."""
+    if text is None:
+        raise InputError("need --q-grid")
+    try:
+        grid = sorted(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InputError(f"malformed --q-grid {text!r}")
+    if not grid or grid[0] < 1:
+        raise InputError("--q-grid needs positive integers")
+    return grid
 
 
-def _parse_rows(value):
+def _parse_rows(text):
     """Factor list: 'slot:r1,r2;slot:r' -> [(slot, (r1, r2)), (slot, (r,))]."""
-    if value is None:
+    if text is None:
         raise InputError("missing factor rows (--rows)")
-    if isinstance(value, list):
-        out = _coerce(
-            "rows", value,
-            lambda factors: [(int(s), tuple(int(r) for r in rows)) for s, rows in factors],
-            "a list of [slot, [r1, r2, ...]] pairs",
-        )
-    else:
-        out = []
-        for chunk in str(value).split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                slot_text, rows_text = chunk.split(":")
-                out.append((int(slot_text), tuple(int(r) for r in rows_text.split(","))))
-            except ValueError:
-                raise InputError(f"malformed factor {chunk!r}; expected slot:r1,r2")
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            slot_text, rows_text = chunk.split(":")
+            out.append((int(slot_text), tuple(int(r) for r in rows_text.split(","))))
+        except ValueError:
+            raise InputError(f"malformed --rows factor {chunk!r}; expected slot:r1,r2")
     for slot, rows in out:
         if slot < 0 or not rows or any(r < 1 for r in rows):
             factor = f"{slot}:{','.join(map(str, rows))}"
-            raise InputError(f"factor {factor!r} needs slot >= 0 and rows >= 1")
+            raise InputError(f"--rows factor {factor!r} needs slot >= 0 and rows >= 1")
     if not out:
-        raise InputError("empty factor list")
+        raise InputError("empty --rows")
     return out
 
 
@@ -179,27 +166,20 @@ def _parse_indices(value, command):
     return [(slot, rows[0]) for slot, rows in factors]
 
 
-def _parse_stats(value):
+def _parse_stats(text):
     """Statistic list: 'R:0:3;character:0:2;p:1:2' -> spec triples."""
-    if isinstance(value, list):
-        out = _coerce(
-            "stats", value,
-            lambda specs: [(str(k), int(s), int(i)) for k, s, i in specs],
-            "a list of [kind, slot, index] triples",
-        )
-    else:
-        out = []
-        for chunk in str(value).split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            try:
-                kind, slot, index = chunk.split(":")
-                out.append((kind, int(slot), int(index)))
-            except ValueError:
-                raise InputError(f"malformed statistic {chunk!r}; expected kind:slot:i")
+    out = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        try:
+            kind, slot, index = chunk.split(":")
+            out.append((kind, int(slot), int(index)))
+        except ValueError:
+            raise InputError(f"malformed --stats entry {chunk!r}; expected kind:slot:i")
     if not out:
-        raise InputError("empty statistic list")
+        raise InputError("empty --stats")
     for kind, slot, index in out:
         if kind not in ("R", "character", "p"):
             raise InputError(f"unknown statistic kind {kind!r}")
@@ -212,19 +192,19 @@ def _parse_stats(value):
     return out
 
 
-def _parse_limit(value):
-    if value is None or value == "auto":
-        return "auto"
-    if value == "none":
-        return None
-    return _coerce("limit", value, Fraction, "p/q, a float, 'auto' or 'none'")
+def _parse_limit(text):
+    """argparse type of --limit: 'auto', 'none' (no verdict) or an exact rational."""
+    if text in ("auto", "none"):
+        return None if text == "none" else text
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"want 'auto', 'none' or p/q, got {text!r}")
 
 
 def _load_group(spec):
     if spec is None:
         raise InputError("missing group (--group)")
-    if not isinstance(spec, str):
-        raise InputError(f"group must be a builtin name or a JSON path, got {spec!r}")
     try:
         return builtin_group(spec)
     except UnknownGroup:
@@ -233,27 +213,24 @@ def _load_group(spec):
         raise InputError(f"bad group {spec!r}: {exc}")
     try:
         return character_table_from_json(json.loads(Path(spec).read_text()))
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load group {spec!r}: {exc}")
 
 
-def _load_family(value):
-    if value is None:
+def _load_family(text):
+    if text is None:
         raise InputError("missing family descriptor (--family)")
-    if isinstance(value, dict):
-        doc = value
+    text = text.strip()
+    if text.startswith("{"):
+        try:
+            doc = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"malformed family JSON: {exc}")
     else:
-        text = str(value).strip()
-        if text.startswith("{"):
-            try:
-                doc = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise InputError(f"malformed family JSON: {exc}")
-        else:
-            try:
-                doc = json.loads(Path(text).read_text())
-            except (OSError, json.JSONDecodeError, RecursionError) as exc:
-                raise InputError(f"cannot load family {text!r}: {exc}")
+        try:
+            doc = json.loads(Path(text).read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            raise InputError(f"cannot load family {text!r}: {exc}")
     try:
         return family_from_json(doc)
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
@@ -273,7 +250,10 @@ def _num(x):
 
 def _emit(text, out):
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise InputError(f"cannot write --out {out!r}: {exc}")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -376,10 +356,11 @@ def cmd_family(ns):
 
 
 def _grid_values(ns, evaluate):
-    grid = _parse_grid(ns.q_grid) if ns.q_grid else None
-    if grid is None:
-        if ns.q is None:
-            raise InputError("need --q or --q-grid")
+    if ns.q_grid:
+        grid = _parse_grid(ns.q_grid)
+    elif ns.q is None:
+        raise InputError("need --q or --q-grid")
+    else:
         grid = [ns.q]
     return [(q, evaluate(q)) for q in grid]
 
@@ -407,14 +388,10 @@ def cmd_cumulants(ns):
     if kind == "free":
         args = _parse_indices(ns.rows, "cumulants --kind free")
         evaluate = lambda q: r_cumulant(fam, q, args)
-    elif kind == "disjoint":
-        args = _parse_rows(ns.rows)
-        evaluate = lambda q: disjoint_cumulant(fam, q, args)
-    elif kind == "natural":
-        args = _parse_rows(ns.rows)
-        evaluate = lambda q: natural_cumulant(fam, q, args)
     else:
-        raise InputError(f"unknown cumulant kind {kind!r}")
+        cumulant = disjoint_cumulant if kind == "disjoint" else natural_cumulant
+        args = _parse_rows(ns.rows)
+        evaluate = lambda q: cumulant(fam, q, args)
     rows = _grid_values(ns, evaluate)
     if ns.format == "csv":
         csv_rows = [[str(q)] + _value_cells(v) for q, v in rows]
@@ -463,15 +440,12 @@ def cmd_limits(ns):
     if condition == 4 and any(l < 2 for _, l in args):
         raise InputError("condition 4 indices start at 2")
     grid = _parse_grid(ns.q_grid)
-    if grid is None:
-        raise InputError("need --q-grid")
-    limit = _parse_limit(ns.limit)
+    limit = ns.limit
     if limit == "auto":
         # the limit table only answers up to its build depth; size it to the
         # requested orders or high-order rows would silently predict zero
         need = max(l for _, l in args) + 1
         limit = _auto_limit(_limit_table(fam, max(6, need)), condition, args)
-    tolerance = ns.tolerance if ns.tolerance is not None else Fraction(15, 100)
     report = convergence_report(
         fam,
         condition,
@@ -479,7 +453,7 @@ def cmd_limits(ns):
         grid,
         limit=limit,
         description=f"condition {condition} at {args}",
-        tolerance=tolerance,
+        tolerance=ns.tolerance,
         workers=ns.workers,
     )
     if ns.format == "csv":
@@ -500,7 +474,7 @@ def cmd_sample(ns):
     q = ns.q
     if q < 1:
         raise InputError(f"sample needs --q of at least 1, got {q}")
-    n = ns.n_samples if ns.n_samples is not None else 1000
+    n = ns.n_samples
     seed = ns.seed
     slots = fam.ct.num_irreps
     if ns.stats:
@@ -709,8 +683,6 @@ def cmd_verify(ns):
     if scope in ("structure-constants", "all"):
         cases = _check_structure_constants(structure_bound, failures)
         checks.append({"check": "structure-constants", "cases": cases})
-    if not checks:
-        raise InputError(f"unknown verify scope {scope!r}")
     doc = {
         "schema_version": SCHEMA_VERSION,
         "scope": scope,
@@ -725,8 +697,6 @@ def cmd_verify(ns):
 def cmd_report(ns):
     fam = _load_family(ns.family)
     grid = _parse_grid(ns.q_grid)
-    if grid is None:
-        raise InputError("need --q-grid")
     slots = fam.ct.num_irreps
     quantities = []
     for slot in range(slots):
@@ -766,7 +736,8 @@ def cmd_report(ns):
 
 
 def _build_parser():
-    # no abbreviated flags: _apply_config finds the explicit ones by spelling
+    # flags are spelled in full, as config keys are: an abbreviation unique
+    # today would change meaning once its command gains a flag sharing it
     parser = argparse.ArgumentParser(
         prog="wreathprob",
         description="Exact asymptotics of canonical partition measures.",
@@ -774,57 +745,63 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
-
-    def common(p, *, family=False, grid=False, sampling=False):
+    def command(name, help_text, *, fmt=False, family=False, q=False, grid=False):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON file supplying these flags")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="json", help="output format"
-        )
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_at_least(1), default=1)
+        if fmt:
+            p.add_argument(
+                "--format", choices=("csv", "json"), default="json", help="output format"
+            )
         if family:
             p.add_argument("--family", help="family JSON: path or inline object")
+        if q:
+            p.add_argument("--q", type=_at_least(0))
         if grid:
-            p.add_argument("--q", type=int)
             p.add_argument("--q-grid", dest="q_grid", help="comma list, e.g. 10,20,30")
-        if sampling:
-            p.add_argument("--n-samples", dest="n_samples", type=int)
-            p.add_argument("--seed", type=int, default=0)
+        return p
 
-    p = command("diagram", "profile, measure, and cumulants of one partition")
+    p = command("diagram", "profile, measure, and cumulants of one partition", fmt=True)
     p.add_argument("partition", help="comma literal like 4,3,1; empty string for the empty diagram")
-    common(p)
 
     p = command("group", "validate and print a character table")
     p.add_argument("--group", help="builtin name (cyclic:N, S3, dihedral:N) or JSON path")
-    common(p)
 
-    p = command("family", "describe a family: descriptor, limits, small-q measure")
-    common(p, family=True, grid=True)
+    command("family", "describe a family: descriptor, limits, small-q measure", family=True, q=True)
 
-    p = command("moments", "exact moments of per-slot indicators")
+    p = command(
+        "moments", "exact moments of per-slot indicators", fmt=True, family=True, q=True, grid=True
+    )
     p.add_argument("--rows", help="factors like 0:2,1;1:3")
-    common(p, family=True, grid=True)
 
-    p = command("cumulants", "joint cumulants of indicator data")
+    p = command(
+        "cumulants", "joint cumulants of indicator data", fmt=True, family=True, q=True, grid=True
+    )
     p.add_argument("--rows", help="factors like 0:2;0:1")
     p.add_argument(
         "--kind", choices=("natural", "disjoint", "free"), default="natural"
     )
-    common(p, family=True, grid=True)
 
-    p = command("limits", "scaled-cumulant convergence over a q grid")
+    p = command(
+        "limits", "scaled-cumulant convergence over a q grid", fmt=True, family=True, grid=True
+    )
     p.add_argument("--rows", help="single-row factors like 0:2;0:2")
     p.add_argument("--condition", type=int, default=3, help="scaling condition 2, 3, or 4")
-    p.add_argument("--limit", help="expected limit: 'auto', 'none', or p/q")
-    p.add_argument("--tolerance", help="relative tolerance at the last grid point")
-    common(p, family=True, grid=True)
+    p.add_argument(
+        "--limit", type=_parse_limit, default="auto", help="expected limit: 'auto', 'none', or p/q"
+    )
+    p.add_argument(
+        "--tolerance",
+        type=_at_least(0, Fraction, "a rational number"),
+        default=Fraction(15, 100),
+        help="relative tolerance at the last grid point",
+    )
 
-    p = command("sample", "Monte Carlo canonical-measure fluctuations")
+    p = command("sample", "Monte Carlo canonical-measure fluctuations", family=True, q=True)
     p.add_argument("--stats", help="statistics like R:0:3;character:0:2;p:0:2")
-    common(p, family=True, grid=True, sampling=True)
+    p.add_argument("--n-samples", dest="n_samples", type=_at_least(0), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
 
     p = command("verify", "brute-force oracle identities")
     p.add_argument(
@@ -833,11 +810,9 @@ def _build_parser():
         default="all",
     )
     p.add_argument("--group", help="builtin name or JSON path")
-    p.add_argument("--bound", type=int, help="size bound for brute enumeration")
-    common(p)
+    p.add_argument("--bound", type=_at_least(1), help="size bound for brute enumeration")
 
-    p = command("report", "aggregate limit report for one family")
-    common(p, family=True, grid=True)
+    command("report", "aggregate limit report for one family", family=True, grid=True)
 
     return parser
 
@@ -860,12 +835,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        _apply_config(ns, argv)
-        _validate(ns)
+        if ns.config:
+            ns = parser.parse_args(_config_argv(ns, argv))
         return COMMANDS[ns.command](ns)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except WreathprobError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -422,13 +422,10 @@ class Example1Family(RepFamily):
         return falling(q, total_ones) * prod
 
     def _fibre(self) -> list:
-        """The fibre character per G-class."""
-        # the explicit character is the fibre character's q-th tensor power,
-        # which weights alone do not determine
-        if self.multiplicities is None:
-            raise Infeasible("explicit character needs integer multiplicities")
+        """The normalized fibre character per G-class: sum_i (w_i / dim_i) chi_i."""
+        scales = [w / r.dim for w, r in zip(self.weights, self.ct.irreps)]
         columns = zip(*(r.values for r in self.ct.irreps))
-        return [sum(map(operator.mul, self.multiplicities, col)) for col in columns]
+        return [sum(map(operator.mul, scales, col)) for col in columns]
 
     def class_cost(self, q: int) -> tuple[int, int]:
         # fixed-point types over the G-classes the fibre character is nonzero on
@@ -438,13 +435,11 @@ class Example1Family(RepFamily):
 
     def class_function(self, q: int) -> dict:
         # the tensor power lives on the base group's q-fold product: only
-        # fixed-point types, each point contributing the fibre character
-        fibre = self._fibre()
-        dim = sum(m * r.dim for m, r in zip(self.multiplicities, self.ct.irreps))
-        scale = Fraction(1, dim**q)
+        # fixed-point types, each point contributing the normalized fibre character
+        fibre, one = self._fibre(), Fraction(1)
         nonzero = [c for c, v in enumerate(fibre) if v]
         return {
-            tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=scale)
+            tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=one)
             for classes in itertools.combinations_with_replacement(nonzero, q)
         }
 

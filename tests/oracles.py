@@ -686,21 +686,21 @@ def _inner_size(family, q: int) -> int:
 
 
 def _example1_values(family, q, memo):
-    if family.multiplicities is None:
-        raise ValueError("explicit character needs integer multiplicities")
+    # the fibre character over its dimension, per group element: slot i
+    # carries weight w_i spread over an irreducible of dimension dim_i
     ct = family.ct
+    scales = [Fraction(w) / r.dim for w, r in zip(family.weights, ct.irreps)]
     fibre_char = [
-        sum(m * ct.value(slot, g) for slot, m in enumerate(family.multiplicities))
+        sum(scale * ct.value(slot, g) for slot, scale in enumerate(scales))
         for g in range(ct.group.order)
     ]
-    fibre_dim = sum(m * r.dim for m, r in zip(family.multiplicities, ct.irreps))
     identity_perm = tuple(range(q))
     values = []
     for colors, perm in enumerated_group(ct, q).elements:
         if perm != identity_perm:
             values.append(Fraction(0))
             continue
-        value = Fraction(1, fibre_dim**q)
+        value = Fraction(1)
         for g in colors:
             value = value * fibre_char[g]
         values.append(value)

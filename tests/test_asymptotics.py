@@ -386,8 +386,19 @@ def test_tensor_limits_from_fibre_characters():
         Example1Family(ct, multiplicities=(1, 1)),
     )
     assert both.c == {(0, 2): Fraction(1, 2), (1, 2): Fraction(1, 2)}
-    with pytest.raises(ValueError):
-        tensor_limits(Example1Family(ct, weights=(1, 0)), trivial)
+    # weights alone fix the normalized fibre: 1/3, 2/3 is the fibre triv + 2 sign
+    thirds = Example1Family(ct, weights=(Fraction(1, 3), Fraction(2, 3)))
+    one_two = Example1Family(ct, multiplicities=(1, 2))
+    assert tensor_limits(thirds, sign) == tensor_limits(one_two, sign)
+    assert tensor_limits(thirds, thirds) == tensor_limits(one_two, one_two)
+    # S3 has a two-dimensional irreducible: 1/3 each is the fibre 2 triv + 2 sign + std,
+    # whose square (values 36, 0, 9) is 9 triv + 9 sign + 9 std
+    s3 = symmetric3_group()
+    even = Example1Family(s3, weights=(Fraction(1, 3),) * 3)
+    square = Example1Family(s3, multiplicities=(9, 9, 9)).limits()
+    assert tensor_limits(even, even) == square
+    two_two_one = Example1Family(s3, multiplicities=(2, 2, 1))
+    assert tensor_limits(two_two_one, two_two_one) == square
 
 
 def test_irreducible_limits_values():

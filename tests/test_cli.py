@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +102,16 @@ def test_group_corrupted_table(capsys, tmp_path):
     code, out, _ = run(capsys, "group", "--group", str(path))
     assert code == 1
     assert not json.loads(out)["valid"]
+
+
+@pytest.mark.parametrize("command", ["group", "verify"])
+@pytest.mark.parametrize("text", ["[1]", '"S3"', '{"order": 2}'])
+def test_group_file_that_is_no_table_is_a_usage_error(command, text, capsys, tmp_path):
+    path = tmp_path / "notatable.json"
+    path.write_text(text)
+    code, out, err = run(capsys, command, "--group", str(path))
+    assert code == 2 and out == ""
+    assert "cannot load group" in err
 
 
 def test_family_report_with_measure(capsys):
@@ -629,7 +640,8 @@ def test_config_supplies_and_flags_override(tmp_path, capsys):
 
 
 def test_abbreviated_flag_is_refused(tmp_path, capsys):
-    # an abbreviation escaped the explicit-flag scan and lost to the config
+    # flags are spelled in full, as config keys are: an abbreviation unique
+    # today would change meaning once its command gains a flag sharing it
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
         json.dumps({"family": json.loads(LEFT_REGULAR), "rows": "0:1", "q_grid": [4, 6]})
@@ -788,17 +800,31 @@ def test_family_past_class_budget_refused_before_any_class_is_built(
     assert wreath_builds == []
 
 
-def test_weights_only_example1_refused_before_any_group_is_built(capsys, wreath_builds):
-    # weights do not fix the fibre character, so the explicit character of
-    # the parent at r = 4 cannot be written down: no S3 wr S4 is built
-    fam = {
-        "kind": "restricted",
-        "ratio": "2",
-        "parent": {"kind": "example1", "group": "S3", "weights": ["1/3", "1/3", "1/3"]},
-    }
-    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "2")
-    assert code == 3
-    assert "explicit character needs integer multiplicities" in err
+@pytest.mark.parametrize(
+    "group, weights, multiplicities",
+    [
+        ("S3", ["1/3", "1/3", "1/3"], [2, 2, 1]),
+        ("cyclic:3", ["1/2", "1/4", "1/4"], [2, 1, 1]),
+        ("cyclic:2", ["1/3", "2/3"], [1, 2]),
+    ],
+)
+def test_weights_only_example1_served_before_any_group_is_built(
+    group, weights, multiplicities, capsys, wreath_builds
+):
+    # the weights fix the fibre character over its dimension, so the parent
+    # at r = 4 is read at the class level like the multiplicity family with
+    # the same weights: no wreath group is built
+    def restricted(leaf):
+        parent = {"kind": "example1", "group": group, **leaf}
+        return json.dumps({"kind": "restricted", "ratio": "2", "parent": parent})
+
+    code, out, _ = run(capsys, "family", "--family", restricted({"weights": weights}), "--q", "2")
+    assert code == 0
+    code, same, _ = run(
+        capsys, "family", "--family", restricted({"multiplicities": multiplicities}), "--q", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["measure"] == json.loads(same)["measure"]
     assert wreath_builds == []
 
 
@@ -876,7 +902,7 @@ def test_config_non_string_value_is_a_usage_error(command, key, tmp_path, capsys
     cfg.write_text(json.dumps({"command": command, key: 5}))
     argv = [command, "--config", str(cfg)]
     if command == "diagram":
-        argv.insert(1, "1")  # the positional is required; the config overrides it
+        argv.insert(1, "1")  # the positional is given here: it is no config key
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert key in err and "Traceback" not in err
@@ -899,6 +925,32 @@ def test_deep_family_descriptor_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "family", "--config", str(cfg), "--q", "2")
     assert code == 2
     assert "config" in err and "Traceback" not in err
+    # a list read whole but nested too deep to be spelled as a flag
+    cfg.write_text('{"q":' + "[" * 500 + "]" * 500 + "}")
+    code, _, err = run(capsys, "family", "--family", LEFT_REGULAR, "--config", str(cfg))
+    assert code == 2
+    assert "config" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, text",
+    [
+        (["moments", "--q", "5"], "rows", [[0, [2, 1]], [2, [1]]], "0:2,1;2:1"),
+        (
+            ["sample", "--q", "6", "--n-samples", "3"],
+            "stats",
+            [["R", 2, 3], ["p", 0, 2]],
+            "R:2:3;p:0:2",
+        ),
+    ],
+)
+def test_config_lists_are_spelled_as_their_flags(argv, key, value, text, tmp_path, capsys):
+    argv = [*argv, "--family", json.dumps(S3_EXAMPLE1)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    from_config = run(capsys, *argv, "--config", str(cfg))
+    assert from_config[0] == 0, from_config[2]
+    assert from_config == run(capsys, *argv, "--" + key.replace("_", "-"), text)
 
 
 def test_config_validation(tmp_path, capsys):
@@ -921,7 +973,7 @@ def test_config_non_integer_value_is_a_usage_error(key, tmp_path, capsys):
         argv += ["--family", LEFT_REGULAR]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert key in err and "Traceback" not in err
+    assert "--" + key.replace("_", "-") in err and "Traceback" not in err
 
 
 LIMITS_FLAGS = {"family": LEFT_REGULAR, "rows": "0:2", "q_grid": "4,8", "condition": "3"}
@@ -948,7 +1000,7 @@ def test_config_malformed_value_is_a_usage_error(command, key, value, tmp_path, 
             argv += ["--" + name.replace("_", "-"), flag_value]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert key in err and "Traceback" not in err
+    assert "--" + key.replace("_", "-") in err and "Traceback" not in err
 
 
 def test_limits_malformed_tolerance_flag(capsys):
@@ -1133,3 +1185,177 @@ def test_verify_never_raises(argv):
     reads the bound), and no bound at all takes the defaults: 6 for
     structure constants, 3 for the lemma."""
     _assert_clean_exit(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--family", LEFT_REGULAR, "--rows", "0:1", "--q", "2"],
+        ["sample", "--family", LEFT_REGULAR, "--q", "3", "--n-samples", "2"],
+    ],
+)
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert code == 2 and out == ""
+    assert path in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["family", "--family", LEFT_REGULAR, "--format", "csv"], "--format"),
+        (["group", "--group", "S3", "--format", "json"], "--format"),
+        (["verify", "--scope", "characters", "--format", "csv"], "--format"),
+        (["report", "--family", LEFT_REGULAR, "--q-grid", "4", "--format", "csv"], "--format"),
+        (["report", "--family", LEFT_REGULAR, "--q-grid", "4", "--q", "4"], "--q"),
+        (["limits", "--family", LEFT_REGULAR, "--rows", "0:2", "--q-grid", "4", "--q", "5"], "--q"),
+        (["family", "--family", LEFT_REGULAR, "--q-grid", "4"], "--q-grid"),
+        (["sample", "--family", LEFT_REGULAR, "--q", "3", "--q-grid", "4"], "--q-grid"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(argv, flag, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+
+
+# each config is checked as the same flags typed on the command line would be
+CONFIG_PROBES = [
+    (["family"], {"q": 4.9}, "--q"),
+    (["family"], {"q": True}, "--q"),
+    (["moments"], {"rows": "0:1", "q_grid": [4.9, 6.2]}, "--q-grid"),
+    (["moments"], {"q": 3, "rows": [[0.5, [1.9]]]}, "--rows"),
+    (["sample"], {"q": 3, "n_samples": 2, "stats": [["R", 0.7, 2.5]]}, "--stats"),
+    (["sample"], {"q": 3, "n_samples": 2, "seed": 1.5}, "--seed"),
+    (["sample"], {"q": 3, "n_samples": 2, "workers": 1.9}, "--workers"),
+    (["sample"], {"q": 3, "n_samples": 2, "help": 1}, "help"),
+    (["sample"], {"q": 3, "n_samples": 2, "config": "cfg.json"}, "config"),
+    (["limits"], {"rows": "0:2", "q_grid": "4,8", "condition": 2.0}, "--condition"),
+    (["limits"], {"rows": "0:2", "q_grid": "4,8", "tolerance": "1/0"}, "--tolerance"),
+    (["limits"], {"rows": "0:2", "q_grid": "4,8", "format": "xml"}, "--format"),
+    # the positional is no config key: it used to override the one given
+    (["diagram", "1"], {"partition": "2,1"}, "partition"),
+    (["diagram", "1"], {"partition": None}, "partition"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, flag", CONFIG_PROBES)
+def test_config_values_are_checked_as_flags(argv, doc, flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    if argv[0] != "diagram":
+        argv = [*argv, "--family", LEFT_REGULAR]
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert flag in err
+
+
+def test_config_null_leaves_the_flag_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": None, "out": None, "workers": None}))
+    argv = ["family", "--family", LEFT_REGULAR]
+    from_config = run(capsys, *argv, "--config", str(cfg))
+    assert from_config[0] == 0
+    assert from_config == run(capsys, *argv)
+
+
+def test_config_number_as_out_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"out": 5}))
+    code, out, _ = run(capsys, "family", "--family", LEFT_REGULAR, "--config", "cfg.json")
+    assert code == 0 and out == ""
+    assert json.loads(Path("5").read_text())["kind"] == "example1"
+
+
+# the keys each command reads, besides --out and --workers; the first
+# ones are those the command needs
+COMMAND_KEYS = {
+    "diagram": ["format"],
+    "group": ["group"],
+    "family": ["family", "q"],
+    "moments": ["family", "rows", "q", "q_grid", "format"],
+    "cumulants": ["family", "rows", "q", "q_grid", "format", "kind"],
+    "limits": ["family", "rows", "q_grid", "format", "condition", "limit", "tolerance"],
+    "sample": ["family", "q", "n_samples", "stats", "seed"],
+    "verify": ["scope", "group", "bound"],
+    "report": ["family", "q_grid"],
+}
+NEEDED_KEYS = {"family": 1, "moments": 3, "cumulants": 3, "limits": 3, "sample": 3, "report": 2}
+# no digit but 0 and no path separator: a string never asks for much work
+# and never names a path outside the working directory
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(0, 3)
+    | st.floats(-10, 10)
+    | st.text("x0:,;- ", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("x0", max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+_FACTORS = st.lists(
+    st.tuples(st.integers(0, 3), st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+    min_size=1,
+    max_size=3,
+)
+MEANINGFUL = {
+    "format": st.sampled_from(["csv", "json"]),
+    "group": st.sampled_from(["cyclic:2", "S3", "cyclic:0", "no-such-group"]),
+    "family": st.sampled_from(FAMILY_POOL) | st.sampled_from(FAMILY_POOL).map(json.loads),
+    "q": st.integers(0, 6),
+    "q_grid": st.lists(st.integers(1, 8), min_size=1, max_size=3),
+    "rows": _FACTORS.map(lambda factors: [[slot, rows] for slot, rows in factors]),
+    "kind": st.sampled_from(["natural", "disjoint", "free", "classical"]),
+    "condition": st.integers(2, 4),
+    "limit": st.sampled_from(["auto", "none", "1/2", 0]),
+    "tolerance": st.sampled_from(["1/10", 0.15, -1]),
+    "stats": st.lists(
+        st.tuples(
+            st.sampled_from(["R", "p", "character", "mean"]), st.integers(0, 3), st.integers(0, 4)
+        ).map(list),
+        min_size=1,
+        max_size=2,
+    ),
+    "n_samples": st.integers(0, 5),
+    "seed": st.integers(0, 5),
+    "scope": st.sampled_from(["characters", "lemma", "structure-constants", "all", "everything"]),
+    "bound": st.integers(0, 3) | st.integers(8, 10),
+    "out": st.text("ab.", max_size=3),
+    "workers": st.integers(1, 2),
+}
+
+
+@st.composite
+def config_file(draw):
+    """A config for one command: its needed keys, some others, perhaps one
+    key that is no flag of it, and perhaps one junk value."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    flags = [*COMMAND_KEYS[command], "out", "workers"]
+    needed = NEEDED_KEYS.get(command, 0)
+    keys = flags[:needed] + draw(st.lists(st.sampled_from(flags[needed:]), unique=True))
+    doc = {key: draw(MEANINGFUL[key]) for key in keys}
+    doc["command"] = command
+    # middle values: hypothesis favours the ends of a range
+    if draw(st.integers(0, 5)) == 2:
+        doc[draw(st.sampled_from(["help", "partition", "config", "bogus"]))] = draw(JUNK)
+    if draw(st.integers(0, 3)) == 2:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return command, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_file())
+def test_random_config_files_never_raise(case):
+    command, doc = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)  # "out" may be any string
+        try:
+            Path("cfg.json").write_text(json.dumps(doc))
+            argv = [command, "--config", "cfg.json"]
+            if command == "diagram":
+                argv.insert(1, "1")
+            _assert_clean_exit(argv)
+        finally:
+            os.chdir(cwd)

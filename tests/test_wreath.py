@@ -297,9 +297,11 @@ def _leaves(ct):
     counts = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
         lambda raw: raw if any(raw) else [1] + raw[1:]
     )
+    shares = counts.map(lambda raw: [Fraction(w, sum(raw)) for w in raw])
     return st.one_of(
         counts.map(lambda mults: Example1Family(ct, mults)),
-        counts.map(lambda raw: IrreducibleFamily(ct, [Fraction(w, sum(raw)) for w in raw])),
+        shares.map(lambda weights: Example1Family(ct, weights=weights)),
+        shares.map(lambda weights: IrreducibleFamily(ct, weights)),
     )
 
 
