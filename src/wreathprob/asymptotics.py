@@ -17,6 +17,7 @@ from itertools import repeat
 
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants
+from .errors import InputError
 from .indicators import IndicatorSum, free_cumulant_as_indicators
 from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
 
@@ -121,16 +122,6 @@ def element_cumulant(family: RepFamily, q: int, elements):
     return cumulant_from_moments(moment, len(elements))
 
 
-def _q_power(q: int, numerator: int):
-    """q**(numerator/2), exact when the exponent is integral."""
-    if numerator % 2 == 0:
-        return Fraction(q) ** (numerator // 2)
-    root = math.isqrt(q)
-    if root * root == q:
-        return Fraction(root) ** numerator
-    return float(q) ** (numerator / 2)
-
-
 def condition_exponent(condition: int, args) -> int:
     """Twice the exponent of q applied to the raw cumulant."""
     n = len(args)
@@ -165,10 +156,8 @@ def raw_cumulant(family: RepFamily, condition: int, q: int, args):
 
 
 def _scale(raw, q: int, condition: int, args):
-    scale = _q_power(q, condition_exponent(condition, args))
-    if isinstance(scale, float):
-        return float(raw) * scale
-    return raw * scale
+    # a float power turns the product into float(raw) * power
+    return raw * half_power(q, condition_exponent(condition, args))
 
 
 def scaled_quantity(family: RepFamily, condition: int, q: int, args):
@@ -254,6 +243,35 @@ class LimitParameters:
                 if v
             ]
         return doc
+
+
+def _check_quantity(condition: int, args) -> None:
+    """Refuse a scaled quantity no condition defines, before any cumulant is computed."""
+    if condition == 4 and any(l < 2 for _, l in args):
+        raise InputError("condition 4 indices start at 2")
+
+
+def predicted_limit(params: LimitParameters | None, condition: int, args):
+    """The table's limit of one scaled quantity: a mean or a covariance entry.
+
+    args as for ``raw_cumulant`` at conditions 2-4.  None where the table
+    has no entry: no table, no covariances, or more than two factors.
+    """
+    _check_quantity(condition, args)
+    if params is None or len(args) > 2:
+        return None
+    if condition == 4:
+        # R_l of a slot diagram scales as the row-(l - 1) quantity
+        args = [(slot, l - 1) for slot, l in args]
+    if len(args) == 1:
+        slot, l = args[0]
+        return params.c_value(slot, l + 1)
+    if params.cov is None:
+        return None
+    (s1, l1), (s2, l2) = args
+    if condition == 2:
+        return params.disjoint_covariance(s1, l1, s2, l2)
+    return params.covariance(s1, l1, s2, l2)
 
 
 def limit_covariance_rhs(params: LimitParameters, s1, l1, s2, l2, disjoint_cov_limit):
@@ -512,8 +530,12 @@ def convergence_report(
     The verdict (only when a limit is supplied) passes when the absolute
     error strictly decreases along the grid, allowing consecutive exact
     zeros, and the relative error at the largest q is within tolerance.
+    A repeated grid point is refused: its tied error is no decrease.
     """
+    _check_quantity(condition, args)
     q_grid = sorted(q_grid)
+    if len(set(q_grid)) < len(q_grid):
+        raise InputError(f"q grid {q_grid} repeats a point")
     args = tuple(args)
     columns = (repeat(family), repeat(condition), q_grid, repeat(args))
     if workers > 1:

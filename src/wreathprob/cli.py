@@ -15,7 +15,8 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant, r_cumulant
+from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant
+from .asymptotics import predicted_limit, r_cumulant
 from .bruteforce import WreathGroup, check_enumeration_budget, tensor_algebra_image
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants, minima_maxima, profile_moment, transition_measure
@@ -28,16 +29,9 @@ from .groups import (
 )
 from .indicators import compose, expand_indicator, product_coefficients
 from .partitions import is_partition, partitions_of
-from .sampling import (
-    SCHEMA_VERSION,
-    batch_csv,
-    predicted_r_covariance,
-    sample_batch,
-    spec_name,
-    summary_json,
-)
+from .sampling import SCHEMA_VERSION, batch_csv, check_specs, predicted_r_covariance
+from .sampling import require_direct_sampler, sample_batch, summary_json
 from .wreath import (
-    Example1Family,
     enumerate_irreps,
     factorized_character,
     family_from_json,
@@ -167,7 +161,7 @@ def _parse_indices(value, command):
 
 
 def _parse_stats(text):
-    """Statistic list: 'R:0:3;character:0:2;p:1:2' -> spec triples."""
+    """Statistic list 'kind:slot:i;kind:slot:i' -> spec triples; sampling checks them."""
     out = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -180,15 +174,6 @@ def _parse_stats(text):
             raise InputError(f"malformed --stats entry {chunk!r}; expected kind:slot:i")
     if not out:
         raise InputError("empty --stats")
-    for kind, slot, index in out:
-        if kind not in ("R", "character", "p"):
-            raise InputError(f"unknown statistic kind {kind!r}")
-        if kind in ("R", "p") and index < 2:
-            raise InputError(f"{kind} statistics start at index 2")
-        if kind == "character" and index < 1:
-            raise InputError("character statistics need a cycle length >= 1")
-        if slot < 0:
-            raise InputError("statistic slot must be nonnegative")
     return out
 
 
@@ -406,46 +391,17 @@ def cmd_cumulants(ns):
     return 0
 
 
-def _auto_limit(params, condition, args):
-    """Predicted limit of the scaled quantity: mean or covariance entry."""
-    if params is None:
-        return None
-    if len(args) == 1:
-        slot, l = args[0]
-        index = l if condition == 4 else l + 1
-        return params.c_value(slot, index)
-    if len(args) == 2:
-        (s1, l1), (s2, l2) = args
-        if condition == 4:
-            l1, l2 = l1 - 1, l2 - 1
-        try:
-            if condition == 2:
-                return params.disjoint_covariance(s1, l1, s2, l2)
-            return params.covariance(s1, l1, s2, l2)
-        except ValueError:
-            return None
-    return None
-
-
 def cmd_limits(ns):
     fam = _load_family(ns.family)
     condition = ns.condition
-    if condition == 1:
-        raise InputError(
-            "condition 1 takes explicit group elements; use the library API"
-        )
-    if condition not in (2, 3, 4):
-        raise InputError("condition must be 2, 3, or 4")
     args = _parse_indices(ns.rows, "limits")
-    if condition == 4 and any(l < 2 for _, l in args):
-        raise InputError("condition 4 indices start at 2")
     grid = _parse_grid(ns.q_grid)
     limit = ns.limit
     if limit == "auto":
         # the limit table only answers up to its build depth; size it to the
         # requested orders or high-order rows would silently predict zero
         need = max(l for _, l in args) + 1
-        limit = _auto_limit(_limit_table(fam, max(6, need)), condition, args)
+        limit = predicted_limit(_limit_table(fam, max(6, need)), condition, args)
     report = convergence_report(
         fam,
         condition,
@@ -467,8 +423,6 @@ def cmd_limits(ns):
 
 def cmd_sample(ns):
     fam = _load_family(ns.family)
-    if not isinstance(fam, Example1Family):
-        raise Infeasible(f"family kind {fam.kind!r} has no direct sampler")
     if ns.q is None:
         raise InputError("need --q")
     q = ns.q
@@ -477,18 +431,14 @@ def cmd_sample(ns):
     n = ns.n_samples
     seed = ns.seed
     slots = fam.ct.num_irreps
-    if ns.stats:
-        specs = _parse_stats(ns.stats)
-    else:
-        specs = [("R", slot, 3) for slot in range(slots)]
-    for spec in specs:
-        if spec[1] >= slots:
-            raise InputError(f"statistic {spec_name(spec)} needs a slot below {slots}")
+    specs = _parse_stats(ns.stats) if ns.stats else [("R", slot, 3) for slot in range(slots)]
+    check_specs(specs, slots)
+    require_direct_sampler(fam)
     batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
     predicted = None
     if n and all(spec[0] == "R" for spec in specs):
-        depth = max(spec[2] - 1 for spec in specs)
-        predicted = predicted_r_covariance(fam.limits(max(6, depth)), specs)
+        depth = max(6, *(i for _, _, i in specs))
+        predicted = predicted_r_covariance(fam.limits(depth), specs)
     csv_text = batch_csv(batch, specs)
     summary_text = summary_json(batch, specs, predicted)
     if ns.out:
@@ -713,7 +663,7 @@ def cmd_report(ns):
             condition,
             args,
             grid,
-            limit=_auto_limit(params, condition, args),
+            limit=predicted_limit(params, condition, args),
             description=f"condition {condition} at {args}",
             workers=ns.workers,
         )
@@ -787,7 +737,7 @@ def _build_parser():
         "limits", "scaled-cumulant convergence over a q grid", fmt=True, family=True, grid=True
     )
     p.add_argument("--rows", help="single-row factors like 0:2;0:2")
-    p.add_argument("--condition", type=int, default=3, help="scaling condition 2, 3, or 4")
+    p.add_argument("--condition", type=int, choices=(2, 3, 4), default=3, help="scaling condition")
     p.add_argument(
         "--limit", type=_parse_limit, default="auto", help="expected limit: 'auto', 'none', or p/q"
     )

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
+from .asymptotics import predicted_limit
 from .diagrams import profile_moment, transition_measure, free_cumulants
+from .errors import Infeasible, InputError
 from .indicators import (
     free_cumulant_as_indicators,
     indicator_in_free_cumulants,
@@ -28,6 +30,13 @@ from .wreath import Example1Family, RepFamily
 
 # the version of every CSV and JSON schema the package writes
 SCHEMA_VERSION = 1
+
+# kind -> (least index, e): the centered statistic at index i is scaled by q**(e(i) / 2)
+STATISTIC_KINDS = {
+    "R": (2, lambda i: 1 - i),
+    "p": (2, lambda i: 2 - i),
+    "character": (1, lambda i: i),
+}
 
 
 def growth_weights(lam):
@@ -73,6 +82,12 @@ def sample_plancherel(n: int, rng) -> tuple:
     return _insertion_shape([rng.random() for _ in range(n)])
 
 
+def require_direct_sampler(family: RepFamily) -> None:
+    """Refuse a family whose canonical measure has no direct sampler."""
+    if not isinstance(family, Example1Family):
+        raise Infeasible(f"family kind {family.kind!r} has no direct sampler")
+
+
 def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
     """One partition tuple from the independent-box canonical measure.
 
@@ -84,8 +99,7 @@ def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
     block size stay the same, but only those slots' blocks are inserted;
     their shapes come back in the order given.
     """
-    if not isinstance(family, Example1Family):
-        raise ValueError("only the independent-box family has a direct sampler")
+    require_direct_sampler(family)
     bounds = list(accumulate(float(w) for w in family.weights))
     scale, last = bounds[-1], len(bounds) - 1
     if slots is None:
@@ -173,6 +187,7 @@ def sample_batch(
 
     Nothing is drawn here: statistics build the slots they read.
     """
+    require_direct_sampler(family)
     return SampleBatch(family, q, root_seed, n_samples, workers)
 
 
@@ -198,17 +213,17 @@ def statistic_value(lam, spec) -> Fraction:
     raise ValueError(f"unknown statistic kind {spec!r}")
 
 
-def statistic_scaling(q: int, spec) -> float:
-    kind, _, i = spec
-    if kind in ("R", "p") and i < 2:
-        raise ValueError(f"{kind} statistics start at index 2")
-    if kind == "R":
-        return float(q) ** (-(i - 1) / 2)
-    if kind == "p":
-        return float(q) ** (-(i - 2) / 2)
-    if kind == "character":
-        return float(q) ** (i / 2)
-    raise ValueError(f"unknown statistic kind {spec!r}")
+def check_specs(specs, slots: int) -> None:
+    """Refuse an unknown kind, an index below its kind's least, or a slot past the family's."""
+    for spec in specs:
+        kind, slot, index = spec
+        if kind not in STATISTIC_KINDS:
+            raise InputError(f"unknown statistic kind {kind!r}")
+        least = STATISTIC_KINDS[kind][0]
+        if index < least:
+            raise InputError(f"{kind} statistics start at index {least}")
+        if not 0 <= slot < slots:
+            raise InputError(f"statistic {spec_name(spec)} needs a slot in 0..{slots - 1}")
 
 
 def exact_mean(family: RepFamily, q: int, spec):
@@ -237,9 +252,9 @@ def fluctuation_statistics(batch: SampleBatch, specs) -> list:
     if not len(batch):
         raise ValueError("empty batch")
     keys = [tuple(spec) for spec in specs]
-    # the scalings check every spec before anything is built
+    check_specs(keys, batch.family.ct.num_irreps)
     scales = {
-        key: statistic_scaling(batch.q, key)
+        key: float(batch.q) ** (STATISTIC_KINDS[key[0]][1](key[2]) / 2)
         for key in keys
         if key not in batch.statistics_cache
     }
@@ -300,10 +315,10 @@ def normality_check(stats, names=None, predicted_cov=None) -> dict:
 
 def predicted_r_covariance(params, specs) -> list:
     """Limit covariance matrix for R-kind statistics from a limit table."""
-    if any(spec[0] != "R" for spec in specs):
-        raise ValueError("predictions cover free-cumulant statistics only")
+    if params.cov is None or any(spec[0] != "R" for spec in specs):
+        raise ValueError("predictions need free-cumulant statistics and a covariance table")
     return [
-        [float(params.covariance(s1, i1 - 1, s2, i2 - 1)) for _, s2, i2 in specs]
+        [float(predicted_limit(params, 4, [(s1, i1), (s2, i2)])) for _, s2, i2 in specs]
         for _, s1, i1 in specs
     ]
 

@@ -25,7 +25,8 @@ from fractions import Fraction
 
 from .cyclotomics import conjugate_value, value_as_fraction
 from .errors import Infeasible, InputError
-from .groups import CharacterTable
+from .groups import CharacterTable, builtin_group
+from .groups import character_table_from_json, character_table_to_json
 from .indicators import IndicatorSum
 from .partitions import character as sym_character
 from .partitions import dimension, falling, indicator_scalar, is_partition, partitions_of
@@ -369,6 +370,16 @@ class RepFamily:
         return measure_from_class_function(self.ct, q, self.class_function(q))
 
 
+def _weight_vector(ct: CharacterTable, weights) -> tuple[Fraction, ...]:
+    """Slot weights as Fractions: one per base irreducible, a probability vector."""
+    weights = tuple(Fraction(w) for w in weights)
+    if len(weights) != ct.num_irreps:
+        raise ValueError("one weight per base irreducible required")
+    if sum(weights) != 1 or any(w < 0 for w in weights):
+        raise ValueError("weights must be a probability vector")
+    return weights
+
+
 class Example1Family(RepFamily):
     """Independent group-algebra boxes weighted by one base representation.
 
@@ -405,11 +416,7 @@ class Example1Family(RepFamily):
                     "weights must equal multiplicity times dim over the fibre dimension"
                 )
             weights = implied
-        self.weights = tuple(Fraction(w) for w in weights)
-        if len(self.weights) != ct.num_irreps:
-            raise ValueError("one weight per base irreducible required")
-        if sum(self.weights) != 1 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be a probability vector")
+        self.weights = _weight_vector(ct, weights)
 
     def _joint_moment(self, q: int, items) -> Fraction:
         total_ones = 0
@@ -466,8 +473,6 @@ class Example1Family(RepFamily):
         return example1_limits(self.weights, max_l=max_index)
 
     def to_json(self) -> dict:
-        from .groups import character_table_to_json
-
         doc = {"kind": self.kind, "group": character_table_to_json(self.ct)}
         if self.multiplicities is not None:
             doc["multiplicities"] = list(self.multiplicities)
@@ -496,11 +501,7 @@ class IrreducibleFamily(RepFamily):
 
     def __init__(self, ct: CharacterTable, weights, bases=None):
         super().__init__(ct)
-        self.weights = tuple(Fraction(w) for w in weights)
-        if len(self.weights) != ct.num_irreps:
-            raise ValueError("one weight per base irreducible required")
-        if sum(self.weights) != 1 or any(w < 0 for w in self.weights):
-            raise ValueError("weights must be a probability vector")
+        self.weights = _weight_vector(ct, weights)
         if bases is None:
             bases = [(1,) if w else () for w in self.weights]
         self.bases = tuple(tuple(b) for b in bases)
@@ -567,8 +568,6 @@ class IrreducibleFamily(RepFamily):
         return irreducible_limits(self, max_index=max_index + 1)
 
     def to_json(self) -> dict:
-        from .groups import character_table_to_json
-
         return {
             "kind": self.kind,
             "group": character_table_to_json(self.ct),
@@ -816,8 +815,6 @@ def _fraction_from_json(v) -> Fraction:
 
 
 def _group_from_json(doc) -> CharacterTable:
-    from .groups import builtin_group, character_table_from_json
-
     if isinstance(doc, str):
         return builtin_group(doc)
     return character_table_from_json(doc)

@@ -21,12 +21,15 @@ from wreathprob.asymptotics import (
     limit_covariance_rhs,
     natural_cumulant,
     outer_limits,
+    predicted_limit,
     r_cumulant,
     restrict_limits,
     scaled_quantity,
     set_partitions,
     tensor_limits,
 )
+from wreathprob import asymptotics
+from wreathprob.errors import InputError
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.wreath import (
@@ -293,6 +296,83 @@ def test_half_power_exactness():
     assert half_power(Fraction(0), 5) == 0
     assert half_power(Fraction(3), 0) == 1
     assert half_power(Fraction(1, 2), 1) == pytest.approx(math.sqrt(0.5))
+
+
+def test_half_power_agrees_with_the_integer_square_root_rule():
+    # the condition scalings are q**(e/2) at integer q >= 1: exact when e is
+    # even or q a square, else the float power
+    for q in range(1, 50):
+        root = math.isqrt(q)
+        for e in range(-7, 8):
+            if e % 2 == 0:
+                want = Fraction(q) ** (e // 2)
+            elif root * root == q:
+                want = Fraction(root) ** e
+            else:
+                want = float(q) ** (e / 2)
+            got = half_power(q, e)
+            assert got == want and type(got) is type(want), (q, e)
+
+
+@pytest.mark.parametrize(
+    "condition, args, want",
+    [
+        (3, [(0, 1)], Fraction(1, 2)),
+        (4, [(0, 2)], Fraction(1, 2)),
+        (3, [(0, 2), (0, 2)], Fraction(1, 2)),
+        (2, [(0, 2), (0, 2)], 0),
+        (4, [(0, 3), (0, 3)], Fraction(1, 2)),
+        (3, [(0, 1), (1, 1)], Fraction(-1, 4)),
+        (3, [(0, 1), (0, 1), (0, 1)], None),
+    ],
+)
+def test_predicted_limit_reads_the_table(condition, args, want):
+    params = Example1Family(cyclic_group(2)).limits(6)
+    got = predicted_limit(params, condition, args)
+    assert got == want and (want is None) == (got is None)
+
+
+def test_predicted_limit_without_a_table():
+    induced = InducedFamily(Example1Family(cyclic_group(2)), Fraction(1, 2)).limits()
+    assert induced.cov is None
+    assert predicted_limit(induced, 3, [(0, 1), (0, 1)]) is None
+    assert predicted_limit(induced, 3, [(0, 1)]) == induced.c_value(0, 2)
+    assert predicted_limit(None, 3, [(0, 1)]) is None
+    with pytest.raises(InputError, match="start at 2"):
+        predicted_limit(None, 4, [(0, 1)])
+
+
+@pytest.fixture
+def no_cumulants(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cumulant was computed")
+
+    monkeypatch.setattr(asymptotics, "raw_cumulant", refuse)
+
+
+@pytest.mark.parametrize(
+    "condition, args, grid",
+    [
+        (3, [(0, 2), (0, 2)], [10, 20, 20, 40]),
+        (4, [(0, 1)], [4, 8]),
+        (4, [(0, 2), (0, 1)], [4, 8]),
+    ],
+)
+def test_convergence_report_refuses_before_any_cumulant(no_cumulants, condition, args, grid):
+    fam = Example1Family(cyclic_group(2))
+    with pytest.raises(InputError):
+        convergence_report(fam, condition, args, grid, limit=Fraction(1, 2))
+
+
+def test_repeated_grid_point_would_flip_the_verdict():
+    # the tied error at a repeated q is no strict decrease, so the refusal
+    # keeps a grid's verdict from depending on how often a point is listed
+    fam = Example1Family(cyclic_group(2))
+    args = [(0, 2), (0, 2)]
+    report = convergence_report(fam, 3, args, [10, 20, 40], limit=Fraction(1, 2))
+    assert report.verdict is True
+    with pytest.raises(InputError, match="repeats"):
+        convergence_report(fam, 3, args, [10, 20, 20, 40], limit=Fraction(1, 2))
 
 
 def test_restriction_of_independent_boxes_is_invariant():

@@ -353,6 +353,36 @@ def test_limits_condition_one_rejected(capsys):
         "4,8",
     )
     assert code == 2
+    assert "--condition" in err and "Traceback" not in err
+
+
+def test_limits_condition_four_floor_with_an_explicit_limit(capsys):
+    # the floor is refused where the conditions live, with or without
+    # a predicted limit
+    base = ["limits", "--family", LEFT_REGULAR, "--condition", "4", "--q-grid", "4,8"]
+    for extra in (["--rows", "0:1", "--limit", "1/2"], ["--rows", "0:2;0:1"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 2 and out == ""
+        assert "start at 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limits", "--rows", "0:2;0:2"],
+        ["report"],
+    ],
+)
+def test_repeated_grid_point_is_a_usage_error(argv, capsys):
+    # on 10,20,40 the covariance verdict is true; listing 20 twice used to
+    # flip it, since the tied error at 20 is no strict decrease
+    code, out, _ = run(capsys, *argv, "--family", LEFT_REGULAR, "--q-grid", "10,20,40")
+    assert code == 0
+    if argv[0] == "limits":
+        assert json.loads(out)["verdict"] is True
+    code, out, err = run(capsys, *argv, "--family", LEFT_REGULAR, "--q-grid", "10,20,20,40")
+    assert code == 2 and out == ""
+    assert "repeats" in err and "Traceback" not in err
 
 
 def test_infeasible_brute_family(capsys):
@@ -463,6 +493,20 @@ def test_sample_rejects_bad_slot_before_sampling(capsys, monkeypatch):
         assert "slot" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "stats", ["R:0:1", "p:0:1", "character:0:0", "sigma:0:2", "R:-1:2", "R:2:2"]
+)
+def test_sample_rejects_bad_stats_before_sampling(stats, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "3"]
+    code, out, err = run(capsys, *base, "--stats", stats)
+    assert code == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_sample_summary_key_order(tmp_path, capsys):
     base = ["sample", "--family", LEFT_REGULAR, "--q", "12", "--seed", "3"]
     out = tmp_path / "s.csv"
@@ -535,6 +579,20 @@ def test_sample_non_samplable_family(capsys):
     fam = '{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"]}'
     code, _, err = run(capsys, "sample", "--family", fam, "--q", "10")
     assert code == 3
+
+
+def test_sample_non_samplable_family_refused_before_sampling(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    fam = '{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"]}'
+    code, out, err = run(capsys, "sample", "--family", fam, "--q", "10")
+    assert code == 3 and out == ""
+    assert "no direct sampler" in err and "Traceback" not in err
+    # bad input is refused first, whatever the family
+    code, _, err = run(capsys, "sample", "--family", fam, "--q", "10", "--stats", "character:0:0")
+    assert code == 2 and "Traceback" not in err
 
 
 def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypatch):

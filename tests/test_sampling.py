@@ -15,6 +15,7 @@ from wreathprob.partitions import dimension, falling, indicator_scalar, partitio
 from wreathprob.sampling import (
     SampleBatch,
     batch_csv,
+    check_specs,
     fluctuation_statistics,
     growth_weights,
     normality_check,
@@ -25,7 +26,8 @@ from wreathprob.sampling import (
     statistic_value,
     summary_json,
 )
-from wreathprob.wreath import Example1Family, IrreducibleFamily
+from wreathprob.errors import Infeasible, InputError
+from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
 
 from oracles import dimension_branching, partition_count_pentagonal
 
@@ -112,6 +114,48 @@ def test_sample_canonical_rejects_other_kinds():
     fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(ValueError):
         sample_canonical(fam, 4, rng_for(0))
+
+
+def test_sample_batch_refuses_other_kinds_before_drawing():
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(Infeasible, match="no direct sampler"):
+        sample_batch(fam, 4, 3, root_seed=0)
+
+
+@pytest.mark.parametrize(
+    "spec, match",
+    [
+        (("sigma", 0, 2), "unknown statistic kind"),
+        (("R", 0, 1), "start at index 2"),
+        (("p", 0, 1), "start at index 2"),
+        (("character", 0, 0), "start at index 1"),
+        (("R", -1, 2), "slot"),
+        (("character", 2, 1), "slot"),
+    ],
+)
+def test_check_specs_refusals(spec, match):
+    with pytest.raises(InputError, match=match):
+        check_specs([("R", 0, 2), spec], 2)
+
+
+def test_check_specs_admits_each_kind_from_its_least_index():
+    check_specs([("R", 1, 2), ("p", 0, 2), ("character", 1, 1)], 2)
+
+
+def test_statistic_scalings_are_the_float_powers():
+    # one sample, all three boxes in slot 0 at q = 3: every centered value
+    # is (raw - exact mean) times q**(e/2), e = 1 - i, 2 - i and i by kind
+    fam = Example1Family(cyclic_group(2))
+    q = 3
+    batch = SampleBatch(fam, q, 0, 1, shapes={0: [(3,)], 1: [()]})
+    specs = [("R", 0, 2), ("R", 0, 3), ("p", 0, 3), ("character", 0, 2)]
+    (row,) = fluctuation_statistics(batch, specs)
+    for spec, value, e in zip(specs, row, (1 - 2, 1 - 3, 2 - 3, 2)):
+        raw = batch.raw_statistics[spec][0]
+        mean = sampling.exact_mean(fam, q, spec)
+        center = raw if mean is None else float(mean)
+        assert value == (raw - center) * float(q) ** (e / 2)
+    assert all(row[:3])
 
 
 def test_canonical_single_box():
@@ -349,6 +393,9 @@ def test_predicted_covariance_table():
     assert cov == expected
     with pytest.raises(ValueError):
         predicted_r_covariance(params, [("p", 0, 2)])
+    induced = InducedFamily(fam, Fraction(1, 2)).limits()  # no covariance table
+    with pytest.raises(ValueError):
+        predicted_r_covariance(induced, [("R", 0, 2)])
 
 
 def test_r3_fluctuations_match_limit():

@@ -256,6 +256,20 @@ def test_irreducible_family_base_dilation():
     assert shapes[0][0] >= shapes[0][1]
 
 
+@pytest.mark.parametrize("family", [Example1Family, IrreducibleFamily])
+@pytest.mark.parametrize(
+    "weights, match",
+    [
+        ((Fraction(1, 2),), "one weight per base irreducible"),
+        ((Fraction(1, 2), Fraction(1, 3)), "probability vector"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "probability vector"),
+    ],
+)
+def test_weight_vector_is_checked_alike(family, weights, match):
+    with pytest.raises(ValueError, match=match):
+        family(cyclic_group(2), weights=weights)
+
+
 def test_family_json_round_trip():
     ct = cyclic_group(2)
     base = Example1Family(ct, multiplicities=(1, 3))
