@@ -17,9 +17,12 @@ from itertools import repeat
 
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants
-from .errors import InputError
+from .errors import InputError, NoLimitTable
 from .indicators import IndicatorSum, free_cumulant_as_indicators
 from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
+
+
+_ZERO = Fraction(0)  # shared: a Fraction(0) per table lookup is measurable
 
 
 def set_partitions(n: int):
@@ -165,29 +168,44 @@ def scaled_quantity(family: RepFamily, condition: int, q: int, args):
     return _scale(raw_cumulant(family, condition, q, args), q, condition, args)
 
 
-def composition_double_sum(c_of, l1: int, l2: int, weight=None):
-    """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i).
+def composition_sums(c_of, top: int) -> dict:
+    """{(l1, l2): [(r, ways), ...]} for l1, l2 <= top, nonzero ways only, r ascending.
 
-    weight, if given, maps the common length r to an extra factor.  A
-    dynamic program over composition prefixes: at length r, ways[(i, j)]
-    sums prod c(a_k+b_k) over pairs of r-part compositions of i and j.
+    ways sums prod c(a_k+b_k) over pairs of r-part compositions of l1 and l2.
+    A path to (l1, l2) only visits smaller prefixes, so top does not matter.
     """
-    c = {m: c_of(m) for m in range(2, l1 + l2 + 1)}
+    c = {m: c_of(m) for m in range(2, 2 * top + 1)}
     ways = {(0, 0): Fraction(1)}
-    total = Fraction(0)
-    for r in range(1, min(l1, l2) + 1):
+    sums: dict = {}
+    for r in range(1, top + 1):
         longer: dict = {}
         for (i, j), v in ways.items():
-            for x in range(i + 1, l1 + 1):
-                for y in range(j + 1, l2 + 1):
+            for x in range(i + 1, top + 1):
+                for y in range(j + 1, top + 1):
                     step = c[x - i + y - j]
                     if step:
                         longer[(x, y)] = longer.get((x, y), 0) + v * step
         ways = longer
-        if ways.get((l1, l2)):
-            term = Fraction(l1 * l2, r) * ways[(l1, l2)]
-            total += term if weight is None else term * weight(r)
+        for key, v in ways.items():
+            if v:
+                sums.setdefault(key, []).append((r, v))
+    return sums
+
+
+def _read_double_sum(sums: dict, l1: int, l2: int, weight=None):
+    total = _ZERO
+    for r, ways in sums.get((l1, l2), ()):
+        term = Fraction(l1 * l2, r) * ways
+        total += term if weight is None else term * weight(r)
     return total
+
+
+def composition_double_sum(c_of, l1: int, l2: int, weight=None):
+    """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i).
+
+    weight, if given, maps the common length r to an extra factor.
+    """
+    return _read_double_sum(composition_sums(c_of, max(l1, l2)), l1, l2, weight)
 
 
 @dataclass
@@ -204,11 +222,12 @@ class LimitParameters:
     slots: int
     c: dict = field(default_factory=dict)
     cov: dict | None = field(default_factory=dict)
+    _sums: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def c_value(self, slot: int, index: int):
         if index < 2:
             raise ValueError("free-cumulant limits start at index 2")
-        return self.c.get((slot, index), Fraction(0))
+        return self.c.get((slot, index), _ZERO)
 
     @staticmethod
     def _key(s1, l1, s2, l2):
@@ -218,31 +237,33 @@ class LimitParameters:
         """Limit of Cov(R_{l1+1}(slot s1), R_{l2+1}(slot s2)) q^{-(l1+l2)/2}."""
         if self.cov is None:
             raise ValueError("covariance table not available for this family")
-        return self.cov.get(self._key(s1, l1, s2, l2), Fraction(0))
+        return self.cov.get(self._key(s1, l1, s2, l2), _ZERO)
+
+    def double_sum(self, slot: int, l1: int, l2: int, weight=None):
+        """This slot's ``composition_double_sum``, read from one ``composition_sums``.
+
+        It runs on first use, at the table's depth or deeper if asked: c must not change after."""
+        top, sums = self._sums.get(slot, (0, None))
+        if max(l1, l2) > top:
+            top = max(_max_l(self), l1, l2)
+            sums = composition_sums(lambda m: self.c_value(slot, m), top)
+            self._sums[slot] = (top, sums)
+        return _read_double_sum(sums, l1, l2, weight)
 
     def disjoint_covariance(self, s1: int, l1: int, s2: int, l2: int):
         """Same limit for the disjoint covariance of indicator sums."""
         value = self.covariance(s1, l1, s2, l2)
         if s1 == s2:
-            value = value - composition_double_sum(
-                lambda m: self.c_value(s1, m), l1, l2
-            )
+            value = value - self.double_sum(s1, l1, l2)
         return value
 
     def to_json(self) -> dict:
-        doc = {
+        cov = None if self.cov is None else sorted(self.cov.items())
+        return {
             "slots": self.slots,
             "c": [[s, i, str(v)] for (s, i), v in sorted(self.c.items()) if v],
+            "cov": None if cov is None else [[*key, str(v)] for key, v in cov if v],
         }
-        if self.cov is None:
-            doc["cov"] = None
-        else:
-            doc["cov"] = [
-                [s1, l1, s2, l2, str(v)]
-                for (s1, l1, s2, l2), v in sorted(self.cov.items())
-                if v
-            ]
-        return doc
 
 
 def _check_quantity(condition: int, args) -> None:
@@ -278,9 +299,7 @@ def limit_covariance_rhs(params: LimitParameters, s1, l1, s2, l2, disjoint_cov_l
     """Natural-covariance limit from a disjoint one plus the double sum."""
     if s1 != s2:
         return disjoint_cov_limit
-    return disjoint_cov_limit + composition_double_sum(
-        lambda m: params.c_value(s1, m), l1, l2
-    )
+    return disjoint_cov_limit + params.double_sum(s1, l1, l2)
 
 
 def example1_limits(weights, max_l: int = 6) -> LimitParameters:
@@ -337,25 +356,27 @@ def restrict_limits(params: LimitParameters, p) -> LimitParameters:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("restriction density must lie in [0, 1]")
+    top = _max_l(params)
     if p == 0:
         # only terms whose q powers cancel exactly survive the limit, and
         # they reassemble the independent-box table at the same weights
         weights = [params.c_value(z, 2) for z in range(params.slots)]
-        return example1_limits(weights, max_l=_max_l(params))
-    c = {
-        (z, i): half_power(p, i - 2) * v for (z, i), v in params.c.items() if v
-    }
-    cov = None
-    if params.cov is not None:
-        cov = {}
-        top = _max_l(params)
-        for s1 in range(params.slots):
-            for s2 in range(s1, params.slots):
-                for l1 in range(1, top + 1):
-                    for l2 in range(l1 if s1 == s2 else 1, top + 1):
-                        value = _restricted_cov(params, p, s1, l1, s2, l2)
-                        if value:
-                            cov[LimitParameters._key(s1, l1, s2, l2)] = value
+        return example1_limits(weights, max_l=top)
+    power = {k: half_power(p, k) for k in range(2 * top + 1)}
+    c = {(z, i): power[i - 2] * v for (z, i), v in params.c.items() if v}
+    weight = {r: p**-r - 1 for r in range(1, top + 1)}.__getitem__
+
+    def entry(s1, l1, s2, l2):
+        value = params.covariance(s1, l1, s2, l2)
+        c1, c2 = params.c_value(s1, l1 + 1), params.c_value(s2, l2 + 1)
+        # skip only an exact-zero pin: a float zero makes the entry a float
+        if (c1 and c2) or isinstance(c1, float) or isinstance(c2, float):
+            value = value - l1 * l2 * c1 * c2 * (1 / p - 1)
+        if s1 == s2:
+            value = value + params.double_sum(s1, l1, l2, weight)
+        return power[l1 + l2] * value
+
+    cov = None if params.cov is None else _cov_table(params.slots, top, entry)
     return LimitParameters(slots=params.slots, c=c, cov=cov)
 
 
@@ -369,21 +390,18 @@ def _max_l(params: LimitParameters) -> int:
     return top
 
 
-def _restricted_cov(params: LimitParameters, p, s1, l1, s2, l2):
-    base = params.covariance(s1, l1, s2, l2)
-    pin = (
-        l1
-        * l2
-        * params.c_value(s1, l1 + 1)
-        * params.c_value(s2, l2 + 1)
-        * (1 / p - 1)
-    )
-    value = base - pin
-    if s1 == s2:
-        value = value + composition_double_sum(
-            lambda m: params.c_value(s1, m), l1, l2, weight=lambda r: p**-r - 1
-        )
-    return half_power(p, l1 + l2) * value
+def _cov_table(slots: int, top: int, entry) -> dict:
+    """The nonzero entry(s1, l1, s2, l2) at symmetrized keys, l1, l2 <= top."""
+    cov = {}
+    for s1 in range(slots):
+        for s2 in range(s1, slots):
+            for l1 in range(1, top + 1):
+                # l2 descends, so each slot's first double sum asks for depth top
+                for l2 in reversed(range(l1 if s1 == s2 else 1, top + 1)):
+                    value = entry(s1, l1, s2, l2)
+                    if value:
+                        cov[LimitParameters._key(s1, l1, s2, l2)] = value
+    return cov
 
 
 def induce_limits(params: LimitParameters, p, ct) -> LimitParameters:
@@ -415,32 +433,24 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
     slots = left.slots
     if right.slots != slots:
         raise ValueError("slot counts differ")
-    c = {}
-    for z in range(slots):
-        for i in range(2, max(_max_l(left), _max_l(right)) + 2):
-            value = half_power(p1, i) * left.c_value(z, i) + half_power(
-                p2, i
-            ) * right.c_value(z, i)
-            if value:
-                c[(z, i)] = value
-    out = LimitParameters(slots=slots, c=c, cov=None)
+    top = max(_max_l(left), _max_l(right))
+    power1, power2 = ({k: half_power(p, k) for k in range(2, 2 * top + 1)} for p in (p1, p2))
+    c = {
+        (z, i): power1[i] * left.c_value(z, i) + power2[i] * right.c_value(z, i)
+        for z in range(slots)
+        for i in range(2, top + 2)
+    }
+    out = LimitParameters(slots=slots, c={key: v for key, v in c.items() if v}, cov=None)
     if left.cov is None or right.cov is None:
         return out
-    cov = {}
-    top = max(_max_l(left), _max_l(right))
-    for s1 in range(slots):
-        for s2 in range(s1, slots):
-            for l1 in range(1, top + 1):
-                for l2 in range(l1 if s1 == s2 else 1, top + 1):
-                    disjoint = half_power(p1, l1 + l2) * left.disjoint_covariance(
-                        s1, l1, s2, l2
-                    ) + half_power(p2, l1 + l2) * right.disjoint_covariance(
-                        s1, l1, s2, l2
-                    )
-                    value = limit_covariance_rhs(out, s1, l1, s2, l2, disjoint)
-                    if value:
-                        cov[LimitParameters._key(s1, l1, s2, l2)] = value
-    out.cov = cov
+
+    def entry(s1, l1, s2, l2):
+        d1 = left.disjoint_covariance(s1, l1, s2, l2)
+        d2 = right.disjoint_covariance(s1, l1, s2, l2)
+        disjoint = power1[l1 + l2] * d1 + power2[l1 + l2] * d2
+        return limit_covariance_rhs(out, s1, l1, s2, l2, disjoint)
+
+    out.cov = _cov_table(slots, top, entry)
     return out
 
 
@@ -455,7 +465,7 @@ def tensor_limits(
     """
     for fam in (left, right):
         if not isinstance(fam, Example1Family):
-            raise ValueError(f"no tensor limit table for family kind {fam.kind!r}")
+            raise NoLimitTable(f"no tensor limit table for family kind {fam.kind!r}")
     ct = left.ct
     sizes = [len(cls) for cls in ct.group.conjugacy_classes]
     weighted = [n * a * b for n, a, b in zip(sizes, left._fibre(), right._fibre())]

@@ -20,7 +20,7 @@ from .asymptotics import predicted_limit, r_cumulant
 from .bruteforce import WreathGroup, check_enumeration_budget, tensor_algebra_image
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants, minima_maxima, profile_moment, transition_measure
-from .errors import Infeasible, InputError, WreathprobError
+from .errors import Infeasible, InputError, NoLimitTable, WreathprobError
 from .groups import (
     UnknownGroup,
     builtin_group,
@@ -312,7 +312,7 @@ def _limit_table(fam, max_index=6):
     """The family's limit table, or None where its constructor tree has none."""
     try:
         return fam.limits(max_index)
-    except ValueError:
+    except NoLimitTable:
         return None
 
 

@@ -2,8 +2,8 @@
 
 ``InputError`` is input the library cannot use (exit 2); ``Infeasible``
 is a well-formed request past a work budget (exit 3).  Both are
-``ValueError``s, so callers that catch that keep working.  Any other
-exception is a fault.
+``ValueError``s, so callers that catch that keep working.  Apart from
+``NoLimitTable``, which is an answer, any other exception is a fault.
 """
 
 
@@ -20,3 +20,7 @@ class InputError(WreathprobError):
 class Infeasible(WreathprobError):
     exit_code = 3
     label = "infeasible request"
+
+
+class NoLimitTable(ValueError):
+    """No failure: the family's constructor tree has no limit table, shown as none."""

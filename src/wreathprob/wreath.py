@@ -24,7 +24,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .cyclotomics import conjugate_value, value_as_fraction
-from .errors import Infeasible, InputError
+from .errors import Infeasible, InputError, NoLimitTable
 from .groups import CharacterTable, builtin_group
 from .groups import character_table_from_json, character_table_to_json
 from .indicators import IndicatorSum
@@ -339,7 +339,7 @@ class RepFamily:
 
     def limits(self, max_index: int = 6):
         """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
-        raise ValueError(f"no limit table for family kind {self.kind!r}")
+        raise NoLimitTable(f"no limit table for family kind {self.kind!r}")
 
     def class_cost(self, q: int) -> tuple[int, int]:
         """(support, work) of ``class_function(q)``, counted without building it.

@@ -413,6 +413,136 @@ def composition_double_sum_bruteforce(c_of, l1: int, l2: int, weight=None):
     return total
 
 
+def composition_double_sum_per_entry(c_of, l1: int, l2: int, weight=None):
+    """The same double sum by a dynamic program bounded at (l1, l2).
+
+    One run per entry, as limit tables computed it before they shared one
+    run per slot: at length r, ways[(i, j)] sums prod c(a_k+b_k) over pairs
+    of r-part compositions of i and j.
+    """
+    c = {m: c_of(m) for m in range(2, l1 + l2 + 1)}
+    ways = {(0, 0): Fraction(1)}
+    total = Fraction(0)
+    for r in range(1, min(l1, l2) + 1):
+        longer: dict = {}
+        for (i, j), v in ways.items():
+            for x in range(i + 1, l1 + 1):
+                for y in range(j + 1, l2 + 1):
+                    step = c[x - i + y - j]
+                    if step:
+                        longer[(x, y)] = longer.get((x, y), 0) + v * step
+        ways = longer
+        if ways.get((l1, l2)):
+            term = Fraction(l1 * l2, r) * ways[(l1, l2)]
+            total += term if weight is None else term * weight(r)
+    return total
+
+
+# ------------------------------------------------- limit tables per entry
+
+
+def _table_depth(params) -> int:
+    top = 2
+    for _, i in params.c:
+        top = max(top, i - 1)
+    if params.cov:
+        for _, l1, _, l2 in params.cov:
+            top = max(top, l1, l2)
+    return top
+
+
+def _entry_keys(slots: int, top: int):
+    for s1 in range(slots):
+        for s2 in range(s1, slots):
+            for l1 in range(1, top + 1):
+                for l2 in range(l1 if s1 == s2 else 1, top + 1):
+                    yield s1, l1, s2, l2
+
+
+def _slot_double_sum(params, slot, l1, l2, weight=None):
+    return composition_double_sum_per_entry(lambda m: params.c_value(slot, m), l1, l2, weight)
+
+
+def per_entry_restrict_limits(params, p):
+    from wreathprob.asymptotics import LimitParameters, example1_limits, half_power
+
+    p = Fraction(p)
+    if p == 0:
+        weights = [params.c_value(z, 2) for z in range(params.slots)]
+        return example1_limits(weights, max_l=_table_depth(params))
+    c = {(z, i): half_power(p, i - 2) * v for (z, i), v in params.c.items() if v}
+    cov = None
+    if params.cov is not None:
+        cov = {}
+        for s1, l1, s2, l2 in _entry_keys(params.slots, _table_depth(params)):
+            base = params.covariance(s1, l1, s2, l2)
+            pin = l1 * l2 * params.c_value(s1, l1 + 1) * params.c_value(s2, l2 + 1) * (1 / p - 1)
+            value = base - pin
+            if s1 == s2:
+                value = value + _slot_double_sum(params, s1, l1, l2, lambda r: p**-r - 1)
+            value = half_power(p, l1 + l2) * value
+            if value:
+                cov[LimitParameters._key(s1, l1, s2, l2)] = value
+    return LimitParameters(slots=params.slots, c=c, cov=cov)
+
+
+def per_entry_outer_limits(left, right, p1):
+    from wreathprob.asymptotics import LimitParameters, half_power
+
+    p1 = Fraction(p1)
+    p2 = 1 - p1
+    top = max(_table_depth(left), _table_depth(right))
+    c = {}
+    for z in range(left.slots):
+        for i in range(2, top + 2):
+            value = half_power(p1, i) * left.c_value(z, i) + half_power(p2, i) * right.c_value(z, i)
+            if value:
+                c[(z, i)] = value
+    out = LimitParameters(slots=left.slots, c=c, cov=None)
+    if left.cov is None or right.cov is None:
+        return out
+
+    def disjoint(params, s1, l1, s2, l2):
+        value = params.covariance(s1, l1, s2, l2)
+        if s1 == s2:
+            value = value - _slot_double_sum(params, s1, l1, l2)
+        return value
+
+    cov = {}
+    for s1, l1, s2, l2 in _entry_keys(left.slots, top):
+        value = half_power(p1, l1 + l2) * disjoint(left, s1, l1, s2, l2) + half_power(
+            p2, l1 + l2
+        ) * disjoint(right, s1, l1, s2, l2)
+        if s1 == s2:
+            value = value + _slot_double_sum(out, s1, l1, l2)
+        if value:
+            cov[LimitParameters._key(s1, l1, s2, l2)] = value
+    out.cov = cov
+    return out
+
+
+def per_entry_limits(family, max_index: int = 6):
+    """A family's limit table with one composition dynamic program per entry.
+
+    ``restricted`` and ``outer`` nodes run the per-entry loops that
+    ``restrict_limits`` and ``outer_limits`` ran before they read one
+    ``composition_sums`` per slot; ``induced`` recurses into its parent,
+    and every other kind asks the library, which builds no double sum
+    for them.
+    """
+    from wreathprob.asymptotics import induce_limits
+
+    if family.kind == "restricted":
+        parent = per_entry_limits(family.parent, max_index)
+        return per_entry_restrict_limits(parent, 1 / family.ratio)
+    if family.kind == "outer":
+        left = per_entry_limits(family.left, max_index)
+        return per_entry_outer_limits(left, per_entry_limits(family.right, max_index), family.ratio)
+    if family.kind == "induced":
+        return induce_limits(per_entry_limits(family.parent, max_index), family.ratio, family.ct)
+    return family.limits(max_index)
+
+
 # ------------------------------------------------------- cyclotomic numbers
 
 

@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, reject, settings
+from hypothesis import strategies as st
 
 from wreathprob.asymptotics import (
     ConvergenceReport,
     LimitParameters,
     composition_double_sum,
+    composition_sums,
     condition_exponent,
     convergence_report,
     cumulant_from_moments,
@@ -29,7 +32,7 @@ from wreathprob.asymptotics import (
     tensor_limits,
 )
 from wreathprob import asymptotics
-from wreathprob.errors import InputError
+from wreathprob.errors import Infeasible, InputError, NoLimitTable
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.wreath import (
@@ -38,9 +41,12 @@ from wreathprob.wreath import (
     IrreducibleFamily,
     OuterFamily,
     RestrictedFamily,
+    family_from_json,
 )
 
+from family_trees import PROPERTY_GROUPS, nodes, trees
 from oracles import composition_double_sum_bruteforce, compositions, measure_r_cumulant
+from oracles import per_entry_limits, per_entry_restrict_limits
 
 
 def test_set_partitions_are_bell_numbers():
@@ -182,6 +188,28 @@ def test_r_cumulant_routes_agree():
     assert r_cumulant(fam, 8, [(0, 2)]) == 4  # E of the slot size
 
 
+@st.composite
+def _r_cumulant_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(trees(ct, 2))
+    q = draw(st.integers(1, 5))
+    # small families: the measure route's class work stays far below its budget
+    assume(fam.class_cost(q)[1] <= 1000)
+    arg = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([2, 3]))
+    return fam, q, draw(st.lists(arg, min_size=1, max_size=2))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_r_cumulant_cases())
+def test_r_cumulant_matches_the_measure_on_random_families(case):
+    fam, q, args = case
+    try:
+        want = measure_r_cumulant(fam, q, args)
+    except Infeasible:
+        reject()  # past the class budget, which counts more than class work
+    assert r_cumulant(fam, q, args) == want, (fam.to_json(), q, args)
+
+
 def test_point_mass_family_has_no_fluctuations():
     fam = IrreducibleFamily(cyclic_group(2), weights=(Fraction(1, 2), Fraction(1, 2)))
     for args in [[(0, 2), (0, 2)], [(0, 2), (1, 3)], [(0, 3), (0, 3), (0, 2)]]:
@@ -251,20 +279,41 @@ def test_compositions_and_double_sum():
     assert weighted == 2 * Fraction(1, 9) * 4
 
 
+# a c table with zeros and signs, so both pruning and cancellation occur
+SIGNED_C = {2: Fraction(1, 3), 3: Fraction(0), 4: Fraction(-2, 5), 5: Fraction(7),
+            6: Fraction(0), 7: Fraction(1, 2), 8: Fraction(-3), 9: Fraction(0),
+            10: Fraction(5, 4), 11: Fraction(2, 9), 12: Fraction(-1), 13: Fraction(3, 7),
+            14: Fraction(0)}
+DOUBLE_SUM_WEIGHTS = (None, lambda r: Fraction(3, 2) ** -r - 1)
+
+
 def test_double_sum_matches_bruteforce_over_all_composition_pairs():
-    # a c table with zeros and signs, so both pruning and cancellation occur
-    table = {2: Fraction(1, 3), 3: Fraction(0), 4: Fraction(-2, 5), 5: Fraction(7),
-             6: Fraction(0), 7: Fraction(1, 2), 8: Fraction(-3), 9: Fraction(0),
-             10: Fraction(5, 4), 11: Fraction(2, 9), 12: Fraction(-1)}
-    weights = (None, lambda r: Fraction(3, 2) ** -r - 1)
+    table = SIGNED_C
     for l1 in range(1, 7):
         for l2 in range(1, 7):
-            for weight in weights:
+            for weight in DOUBLE_SUM_WEIGHTS:
                 got = composition_double_sum(table.__getitem__, l1, l2, weight)
                 want = composition_double_sum_bruteforce(
                     table.__getitem__, l1, l2, weight
                 )
                 assert isinstance(got, Fraction)
+                assert got == want, (l1, l2, weight)
+
+
+def test_one_composition_sums_run_serves_every_pair():
+    sums = composition_sums(SIGNED_C.__getitem__, 7)
+    assert set(sums) <= {(l1, l2) for l1 in range(1, 8) for l2 in range(1, 8)}
+    for l1 in range(1, 8):
+        for l2 in range(1, 8):
+            ways = sums.get((l1, l2), [])
+            assert [r for r, _ in ways] == sorted({r for r, _ in ways})
+            assert all(w for _, w in ways)
+            for weight in DOUBLE_SUM_WEIGHTS:
+                got = sum(
+                    Fraction(l1 * l2, r) * w * (1 if weight is None else weight(r))
+                    for r, w in ways
+                )
+                want = composition_double_sum_bruteforce(SIGNED_C.__getitem__, l1, l2, weight)
                 assert got == want, (l1, l2, weight)
 
 
@@ -536,3 +585,89 @@ def test_grid_workers_match_serial():
         fam, 3, [(0, 2), (0, 2)], [6, 10], limit=Fraction(1, 2), workers=2
     )
     assert serial.rows == parallel.rows
+
+
+# ---------------------------------------- limit tables: one DP per slot
+
+# restricted(3, outer(1/2, example1 S3, example1 S3 [1, 0, 2])): three slots
+RESTRICTED_OUTER_S3 = {
+    "kind": "restricted",
+    "ratio": "3",
+    "parent": {
+        "kind": "outer",
+        "ratio": "1/2",
+        "left": {"kind": "example1", "group": "S3"},
+        "right": {"kind": "example1", "group": "S3", "multiplicities": [1, 0, 2]},
+    },
+}
+
+
+def test_limit_table_runs_one_composition_sums_per_slot(monkeypatch):
+    depths = []
+    run = asymptotics.composition_sums
+
+    def counted(c_of, top):
+        depths.append(top)
+        return run(c_of, top)
+
+    monkeypatch.setattr(asymptotics, "composition_sums", counted)
+    params = family_from_json(RESTRICTED_OUTER_S3).limits(9)
+    # both outer factors and the outer table, three slots each; the
+    # restriction reads the outer table's runs again
+    assert depths == [9] * 9
+    assert params.cov
+
+
+@st.composite
+def _tables(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    return draw(nodes(ct, 2, shaped=True)), draw(st.sampled_from(range(2, 11)))
+
+
+def _typed(entries):
+    return {key: (type(v), v) for key, v in entries.items()}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_tables())
+def test_limit_tables_match_the_per_entry_reference(case):
+    fam, depth = case
+    try:
+        want = per_entry_limits(fam, depth)
+    except NoLimitTable:
+        with pytest.raises(NoLimitTable):
+            fam.limits(depth)
+        return
+    got = fam.limits(depth)
+    # equal values of equal types: an exact entry must not turn into a float
+    assert _typed(got.c) == _typed(want.c), fam.to_json()
+    assert (got.cov is None) == (want.cov is None)
+    if want.cov is not None:
+        assert _typed(got.cov) == _typed(want.cov), fam.to_json()
+    assert got.to_json() == want.to_json()
+
+
+def test_restricted_entry_stays_float_where_the_pin_is_a_float_zero():
+    # c(0, 3) is irrational and c(1, 3) is zero, so the pin of entry
+    # (0, 2, 1, 2) is the float 0.0: subtracting it makes the entry a float
+    root = half_power(Fraction(1, 2), 3)
+    params = LimitParameters(
+        slots=2,
+        c={(0, 2): Fraction(1, 2), (0, 3): root, (1, 2): Fraction(1, 2)},
+        cov={(0, 2, 1, 2): Fraction(1)},
+    )
+    got = restrict_limits(params, Fraction(1, 2))
+    want = per_entry_restrict_limits(params, Fraction(1, 2))
+    assert _typed(got.cov) == _typed(want.cov)
+    assert got.cov[(0, 2, 1, 2)] == 0.25 and isinstance(got.cov[(0, 2, 1, 2)], float)
+
+
+def test_double_sum_reads_past_the_table_depth():
+    params = example1_limits((Fraction(1, 3), Fraction(2, 3)), max_l=3)
+    c_of = lambda m: params.c_value(1, m)
+    assert params.double_sum(1, 2, 2) == composition_double_sum(c_of, 2, 2)
+    # deeper than the first run: the slot's dynamic program runs again
+    deep = params.double_sum(1, 7, 7)
+    assert deep == composition_double_sum(c_of, 7, 7) == 7 * Fraction(2, 3) ** 7
+    assert params == example1_limits((Fraction(1, 3), Fraction(2, 3)), max_l=3)
+    assert "_sums" not in repr(params)

@@ -318,6 +318,28 @@ def test_limits_auto_tensor_table_beyond_default_depth(family, capsys):
     assert out.strip().splitlines()[2].split(",")[3] == "1/32"
 
 
+def test_family_without_a_limit_table_prints_null(capsys):
+    irreducible = {"kind": "irreducible", "group": "cyclic:2", "weights": ["1/2", "1/2"]}
+    tensor = json.dumps({"kind": "tensor", "left": irreducible, "right": json.loads(LEFT_REGULAR)})
+    code, out, _ = run(capsys, "family", "--family", tensor)
+    assert code == 0
+    assert json.loads(out)["limits"] is None
+
+
+def test_a_fault_in_a_limit_table_is_not_printed_as_null(monkeypatch, capsys):
+    from wreathprob import asymptotics
+
+    def broken(params, p):
+        raise ValueError("a fault, not a missing table")
+
+    monkeypatch.setattr(asymptotics, "restrict_limits", broken)
+    parent = json.loads(LEFT_REGULAR)
+    restricted = json.dumps({"kind": "restricted", "ratio": "2", "parent": parent})
+    with pytest.raises(ValueError, match="a fault"):
+        main(["family", "--family", restricted])
+    assert capsys.readouterr().out == ""
+
+
 def test_sample_prediction_beyond_default_table_depth(capsys):
     code, out, _ = run(
         capsys,

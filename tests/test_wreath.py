@@ -29,6 +29,7 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
+from family_trees import PROPERTY_GROUPS, trees
 from oracles import (
     brute_moment,
     enumerated_group,
@@ -291,6 +292,26 @@ def test_family_json_round_trip():
             assert clone.moment(q, factors) == fam.moment(q, factors)
 
 
+@st.composite
+def _round_trip_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(trees(ct, 2, shaped=True))
+    # a tensor node's moments read a class function: keep its work small
+    assume(fam.class_cost(3)[1] <= 1000)
+    factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.integers(1, 3).map(lambda l: (l,)))
+    return fam, [draw(factor), draw(factor)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_round_trip_cases())
+def test_family_json_round_trip_on_random_trees(case):
+    fam, factors = case
+    doc = json.loads(json.dumps(fam.to_json()))
+    clone = family_from_json(doc)
+    assert clone.to_json() == doc == json.loads(json.dumps(clone.to_json()))
+    assert clone.moment(3, factors) == fam.moment(3, factors), doc
+
+
 def test_family_from_json_rejects_unknown_kinds():
     with pytest.raises(ValueError, match="unknown family kind"):
         family_from_json({"kind": "twisted", "group": "cyclic:2"})
@@ -302,40 +323,10 @@ def test_family_from_json_rejects_unknown_kinds():
 
 # ------------------------------------------- class functions vs enumeration
 
-PROPERTY_GROUPS = (cyclic_group(2), cyclic_group(3), symmetric3_group())
-
-
-def _leaves(ct):
-    k = ct.num_irreps
-    # nonnegative integers, not all zero
-    counts = st.lists(st.integers(0, 2), min_size=k, max_size=k).map(
-        lambda raw: raw if any(raw) else [1] + raw[1:]
-    )
-    shares = counts.map(lambda raw: [Fraction(w, sum(raw)) for w in raw])
-    return st.one_of(
-        counts.map(lambda mults: Example1Family(ct, mults)),
-        shares.map(lambda weights: Example1Family(ct, weights=weights)),
-        shares.map(lambda weights: IrreducibleFamily(ct, weights)),
-    )
-
-
-def _trees(ct, depth):
-    if depth == 0:
-        return _leaves(ct)
-    sub = _trees(ct, depth - 1)
-    return st.one_of(
-        _leaves(ct),
-        st.builds(RestrictedFamily, sub, st.sampled_from([1, Fraction(3, 2), 2])),
-        st.builds(InducedFamily, sub, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])),
-        st.builds(OuterFamily, sub, sub, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])),
-        st.builds(TensorFamily, sub, sub),
-    )
-
-
 @st.composite
 def _families(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
-    fam = draw(_trees(ct, 2))
+    fam = draw(trees(ct, 2))
     q = draw(st.integers(1, 4))
     assume(all(wreath_order(ct, n) <= MAX_ELEMENTS for n in enumerated_sizes(fam, q)))
     factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([(1,), (2,), (1, 1)]))
