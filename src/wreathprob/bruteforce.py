@@ -11,11 +11,13 @@ checked against; no family path builds a group.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
+from .cyclotomics import conjugate_value
 from .errors import Infeasible
-from .groups import CharacterTable, projection_coefficients
-from .wreath import _normalize_factors, backward_cycles, class_type, class_value, w_mul
-from .wreath import wreath_order
+from .groups import CharacterTable
+from .wreath import _normalize_factors, backward_cycles, class_type, class_values
+from .wreath import irreps_by_sizes, w_mul, wreath_order
 
 # Largest wreath group built element by element.  WreathGroup is the only
 # code that allocates group elements, so this budget decides its feasibility.
@@ -84,10 +86,18 @@ class WreathGroup:
     # ------------------------------------------------------------ characters
 
     def irreducible_character(self, lam_tuple) -> list:
-        """Class-function values of the irreducible for one partition tuple."""
+        """Class-function values of the irreducible for one partition tuple.
+
+        The first call for a slot-size vector fills every irreducible with it.
+        """
         key = tuple(lam_tuple)
         if key not in self._characters:
-            self._characters[key] = [class_value(self.ct, key, t) for t in self.class_types]
+            sizes = tuple(map(sum, key))
+            same = irreps_by_sizes(self.ct, self.q).get(sizes, [])
+            lam_tuples = [key] + [lam for lam in same if lam != key]
+            columns = [class_values(self.ct, lam_tuples, t) for t in self.class_types]
+            for i, lam in enumerate(lam_tuples):
+                self._characters[lam] = [column[i] for column in columns]
         return self._characters[key]
 
     def class_sizes(self) -> list[int]:
@@ -108,22 +118,25 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
     of dim too small on every irreducible.
     """
     group = wg.ct.group
-    proj = projection_coefficients(wg.ct, slot)
     dim = wg.ct.irreps[slot].dim
+    # the projection's coefficient at g is dim conj(chi(g)) / |G|: the
+    # algebraic-integer numerators multiply first, the division comes once
+    numerators = [dim * conjugate_value(wg.ct.value(slot, g)) for g in range(group.order)]
     perm, mask = pp
     support = [a for a in range(wg.q) if mask >> a & 1]
     scale = dim ** (len(perm) - len(backward_cycles(perm)))
+    divisor = Fraction(1, group.order ** len(support))
     out: dict[int, object] = {}
     for assignment in itertools.product(range(group.order), repeat=len(support)):
         coeff = scale
         colors = [group.identity] * wg.q
         for point, g in zip(support, assignment):
-            coeff = coeff * proj[g]
+            coeff = coeff * numerators[g]
             colors[point] = g
         if coeff == 0:
             continue
-        idx = wg.index[(tuple(colors), perm)]
-        out[idx] = out.get(idx, 0) + coeff
+        # the support's colours differ between assignments: each index once
+        out[wg.index[(tuple(colors), perm)]] = coeff * divisor
     return out
 
 

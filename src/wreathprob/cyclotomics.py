@@ -2,7 +2,9 @@
 
 A value is a rational polynomial in a primitive root of unity, kept
 reduced modulo the corresponding cyclotomic polynomial, so equality and
-rationality tests are decidable.  Reduction folds each power x^k through
+rationality tests are decidable.  A coefficient is an int exactly when
+it is integral, so values with integer coefficients, such as character
+values of finite groups, are multiplied and added without Fractions.  Reduction folds each power x^k through
 a per-order table of x^k mod Phi_n, so no operation divides polynomials.
 Binary operations promote both sides to the least common root order
 first.  Plain ints and Fractions mix freely with these values.
@@ -11,9 +13,10 @@ first.  Plain ints and Fractions mix freely with these values.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 Rational = (int, Fraction)
 
@@ -76,7 +79,14 @@ def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(rows)
 
 
-_ZERO = Fraction(0)
+def _canonical(coeffs) -> tuple:
+    """The coefficients with each integral Fraction replaced by its int."""
+    coeffs = tuple(coeffs)
+    if Fraction not in map(type, coeffs):
+        return coeffs
+    return tuple(
+        c.numerator if type(c) is Fraction and c.denominator == 1 else c for c in coeffs
+    )
 
 
 def _fold(acc: list, row, coeff) -> None:
@@ -90,14 +100,14 @@ def _fold(acc: list, row, coeff) -> None:
             acc[i] += coeff * t
 
 
-def _reduce(coeffs: dict[int, Fraction], order: int) -> tuple[Fraction, ...]:
+def _reduce(coeffs: dict[int, Fraction], order: int) -> tuple:
     """Reduce an exponent dict mod Phi_order by folding through the power table."""
     table = _power_table(order)
-    acc = [_ZERO] * (len(cyclotomic_polynomial(order)) - 1)
+    acc = [0] * (len(cyclotomic_polynomial(order)) - 1)
     for e, c in coeffs.items():
         if c:
             _fold(acc, table[e % order], c)
-    return tuple(acc)
+    return _canonical(acc)
 
 
 class Cyclotomic:
@@ -112,12 +122,17 @@ class Cyclotomic:
         )
 
     @classmethod
-    def _of(cls, order: int, coeffs: tuple[Fraction, ...]) -> "Cyclotomic":
-        """Wrap a coefficient tuple that is already reduced mod Phi_order."""
+    def _of(cls, order: int, coeffs: tuple) -> "Cyclotomic":
+        """Wrap a canonical coefficient tuple that is already reduced mod Phi_order."""
         out = object.__new__(cls)
         out.order = order
         out.coeffs = coeffs
         return out
+
+    @classmethod
+    def reduced(cls, order: int, coeffs) -> "Cyclotomic":
+        """Wrap coefficients already reduced mod Phi_order, in canonical form."""
+        return cls._of(order, _canonical(coeffs))
 
     @classmethod
     def root(cls, order: int, exponent: int = 1) -> "Cyclotomic":
@@ -136,7 +151,7 @@ class Cyclotomic:
             acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
         return cls(order, acc)
 
-    def _promoted(self, order: int) -> tuple[Fraction, ...]:
+    def _promoted(self, order: int) -> tuple:
         if order == self.order:
             return self.coeffs
         step = order // self.order
@@ -151,11 +166,12 @@ class Cyclotomic:
 
     def __add__(self, other):
         if isinstance(other, Rational):
-            return Cyclotomic._of(self.order, (self.coeffs[0] + other,) + self.coeffs[1:])
+            head = _canonical((self.coeffs[0] + other,))
+            return Cyclotomic._of(self.order, head + self.coeffs[1:])
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         order, a, b = self._pair(other)
-        return Cyclotomic._of(order, tuple(x + y for x, y in zip(a, b)))
+        return Cyclotomic._of(order, _canonical(map(operator.add, a, b)))
 
     __radd__ = __add__
 
@@ -172,12 +188,12 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, Rational):
-            return Cyclotomic._of(self.order, tuple(c * other for c in self.coeffs))
+            return Cyclotomic._of(self.order, _canonical(c * other for c in self.coeffs))
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         order, a, b = self._pair(other)
         degree = len(a)
-        conv = [_ZERO] * (2 * degree - 1)
+        conv = [0] * (2 * degree - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
@@ -189,17 +205,17 @@ class Cyclotomic:
         for k in range(degree, 2 * degree - 1):
             if conv[k]:
                 _fold(acc, table[k], conv[k])
-        return Cyclotomic._of(order, tuple(acc))
+        return Cyclotomic._of(order, _canonical(acc))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
         table = _power_table(self.order)
-        acc = [_ZERO] * len(self.coeffs)
+        acc = [0] * len(self.coeffs)
         for e, c in enumerate(self.coeffs):
             if c:
                 _fold(acc, table[-e % self.order], c)
-        return Cyclotomic._of(self.order, tuple(acc))
+        return Cyclotomic._of(self.order, _canonical(acc))
 
     def is_rational(self) -> bool:
         return all(not c for c in self.coeffs[1:])
@@ -207,7 +223,7 @@ class Cyclotomic:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.coeffs[0])
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -234,6 +250,15 @@ def conjugate_value(v):
     if isinstance(v, Rational):
         return v
     return v.conjugate()
+
+
+def numerator_denominator(v):
+    """(n, d) with v = n / d: d a positive int, n an int or integer-coefficient value."""
+    if isinstance(v, Rational):
+        v = Fraction(v)
+        return v.numerator, v.denominator
+    d = lcm(*(c.denominator for c in v.coeffs))
+    return v * d, d
 
 
 def value_as_fraction(v) -> Fraction:

@@ -169,19 +169,6 @@ def validate_character_table(ct: CharacterTable) -> list[str]:
     return problems
 
 
-def projection_coefficients(ct: CharacterTable, irrep_index: int) -> list:
-    """Group-algebra coefficients of the central projection onto one isotype.
-
-    The coefficient at g is dim/|G| times the conjugated character.
-    """
-    dim = ct.irreps[irrep_index].dim
-    scale = Fraction(dim, ct.group.order)
-    return [
-        scale * conjugate_value(ct.value(irrep_index, g))
-        for g in range(ct.group.order)
-    ]
-
-
 def _simplify(v):
     if isinstance(v, Cyclotomic) and v.is_rational():
         f = v.as_fraction()

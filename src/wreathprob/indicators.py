@@ -19,6 +19,8 @@ directions, obtained by exact interpolation over small diagrams.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -32,6 +34,18 @@ PartialPerm = tuple[tuple[int, ...], int]
 def compose(p1: PartialPerm, p2: PartialPerm) -> PartialPerm:
     """Natural product: apply p2 first, then p1, on the union support."""
     return tuple(map(p1[0].__getitem__, p2[0])), p1[1] | p2[1]
+
+
+def compose_each(images, supports, p2: PartialPerm):
+    """compose(p1, p2) for every p1, given as parallel image and support lists.
+
+    The products are made in C, without a Python frame per pair.
+    """
+    right, mask = p2
+    if len(right) < 2:
+        # itemgetter returns a bare item, not a tuple, for fewer than two indices
+        return (compose(p1, p2) for p1 in zip(images, supports))
+    return zip(map(operator.itemgetter(*right), images), map(mask.__or__, supports))
 
 
 def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
@@ -50,15 +64,62 @@ def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:
-    """The indicator on q points as a multiset of partial permutations."""
-    size = sum(rows)
-    out: Counter = Counter()
-    if size > q:
-        return out
-    for points in itertools.permutations(range(q), size):
-        out[_filling(rows, points, q)] += 1
+def _multiplicity(rows: tuple[int, ...]) -> int:
+    """Fillings per partial permutation of type rows: prod l^m_l m_l!.
+
+    A filled row may start at any of its points and equal rows may swap.
+    """
+    out = 1
+    for length, m in Counter(rows).items():
+        out *= length**m * math.factorial(m)
     return out
+
+
+def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:
+    """The indicator on q points as a multiset of partial permutations.
+
+    Each distinct partial permutation is built once, from its canonical
+    filling, and counted once per filling that gives it.
+    """
+    if sum(rows) > q:
+        return Counter()
+    rows = tuple(sorted(rows, reverse=True))
+    if not rows:
+        return Counter({_filling(rows, (), q): 1})
+    count = _multiplicity(rows)
+    return Counter(
+        {_filling(rows, points, q): count for points in _canonical_points(rows, tuple(range(q)), 0)}
+    )
+
+
+def _canonical_points(rows, free, low):
+    """Point sequences filling the descending rows from the sorted ``free`` points.
+
+    Each row starts at its least point, and equal rows start in increasing
+    order (a row starts at or above ``low``), so every partial permutation
+    comes from exactly one sequence.
+    """
+    length, rest = rows[0], rows[1:]
+    if length == 1:
+        # only fixed points are left: one increasing choice of them
+        yield from itertools.combinations(free, len(rows))
+        return
+    for i in range(len(free) - length + 1):
+        start = free[i]
+        if start < low:
+            continue
+        above = free[i + 1 :]
+        if not rest:
+            for tail in itertools.permutations(above, length - 1):
+                yield (start, *tail)
+            continue
+        # the next row starts above this one exactly when it is as long
+        nxt = start + 1 if rest[0] == length else 0
+        for tail in itertools.permutations(above, length - 1):
+            left = free[:i] + tuple(p for p in above if p not in tail)
+            head = (start, *tail)
+            for more in _canonical_points(rest, left, nxt):
+                yield head + more
 
 
 def _filling(rows: tuple[int, ...], points, q: int) -> PartialPerm:

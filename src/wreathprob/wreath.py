@@ -17,13 +17,14 @@ outer-product, and tensor constructions on top of other families.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from fractions import Fraction
 
-from .cyclotomics import conjugate_value, value_as_fraction
+from .cyclotomics import Cyclotomic, conjugate_value, numerator_denominator, value_as_fraction
 from .errors import Infeasible, InputError, NoLimitTable
 from .groups import CharacterTable, builtin_group
 from .groups import character_table_from_json, character_table_to_json
@@ -152,66 +153,120 @@ def wreath_order(ct: CharacterTable, q: int) -> int:
     return ct.group.order**q * math.factorial(q)
 
 
-def _splits(ct: CharacterTable, t, room):
-    """Every way to share the cycles of type t among the slots, within room.
+@functools.cache
+def _shares(m: int, caps: tuple[int, ...]) -> tuple:
+    """Every way to share m equal cycles among slots taking at most caps[j] each.
 
-    Yields (ways, lengths, picked): equal cycles are split at once, and
-    ``ways`` is the multinomial number of cycle-to-slot assignments behind
-    the split; ``lengths[rho]`` lists the cycle lengths slot rho receives
-    and ``picked`` one (slot, G-class) per cycle.  A slot takes no cycle of
-    a G-class its irreducible vanishes on.  The lists are reused.
+    Each share is (takes, ways): ``ways`` = m! / prod takes! assignments
+    of the cycles to the slots give it.
+    """
+    if not caps:
+        return (((), 1),) if m == 0 else ()
+    return tuple(
+        ((take, *rest), ways * math.comb(m, take))
+        for take in range(min(m, caps[0]) + 1)
+        for rest, ways in _shares(m - take, caps[1:])
+    )
+
+
+def _split_ways(ct: CharacterTable, t, sizes) -> dict:
+    """The splits of type t's cycles among the slots, summed per key.
+
+    A split gives slot rho cycles of |lam^rho| points in all; a slot takes
+    no cycle of a G-class its irreducible vanishes on.  The key is
+    (lengths, picks): ``lengths[rho]`` lists the cycle lengths slot rho
+    receives, ascending, and ``picks[rho * k + c]`` counts its cycles of
+    G-class c, for k G-classes.  The value is the number of
+    cycle-to-slot assignments behind the key's splits.  Cells of equal
+    cycles are shared out one at a time, and equal partial keys merge.
     """
     irreps = ct.irreps
-    cells = sorted(Counter(t).items())
-    room = list(room)
-    lengths: list[list[int]] = [[] for _ in irreps]
-    picked: list[tuple[int, int]] = []
-
-    def split(i, slot, left, ways):
-        if not left:
-            i, slot = i + 1, 0
-            if i == len(cells):
-                yield ways, lengths, picked
-                return
-            left = cells[i][1]
-        if slot == len(irreps):
-            return
-        (length, g_class), _ = cells[i]
-        most = room[slot] // length if irreps[slot].values[g_class] != 0 else 0
-        for take in range(min(left, most) + 1):
-            room[slot] -= take * length
-            lengths[slot] += [length] * take
-            picked.extend([(slot, g_class)] * take)
-            yield from split(i, slot + 1, left - take, ways * math.comb(left, take))
-            del picked[len(picked) - take :]
-            del lengths[slot][len(lengths[slot]) - take :]
-            room[slot] += take * length
-
-    yield from split(-1, 0, 0, 1)
+    k = len(ct.group.conjugacy_classes)
+    states = {(tuple(sizes), ((),) * len(irreps), (0,) * (len(irreps) * k)): 1}
+    for (length, g_class), m in sorted(Counter(t).items()):
+        open_slots = [rho for rho, irrep in enumerate(irreps) if irrep.values[g_class] != 0]
+        merged: dict[tuple, int] = {}
+        for (room, lengths, picks), ways in states.items():
+            caps = tuple(room[rho] // length for rho in open_slots)
+            for takes, share in _shares(m, caps):
+                room2, lengths2, picks2 = list(room), list(lengths), list(picks)
+                for rho, take in zip(open_slots, takes):
+                    if take:
+                        room2[rho] -= take * length
+                        lengths2[rho] += (length,) * take
+                        picks2[rho * k + g_class] += take
+                key = (tuple(room2), tuple(lengths2), tuple(picks2))
+                merged[key] = merged.get(key, 0) + ways * share
+        states = merged
+    return {(lengths, picks): ways for (_, lengths, picks), ways in states.items()}
 
 
-def _colour(ct: CharacterTable, picked):
-    return math.prod(ct.irreps[slot].values[g_class] for slot, g_class in picked)
+def _colour(ct: CharacterTable, picks):
+    """Product of the slot characters at the picked G-classes (see ``_split_ways``)."""
+    k = len(ct.group.conjugacy_classes)
+    out = 1
+    for i, count in enumerate(picks):
+        for _ in range(count):
+            out = out * ct.irreps[i // k].values[i % k]
+    return out
+
+
+def class_values(ct: CharacterTable, lam_tuples, t) -> list:
+    """The values on the class of type t of irreducibles with one slot-size vector.
+
+    An irreducible is induced from the block subgroup
+    prod_rho G wr S_{|lam^rho|}, and the blocks an element fixes are the
+    splits of its cycles that fill slot rho with exactly |lam^rho| points.
+    Each split contributes the product of the slot characters at its
+    cycles' colour classes times, per slot, the symmetric-group character
+    at the lengths the slot received.  The splits depend on the sizes
+    alone, so they are walked once for all the irreducibles.  Per cycle
+    lengths, the products of slot characters are summed on integer
+    coefficient vectors, one per root order; an irreducible then weighs
+    these sums by its integer character products.  A value is an int
+    unless a product with a cyclotomic value has a nonzero weight, and
+    then a cyclotomic number over the lcm of those products' orders.
+    """
+    per_lengths: dict[tuple, list] = {}
+    for (lengths, picks), ways in _split_ways(ct, t, map(sum, lam_tuples[0])).items():
+        entry = per_lengths.setdefault(lengths, [0, {}])
+        colour = _colour(ct, picks)
+        if isinstance(colour, Cyclotomic):
+            vector = entry[1].setdefault(colour.order, [0] * len(colour.coeffs))
+            for j, c in enumerate(colour.coeffs):
+                vector[j] += ways * c
+        else:
+            entry[0] += ways * colour
+    out = []
+    for lam_tuple in lam_tuples:
+        value = 0
+        sums: dict[int, list] = {}
+        for lengths, (rational, vectors) in per_lengths.items():
+            weight = math.prod(map(sym_character, lam_tuple, lengths))
+            if not weight:
+                continue
+            value += weight * rational
+            for order, vector in vectors.items():
+                acc = sums.setdefault(order, [0] * len(vector))
+                for j, c in enumerate(vector):
+                    acc[j] += weight * c
+        for order, acc in sums.items():
+            value += Cyclotomic.reduced(order, acc)
+        out.append(value)
+    return out
 
 
 def class_value(ct: CharacterTable, lam_tuple, t):
-    """The irreducible lam_tuple's value on the class of type t.
+    """The irreducible lam_tuple's value on the class of type t."""
+    return class_values(ct, [lam_tuple], t)[0]
 
-    The irreducible is induced from the block subgroup
-    prod_rho G wr S_{|lam^rho|}, and the blocks an element fixes are the
-    splits of its cycles that fill slot rho with exactly |lam^rho| points.
-    Each split contributes the slot character at every cycle's colour
-    class times, per slot, the symmetric-group character at the lengths it
-    received.  The integer parts are summed per product of slot characters
-    first, so exact cyclotomic arithmetic runs once per distinct product.
-    """
-    terms: dict[tuple, int] = {}
-    for ways, lengths, picked in _splits(ct, t, map(sum, lam_tuple)):
-        coeff = ways * math.prod(map(sym_character, lam_tuple, lengths))
-        if coeff:
-            product = tuple(sorted(picked))
-            terms[product] = terms.get(product, 0) + coeff
-    return sum(coeff * _colour(ct, product) for product, coeff in terms.items())
+
+def irreps_by_sizes(ct: CharacterTable, q: int) -> dict[tuple, list]:
+    """The irreducibles of G wr S_q grouped by slot-size vector, in enumeration order."""
+    out: dict[tuple, list] = {}
+    for lam_tuple in enumerate_irreps(ct, q):
+        out.setdefault(tuple(map(sum, lam_tuple)), []).append(lam_tuple)
+    return out
 
 
 def _capped_count(k: int, n: int) -> int:
@@ -237,15 +292,22 @@ def measure_from_class_function(ct: CharacterTable, q: int, values: dict) -> dic
     """Decompose a normalized class function into the probability it induces.
 
     The mass of one irreducible is its dimension times the inner product
-    sum_t values[t] conj(chi(t)) / z(t) over the support.
+    sum_t values[t] conj(chi(t)) / z(t) over the support.  The weights
+    values[t] / z(t) are brought to one denominator first, so the inner
+    products run on integer coefficients and divide once.
     """
-    support = [(t, value * Fraction(1, centralizer(ct, t))) for t, value in values.items()]
-    out = {}
-    for lam_tuple in enumerate_irreps(ct, q):
-        total = 0
+    parts = [(t, *numerator_denominator(value), centralizer(ct, t)) for t, value in values.items()]
+    denominator = math.lcm(*(d * z for _, _, d, z in parts))
+    support = [(t, n * (denominator // (d * z))) for t, n, d, z in parts]
+    totals = dict.fromkeys(enumerate_irreps(ct, q), 0)
+    for lam_tuples in irreps_by_sizes(ct, q).values():
         for t, weight in support:
-            total = total + weight * conjugate_value(class_value(ct, lam_tuple, t))
-        mass = value_as_fraction(total) * wreath_dimension(ct, lam_tuple)
+            for lam_tuple, chi in zip(lam_tuples, class_values(ct, lam_tuples, t)):
+                totals[lam_tuple] = totals[lam_tuple] + weight * conjugate_value(chi)
+    scale = Fraction(1, denominator)
+    out = {}
+    for lam_tuple, total in totals.items():
+        mass = value_as_fraction(total * scale) * wreath_dimension(ct, lam_tuple)
         if mass:
             out[lam_tuple] = mass
     return out

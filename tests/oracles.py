@@ -616,6 +616,82 @@ def reduce_by_division(coeffs: dict[int, Fraction], order: int) -> tuple[Fractio
 # ------------------------------------------------------------ wreath groups
 
 
+def projection_coefficients(ct, irrep_index: int) -> list:
+    """Group-algebra coefficients of the central projection onto one isotype.
+
+    The coefficient at g is dim/|G| times the conjugated character.
+    """
+    from wreathprob.cyclotomics import conjugate_value
+
+    dim = ct.irreps[irrep_index].dim
+    scale = Fraction(dim, ct.group.order)
+    return [
+        scale * conjugate_value(ct.value(irrep_index, g))
+        for g in range(ct.group.order)
+    ]
+
+
+def _splits(ct, t, room):
+    """Every way to share the cycles of type t among the slots, within room.
+
+    Yields (ways, lengths, picked): equal cycles are split at once, and
+    ``ways`` is the multinomial number of cycle-to-slot assignments behind
+    the split; ``lengths[rho]`` lists the cycle lengths slot rho receives
+    and ``picked`` one (slot, G-class) per cycle.  A slot takes no cycle of
+    a G-class its irreducible vanishes on.  The lists are reused.
+    """
+    irreps = ct.irreps
+    cells = sorted(Counter(t).items())
+    room = list(room)
+    lengths: list[list[int]] = [[] for _ in irreps]
+    picked: list[tuple[int, int]] = []
+
+    def split(i, slot, left, ways):
+        if not left:
+            i, slot = i + 1, 0
+            if i == len(cells):
+                yield ways, lengths, picked
+                return
+            left = cells[i][1]
+        if slot == len(irreps):
+            return
+        (length, g_class), _ = cells[i]
+        most = room[slot] // length if irreps[slot].values[g_class] != 0 else 0
+        for take in range(min(left, most) + 1):
+            room[slot] -= take * length
+            lengths[slot] += [length] * take
+            picked.extend([(slot, g_class)] * take)
+            yield from split(i, slot + 1, left - take, ways * math.comb(left, take))
+            del picked[len(picked) - take :]
+            del lengths[slot][len(lengths[slot]) - take :]
+            room[slot] += take * length
+
+    yield from split(-1, 0, 0, 1)
+
+
+def class_value_per_irreducible(ct, lam_tuple, t):
+    """One irreducible's value on the class of type t, by its own split walk.
+
+    The per-irreducible route that the library's class-value columns
+    replaced: a depth-first walk over every split of t's cycles that fills
+    slot rho with |lam^rho| points, the integer part of each split summed
+    per sorted product of slot characters (zero parts skipped), and each
+    product's value multiplied out afresh.
+    """
+    from wreathprob.partitions import character as sym_character
+
+    terms: dict[tuple, int] = {}
+    for ways, lengths, picked in _splits(ct, t, map(sum, lam_tuple)):
+        coeff = ways * math.prod(map(sym_character, lam_tuple, lengths))
+        if coeff:
+            product = tuple(sorted(picked))
+            terms[product] = terms.get(product, 0) + coeff
+    return sum(
+        coeff * math.prod(ct.irreps[slot].values[g] for slot, g in product)
+        for product, coeff in terms.items()
+    )
+
+
 def w_inv(group, a):
     """Inverse of (colors, perm) in the wreath product over ``group``."""
     v, p = a

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 
 from wreathprob import cli
 from wreathprob.cli import main
-from wreathprob.groups import character_table_to_json, cyclic_group, symmetric3_group
+from wreathprob.groups import (
+    builtin_group,
+    character_table_to_json,
+    cyclic_group,
+    symmetric3_group,
+)
 from wreathprob.wreath import Example1Family, enumerate_irreps
 
 LEFT_REGULAR = '{"kind":"example1","group":"cyclic:2"}'
@@ -81,6 +87,37 @@ def test_group_builtin(capsys):
     assert doc["order"] == 6
     assert sorted(doc["dimensions"]) == [1, 1, 2]
     assert doc["valid"]
+
+
+# sha256 prefixes of `group --group G` stdout and of the table's JSON
+# (indent 2), recorded when cyclotomic coefficients were still all Fractions:
+# the canonical int coefficients change neither the validation nor the table
+GROUP_DIGESTS = {
+    "cyclic:2": ("90ad60e8ad1cfc4c8afe875f", "a37fb3a556e92e98fafbd3f5"),
+    "cyclic:3": ("3214b9fd997064cc5e18e294", "f459f937e6083a37c681094b"),
+    "S3": ("29921d72731bb906c19f954e", "5e54567d2c26b268fdb30176"),
+    "dihedral:4": ("67ede65ca3c2119ed3d4b01b", "c96243624d99072d9b607a8f"),
+    "cyclic:4": ("bf80349762e26e9cbb6963f4", "5c27ec1c8004627d4cf5b67b"),
+    "cyclic:5": ("c6838ca4e2a0b1bdc93f2d9c", "b4f461cb80b92bf85e9ef0ab"),
+    "cyclic:6": ("06022f60a4e7c08c11999f50", "f61d71a5c224531e8b83ca68"),
+    "cyclic:7": ("6365f18d524108def9eb2503", "f867a6d117d1f99b6daf9e54"),
+    "cyclic:8": ("54f7d350e45d7eb753d48457", "0e979c038827b7e14bc3e434"),
+    "cyclic:9": ("106683d86f8b85af5534cfc5", "3a3013b7a2d0d9c4f9260995"),
+    "cyclic:10": ("8d9f72441a47e3167c08956d", "e6349f8bccc69aa48fd2fa16"),
+    "cyclic:11": ("4e039d88d000d1dec154df9a", "e0943a59aeafa59d5d635c6a"),
+    "cyclic:12": ("850812600c2c1e3f8c16030a", "82f19d4a711429e3420848ff"),
+}
+
+
+@pytest.mark.parametrize("spec", GROUP_DIGESTS)
+def test_group_json_is_byte_identical(spec, capsys):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+    code, out, _ = run(capsys, "group", "--group", spec)
+    assert code == 0
+    table = json.dumps(character_table_to_json(builtin_group(spec)), indent=2)
+    assert (digest(out), digest(table)) == GROUP_DIGESTS[spec]
 
 
 @pytest.mark.parametrize(
@@ -657,8 +694,8 @@ def test_structure_constants_expand_each_indicator_once(expansions):
 
 
 def test_structure_constants_budget_decided_before_any_expansion(capsys, expansions):
-    # bound 7 composes 683 656 partial permutations in 1.1-2.8 s on a shared
-    # 2-core Xeon; bound 8 would compose about 1.1e7
+    # bound 7 composes 683 656 partial permutations in 0.7-0.9 s on a shared
+    # 2-core Xeon (Python 3.11.7); bound 8 would compose about 1.1e7
     cli._check_structure_budget(7)
     code, out, err = run(capsys, "verify", "--scope", "structure-constants", "--bound", "8")
     assert code == 3 and out == ""
@@ -771,7 +808,7 @@ def wreath_builds(monkeypatch):
 
 @pytest.fixture
 def class_calls(monkeypatch):
-    """Every class function, class type list and class value computed."""
+    """Every class function, class type list, class value and class-value column computed."""
     from wreathprob import wreath
 
     calls = []
@@ -786,7 +823,7 @@ def class_calls(monkeypatch):
     for cls in wreath.FAMILY_KINDS.values():
         name = f"{cls.kind}.class_function"
         monkeypatch.setattr(cls, "class_function", counting(name, cls.class_function))
-    for name in ("class_types", "class_value"):
+    for name in ("class_types", "class_value", "class_values"):
         monkeypatch.setattr(wreath, name, counting(name, getattr(wreath, name)))
     return calls
 
@@ -813,7 +850,8 @@ def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, 
         assert sum(atoms.values()) == 1
         assert atoms == example1_closed_form(symmetric3_group(), q)
     assert wreath_builds == []
-    assert "restricted.class_function" in class_calls  # the counter sees the class path
+    # the counter sees the class path, down to the class-value columns
+    assert {"restricted.class_function", "class_values"} <= set(class_calls)
 
 
 def test_family_induced_s3_at_q6(capsys, wreath_builds):

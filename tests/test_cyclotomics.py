@@ -13,6 +13,7 @@ from wreathprob.cyclotomics import (
     Cyclotomic,
     conjugate_value,
     cyclotomic_polynomial,
+    numerator_denominator,
     value_as_fraction,
 )
 
@@ -75,6 +76,27 @@ def test_rationality_detection():
     assert value_as_fraction(5) == 5
 
 
+def test_rational_readers_return_fractions():
+    # integral coefficients are ints; the rational readers still give Fractions
+    z4 = Cyclotomic.root(4)
+    assert (z4 * z4).coeffs == (-1, 0) and type((z4 * z4).coeffs[0]) is int
+    half = z4 * z4 * Fraction(1, 2)
+    assert type(half.coeffs[0]) is Fraction
+    for v in (z4 * z4, half, Cyclotomic.root(1), Cyclotomic.from_triples([(3, 1, 1), (3, 2, 1)])):
+        assert type(v.as_fraction()) is Fraction
+        assert type(value_as_fraction(v)) is Fraction
+    assert type(value_as_fraction(5)) is Fraction
+
+
+def test_numerator_denominator():
+    z3 = Cyclotomic.root(3)
+    assert numerator_denominator(Fraction(-3, 4)) == (-3, 4)
+    assert numerator_denominator(7) == (7, 1)
+    n, d = numerator_denominator(z3 * Fraction(1, 6) + Fraction(1, 4))
+    assert d == 12 and n == 2 * z3 + 3
+    assert all(type(c) is int for c in n.coeffs)
+
+
 def test_from_triples():
     v = Cyclotomic.from_triples([(3, 1, 1), (3, 2, 1)])
     assert v == -1
@@ -113,7 +135,8 @@ def _lifted(order, terms, to):
 
 def _expect(value, order, coeffs):
     assert value.order == order
-    assert all(type(c) is Fraction for c in value.coeffs)
+    # canonical form: a coefficient is an int exactly when it is integral
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in value.coeffs)
     assert value.coeffs == coeffs
 
 

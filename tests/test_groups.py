@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from oracles import projection_coefficients
 
 from wreathprob.cyclotomics import Cyclotomic
 from wreathprob.groups import (
@@ -15,7 +16,6 @@ from wreathprob.groups import (
     character_table_to_json,
     cyclic_group,
     dihedral_group,
-    projection_coefficients,
     symmetric3_group,
     validate_character_table,
 )

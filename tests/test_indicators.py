@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
+from wreathprob import indicators
 from wreathprob.indicators import (
     IndicatorSum,
     compose,
+    compose_each,
     cycle_type,
     expand_indicator,
     free_cumulant_as_indicators,
@@ -81,9 +83,37 @@ def test_partial_permutations_match_pair_oracle(case):
     pa, pb = from_pairs(a, q), from_pairs(b, q)
     assert to_pairs(pa) == a
     assert compose(pa, pb) == from_pairs(pair_compose(a, b), q)
+    assert list(compose_each([pa[0]], [pa[1]], pb)) == [compose(pa, pb)]
     assert cycle_type(pa) == pair_cycle_type(a)
     expected = Counter({from_pairs(pp, q): c for pp, c in pair_indicator(rows, q).items()})
     assert expand_indicator(rows, q) == expected
+
+
+def test_expand_indicator_matches_pair_oracle_exhaustively():
+    for size in range(6):
+        for rows in partitions_of(size):
+            for q in range(8):
+                expected = Counter(
+                    {from_pairs(pp, q): c for pp, c in pair_indicator(rows, q).items()}
+                )
+                assert expand_indicator(rows, q) == expected, (rows, q)
+                assert expand_indicator(rows[::-1], q) == expected, (rows, q)
+
+
+def test_expand_indicator_builds_each_partial_permutation_once(monkeypatch):
+    calls = []
+    original = indicators._filling
+
+    def counting(rows, points, q):
+        calls.append(points)
+        return original(rows, points, q)
+
+    monkeypatch.setattr(indicators, "_filling", counting)
+    for rows in [(), (1,), (1, 1, 1), (2, 2), (3, 1, 1), (2, 2, 1), (5,)]:
+        for q in range(sum(rows), 8):
+            calls.clear()
+            expand_indicator(rows, q)
+            assert len(calls) == falling(q, sum(rows)) // multiplicity_constant(rows)
 
 
 def test_multiplicity_constant():

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from wreathprob.bruteforce import MAX_ELEMENTS
-from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
+from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.partitions import indicator_scalar, partitions_of
 from wreathprob.wreath import (
@@ -22,9 +22,11 @@ from wreathprob.wreath import (
     TensorFamily,
     _capped_count,
     class_types,
+    class_values,
     enumerate_irreps,
     factorized_character,
     family_from_json,
+    irreps_by_sizes,
     wreath_dimension,
     wreath_order,
 )
@@ -36,6 +38,7 @@ from oracles import (
     enumerated_measure,
     enumerated_sizes,
     family_values,
+    class_value_per_irreducible,
     full_table_measure,
 )
 
@@ -62,6 +65,24 @@ def test_budget_counts_match_enumeration():
             assert _capped_count(len(ct.group.conjugacy_classes), q) == len(class_types(ct, q))
             assert _capped_count(ct.num_irreps, q) == len(enumerate_irreps(ct, q))
     assert _capped_count(1, 10**9) == MAX_CLASS_WORK + 1
+
+
+@pytest.mark.parametrize(
+    "spec, top", [("cyclic:2", 5), ("cyclic:3", 4), ("S3", 4), ("cyclic:4", 3)]
+)
+def test_class_value_columns_match_per_irreducible_walk(spec, top):
+    # same value and same representation: an int where the per-irreducible
+    # route gives an int, otherwise the same root order and coefficients
+    ct = builtin_group(spec)
+    for q in range(top + 1):
+        for lam_tuples in irreps_by_sizes(ct, q).values():
+            for t in class_types(ct, q):
+                for lam_tuple, new in zip(lam_tuples, class_values(ct, lam_tuples, t)):
+                    old = class_value_per_irreducible(ct, lam_tuple, t)
+                    assert type(new) is type(old) and new == old, (lam_tuple, t)
+                    if type(old) is not int:
+                        assert new.order == old.order
+                        assert list(map(type, new.coeffs)) == list(map(type, old.coeffs))
 
 
 def test_wreath_dimension_squares_fill_group():
