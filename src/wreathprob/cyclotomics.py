@@ -4,8 +4,9 @@ A value is a rational polynomial in a primitive root of unity, kept
 reduced modulo the corresponding cyclotomic polynomial, so equality and
 rationality tests are decidable.  A coefficient is an int exactly when
 it is integral, so values with integer coefficients, such as character
-values of finite groups, are multiplied and added without Fractions.  Reduction folds each power x^k through
-a per-order table of x^k mod Phi_n, so no operation divides polynomials.
+values of finite groups, are multiplied and added without Fractions.
+Reduction folds each power x^k through a per-order table of x^k mod
+Phi_n, so no operation divides polynomials.
 Binary operations promote both sides to the least common root order
 first.  Plain ints and Fractions mix freely with these values.
 """
