@@ -60,19 +60,13 @@ def cumulant_from_moments(moment, n: int):
     return total
 
 
-def _as_indicator(rows) -> IndicatorSum:
-    if isinstance(rows, IndicatorSum):
-        return rows
-    return IndicatorSum.indicator(tuple(rows))
-
-
 def natural_cumulant(family: RepFamily, q: int, args):
     """Cumulant of embedded indicator sums under the algebra product.
 
     args: list of (slot, rows-or-IndicatorSum).  Same-slot factors inside
     one moment block multiply through the structure constants.
     """
-    items = [(slot, _as_indicator(rows)) for slot, rows in args]
+    items = [(slot, IndicatorSum.of(rows)) for slot, rows in args]
 
     def moment(block):
         return family.moment(q, [items[i] for i in block])
@@ -82,7 +76,7 @@ def natural_cumulant(family: RepFamily, q: int, args):
 
 def disjoint_cumulant(family: RepFamily, q: int, args):
     """Cumulant under the disjoint product: same-slot rows concatenate."""
-    items = [(slot, _as_indicator(rows)) for slot, rows in args]
+    items = [(slot, IndicatorSum.of(rows)) for slot, rows in args]
 
     def moment(block):
         merged: dict[int, IndicatorSum] = {}

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .cyclotomics import conjugate_value
 from .errors import Infeasible
 from .groups import CharacterTable
+from .indicators import IndicatorSum, expand_indicator
 from .wreath import _normalize_factors, backward_cycles, class_type, class_values
 from .wreath import irreps_by_sizes, w_mul, wreath_order
 
@@ -142,12 +143,8 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
 
 def indicator_image(wg: WreathGroup, slot: int, summ) -> dict[int, object]:
     """Image of an IndicatorSum (or plain rows tuple) in the group algebra."""
-    from .indicators import IndicatorSum, expand_indicator
-
-    if not isinstance(summ, IndicatorSum):
-        summ = IndicatorSum.indicator(tuple(summ))
     out: dict[int, object] = {}
-    for rows, coeff in summ.terms.items():
+    for rows, coeff in IndicatorSum.of(summ).terms.items():
         for pp, count in expand_indicator(rows, wg.q).items():
             for idx, c in phi_image(wg, slot, pp).items():
                 out[idx] = out.get(idx, 0) + coeff * count * c

@@ -13,7 +13,12 @@ Products of indicators expand again in indicators with coefficients not
 depending on the number of points; the coefficients are extracted once
 at the smallest sufficient point count and cached.  On top of this sit
 the conversions between indicators and free cumulants in both
-directions, obtained by exact interpolation over small diagrams.
+directions.  They are truncated products of power series whose
+coefficients are integer free-cumulant polynomials, from Lagrange
+inversion of the moment series and Biane's formula for the Kerov
+polynomials (Biane 2003, "Characters of symmetric groups and free
+cumulants"); each R_n then goes back to indicators by peeling off the
+leading Kerov term R_n of the (n-1)-cycle indicator.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .diagrams import free_cumulants, profile_moment
-from .partitions import falling, indicator_scalar, partitions_of
+from .partitions import falling, indicator_scalar
 
 PartialPerm = tuple[tuple[int, ...], int]
 
@@ -191,6 +195,11 @@ class IndicatorSum:
     def one(cls) -> "IndicatorSum":
         return cls({(): Fraction(1)})
 
+    @classmethod
+    def of(cls, item) -> "IndicatorSum":
+        """The sum itself, or the indicator of a tuple of row lengths."""
+        return item if isinstance(item, IndicatorSum) else cls.indicator(item)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, IndicatorSum) and self.terms == other.terms
 
@@ -242,90 +251,96 @@ class IndicatorSum:
         return "IndicatorSum(" + " + ".join(bits) + ")"
 
 
-def _solve_unique(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Exact solve of a (possibly overdetermined) system; must be consistent
-    with a unique solution."""
-    rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank < ncols:
-        raise ValueError("interpolation system is underdetermined")
-    for i in range(rank, len(rows)):
-        if rows[i][-1]:
-            raise ValueError("interpolation system is inconsistent")
-    solution = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][-1]
-    return solution
+def _series_mul(a: dict, b: dict, top: int) -> dict:
+    """Product of two u-series up to u^top.
+
+    A series maps (degree, monomial) to an int coefficient; a monomial is
+    a descending tuple of free-cumulant indices >= 2.
+    """
+    by_degree: list[list] = [[] for _ in range(top + 1)]
+    for (d, mono), c in b.items():
+        by_degree[d].append((mono, c))
+    out: dict = {}
+    for (d1, m1), c1 in a.items():
+        for d2 in range(top - d1 + 1):
+            for m2, c2 in by_degree[d2]:
+                key = (d1 + d2, tuple(sorted(m1 + m2, reverse=True)))
+                out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
-def _monomials_up_to_weight(max_weight: int) -> list[tuple[int, ...]]:
-    """Multisets of cumulant indices >= 2, graded by total index weight."""
-    out = [()]
-    for w in range(2, max_weight + 1):
-        out.extend(
-            lam
-            for lam in partitions_of(w)
-            if all(part >= 2 for part in lam)
-        )
+def _phi_power(e: int, top: int) -> dict:
+    """phi(w)^e up to w^top, where phi(w) = 1 + sum_{j>=2} R_j w^j."""
+    phi = {(0, ()): 1, **{(j, (j,)): 1 for j in range(2, top + 1)}}
+    out = {(0, ()): 1}
+    for _ in range(e):
+        out = _series_mul(out, phi, top)
     return out
 
 
-def interpolate_in_free_cumulants(values, max_weight: int, max_size: int) -> dict:
-    """Express a diagram functional exactly in free-cumulant monomials.
+def _coefficient(series: dict, degree: int, divisor: int = 1) -> dict:
+    """[u^degree] of a series, divided exactly by divisor.
 
-    ``values`` maps a diagram to a Fraction; the fit runs over all
-    diagrams of size at most ``max_size`` and demands a unique exact
-    solution among monomials of weight at most ``max_weight``.
+    Monomials run by weight, then lex-descending, as partitions_of lists them.
     """
-    monomials = _monomials_up_to_weight(max_weight)
-    diagrams = [lam for n in range(max_size + 1) for lam in partitions_of(n)]
-    matrix = []
-    rhs = []
-    for lam in diagrams:
-        cumulants = free_cumulants(lam, max(max_weight, 2))
-        row = []
-        for mono in monomials:
-            prod = Fraction(1)
-            for idx in mono:
-                prod *= cumulants[idx - 1]
-            row.append(prod)
-        matrix.append(row)
-        rhs.append(Fraction(values(lam)))
-    solution = _solve_unique(matrix, rhs)
-    return {m: c for m, c in zip(monomials, solution) if c}
+    monos = sorted((m for d, m in series if d == degree), key=lambda m: (-sum(m), m), reverse=True)
+    out = {}
+    for mono in monos:
+        coeff = series[degree, mono]
+        assert coeff % divisor == 0, "free-cumulant polynomials have integer coefficients"
+        out[mono] = coeff // divisor
+    return out
 
 
 @cache
 def indicator_in_free_cumulants(l: int) -> dict:
-    """The one-row indicator of length l as a free-cumulant polynomial."""
+    """The one-row indicator of length l as a free-cumulant polynomial (Kerov).
+
+    Biane's formula: Sigma_l = -(1/l) [u^(l+1)] prod_{j<l} (1 - ju) h(u / (1 - ju)),
+    where h = 1/m for the moment series m(u) = sum_n M_n u^n.  Lagrange
+    inversion of m(u) = phi(u m(u)) gives h_n = -[w^n] phi^(n-1) / (n-1)
+    for n >= 2 (h_1 = 0), and the j-th factor has [u^d] = sum_n C(d-2, n-2)
+    j^(d-n) h_n for d >= 2, after 1 - ju below degree 2.
+    """
     if l == 0:
-        return {(): Fraction(1)}
-    return interpolate_in_free_cumulants(
-        lambda lam: indicator_scalar(lam, (l,)), l + 1, l + 2
-    )
+        return {(): 1}
+    top = l + 1
+    h = {
+        n: {mono: -c for mono, c in _coefficient(_phi_power(n - 1, n), n, n - 1).items()}
+        for n in range(2, top + 1)
+    }
+    product = {(0, ()): 1, **{(n, mono): c for n, poly in h.items() for mono, c in poly.items()}}
+    for j in range(1, l):  # the j = 0 factor is h itself
+        factor = {(0, ()): 1, (1, ()): -j}
+        for d in range(2, top + 1):
+            for n in range(2, d + 1):
+                weight = math.comb(d - 2, n - 2) * j ** (d - n)
+                for mono, c in h[n].items():
+                    factor[d, mono] = factor.get((d, mono), 0) + weight * c
+        product = _series_mul(product, factor, top)
+    return {mono: -c for mono, c in _coefficient(product, top, l).items()}
 
 
 @cache
 def profile_moment_in_free_cumulants(k: int) -> dict:
-    """The k-th profile power sum as a free-cumulant polynomial."""
-    return interpolate_in_free_cumulants(
-        lambda lam: profile_moment(lam, k), k, k + 2
-    )
+    """The k-th profile power sum as a free-cumulant polynomial: [w^k] phi^k.
+
+    At k = 0 the series gives 1, which profile_moment subtracts.
+    """
+    if k == 0:
+        return {}
+    return _coefficient(_phi_power(k, k), k)
+
+
+def _in_indicators(poly: dict) -> IndicatorSum:
+    """A free-cumulant polynomial with each R_n replaced by its indicator form."""
+    out = IndicatorSum()
+    for mono, coeff in poly.items():
+        prod = IndicatorSum.one()
+        for idx in mono:
+            prod = prod * free_cumulant_as_indicators(idx)
+        out = out + coeff * prod
+    return out
 
 
 @cache
@@ -335,24 +350,11 @@ def free_cumulant_as_indicators(n: int) -> IndicatorSum:
         return IndicatorSum()
     expansion = indicator_in_free_cumulants(n - 1)
     assert expansion.get((n,)) == 1, "leading Kerov term must be R_(l+1)"
-    out = IndicatorSum.indicator((n - 1,))
-    for mono, coeff in expansion.items():
-        if mono == (n,):
-            continue
-        prod = IndicatorSum.one()
-        for idx in mono:
-            prod = prod * free_cumulant_as_indicators(idx)
-        out = out - coeff * prod
-    return out
+    lower = {mono: coeff for mono, coeff in expansion.items() if mono != (n,)}
+    return IndicatorSum.indicator((n - 1,)) - _in_indicators(lower)
 
 
 @cache
 def profile_moment_as_indicators(k: int) -> IndicatorSum:
     """The k-th profile power sum as a combination of indicators."""
-    out = IndicatorSum()
-    for mono, coeff in profile_moment_in_free_cumulants(k).items():
-        prod = IndicatorSum.one()
-        for idx in mono:
-            prod = prod * free_cumulant_as_indicators(idx)
-        out = out + coeff * prod
-    return out
+    return _in_indicators(profile_moment_in_free_cumulants(k))

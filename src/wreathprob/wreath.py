@@ -330,8 +330,7 @@ def _normalize_factors(factors, q: int | None = None):
     """
     per_slot: dict[int, IndicatorSum] = {}
     for slot, item in factors:
-        if not isinstance(item, IndicatorSum):
-            item = IndicatorSum.indicator(tuple(item))
+        item = IndicatorSum.of(item)
         if q is not None:
             item = _truncate(item, q)
         if slot in per_slot:

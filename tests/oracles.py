@@ -3,7 +3,8 @@
 Everything here is deliberately written from different first principles
 than the library (pentagonal-number recurrences, branching rules,
 permutation modules, seminormal matrices, conjugation orbits,
-induced characters and polynomial long division) so agreement is meaningful.
+induced characters, polynomial long division and exact linear fits over
+small diagrams) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -1050,3 +1051,88 @@ def measure_r_cumulant(family, q: int, args) -> Fraction:
         k = len(blocks)
         total += (-1) ** (k - 1) * math.factorial(k - 1) * math.prod(map(moment, blocks))
     return total
+
+
+# ------------------------------------- free-cumulant polynomials by interpolation
+
+
+def _solve_unique(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Exact solve of a (possibly overdetermined) system; must be consistent
+    with a unique solution."""
+    rows = [list(r) + [v] for r, v in zip(matrix, rhs)]
+    ncols = len(matrix[0])
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [v / lead for v in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    if rank < ncols:
+        raise ValueError("interpolation system is underdetermined")
+    for i in range(rank, len(rows)):
+        if rows[i][-1]:
+            raise ValueError("interpolation system is inconsistent")
+    solution = [Fraction(0)] * ncols
+    for r, col in enumerate(pivots):
+        solution[col] = rows[r][-1]
+    return solution
+
+
+def _monomials_up_to_weight(max_weight: int) -> list[tuple[int, ...]]:
+    """Multisets of cumulant indices >= 2, graded by total index weight."""
+    out = [()]
+    for w in range(2, max_weight + 1):
+        out.extend(lam for lam in _all_partitions(w) if all(part >= 2 for part in lam))
+    return out
+
+
+def interpolate_in_free_cumulants(values, max_weight: int, max_size: int) -> dict:
+    """Express a diagram functional exactly in free-cumulant monomials.
+
+    ``values`` maps a diagram to a Fraction; the fit runs over all
+    diagrams of size at most ``max_size`` and demands a unique exact
+    solution among monomials of weight at most ``max_weight``.
+    """
+    from wreathprob.diagrams import free_cumulants
+
+    monomials = _monomials_up_to_weight(max_weight)
+    diagrams = [lam for n in range(max_size + 1) for lam in _all_partitions(n)]
+    matrix = []
+    rhs = []
+    for lam in diagrams:
+        cumulants = free_cumulants(lam, max(max_weight, 2))
+        row = []
+        for mono in monomials:
+            prod = Fraction(1)
+            for idx in mono:
+                prod *= cumulants[idx - 1]
+            row.append(prod)
+        matrix.append(row)
+        rhs.append(Fraction(values(lam)))
+    solution = _solve_unique(matrix, rhs)
+    return {m: c for m, c in zip(monomials, solution) if c}
+
+
+def indicator_in_free_cumulants_by_fit(l: int) -> dict:
+    """The one-row indicator of length l, fitted on diagrams of size <= l + 2."""
+    from wreathprob.partitions import indicator_scalar
+
+    if l == 0:
+        return {(): Fraction(1)}
+    return interpolate_in_free_cumulants(lambda lam: indicator_scalar(lam, (l,)), l + 1, l + 2)
+
+
+def profile_moment_in_free_cumulants_by_fit(k: int) -> dict:
+    """The k-th profile power sum, fitted on diagrams of size <= k + 2."""
+    from wreathprob.diagrams import profile_moment
+
+    return interpolate_in_free_cumulants(lambda lam: profile_moment(lam, k), k, k + 2)

@@ -161,7 +161,7 @@ def test_criterion_05_indicators_as_free_cumulant_polynomials():
             cums = free_cumulants(lam, 4)
             assert indicator_scalar(lam, (2,)) == cums[2], lam
             assert indicator_scalar(lam, (3,)) == cums[3] + cums[1], lam
-    # the interpolation fits on diagrams of size <= l + 2; these are far out
+    # larger shapes, each checked against the rim-hook character recursion
     held_out = [(5, 4, 2, 1), (6, 3, 2, 1), (4, 4, 3, 1), (7, 5), (6, 6), (3, 3, 3, 2, 1)]
     for l in (2, 3, 4, 5):
         poly = indicator_in_free_cumulants(l)

@@ -27,10 +27,12 @@ from wreathprob.wreath import IrreducibleFamily
 
 from oracles import (
     from_pairs,
+    indicator_in_free_cumulants_by_fit,
     multiplicity_constant,
     pair_compose,
     pair_cycle_type,
     pair_indicator,
+    profile_moment_in_free_cumulants_by_fit,
     to_pairs,
 )
 
@@ -221,11 +223,10 @@ def test_kerov_expansions_frozen():
     }
 
 
-def _kerov_value(l, lam):
-    """The one-row indicator of length l evaluated through its Kerov polynomial."""
-    cumulants = free_cumulants(lam, l + 1)
+def _evaluate(poly, cumulants):
+    """A free-cumulant polynomial at the cumulants R_1, R_2, ... of one diagram."""
     value = Fraction(0)
-    for mono, coeff in indicator_in_free_cumulants(l).items():
+    for mono, coeff in poly.items():
         prod = Fraction(coeff)
         for idx in mono:
             prod *= cumulants[idx - 1]
@@ -233,10 +234,53 @@ def _kerov_value(l, lam):
     return value
 
 
+def _kerov_value(l, lam):
+    """The one-row indicator of length l evaluated through its Kerov polynomial."""
+    return _evaluate(indicator_in_free_cumulants(l), free_cumulants(lam, l + 1))
+
+
 def test_kerov_expansions_hold_beyond_interpolation_range():
     for l in range(1, 6):
         for lam in partitions_of(l + 3):
             assert _kerov_value(l, lam) == indicator_scalar(lam, (l,)), (l, lam)
+
+
+def test_series_polynomials_match_interpolation_oracle():
+    # the oracle fits each polynomial on every diagram of size <= index + 2
+    cases = [(indicator_in_free_cumulants, indicator_in_free_cumulants_by_fit, i) for i in range(10)]
+    cases += [(profile_moment_in_free_cumulants, profile_moment_in_free_cumulants_by_fit, i) for i in range(10)]
+    for series, fit, i in cases:
+        got, want = series(i), fit(i)
+        assert got == want, (series.__name__, i)
+        assert list(got) == list(want), (series.__name__, i)
+        assert all(type(c) is int for c in got.values()), (series.__name__, i)
+
+
+@st.composite
+def young_diagram(draw, max_size=30):
+    left = draw(st.integers(0, max_size))
+    parts = []
+    while left:
+        parts.append(draw(st.integers(1, left)))
+        left -= parts[-1]
+    return tuple(sorted(parts, reverse=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(young_diagram(), st.integers(1, 12), st.integers(0, 12))
+def test_series_polynomials_evaluate_on_random_diagrams(lam, l, k):
+    # Murnaghan-Nakayama and the profile's corners share no code with the series
+    cumulants = free_cumulants(lam, max(l + 1, k))
+    assert _evaluate(indicator_in_free_cumulants(l), cumulants) == indicator_scalar(lam, (l,))
+    assert _evaluate(profile_moment_in_free_cumulants(k), cumulants) == profile_moment(lam, k)
+
+
+def test_kerov_polynomials_are_positive():
+    # Feray 2009: every Kerov coefficient is a positive integer
+    for l in range(1, 15):
+        poly = indicator_in_free_cumulants(l)
+        assert poly[(l + 1,)] == 1, l
+        assert all(type(c) is int and c > 0 for c in poly.values()), l
 
 
 def test_one_row_indicators_on_large_shapes_match_kerov_polynomials():
