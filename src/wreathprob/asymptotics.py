@@ -13,7 +13,6 @@ the constant table c_{slot, index}.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 
 from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants
@@ -186,22 +185,6 @@ def composition_sums(c_of, top: int) -> dict:
     return sums
 
 
-def _read_double_sum(sums: dict, l1: int, l2: int, weight=None):
-    total = _ZERO
-    for r, ways in sums.get((l1, l2), ()):
-        term = Fraction(l1 * l2, r) * ways
-        total += term if weight is None else term * weight(r)
-    return total
-
-
-def composition_double_sum(c_of, l1: int, l2: int, weight=None):
-    """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i).
-
-    weight, if given, maps the common length r to an extra factor.
-    """
-    return _read_double_sum(composition_sums(c_of, max(l1, l2)), l1, l2, weight)
-
-
 @dataclass
 class LimitParameters:
     """Limit constants of a family: the c table and scaled covariances.
@@ -234,15 +217,21 @@ class LimitParameters:
         return self.cov.get(self._key(s1, l1, s2, l2), _ZERO)
 
     def double_sum(self, slot: int, l1: int, l2: int, weight=None):
-        """This slot's ``composition_double_sum``, read from one ``composition_sums``.
+        """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i) on this slot.
 
-        It runs on first use, at the table's depth or deeper if asked: c must not change after."""
+        weight, if given, maps the common length r to an extra factor.  The
+        slot's ``composition_sums`` runs on first use, at the table's depth or
+        deeper if asked: c must not change after."""
         top, sums = self._sums.get(slot, (0, None))
         if max(l1, l2) > top:
             top = max(_max_l(self), l1, l2)
             sums = composition_sums(lambda m: self.c_value(slot, m), top)
             self._sums[slot] = (top, sums)
-        return _read_double_sum(sums, l1, l2, weight)
+        total = _ZERO
+        for r, ways in sums.get((l1, l2), ()):
+            term = Fraction(l1 * l2, r) * ways
+            total += term if weight is None else term * weight(r)
+        return total
 
     def disjoint_covariance(self, s1: int, l1: int, s2: int, l2: int):
         """Same limit for the disjoint covariance of indicator sums."""
@@ -525,9 +514,7 @@ def convergence_report(
     args,
     q_grid,
     limit=None,
-    description: str = "",
     tolerance: Fraction = Fraction(15, 100),
-    workers: int = 1,
 ) -> ConvergenceReport:
     """Evaluate one scaled cumulant over a q grid and judge the trend.
 
@@ -540,17 +527,11 @@ def convergence_report(
     q_grid = sorted(q_grid)
     if len(set(q_grid)) < len(q_grid):
         raise InputError(f"q grid {q_grid} repeats a point")
+    description = f"condition {condition} at {list(args)}"
     args = tuple(args)
-    columns = (repeat(family), repeat(condition), q_grid, repeat(args))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raws = list(pool.map(raw_cumulant, *columns))
-    else:
-        raws = list(map(raw_cumulant, *columns))
     rows = []
-    for q, raw in zip(q_grid, raws):
+    for q in q_grid:
+        raw = raw_cumulant(family, condition, q, args)
         scaled = _scale(raw, q, condition, args)
         err = None
         if limit is not None:

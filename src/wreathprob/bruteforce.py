@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cyclotomics import conjugate_value
 from .errors import Infeasible
 from .groups import CharacterTable
-from .indicators import IndicatorSum, expand_indicator
+from .indicators import IndicatorSum, expand_indicator, multiplicity
 from .wreath import _normalize_factors, backward_cycles, class_type, class_values
 from .wreath import irreps_by_sizes, w_mul, wreath_order
 
@@ -145,9 +145,11 @@ def indicator_image(wg: WreathGroup, slot: int, summ) -> dict[int, object]:
     """Image of an IndicatorSum (or plain rows tuple) in the group algebra."""
     out: dict[int, object] = {}
     for rows, coeff in IndicatorSum.of(summ).terms.items():
-        for pp, count in expand_indicator(rows, wg.q).items():
+        # each partial permutation of rows counts multiplicity(rows) times
+        weight = coeff * multiplicity(rows)
+        for pp in expand_indicator(rows, wg.q):
             for idx, c in phi_image(wg, slot, pp).items():
-                out[idx] = out.get(idx, 0) + coeff * count * c
+                out[idx] = out.get(idx, 0) + weight * c
     return out
 
 

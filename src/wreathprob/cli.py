@@ -13,6 +13,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant
@@ -27,7 +28,7 @@ from .groups import (
     character_table_from_json,
     validate_character_table,
 )
-from .indicators import compose_each, expand_indicator, product_coefficients
+from .indicators import compose_each, expand_indicator, multiplicity, product_coefficients
 from .partitions import is_partition, partitions_of
 from .sampling import SCHEMA_VERSION, batch_csv, check_specs, predicted_r_covariance
 from .sampling import require_direct_sampler, sample_batch, summary_json
@@ -408,9 +409,7 @@ def cmd_limits(ns):
         args,
         grid,
         limit=limit,
-        description=f"condition {condition} at {args}",
         tolerance=ns.tolerance,
-        workers=ns.workers,
     )
     if ns.format == "csv":
         _emit(report.to_csv(), ns.out)
@@ -560,19 +559,13 @@ def _check_structure_budget(bound):
 
 def _check_structure_constants(bound, failures):
     """Indicator products against explicit partial-permutation algebra."""
-    weighted: dict[tuple, dict] = {}
 
-    def by_weight(rows, q0):
-        """The indicator, expanded once: {multiplicity: (partial permutations,
-        their images, their supports)}."""
-        if (rows, q0) not in weighted:
-            groups: dict[int, list] = {}
-            for p, m in expand_indicator(rows, q0).items():
-                groups.setdefault(m, []).append(p)
-            weighted[rows, q0] = {
-                m: (ps, [p[0] for p in ps], [p[1] for p in ps]) for m, ps in groups.items()
-            }
-        return weighted[rows, q0]
+    @cache
+    def expand(rows, q0):
+        """The indicator, expanded once: (multiplicity, partial permutations).
+
+        An indicator counts each of its partial permutations equally often."""
+        return multiplicity(rows), list(expand_indicator(rows, q0))
 
     cases = 0
     for total in range(2, bound + 1):
@@ -582,25 +575,23 @@ def _check_structure_constants(bound, failures):
                 for nu in partitions_of(size_nu):
                     cases += 1
                     q0 = total
-                    # every pair is composed; Counter tallies the products
-                    # of one multiplicity weight, and the weights come after
-                    lhs = {}
-                    for m1, (_, images, supports) in by_weight(mu, q0).items():
-                        for m2, (right, _, _) in by_weight(nu, q0).items():
-                            tally = Counter()
-                            for p2 in right:
-                                tally.update(compose_each(images, supports, p2))
-                            weight = m1 * m2
-                            for p, n in tally.items():
-                                lhs[p] = lhs.get(p, 0) + weight * n
+                    # every pair is composed once; Counter tallies the
+                    # products, and the multiplicities come after
+                    (m1, left), (m2, right) = expand(mu, q0), expand(nu, q0)
+                    images, supports = zip(*left)
+                    tally = Counter()
+                    for p2 in right:
+                        tally.update(compose_each(images, supports, p2))
+                    weight = m1 * m2
+                    lhs = {p: weight * n for p, n in tally.items()}
                     rhs = {}
                     for rho, coeff in product_coefficients(mu, nu).items():
+                        m, ps = expand(rho, q0)
                         # structure constants are integers: summed as ints
                         # they skip Fraction arithmetic on every term
-                        coeff = coeff.numerator if coeff.denominator == 1 else coeff
-                        for m, (ps, _, _) in by_weight(rho, q0).items():
-                            for p in ps:
-                                rhs[p] = rhs.get(p, 0) + coeff * m
+                        count = (coeff.numerator if coeff.denominator == 1 else coeff) * m
+                        for p in ps:
+                            rhs[p] = rhs.get(p, 0) + count
                     # counts of zero mean absent; lhs has none, its weights
                     # being positive
                     rhs = {p: n for p, n in rhs.items() if n}
@@ -675,13 +666,7 @@ def cmd_report(ns):
     params = _limit_table(fam)
     reports = [
         convergence_report(
-            fam,
-            condition,
-            args,
-            grid,
-            limit=predicted_limit(params, condition, args),
-            description=f"condition {condition} at {args}",
-            workers=ns.workers,
+            fam, condition, args, grid, limit=predicted_limit(params, condition, args)
         )
         for condition, args in quantities
     ]

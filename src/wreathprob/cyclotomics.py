@@ -26,36 +26,25 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    while len(num) >= len(den) and any(num):
-        while num and not num[-1]:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and not num[-1]:
-        num.pop()
-    return quot, num
-
-
 @cache
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    x^n - 1 long-divided by Phi_d for each proper divisor d: every Phi_d is
+    monic with integer coefficients, so the division stays in the integers.
+    """
     if n < 1:
         raise ValueError("order must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        quot, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-        assert not rem
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in _divisors(n)[:-1]:
+        den = cyclotomic_polynomial(d)
+        quot = [0] * (len(num) - len(den) + 1)
+        for shift in reversed(range(len(quot))):
+            factor = quot[shift] = num[shift + len(den) - 1]
+            if factor:
+                for i, c in enumerate(den):
+                    num[shift + i] -= factor * c
+        assert not any(num), f"x^{n} - 1 over Phi_{d} leaves a remainder"
         num = quot
     return tuple(num)
 
@@ -67,7 +56,7 @@ def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     Phi_order is monic with integer coefficients, so every row is an
     integer vector of length phi(order) and reducing needs no division.
     """
-    phi = [int(c) for c in cyclotomic_polynomial(order)]
+    phi = cyclotomic_polynomial(order)
     degree = len(phi) - 1
     row = [1] + [0] * (degree - 1)
     rows = []

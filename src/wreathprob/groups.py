@@ -283,25 +283,25 @@ def builtin_group(spec: str) -> CharacterTable:
 # ---------------------------------------------------------------------- JSON
 
 
+def _coeff_to_json(c):
+    """A rational as JSON: an int when integral, else a "p/q" string."""
+    return int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
 def _value_to_json(v):
     v = _simplify(v)
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    triples = []
-    for e, c in enumerate(v.coeffs):
-        if c:
-            coeff = int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            triples.append([v.order, e, coeff])
+    if isinstance(v, (int, Fraction)):
+        return _coeff_to_json(v)
+    triples = [[v.order, e, _coeff_to_json(c)] for e, c in enumerate(v.coeffs) if c]
     return triples if triples else 0
 
 
 def _coeff_from_json(c) -> Fraction:
+    """The rational an int or a "p/q" string stands for; anything else is refused."""
     if isinstance(c, str):
         num, _, den = c.partition("/")
         return Fraction(int(num), int(den or 1))
-    if isinstance(c, int):
+    if isinstance(c, int) and not isinstance(c, bool):  # JSON true is no number
         return Fraction(c)
     raise ValueError(f"bad rational literal: {c!r}")
 

@@ -68,7 +68,7 @@ def cycle_type(pp: PartialPerm) -> tuple[int, ...]:
     return tuple(sorted(lengths, reverse=True))
 
 
-def _multiplicity(rows: tuple[int, ...]) -> int:
+def multiplicity(rows: tuple[int, ...]) -> int:
     """Fillings per partial permutation of type rows: prod l^m_l m_l!.
 
     A filled row may start at any of its points and equal rows may swap.
@@ -90,7 +90,7 @@ def expand_indicator(rows: tuple[int, ...], q: int) -> Counter:
     rows = tuple(sorted(rows, reverse=True))
     if not rows:
         return Counter({_filling(rows, (), q): 1})
-    count = _multiplicity(rows)
+    count = multiplicity(rows)
     return Counter(
         {_filling(rows, points, q): count for points in _canonical_points(rows, tuple(range(q)), 0)}
     )
@@ -160,15 +160,13 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
         mu, nu = nu, mu
     q0 = sum(mu) + sum(nu)
     p1 = _filling(mu, range(sum(mu)), q0)
-    totals: Counter = Counter()
-    for p2, c2 in expand_indicator(nu, q0).items():
-        totals[cycle_type(compose(p1, p2))] += c2
-    out = {}
-    for rho, total in sorted(totals.items()):
-        coeff = Fraction(total * falling(q0, sum(mu)), falling(q0, sum(rho)))
-        if coeff:
-            out[rho] = coeff
-    return out
+    # nu counts each of its partial permutations multiplicity(nu) times
+    totals = Counter(cycle_type(compose(p1, p2)) for p2 in expand_indicator(nu, q0))
+    scale = multiplicity(nu) * falling(q0, sum(mu))
+    return {
+        rho: Fraction(total * scale, falling(q0, sum(rho)))
+        for rho, total in sorted(totals.items())
+    }
 
 
 class IndicatorSum:

@@ -26,11 +26,11 @@ from fractions import Fraction
 
 from .cyclotomics import Cyclotomic, conjugate_value, numerator_denominator, value_as_fraction
 from .errors import Infeasible, InputError, NoLimitTable
-from .groups import CharacterTable, builtin_group
+from .groups import CharacterTable, _coeff_from_json, _coeff_to_json, builtin_group
 from .groups import character_table_from_json, character_table_to_json
 from .indicators import IndicatorSum
 from .partitions import character as sym_character
-from .partitions import dimension, falling, indicator_scalar, is_partition, partitions_of
+from .partitions import dimension, falling, is_partition, partitions_of
 
 
 def _multipartitions(k: int, q: int):
@@ -358,15 +358,18 @@ def factorized_character(lam_tuple, factors) -> Fraction:
 class RepFamily:
     """A q-indexed family of probability measures on partition tuples.
 
-    Subclasses provide the joint moment of one cross-disjoint indicator
-    term; the public ``moment`` accepts arbitrary per-slot indicator data
-    and reduces products inside each slot first.
+    A joint moment of one cross-disjoint indicator term averages the
+    factorized character over ``canonical_measure``; families with a
+    closed-form rule override it.  The public ``moment`` accepts arbitrary
+    per-slot indicator data and reduces products inside each slot first.
     """
 
     kind = "abstract"
 
     def __init__(self, ct: CharacterTable):
         self.ct = ct
+        # the moments of one call share a q: keep only that q's measure
+        self._measure: tuple[int, dict] | None = None
 
     def moment(self, q: int, factors) -> Fraction:
         """Expectation of a product of per-slot indicators at size q."""
@@ -389,7 +392,12 @@ class RepFamily:
 
     def _joint_moment(self, q: int, items) -> Fraction:
         """E of one cross-disjoint joint indicator; items = ((slot, rows), ...)."""
-        raise NotImplementedError
+        if self._measure is None or self._measure[0] != q:
+            self._measure = (q, self.canonical_measure(q))
+        measure = self._measure[1]
+        return sum(
+            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
+        )
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -538,14 +546,14 @@ class Example1Family(RepFamily):
         if self.multiplicities is not None:
             doc["multiplicities"] = list(self.multiplicities)
         else:
-            doc["weights"] = [_fraction_to_json(w) for w in self.weights]
+            doc["weights"] = [_coeff_to_json(w) for w in self.weights]
         return doc
 
     @classmethod
     def from_json(cls, doc) -> "Example1Family":
         weights = doc.get("weights")
         if weights is not None:
-            weights = [_fraction_from_json(w) for w in weights]
+            weights = [_coeff_from_json(w) for w in weights]
         return cls(_group_from_json(doc["group"]), doc.get("multiplicities"), weights)
 
 
@@ -601,13 +609,6 @@ class IrreducibleFamily(RepFamily):
             self._fill(base, n) for base, n in zip(self.bases, sizes)
         )
 
-    def _joint_moment(self, q: int, items) -> Fraction:
-        shapes = self.shapes(q)
-        out = Fraction(1)
-        for slot, rows in items:
-            out *= indicator_scalar(shapes[slot], rows)
-        return out
-
     def class_cost(self, q: int) -> tuple[int, int]:
         # a class value walks the splits of its type among the slots, which
         # grow like the irreducibles: each is counted as that many
@@ -632,13 +633,13 @@ class IrreducibleFamily(RepFamily):
         return {
             "kind": self.kind,
             "group": character_table_to_json(self.ct),
-            "weights": [_fraction_to_json(w) for w in self.weights],
+            "weights": [_coeff_to_json(w) for w in self.weights],
             "bases": [list(b) for b in self.bases],
         }
 
     @classmethod
     def from_json(cls, doc) -> "IrreducibleFamily":
-        weights = [_fraction_from_json(w) for w in doc["weights"]]
+        weights = [_coeff_from_json(w) for w in doc["weights"]]
         bases = doc.get("bases")
         if bases is not None:
             bases = [tuple(b) for b in bases]
@@ -658,13 +659,13 @@ class _ConstructorFamily(RepFamily):
         doc = {"kind": self.kind}
         for name in self.fields:
             value = getattr(self, name)
-            doc[name] = _fraction_to_json(value) if name == "ratio" else value.to_json()
+            doc[name] = _coeff_to_json(value) if name == "ratio" else value.to_json()
         return doc
 
     @classmethod
     def from_json(cls, doc) -> "_ConstructorFamily":
         def decode(name):
-            return (_fraction_from_json if name == "ratio" else family_from_json)(doc[name])
+            return (_coeff_from_json if name == "ratio" else family_from_json)(doc[name])
 
         return cls(**{name: decode(name) for name in cls.fields})
 
@@ -825,8 +826,8 @@ class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply class by class, which has no
-    indicator-level product rule, so a joint moment averages the
-    factorized character over the measure the product decomposes into.
+    indicator-level product rule, so it keeps the default joint moment:
+    the factorized character averaged over the measure it decomposes into.
     """
 
     kind = "tensor"
@@ -838,16 +839,6 @@ class TensorFamily(_ConstructorFamily):
         super().__init__(left.ct)
         self.left = left
         self.right = right
-        # the moments of one call share a q: keep only that q's measure
-        self._measure: tuple[int, dict] | None = None
-
-    def _joint_moment(self, q: int, items) -> Fraction:
-        if self._measure is None or self._measure[0] != q:
-            self._measure = (q, self.canonical_measure(q))
-        measure = self._measure[1]
-        return sum(
-            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
-        )
 
     def class_cost(self, q: int) -> tuple[int, int]:
         (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)
@@ -862,17 +853,6 @@ class TensorFamily(_ConstructorFamily):
         from .asymptotics import tensor_limits
 
         return tensor_limits(self.left, self.right, max_index)
-
-
-def _fraction_to_json(f: Fraction):
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def _fraction_from_json(v) -> Fraction:
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den or 1))
-    return Fraction(v)
 
 
 def _group_from_json(doc) -> CharacterTable:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wreathprob.asymptotics import (
     ConvergenceReport,
     LimitParameters,
-    composition_double_sum,
     composition_sums,
     condition_exponent,
     convergence_report,
@@ -47,6 +46,20 @@ from wreathprob.wreath import (
 from family_trees import PROPERTY_GROUPS, nodes, trees
 from oracles import composition_double_sum_bruteforce, compositions, measure_r_cumulant
 from oracles import per_entry_limits, per_entry_restrict_limits
+
+
+def composition_double_sum(c_of, l1: int, l2: int, weight=None):
+    """Sum over equal-length composition pairs of (l1 l2 / r) prod c(a_i+b_i), by ``composition_sums``.
+
+    weight, if given, maps the common length r to an extra factor.
+    """
+    return sum(
+        (
+            Fraction(l1 * l2, r) * ways * (1 if weight is None else weight(r))
+            for r, ways in composition_sums(c_of, max(l1, l2)).get((l1, l2), ())
+        ),
+        Fraction(0),
+    )
 
 
 def test_set_partitions_are_bell_numbers():
@@ -559,9 +572,7 @@ def test_canonical_measure_dispatch():
 
 def test_convergence_report_verdicts_and_emission():
     fam = Example1Family(cyclic_group(2))
-    constant = convergence_report(
-        fam, 3, [(0, 1)], [4, 8, 16], limit=Fraction(1, 2), description="mean"
-    )
+    constant = convergence_report(fam, 3, [(0, 1)], [4, 8, 16], limit=Fraction(1, 2))
     assert constant.verdict is True
     assert all(row[2] == Fraction(1, 2) for row in constant.rows)
     failing = convergence_report(fam, 3, [(0, 1)], [4, 8, 16], limit=Fraction(1, 3))
@@ -575,16 +586,8 @@ def test_convergence_report_verdicts_and_emission():
     assert lines[2].split(",") == ["4", "2", "1/2", "1/2", "0", "0.5"]
     doc = constant.to_json()
     assert doc["verdict"] is True
+    assert doc["description"] == "condition 3 at [(0, 1)]"
     assert doc["rows"][0]["q"] == 4
-
-
-def test_grid_workers_match_serial():
-    fam = Example1Family(cyclic_group(2))
-    serial = convergence_report(fam, 3, [(0, 2), (0, 2)], [6, 10], limit=Fraction(1, 2))
-    parallel = convergence_report(
-        fam, 3, [(0, 2), (0, 2)], [6, 10], limit=Fraction(1, 2), workers=2
-    )
-    assert serial.rows == parallel.rows
 
 
 # ---------------------------------------- limit tables: one DP per slot

@@ -80,6 +80,22 @@ def test_family_weight_with_zero_denominator(capsys):
     assert "bad family descriptor" in err
 
 
+@pytest.mark.parametrize(
+    "fam, value",
+    [
+        ('{"kind":"outer","ratio":0.3,"left":%s,"right":%s}' % (LEFT_REGULAR, LEFT_REGULAR), "0.3"),
+        ('{"kind":"example1","group":"cyclic:2","weights":[0.5,"1/2"]}', "0.5"),
+        ('{"kind":"irreducible","group":"cyclic:2","weights":["1/2",0.5]}', "0.5"),
+        ('{"kind":"restricted","ratio":true,"parent":%s}' % LEFT_REGULAR, "True"),
+    ],
+)
+def test_non_rational_number_in_a_descriptor_is_a_usage_error(fam, value, capsys):
+    # a float is no exact rational: 0.3 would be read as its binary expansion
+    code, out, err = run(capsys, "family", "--family", fam, "--q", "10")
+    assert code == 2 and out == ""
+    assert "bad family descriptor" in err and value in err and "Traceback" not in err
+
+
 def test_group_builtin(capsys):
     code, out, _ = run(capsys, "group", "--group", "S3")
     assert code == 0
@@ -1147,6 +1163,16 @@ def test_report_aggregates(capsys):
     assert doc["all_pass"] is True
     assert len(doc["reports"]) == 9
     assert doc["limits"]["cov"] is not None
+
+
+def test_report_output_same_for_any_worker_count(capsys):
+    # report reads no --workers, but the flag stays accepted
+    base = ["report", "--family", LEFT_REGULAR, "--q-grid", "6,10"]
+    outputs = [run(capsys, *base, "--workers", w) for w in ("1", "2")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+    descriptions = [r["description"] for r in json.loads(outputs[0][1])["reports"]]
+    assert descriptions[3] == "condition 3 at [(0, 1), (0, 1)]"
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reduce_by_division
+from oracles import cyclotomic_polynomial_mobius, reduce_by_division
 
 from wreathprob.cyclotomics import (
     Cyclotomic,
@@ -26,6 +26,13 @@ def test_cyclotomic_polynomials_frozen():
     assert cyclotomic_polynomial(4) == (f(1), f(0), f(1))
     assert cyclotomic_polynomial(6) == (f(1), f(-1), f(1))
     assert cyclotomic_polynomial(12) == (f(1), f(0), f(-1), f(0), f(1))
+
+
+def test_cyclotomic_polynomials_are_integral_and_match_mobius():
+    for n in range(1, 121):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi), n
+        assert phi == cyclotomic_polynomial_mobius(n), n
 
 
 def test_root_relations():
