@@ -7,20 +7,35 @@ Growing a random diagram one box at a time
 import random
 
 from wreathprob.diagrams import free_cumulants, transition_measure
-from wreathprob.sampling import growth_weights, sample_plancherel
+from wreathprob.sampling import sample_plancherel
 
 rng = random.Random(7)
 
+
+def grow(lam, content):
+    """The diagram with one box added at the addable corner of this content.
+
+    Row r ends at content lam[r] - r, which falls strictly with r, so one
+    row (a new one past the last) has the content.
+    """
+    rows = list(lam) + [0]
+    r = next(r for r, length in enumerate(rows) if length - r == content)
+    rows[r] += 1
+    return tuple(length for length in rows if length)
+
+
 ############################################################
 # Each growth step picks an addable corner with the weight the
-# current diagram's transition measure puts on that corner.
+# current diagram's transition measure puts on that corner: its
+# atoms are the contents of the addable corners, in ascending order.
 
 lam = ()
 for step in range(8):
-    choices = growth_weights(lam)
-    pretty = ", ".join(f"content {c}: {p}" for c, _, p in choices)
+    tm = transition_measure(lam)
+    pretty = ", ".join(f"content {c}: {p}" for c, p in zip(tm.atoms, tm.weights))
     print(f"{str(lam):<24} -> {pretty}")
-    _, lam, _ = rng.choices(choices, weights=[float(p) for _, _, p in choices])[0]
+    content = rng.choices(tm.atoms, weights=[float(p) for p in tm.weights])[0]
+    lam = grow(lam, content)
 print("grown diagram:", lam)
 
 ############################################################

@@ -3,17 +3,18 @@
 Everything here works with the full element list of the wreath product
 of a small base group with a small symmetric group: multiplication,
 conjugacy classes read off cycle data, and images of indicators in the
-group algebra.  It serves ``verify`` and the tests as the ground truth
-that the class-level characters and the factorized character are
-checked against; no family path builds a group.
+group algebra as integer numerators over one int denominator.  It
+serves ``verify`` and the tests as the ground truth that the
+class-level characters and the factorized character are checked
+against; no family path builds a group.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from math import lcm
 
-from .cyclotomics import conjugate_value
+from .cyclotomics import conjugate_value, numerator_denominator
 from .errors import Infeasible
 from .groups import CharacterTable
 from .indicators import IndicatorSum, expand_indicator, multiplicity
@@ -108,9 +109,11 @@ class WreathGroup:
 # ---------------------------------------------------------- algebra images
 
 
-def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
+def phi_image(wg: WreathGroup, slot: int, pp) -> tuple[dict[int, object], int]:
     """Image of one partial permutation under the slot's twisted embedding.
 
+    Returned as (numerators, denominator): an int or integer-coefficient
+    numerator per element and one positive int dividing all of them.
     Support coordinates average over the group with the isotypic
     projection's coefficients; all other coordinates stay at identity.
     Each cycle of length k also carries a factor dim**(k-1): the k color
@@ -121,12 +124,17 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
     group = wg.ct.group
     dim = wg.ct.irreps[slot].dim
     # the projection's coefficient at g is dim conj(chi(g)) / |G|: the
-    # algebraic-integer numerators multiply first, the division comes once
-    numerators = [dim * conjugate_value(wg.ct.value(slot, g)) for g in range(group.order)]
+    # numerators multiply first, the division comes once (a table with
+    # rational coefficients puts their lcm into the denominator)
+    split = [
+        numerator_denominator(dim * conjugate_value(wg.ct.value(slot, g)))
+        for g in range(group.order)
+    ]
+    common = lcm(*(d for _, d in split))
+    numerators = [n * (common // d) for n, d in split]
     perm, mask = pp
     support = [a for a in range(wg.q) if mask >> a & 1]
     scale = dim ** (len(perm) - len(backward_cycles(perm)))
-    divisor = Fraction(1, group.order ** len(support))
     out: dict[int, object] = {}
     for assignment in itertools.product(range(group.order), repeat=len(support)):
         coeff = scale
@@ -137,35 +145,44 @@ def phi_image(wg: WreathGroup, slot: int, pp) -> dict[int, object]:
         if coeff == 0:
             continue
         # the support's colours differ between assignments: each index once
-        out[wg.index[(tuple(colors), perm)]] = coeff * divisor
-    return out
+        out[wg.index[(tuple(colors), perm)]] = coeff
+    return out, (common * group.order) ** len(support)
 
 
-def indicator_image(wg: WreathGroup, slot: int, summ) -> dict[int, object]:
-    """Image of an IndicatorSum (or plain rows tuple) in the group algebra."""
-    out: dict[int, object] = {}
+def indicator_image(wg: WreathGroup, slot: int, summ) -> tuple[dict[int, object], int]:
+    """Image of an IndicatorSum (or plain rows tuple) as (numerators, denominator)."""
+    parts = []
     for rows, coeff in IndicatorSum.of(summ).terms.items():
         # each partial permutation of rows counts multiplicity(rows) times
         weight = coeff * multiplicity(rows)
         for pp in expand_indicator(rows, wg.q):
-            for idx, c in phi_image(wg, slot, pp).items():
-                out[idx] = out.get(idx, 0) + weight * c
-    return out
-
-
-def algebra_product(wg: WreathGroup, a: dict, b: dict) -> dict[int, object]:
+            image, denominator = phi_image(wg, slot, pp)
+            parts.append((image, weight / denominator))
+    common = lcm(*(w.denominator for _, w in parts))
     out: dict[int, object] = {}
-    for i, ci in a.items():
-        for j, cj in b.items():
+    for image, w in parts:
+        factor = w.numerator * (common // w.denominator)
+        for idx, c in image.items():
+            out[idx] = out.get(idx, 0) + factor * c
+    return out, common
+
+
+def algebra_product(wg: WreathGroup, a, b) -> tuple[dict[int, object], int]:
+    """Product of two (numerators, denominator) images: the denominators multiply once."""
+    (left, da), (right, db) = a, b
+    out: dict[int, object] = {}
+    for i, ci in left.items():
+        for j, cj in right.items():
             k = wg.mul(i, j)
             out[k] = out.get(k, 0) + ci * cj
-    return out
+    return out, da * db
 
 
-def tensor_algebra_image(wg: WreathGroup, factors) -> dict[int, object]:
-    """Group-algebra image of a product of per-slot indicator sums."""
-    per_slot = _normalize_factors(factors)
-    out = {wg.identity: 1}
-    for slot, summ in per_slot.items():
-        out = algebra_product(wg, out, indicator_image(wg, slot, summ))
-    return out
+def tensor_algebra_image(wg: WreathGroup, factors) -> tuple[dict[int, object], int]:
+    """Image of a product of per-slot indicator sums, as (numerators, denominator)."""
+    out = None
+    for slot, summ in _normalize_factors(factors).items():
+        image = indicator_image(wg, slot, summ)
+        # the first slot's image is the product so far: no identity product
+        out = image if out is None else algebra_product(wg, out, image)
+    return out or ({wg.identity: 1}, 1)

@@ -468,6 +468,7 @@ def _check_wreath_orthogonality(ct, q, failures):
     tuples = enumerate_irreps(ct, q)
     sizes = wg.class_sizes()
     chars = {t: wg.irreducible_character(t) for t in tuples}
+    conjugates = {t: [conjugate_value(v) for v in chi] for t, chi in chars.items()}
     cases = 0
     if sum(wreath_dimension(ct, t) ** 2 for t in tuples) != wg.order:
         failures.append({"check": "wreath-dimensions", "q": q})
@@ -476,7 +477,7 @@ def _check_wreath_orthogonality(ct, q, failures):
             cases += 1
             dot = 0
             for k, size in enumerate(sizes):
-                dot = dot + size * chars[t1][k] * conjugate_value(chars[t2][k])
+                dot = dot + size * chars[t1][k] * conjugates[t2][k]
             expected = wg.order if t1 == t2 else 0
             if dot != expected:
                 failures.append(
@@ -504,23 +505,25 @@ def _check_factorization_lemma(ct, bound, failures):
         factor_sets.append(((1, (2,)),))
     for q in range(1, bound + 1):
         wg = WreathGroup(ct, q)
-        # the images, summed per class, do not depend on the irreducible
+        # the images' numerators, summed per class, do not depend on the
+        # irreducible; each image divides once, by its denominator
         images = []
         for factors in factor_sets:
+            numerators, denominator = tensor_algebra_image(wg, factors)
             per_class = {}
-            for idx, coeff in tensor_algebra_image(wg, factors).items():
+            for idx, coeff in numerators.items():
                 k = wg.class_of[idx]
                 per_class[k] = per_class.get(k, 0) + coeff
-            images.append(per_class)
+            images.append((per_class, denominator))
         for lam_tuple in enumerate_irreps(ct, q):
             chi = wg.irreducible_character(lam_tuple)
             dim = wreath_dimension(ct, lam_tuple)
-            for factors, image in zip(factor_sets, images):
+            for factors, (image, denominator) in zip(factor_sets, images):
                 cases += 1
                 actual = 0
                 for k, coeff in image.items():
                     actual = actual + coeff * chi[k]
-                actual = value_as_fraction(actual) / dim
+                actual = value_as_fraction(actual) / (denominator * dim)
                 expected = factorized_character(lam_tuple, factors)
                 if actual != expected:
                     failures.append(
@@ -586,15 +589,12 @@ def _check_structure_constants(bound, failures):
                     lhs = {p: weight * n for p, n in tally.items()}
                     rhs = {}
                     for rho, coeff in product_coefficients(mu, nu).items():
+                        # a partial permutation's cycle type on its support
+                        # is its rho, so distinct rho fill disjoint keys; the
+                        # coefficients are positive, so no count is zero
                         m, ps = expand(rho, q0)
-                        # structure constants are integers: summed as ints
-                        # they skip Fraction arithmetic on every term
-                        count = (coeff.numerator if coeff.denominator == 1 else coeff) * m
-                        for p in ps:
-                            rhs[p] = rhs.get(p, 0) + count
-                    # counts of zero mean absent; lhs has none, its weights
-                    # being positive
-                    rhs = {p: n for p, n in rhs.items() if n}
+                        count = coeff.numerator * m if coeff.denominator == 1 else coeff * m
+                        rhs.update(dict.fromkeys(ps, count))
                     if lhs != rhs:
                         failures.append(
                             {

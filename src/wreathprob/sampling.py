@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .asymptotics import predicted_limit
-from .diagrams import profile_moment, transition_measure, free_cumulants
+from .diagrams import profile_moment, free_cumulants
 from .errors import Infeasible, InputError
 from .indicators import (
     free_cumulant_as_indicators,
@@ -37,25 +37,6 @@ STATISTIC_KINDS = {
     "p": (2, lambda i: 2 - i),
     "character": (1, lambda i: i),
 }
-
-
-def growth_weights(lam):
-    """Exact growth-step law: (content, grown diagram, probability) triples.
-
-    Each addable corner is weighted by the transition measure of ``lam`` at
-    its content; the triples come in ascending content order.
-    """
-    lam = tuple(lam)
-    tm = transition_measure(lam)
-    by_content = dict(zip(tm.atoms, tm.weights))
-    out = [(-len(lam), lam + (1,), by_content[-len(lam)])]
-    for r in range(len(lam)):
-        if r == 0 or lam[r - 1] > lam[r]:
-            content = lam[r] - r
-            grown = lam[:r] + (lam[r] + 1,) + lam[r + 1 :]
-            out.append((content, grown, by_content[content]))
-    out.sort()
-    return out
 
 
 def _insertion_shape(values) -> tuple:

@@ -1022,10 +1022,78 @@ def brute_moment(family, q: int, factors) -> Fraction:
     from wreathprob.cyclotomics import value_as_fraction
 
     values = family_values(family, q)
+    numerators, denominator = tensor_algebra_image(enumerated_group(family.ct, q), factors)
     total = 0
-    for idx, coeff in tensor_algebra_image(enumerated_group(family.ct, q), factors).items():
+    for idx, coeff in numerators.items():
         total = total + coeff * values[idx]
-    return value_as_fraction(total)
+    return value_as_fraction(total) / denominator
+
+
+# ------------------------------------------ group-algebra images by Fractions
+#
+# The route the library's integer images replaced: every coefficient a
+# Fraction (or a Fraction-coefficient cyclotomic), the projection taken
+# from its definition, partial permutations by type, and the product by
+# the group law written out again.
+
+
+def fraction_phi_image(wg, slot: int, pairs) -> dict:
+    """The twisted embedding of one pair-encoded partial permutation.
+
+    A support point coloured g carries the projection coefficient at g,
+    and each k-cycle a factor dim**(k-1).
+    """
+    coeffs = projection_coefficients(wg.ct, slot)
+    dim = wg.ct.irreps[slot].dim
+    perm, _ = from_pairs(pairs, wg.q)
+    scale = Fraction(dim) ** (len(pairs) - len(pair_cycle_type(pairs)))
+    support = [a for a, _ in pairs]
+    identity = wg.ct.group.identity
+    out = {}
+    for assignment in itertools.product(range(wg.ct.group.order), repeat=len(support)):
+        colors = [identity] * wg.q
+        coeff = scale
+        for point, g in zip(support, assignment):
+            colors[point] = g
+            coeff = coeff * coeffs[g]
+        if coeff != 0:
+            out[wg.index[(tuple(colors), perm)]] = coeff
+    return out
+
+
+def fraction_indicator_image(wg, slot: int, summ) -> dict:
+    """Image of an IndicatorSum (or rows tuple), each coefficient exact."""
+    from wreathprob.indicators import IndicatorSum
+
+    out = {}
+    for rows, coeff in IndicatorSum.of(summ).terms.items():
+        for pairs, count in pair_indicator(rows, wg.q).items():
+            for idx, c in fraction_phi_image(wg, slot, pairs).items():
+                out[idx] = out.get(idx, 0) + coeff * count * c
+    return out
+
+
+def fraction_algebra_product(wg, a: dict, b: dict) -> dict:
+    out = {}
+    for i, ci in a.items():
+        for j, cj in b.items():
+            k = wg.index[_w_mul(wg.ct.group.mult, wg.elements[i], wg.elements[j])]
+            out[k] = out.get(k, 0) + ci * cj
+    return out
+
+
+def fraction_tensor_algebra_image(wg, factors) -> dict:
+    """Image of a product of per-slot indicator sums, slots in increasing order."""
+    from wreathprob.indicators import IndicatorSum
+
+    per_slot = {}
+    for slot, item in factors:
+        item = IndicatorSum.of(item)
+        per_slot[slot] = per_slot[slot] * item if slot in per_slot else item
+    out = {wg.identity: Fraction(1)}
+    for slot in sorted(per_slot):
+        out = fraction_algebra_product(wg, out, fraction_indicator_image(wg, slot, per_slot[slot]))
+    return out
 
 
 # ------------------------------------------------ cumulants by the measure
@@ -1136,3 +1204,27 @@ def profile_moment_in_free_cumulants_by_fit(k: int) -> dict:
     from wreathprob.diagrams import profile_moment
 
     return interpolate_in_free_cumulants(lambda lam: profile_moment(lam, k), k, k + 2)
+
+
+# ------------------------------------------------------------- growth steps
+
+
+def growth_weights(lam):
+    """Exact growth-step law: (content, grown diagram, probability) triples.
+
+    Each addable corner is weighted by the transition measure of ``lam`` at
+    its content; the triples come in ascending content order.
+    """
+    from wreathprob.diagrams import transition_measure
+
+    lam = tuple(lam)
+    tm = transition_measure(lam)
+    by_content = dict(zip(tm.atoms, tm.weights))
+    out = [(-len(lam), lam + (1,), by_content[-len(lam)])]
+    for r in range(len(lam)):
+        if r == 0 or lam[r - 1] > lam[r]:
+            content = lam[r] - r
+            grown = lam[:r] + (lam[r] + 1,) + lam[r + 1 :]
+            out.append((content, grown, by_content[content]))
+    out.sort()
+    return out

@@ -1,11 +1,14 @@
 """Explicit wreath groups and induced characters against first principles."""
 
+import functools
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wreathprob.bruteforce import (
     MAX_ELEMENTS,
@@ -13,10 +16,12 @@ from wreathprob.bruteforce import (
     algebra_product,
     indicator_image,
     phi_image,
+    tensor_algebra_image,
 )
-from wreathprob.cyclotomics import conjugate_value, value_as_fraction
-from wreathprob.groups import cyclic_group, dihedral_group, symmetric3_group
-from wreathprob.partitions import indicator_scalar
+from wreathprob.cyclotomics import Cyclotomic, conjugate_value, value_as_fraction
+from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
+from wreathprob.indicators import IndicatorSum, expand_indicator
+from wreathprob.partitions import indicator_scalar, partitions_of
 from wreathprob.wreath import (
     Example1Family,
     InducedFamily,
@@ -35,18 +40,33 @@ from oracles import (
     OrbitWreathGroup,
     conjugates_of_class,
     family_values,
+    fraction_tensor_algebra_image,
     full_table_measure,
     w_inv,
 )
 
+IMAGE_GROUPS = ["cyclic:2", "cyclic:3", "cyclic:4", "S3", "dihedral:4"]
 
-def normalized_trace(wg, lam_tuple, algebra):
-    """Normalized character of the irreducible on a group-algebra element."""
+
+def normalized_trace(wg, lam_tuple, image):
+    """Normalized character of the irreducible on a (numerators, denominator) image."""
+    numerators, denominator = image
     values = wg.irreducible_character(lam_tuple)
     total = 0
-    for idx, coeff in algebra.items():
+    for idx, coeff in numerators.items():
         total = total + coeff * values[wg.class_of[idx]]
-    return value_as_fraction(total) / wreath_dimension(wg.ct, lam_tuple)
+    return value_as_fraction(total) / (denominator * wreath_dimension(wg.ct, lam_tuple))
+
+
+def as_fractions(image):
+    """The nonzero coefficients of a (numerators, denominator) image, divided out."""
+    numerators, denominator = image
+    return {idx: c * Fraction(1, denominator) for idx, c in numerators.items() if c}
+
+
+@functools.cache
+def image_group(spec, q):
+    return WreathGroup(builtin_group(spec), q)
 
 
 def test_group_law_axioms():
@@ -262,9 +282,60 @@ def test_phi_images_multiply_like_partial_permutations():
             wg, indicator_image(wg, slot, s1), indicator_image(wg, slot, s2)
         )
         rhs = indicator_image(wg, slot, s1 * s2)
-        keys = set(lhs) | set(rhs)
-        for k in keys:
-            assert lhs.get(k, 0) == rhs.get(k, 0)
+        assert as_fractions(lhs) == as_fractions(rhs)
+
+
+@st.composite
+def image_cases(draw):
+    """A builtin group, q <= 3 and 1-2 (slot, IndicatorSum) factors.
+
+    The factors' largest rows add up to at most q, which keeps the
+    Fraction oracle's products small.
+    """
+    spec = draw(st.sampled_from(IMAGE_GROUPS))
+    q = draw(st.integers(1, 3))
+    slots = builtin_group(spec).num_irreps
+    coefficients = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    room, factors = q, []
+    for _ in range(draw(st.integers(1, 2))):
+        if not room:
+            break
+        size = draw(st.integers(1, room))
+        room -= size
+        rows = st.sampled_from([r for n in range(1, size + 1) for r in partitions_of(n)])
+        terms = draw(st.dictionaries(rows, coefficients, min_size=1, max_size=2))
+        factors.append((draw(st.integers(0, slots - 1)), IndicatorSum(terms)))
+    return spec, q, factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(image_cases())
+def test_integer_images_match_fraction_oracle(case):
+    spec, q, factors = case
+    wg = image_group(spec, q)
+    want = {k: v for k, v in fraction_tensor_algebra_image(wg, factors).items() if v}
+    assert as_fractions(tensor_algebra_image(wg, factors)) == want
+
+
+@pytest.mark.parametrize("spec", IMAGE_GROUPS)
+def test_images_carry_integer_numerators(spec):
+    wg = image_group(spec, 2)
+    mixed = IndicatorSum({(1,): Fraction(2, 3), (2,): Fraction(-1, 2)})
+    images = []
+    for slot in range(wg.ct.num_irreps):
+        images += [phi_image(wg, slot, pp) for pp in expand_indicator((2,), 2)]
+        images.append(indicator_image(wg, slot, mixed))
+        images.append(tensor_algebra_image(wg, [(slot, (1,)), (0, mixed)]))
+    assert tensor_algebra_image(wg, []) == ({wg.identity: 1}, 1)
+    kinds = set()
+    for numerators, denominator in images:
+        assert type(denominator) is int and denominator > 0
+        for c in numerators.values():
+            kinds.add(type(c))
+            assert type(c) is int or all(type(x) is int for x in c.coeffs), c
+    assert kinds <= {int, Cyclotomic}
+    # the rational groups' images stay on plain ints
+    assert (Cyclotomic in kinds) == (spec in ("cyclic:3", "cyclic:4"))
 
 
 def test_cross_slot_overlaps_vanish():

@@ -1,6 +1,7 @@
 """Indicator algebra: products, structure constants, Kerov conversions."""
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -100,6 +101,19 @@ def test_expand_indicator_matches_pair_oracle_exhaustively():
                 )
                 assert expand_indicator(rows, q) == expected, (rows, q)
                 assert expand_indicator(rows[::-1], q) == expected, (rows, q)
+
+
+def test_expansions_of_distinct_indicators_are_disjoint():
+    # a partial permutation's cycle type on its support is its rows, so
+    # verify's structure-constant check fills one key set per indicator
+    # with no sums; that needs every expansion on q points to be disjoint
+    for q in range(7):
+        owner = {}
+        for size in range(q + 1):
+            for rows in partitions_of(size):
+                for pp in expand_indicator(rows, q):
+                    assert owner.setdefault(pp, rows) == rows, (q, pp, rows, owner[pp])
+        assert len(owner) == sum(math.comb(q, k) * math.factorial(k) for k in range(q + 1))
 
 
 def test_expand_indicator_builds_each_partial_permutation_once(monkeypatch):

@@ -17,7 +17,6 @@ from wreathprob.sampling import (
     batch_csv,
     check_specs,
     fluctuation_statistics,
-    growth_weights,
     normality_check,
     predicted_r_covariance,
     sample_batch,
@@ -29,7 +28,7 @@ from wreathprob.sampling import (
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
 
-from oracles import dimension_branching, partition_count_pentagonal
+from oracles import dimension_branching, growth_weights, partition_count_pentagonal
 
 
 def rng_for(seed):
