@@ -463,8 +463,8 @@ def _check_character_tables(group_specs, failures):
     return cases
 
 
-def _check_wreath_orthogonality(ct, q, failures):
-    wg = WreathGroup(ct, q)
+def _check_wreath_orthogonality(wg, failures):
+    ct, q = wg.ct, wg.q
     tuples = enumerate_irreps(ct, q)
     sizes = wg.class_sizes()
     chars = {t: wg.irreducible_character(t) for t in tuples}
@@ -490,7 +490,7 @@ def _check_wreath_orthogonality(ct, q, failures):
     return cases
 
 
-def _check_factorization_lemma(ct, bound, failures):
+def _check_factorization_lemma(ct, bound, failures, wreath_group):
     """Factorized characters against explicit traces, every irreducible."""
     cases = 0
     slots = len(ct.irreps)
@@ -504,7 +504,7 @@ def _check_factorization_lemma(ct, bound, failures):
         factor_sets.append(((0, (2,)), (1, (1,))))
         factor_sets.append(((1, (2,)),))
     for q in range(1, bound + 1):
-        wg = WreathGroup(ct, q)
+        wg = wreath_group(ct, q)
         # the images' numerators, summed per class, do not depend on the
         # irreducible; each image divides once, by its denominator
         images = []
@@ -612,6 +612,8 @@ def cmd_verify(ns):
     checks = []
     group_specs = [ns.group] if ns.group else ["cyclic:2", "cyclic:3", "S3"]
     structure_bound = ns.bound or 6
+    # one group per (table, q): the scopes share it and its characters
+    wreath_group = cache(WreathGroup)
     if scope in ("structure-constants", "all"):
         _check_structure_budget(structure_bound)
     if scope in ("lemma", "all"):
@@ -627,11 +629,11 @@ def cmd_verify(ns):
             for spec in group_specs:
                 ct = _load_group(spec)
                 if ct.group.order**2 * 2 <= 200:
-                    total += _check_wreath_orthogonality(ct, 2, failures)
+                    total += _check_wreath_orthogonality(wreath_group(ct, 2), failures)
             checks.append({"check": "wreath-orthogonality", "cases": total})
     if scope in ("lemma", "all"):
         try:
-            cases = _check_factorization_lemma(lemma_ct, lemma_bound, failures)
+            cases = _check_factorization_lemma(lemma_ct, lemma_bound, failures, wreath_group)
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
             # an inconsistent table breaks the wreath character construction
             cases = 0
@@ -686,7 +688,12 @@ def cmd_report(ns):
 # -------------------------------------------------------------------- main
 
 
-def _build_parser():
+def _build_parser(invoked=None):
+    """The CLI parser; for a known ``invoked`` command, its subparser alone.
+
+    One subparser builds in about half the time of nine.  Its usage names
+    every command, so each help, usage and error text is the full parser's.
+    """
     # flags are spelled in full, as config keys are: an abbreviation unique
     # today would change meaning once its command gains a flag sharing it
     parser = argparse.ArgumentParser(
@@ -694,9 +701,15 @@ def _build_parser():
         description="Exact asymptotics of canonical partition measures.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if invoked in COMMANDS:
+        names, metavar = [invoked], "{" + ",".join(COMMANDS) + "}"
+    else:
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def command(name, help_text, *, fmt=False, family=False, q=False, grid=False):
+        if name not in names:
+            return None
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON file supplying these flags")
         p.add_argument("--out", help="output path (default stdout)")
@@ -713,55 +726,60 @@ def _build_parser():
             p.add_argument("--q-grid", dest="q_grid", help="comma list, e.g. 10,20,30")
         return p
 
-    p = command("diagram", "profile, measure, and cumulants of one partition", fmt=True)
-    p.add_argument("partition", help="comma literal like 4,3,1; empty string for the empty diagram")
+    if p := command("diagram", "profile, measure, and cumulants of one partition", fmt=True):
+        p.add_argument(
+            "partition", help="comma literal like 4,3,1; empty string for the empty diagram"
+        )
 
-    p = command("group", "validate and print a character table")
-    p.add_argument("--group", help="builtin name (cyclic:N, S3, dihedral:N) or JSON path")
+    if p := command("group", "validate and print a character table"):
+        p.add_argument("--group", help="builtin name (cyclic:N, S3, dihedral:N) or JSON path")
 
     command("family", "describe a family: descriptor, limits, small-q measure", family=True, q=True)
 
-    p = command(
+    if p := command(
         "moments", "exact moments of per-slot indicators", fmt=True, family=True, q=True, grid=True
-    )
-    p.add_argument("--rows", help="factors like 0:2,1;1:3")
+    ):
+        p.add_argument("--rows", help="factors like 0:2,1;1:3")
 
-    p = command(
+    if p := command(
         "cumulants", "joint cumulants of indicator data", fmt=True, family=True, q=True, grid=True
-    )
-    p.add_argument("--rows", help="factors like 0:2;0:1")
-    p.add_argument(
-        "--kind", choices=("natural", "disjoint", "free"), default="natural"
-    )
+    ):
+        p.add_argument("--rows", help="factors like 0:2;0:1")
+        p.add_argument("--kind", choices=("natural", "disjoint", "free"), default="natural")
 
-    p = command(
+    if p := command(
         "limits", "scaled-cumulant convergence over a q grid", fmt=True, family=True, grid=True
-    )
-    p.add_argument("--rows", help="single-row factors like 0:2;0:2")
-    p.add_argument("--condition", type=int, choices=(2, 3, 4), default=3, help="scaling condition")
-    p.add_argument(
-        "--limit", type=_parse_limit, default="auto", help="expected limit: 'auto', 'none', or p/q"
-    )
-    p.add_argument(
-        "--tolerance",
-        type=_at_least(0, Fraction, "a rational number"),
-        default=Fraction(15, 100),
-        help="relative tolerance at the last grid point",
-    )
+    ):
+        p.add_argument("--rows", help="single-row factors like 0:2;0:2")
+        p.add_argument(
+            "--condition", type=int, choices=(2, 3, 4), default=3, help="scaling condition"
+        )
+        p.add_argument(
+            "--limit",
+            type=_parse_limit,
+            default="auto",
+            help="expected limit: 'auto', 'none', or p/q",
+        )
+        p.add_argument(
+            "--tolerance",
+            type=_at_least(0, Fraction, "a rational number"),
+            default=Fraction(15, 100),
+            help="relative tolerance at the last grid point",
+        )
 
-    p = command("sample", "Monte Carlo canonical-measure fluctuations", family=True, q=True)
-    p.add_argument("--stats", help="statistics like R:0:3;character:0:2;p:0:2")
-    p.add_argument("--n-samples", dest="n_samples", type=_at_least(0), default=1000)
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    if p := command("sample", "Monte Carlo canonical-measure fluctuations", family=True, q=True):
+        p.add_argument("--stats", help="statistics like R:0:3;character:0:2;p:0:2")
+        p.add_argument("--n-samples", dest="n_samples", type=_at_least(0), default=1000)
+        p.add_argument("--seed", type=_at_least(0), default=0)
 
-    p = command("verify", "brute-force oracle identities")
-    p.add_argument(
-        "--scope",
-        choices=("characters", "lemma", "structure-constants", "all"),
-        default="all",
-    )
-    p.add_argument("--group", help="builtin name or JSON path")
-    p.add_argument("--bound", type=_at_least(1), help="size bound for brute enumeration")
+    if p := command("verify", "brute-force oracle identities"):
+        p.add_argument(
+            "--scope",
+            choices=("characters", "lemma", "structure-constants", "all"),
+            default="all",
+        )
+        p.add_argument("--group", help="builtin name or JSON path")
+        p.add_argument("--bound", type=_at_least(1), help="size bound for brute enumeration")
 
     command("report", "aggregate limit report for one family", family=True, grid=True)
 
@@ -783,7 +801,7 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         ns = parser.parse_args(argv)
         if ns.config:

@@ -11,6 +11,7 @@ is standard library: statistics are small moment matrices over lists.
 
 import json
 import math
+import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -145,7 +146,9 @@ class SampleBatch:
                 head + (start, min(start + chunk, n)) for start in range(0, n, chunk)
             ]
             rows = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # under fork a pool starts every worker at its first submit
+            processes = min(workers, len(payloads), os.cpu_count() or 1)
+            with ProcessPoolExecutor(max_workers=processes) as pool:
                 for part in pool.map(_sample_range, payloads):
                     rows.extend(part)
         else:

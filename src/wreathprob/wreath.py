@@ -75,6 +75,11 @@ FIXED = (1, 0)
 # paired with, all bounded before anything is enumerated.
 MAX_CLASS_WORK = 2 * 10**4
 
+# Moments and joint moments one family keeps: a cumulant asks for the
+# moment of every block of every set partition, and a command's rows,
+# conditions and q grid ask again.  Past the bound the oldest goes first.
+MOMENT_MEMO_SIZE = 2**12
+
 
 def w_mul(gmult, a, b):
     """(v, pi)(w, sigma): colors merge through pi, permutations compose."""
@@ -362,6 +367,7 @@ class RepFamily:
     factorized character over ``canonical_measure``; families with a
     closed-form rule override it.  The public ``moment`` accepts arbitrary
     per-slot indicator data and reduces products inside each slot first.
+    Both are remembered by value, up to ``MOMENT_MEMO_SIZE`` entries.
     """
 
     kind = "abstract"
@@ -370,9 +376,22 @@ class RepFamily:
         self.ct = ct
         # the moments of one call share a q: keep only that q's measure
         self._measure: tuple[int, dict] | None = None
+        self._memo: dict = {}
+
+    def _remember(self, key, value):
+        if len(self._memo) >= MOMENT_MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+        self._memo[key] = value
+        return value
 
     def moment(self, q: int, factors) -> Fraction:
         """Expectation of a product of per-slot indicators at size q."""
+        factors = [(slot, IndicatorSum.of(item)) for slot, item in factors]
+        # products inside a slot commute, so the multiset of factors decides
+        # the moment; a frozenset key never equals a joint moment's tuple
+        key = (q, frozenset(Counter(factors).items()))
+        if key in self._memo:
+            return self._memo[key]
         per_slot = _normalize_factors(factors, q)
         slots = list(per_slot)
         bad = [s for s in slots if not 0 <= s < self.ct.num_irreps]
@@ -387,8 +406,15 @@ class RepFamily:
                 if rows:
                     items.append((slot, rows))
             if coeff:
-                total += coeff * self._joint_moment(q, tuple(items))
-        return total
+                total += coeff * self.joint_moment(q, tuple(items))
+        return self._remember(key, total)
+
+    def joint_moment(self, q: int, items) -> Fraction:
+        """``_joint_moment``, remembered by (q, items)."""
+        key = (q, items)
+        if key in self._memo:
+            return self._memo[key]
+        return self._remember(key, self._joint_moment(q, items))
 
     def _joint_moment(self, q: int, items) -> Fraction:
         """E of one cross-disjoint joint indicator; items = ((slot, rows), ...)."""
@@ -708,7 +734,7 @@ class RestrictedFamily(_ConstructorFamily):
         total = sum(sum(rows) for _, rows in items)
         if total > q:
             return Fraction(0)
-        parent_value = self.parent._joint_moment(r, items)
+        parent_value = self.parent.joint_moment(r, items)
         return Fraction(falling(q, total), falling(r, total)) * parent_value
 
     def limits(self, max_index: int = 6):
@@ -783,9 +809,9 @@ class OuterFamily(_ConstructorFamily):
         for combo in itertools.product(*splits):
             # an induced family's right block is the regular family, which
             # vanishes unless every row it gets is a fixed point
-            right = self.right._joint_moment(q2, tuple((s, r) for s, _, _, r in combo if r))
+            right = self.right.joint_moment(q2, tuple((s, r) for s, _, _, r in combo if r))
             if right:
-                left = self.left._joint_moment(q1, tuple((s, l) for s, _, l, _ in combo if l))
+                left = self.left.joint_moment(q1, tuple((s, l) for s, _, l, _ in combo if l))
                 total += math.prod(w for _, w, _, _ in combo) * right * left
         return total
 

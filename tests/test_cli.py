@@ -73,6 +73,42 @@ def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def _parse_outcome(parse, argv):
+    """(exit code or return value, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSER_ARGVS = (
+    [[], ["--help"], ["frobnicate"], ["--frobnicate"], ["diagram"]]
+    + [[name, "--help"] for name in cli.COMMANDS]
+    + [[name, "--frobnicate"] for name in cli.COMMANDS]
+    + [[name, "extra", "--out"] for name in cli.COMMANDS]
+    + [["moments", "--q", "x"], ["limits", "--condition", "5"], ["verify", "--scope", "bogus"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_help_and_errors_are_the_full_parsers(argv):
+    # compared in this interpreter: argparse's wording varies between versions
+    full = _parse_outcome(cli._build_parser().parse_args, argv)
+    assert full[0] in (0, 2)
+    assert _parse_outcome(main, argv) == full
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_one_command_parser_parses_as_the_full_parser(name):
+    sub = cli._build_parser(name)._subparsers._group_actions[0]
+    assert list(sub.choices) == [name]
+    argv = [name, "1"] if name == "diagram" else [name, "--out", "x", "--workers", "2"]
+    assert cli._build_parser(name).parse_args(argv) == cli._build_parser().parse_args(argv)
+
+
 def test_family_weight_with_zero_denominator(capsys):
     fam = '{"kind":"example1","group":"cyclic:2","weights":["1/0","1"]}'
     code, _, err = run(capsys, "moments", "--family", fam, "--rows", "0:1", "--q", "4")
@@ -808,14 +844,14 @@ def test_constructor_factors_share_the_base_group(kind, capsys):
 
 @pytest.fixture
 def wreath_builds(monkeypatch):
-    """The q of every WreathGroup built."""
+    """(base group order, q) of every WreathGroup built."""
     from wreathprob import bruteforce
 
     built = []
     original = bruteforce.WreathGroup.__init__
 
     def counting_init(self, ct, q):
-        built.append(q)
+        built.append((ct.group.order, q))
         original(self, ct, q)
 
     monkeypatch.setattr(bruteforce.WreathGroup, "__init__", counting_init)
@@ -1227,6 +1263,16 @@ def test_malformed_irreducible_bases_are_a_usage_error(fam, argv, capsys):
     code, _, err = run(capsys, *argv, "--family", fam)
     assert code == 2
     assert "bad family descriptor" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("group", [None, "cyclic:3", "S3"])
+def test_verify_builds_each_wreath_group_once(group, capsys, wreath_builds):
+    argv = ["verify", "--scope", "all"] + (["--group", group] if group else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["passed"]
+    # orthogonality and the lemma both read q = 2
+    assert (builtin_group(group or "cyclic:2").group.order, 2) in wreath_builds
+    assert len(wreath_builds) == len(set(wreath_builds)), wreath_builds
 
 
 @pytest.mark.parametrize("scope", ["lemma", "all"])

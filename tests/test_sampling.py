@@ -223,6 +223,37 @@ def test_reproducibility_and_workers():
         assert sample == sample_canonical(fam, 30, random.Random(f"99:{i}"))
 
 
+@pytest.mark.parametrize(
+    "workers, n, cpus, expected", [(64, 3, 8, 3), (64, 100, 2, 2), (3, 100, 8, 3), (5, 9, None, 1)]
+)
+def test_pool_size_is_capped(monkeypatch, workers, n, cpus, expected):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records max_workers and runs the payloads here: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return list(map(fn, payloads))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+    fam = Example1Family(cyclic_group(2))
+    batch = sample_batch(fam, 6, n, root_seed=5, workers=workers)
+    assert batch.samples == sample_batch(fam, 6, n, root_seed=5).samples
+    assert sizes == [expected]
+
+
 LAZY_FAMILIES = [
     Example1Family(cyclic_group(2)),
     Example1Family(symmetric3_group()),

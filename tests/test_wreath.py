@@ -7,12 +7,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from wreathprob import wreath
+from wreathprob.asymptotics import natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.partitions import indicator_scalar, partitions_of
 from wreathprob.wreath import (
     MAX_CLASS_WORK,
+    MOMENT_MEMO_SIZE,
     Example1Family,
     InducedFamily,
     IrreducibleFamily,
@@ -331,6 +334,67 @@ def test_family_json_round_trip_on_random_trees(case):
     clone = family_from_json(doc)
     assert clone.to_json() == doc == json.loads(json.dumps(clone.to_json()))
     assert clone.moment(3, factors) == fam.moment(3, factors), doc
+
+
+@st.composite
+def _memo_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(trees(ct, 2))
+    assume(fam.class_cost(3)[1] <= 1000)
+    factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([(1,), (2,), (1, 1)]))
+    asked = draw(
+        st.lists(
+            st.tuples(st.integers(1, 3), st.lists(factor, min_size=1, max_size=3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    # every request again with its factors shuffled, and with one factor
+    # twice (a multiset, not a set, decides the moment), at interleaved q
+    again = [(q, draw(st.permutations(factors))) for q, factors in asked]
+    twice = [(q, factors + factors[:1]) for q, factors in asked]
+    return fam, draw(st.permutations(asked + again + twice))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_memo_cases())
+def test_memoized_moments_match_a_fresh_family(case):
+    fam, requests = case
+    for q, factors in requests:
+        value = fam.moment(q, factors)
+        fresh = family_from_json(fam.to_json()).moment(q, factors)
+        assert value == fresh and type(value) is type(fresh), (fam.to_json(), q, factors)
+
+
+def test_moment_memo_stays_within_its_bound():
+    base = Example1Family(cyclic_group(2), (1, 3))
+    fam = RestrictedFamily(base, 2)
+    factors = [(0, (1,)), (1, (1,))]
+    for q in range(1, 5000):
+        # each q adds a moment and a joint moment to fam, a joint moment to base
+        assert fam.moment(q, factors) == Fraction(3, 16) * q * (q - 1)
+        assert len(fam._memo) <= MOMENT_MEMO_SIZE and len(base._memo) <= MOMENT_MEMO_SIZE
+    assert len(fam._memo) == len(base._memo) == MOMENT_MEMO_SIZE
+    # the oldest entries went first: the latest q are still remembered
+    assert (4999, ((0, (1,)), (1, (1,)))) in fam._memo
+    assert (9998, ((0, (1,)), (1, (1,)))) in base._memo
+
+
+def test_equal_factors_compute_each_distinct_moment_once(monkeypatch):
+    computed = []
+    normalize = wreath._normalize_factors
+
+    def counting(factors, q=None):
+        if q is not None:
+            computed.append(len(factors))
+        return normalize(factors, q)
+
+    monkeypatch.setattr(wreath, "_normalize_factors", counting)
+    fam = Example1Family(cyclic_group(2))
+    cumulant = natural_cumulant(fam, 40, [(0, (2,))] * 5)
+    # 31 blocks of 5 equal factors are 5 distinct moments, one per block size
+    assert sorted(computed) == [1, 2, 3, 4, 5]
+    assert cumulant == natural_cumulant(Example1Family(cyclic_group(2)), 40, [(0, (2,))] * 5)
 
 
 def test_family_from_json_rejects_unknown_kinds():
