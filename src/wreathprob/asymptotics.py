@@ -469,44 +469,6 @@ class ConvergenceReport:
     rows: list  # (q, raw, scaled, limit, abs_err)
     verdict: bool | None
 
-    def to_json(self) -> dict:
-        def show(x):
-            if x is None:
-                return None
-            if isinstance(x, Fraction):
-                return str(x)
-            return float(x)
-
-        return {
-            "description": self.description,
-            "rows": [
-                {
-                    "q": q,
-                    "raw": show(raw),
-                    "scaled": show(scaled),
-                    "limit": show(limit),
-                    "abs_err": show(err),
-                }
-                for q, raw, scaled, limit, err in self.rows
-            ],
-            "verdict": self.verdict,
-        }
-
-    def to_csv(self) -> str:
-        lines = ["# schema_version=1", "q,raw,scaled,limit,abs_err,scaled_float"]
-        for q, raw, scaled, limit, err in self.rows:
-            cells = [str(q)]
-            for x in (raw, scaled, limit, err):
-                if x is None:
-                    cells.append("")
-                elif isinstance(x, Fraction):
-                    cells.append(str(x))
-                else:
-                    cells.append(repr(float(x)))
-            cells.append(repr(float(scaled)))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def convergence_report(
     family: RepFamily,

@@ -9,35 +9,28 @@ float companion where plotting needs one.
 
 import argparse
 import json
-import math
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant
 from .asymptotics import predicted_limit, r_cumulant
-from .bruteforce import WreathGroup, check_enumeration_budget, tensor_algebra_image
-from .cyclotomics import conjugate_value, value_as_fraction
+from .bruteforce import WreathGroup, check_enumeration_budget, check_factorization_lemma
+from .bruteforce import check_structure_budget, check_structure_constants
+from .bruteforce import check_wreath_orthogonality
 from .diagrams import free_cumulants, minima_maxima, profile_moment, transition_measure
-from .errors import Infeasible, InputError, NoLimitTable, WreathprobError
+from .errors import InputError, NoLimitTable, WreathprobError
 from .groups import (
     UnknownGroup,
     builtin_group,
     character_table_from_json,
     validate_character_table,
 )
-from .indicators import compose_each, expand_indicator, multiplicity, product_coefficients
-from .partitions import is_partition, partitions_of
+from .partitions import is_partition
 from .sampling import SCHEMA_VERSION, batch_csv, check_specs, predicted_r_covariance
 from .sampling import require_direct_sampler, sample_batch, summary_json
-from .wreath import (
-    enumerate_irreps,
-    factorized_character,
-    family_from_json,
-    wreath_dimension,
-)
+from .wreath import family_from_json
 
 
 # ------------------------------------------------------------ configuration
@@ -245,9 +238,7 @@ def _emit(text, out):
 
 
 def _grid_csv(header, rows):
-    lines = [f"# schema_version={SCHEMA_VERSION}", header]
-    for row in rows:
-        lines.append(",".join(row))
+    lines = [f"# schema_version={SCHEMA_VERSION}", header, *map(",".join, rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -256,6 +247,50 @@ def _value_cells(value):
         return ["", repr(value)]
     frac = Fraction(value)
     return [str(frac), repr(float(frac))]
+
+
+def _emit_grid(ns, evaluate, name, **fields):
+    """One value per q of --q or --q-grid: CSV cells, or JSON rows after ``fields``."""
+    if ns.q_grid:
+        grid = _parse_grid(ns.q_grid)
+    elif ns.q is None:
+        raise InputError("need --q or --q-grid")
+    else:
+        grid = [ns.q]
+    rows = [(q, evaluate(q)) for q in grid]
+    if ns.format == "csv":
+        text = _grid_csv("q,exact,float", [[str(q)] + _value_cells(v) for q, v in rows])
+    else:
+        doc = {"schema_version": SCHEMA_VERSION, **fields}
+        doc["rows"] = [{"q": q, name: _num(v)} for q, v in rows]
+        text = json.dumps(doc, indent=2)
+    _emit(text, ns.out)
+    return 0
+
+
+def _show(x):
+    """A report value: a rational as "p/q", a float as a float, no value as None."""
+    if x is None:
+        return None
+    return str(x) if isinstance(x, Fraction) else float(x)
+
+
+def _report_json(report):
+    columns = ("q", "raw", "scaled", "limit", "abs_err")
+    return {
+        "description": report.description,
+        "rows": [dict(zip(columns, (q, *map(_show, values)))) for q, *values in report.rows],
+        "verdict": report.verdict,
+    }
+
+
+def _report_csv(report):
+    rows = []
+    for q, raw, scaled, limit, err in report.rows:
+        # str and repr agree on a float
+        cells = ["" if x is None else str(x) for x in map(_show, (raw, scaled, limit, err))]
+        rows.append([str(q), *cells, str(float(scaled))])
+    return _grid_csv("q,raw,scaled,limit,abs_err,scaled_float", rows)
 
 
 # ----------------------------------------------------------------- commands
@@ -267,6 +302,17 @@ def cmd_diagram(ns):
     tm = transition_measure(lam)
     minima, maxima = minima_maxima(lam)
     cums = free_cumulants(lam, order)
+    p_tilde = {n: profile_moment(lam, n) for n in range(2, order + 1)}
+    if ns.format == "csv":
+        rows = []
+        for atom, w in zip(tm.atoms, tm.weights):
+            rows.append(["atom", str(atom)] + _value_cells(w))
+        for n, c in enumerate(cums, start=1):
+            rows.append(["free_cumulant", str(n)] + _value_cells(c))
+        for n, p in p_tilde.items():
+            rows.append(["p_tilde", str(n)] + _value_cells(p))
+        _emit(_grid_csv("quantity,index,exact,float", rows), ns.out)
+        return 0
     doc = {
         "schema_version": SCHEMA_VERSION,
         "partition": list(lam),
@@ -277,19 +323,9 @@ def cmd_diagram(ns):
         },
         "moments": [_num(tm.moment(n)) for n in range(1, order + 1)],
         "free_cumulants": [_num(c) for c in cums],
-        "p_tilde": {str(n): _num(profile_moment(lam, n)) for n in range(2, order + 1)},
+        "p_tilde": {str(n): _num(p) for n, p in p_tilde.items()},
     }
-    if ns.format == "csv":
-        rows = []
-        for atom, w in zip(tm.atoms, tm.weights):
-            rows.append(["atom", str(atom)] + _value_cells(w))
-        for n, c in enumerate(cums, start=1):
-            rows.append(["free_cumulant", str(n)] + _value_cells(c))
-        for n in range(2, order + 1):
-            rows.append(["p_tilde", str(n)] + _value_cells(profile_moment(lam, n)))
-        _emit(_grid_csv("quantity,index,exact,float", rows), ns.out)
-    else:
-        _emit(json.dumps(doc, indent=2), ns.out)
+    _emit(json.dumps(doc, indent=2), ns.out)
     return 0
 
 
@@ -309,10 +345,10 @@ def cmd_group(ns):
     return 1 if problems else 0
 
 
-def _limit_table(fam, max_index=6):
-    """The family's limit table, or None where its constructor tree has none."""
+def _limit_table(fam, need=0):
+    """The family's limit table to index ``max(6, need)``, or None where it has none."""
     try:
-        return fam.limits(max_index)
+        return fam.limits(max(6, need))
     except NoLimitTable:
         return None
 
@@ -341,31 +377,11 @@ def cmd_family(ns):
     return 0
 
 
-def _grid_values(ns, evaluate):
-    if ns.q_grid:
-        grid = _parse_grid(ns.q_grid)
-    elif ns.q is None:
-        raise InputError("need --q or --q-grid")
-    else:
-        grid = [ns.q]
-    return [(q, evaluate(q)) for q in grid]
-
-
 def cmd_moments(ns):
     fam = _load_family(ns.family)
     factors = _parse_rows(ns.rows)
-    rows = _grid_values(ns, lambda q: fam.moment(q, factors))
-    if ns.format == "csv":
-        csv_rows = [[str(q)] + _value_cells(v) for q, v in rows]
-        _emit(_grid_csv("q,exact,float", csv_rows), ns.out)
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "factors": [[s, list(r)] for s, r in factors],
-            "rows": [{"q": q, "moment": _num(v)} for q, v in rows],
-        }
-        _emit(json.dumps(doc, indent=2), ns.out)
-    return 0
+    evaluate = lambda q: fam.moment(q, factors)
+    return _emit_grid(ns, evaluate, "moment", factors=[[s, list(r)] for s, r in factors])
 
 
 def cmd_cumulants(ns):
@@ -378,18 +394,7 @@ def cmd_cumulants(ns):
         cumulant = disjoint_cumulant if kind == "disjoint" else natural_cumulant
         args = _parse_rows(ns.rows)
         evaluate = lambda q: cumulant(fam, q, args)
-    rows = _grid_values(ns, evaluate)
-    if ns.format == "csv":
-        csv_rows = [[str(q)] + _value_cells(v) for q, v in rows]
-        _emit(_grid_csv("q,exact,float", csv_rows), ns.out)
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": kind,
-            "rows": [{"q": q, "cumulant": _num(v)} for q, v in rows],
-        }
-        _emit(json.dumps(doc, indent=2), ns.out)
-    return 0
+    return _emit_grid(ns, evaluate, "cumulant", kind=kind)
 
 
 def cmd_limits(ns):
@@ -402,7 +407,7 @@ def cmd_limits(ns):
         # the limit table only answers up to its build depth; size it to the
         # requested orders or high-order rows would silently predict zero
         need = max(l for _, l in args) + 1
-        limit = predicted_limit(_limit_table(fam, max(6, need)), condition, args)
+        limit = predicted_limit(_limit_table(fam, need), condition, args)
     report = convergence_report(
         fam,
         condition,
@@ -412,11 +417,10 @@ def cmd_limits(ns):
         tolerance=ns.tolerance,
     )
     if ns.format == "csv":
-        _emit(report.to_csv(), ns.out)
+        text = _report_csv(report)
     else:
-        doc = report.to_json()
-        doc["schema_version"] = SCHEMA_VERSION
-        _emit(json.dumps(doc, indent=2), ns.out)
+        text = json.dumps({**_report_json(report), "schema_version": SCHEMA_VERSION}, indent=2)
+    _emit(text, ns.out)
     return 0
 
 
@@ -436,8 +440,8 @@ def cmd_sample(ns):
     batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
     predicted = None
     if n and all(spec[0] == "R" for spec in specs):
-        depth = max(6, *(i for _, _, i in specs))
-        predicted = predicted_r_covariance(fam.limits(depth), specs)
+        table = _limit_table(fam, max(i for _, _, i in specs))
+        predicted = predicted_r_covariance(table, specs)
     csv_text = batch_csv(batch, specs)
     summary_text = summary_json(batch, specs, predicted)
     if ns.out:
@@ -452,195 +456,51 @@ def cmd_sample(ns):
 # ------------------------------------------------------------------- verify
 
 
-def _check_character_tables(group_specs, failures):
-    cases = 0
-    for spec in group_specs:
-        ct = _load_group(spec)
-        cases += 1
-        problems = validate_character_table(ct)
-        if problems:
-            failures.append({"check": "character-table", "group": spec, "problems": problems})
-    return cases
-
-
-def _check_wreath_orthogonality(wg, failures):
-    ct, q = wg.ct, wg.q
-    tuples = enumerate_irreps(ct, q)
-    sizes = wg.class_sizes()
-    chars = {t: wg.irreducible_character(t) for t in tuples}
-    conjugates = {t: [conjugate_value(v) for v in chi] for t, chi in chars.items()}
-    cases = 0
-    if sum(wreath_dimension(ct, t) ** 2 for t in tuples) != wg.order:
-        failures.append({"check": "wreath-dimensions", "q": q})
-    for t1 in tuples:
-        for t2 in tuples:
-            cases += 1
-            dot = 0
-            for k, size in enumerate(sizes):
-                dot = dot + size * chars[t1][k] * conjugates[t2][k]
-            expected = wg.order if t1 == t2 else 0
-            if dot != expected:
-                failures.append(
-                    {
-                        "check": "wreath-orthogonality",
-                        "q": q,
-                        "pair": [list(map(list, t1)), list(map(list, t2))],
-                    }
-                )
-    return cases
-
-
-def _check_factorization_lemma(ct, bound, failures, wreath_group):
-    """Factorized characters against explicit traces, every irreducible."""
-    cases = 0
-    slots = len(ct.irreps)
-    factor_sets = [
-        ((0, (1,)),),
-        ((0, (2,)),),
-        ((0, (1, 1)),),
-        ((0, (2,)), (0, (1,))),
-    ]
-    if slots > 1:
-        factor_sets.append(((0, (2,)), (1, (1,))))
-        factor_sets.append(((1, (2,)),))
-    for q in range(1, bound + 1):
-        wg = wreath_group(ct, q)
-        # the images' numerators, summed per class, do not depend on the
-        # irreducible; each image divides once, by its denominator
-        images = []
-        for factors in factor_sets:
-            numerators, denominator = tensor_algebra_image(wg, factors)
-            per_class = {}
-            for idx, coeff in numerators.items():
-                k = wg.class_of[idx]
-                per_class[k] = per_class.get(k, 0) + coeff
-            images.append((per_class, denominator))
-        for lam_tuple in enumerate_irreps(ct, q):
-            chi = wg.irreducible_character(lam_tuple)
-            dim = wreath_dimension(ct, lam_tuple)
-            for factors, (image, denominator) in zip(factor_sets, images):
-                cases += 1
-                actual = 0
-                for k, coeff in image.items():
-                    actual = actual + coeff * chi[k]
-                actual = value_as_fraction(actual) / (denominator * dim)
-                expected = factorized_character(lam_tuple, factors)
-                if actual != expected:
-                    failures.append(
-                        {
-                            "check": "factorization-lemma",
-                            "q": q,
-                            "irrep": [list(l) for l in lam_tuple],
-                            "factors": [[s, list(r)] for s, r in factors],
-                            "expected": str(expected),
-                            "actual": str(actual),
-                        }
-                    )
-    return cases
-
-
-# products of partial permutations the structure-constant check may
-# compose: bound 7 makes 683 656 of them in 0.7-0.9 s on a shared 2-core Xeon
-# (Python 3.11.7), bound 8 about 1.1e7
-MAX_STRUCTURE_PRODUCTS = 10**6
-
-
-def _check_structure_budget(bound):
-    """Refuse a bound past the budget before any indicator is expanded.
-
-    A pair of sizes (a, t - a) composes every partial permutation with
-    support a with every one with support t - a, on t points:
-    falling(t, a) falling(t, t - a) = t! C(t, a) products.
-    """
-    products = sum(math.factorial(t) * (2**t - 2) for t in range(2, bound + 1))
-    if products > MAX_STRUCTURE_PRODUCTS:
-        raise Infeasible(
-            f"--bound {bound}: {products} partial-permutation products pass the"
-            f" structure-constant budget of {MAX_STRUCTURE_PRODUCTS}"
-        )
-
-
-def _check_structure_constants(bound, failures):
-    """Indicator products against explicit partial-permutation algebra."""
-
-    @cache
-    def expand(rows, q0):
-        """The indicator, expanded once: (multiplicity, partial permutations).
-
-        An indicator counts each of its partial permutations equally often."""
-        return multiplicity(rows), list(expand_indicator(rows, q0))
-
-    cases = 0
-    for total in range(2, bound + 1):
-        for size_mu in range(1, total):
-            size_nu = total - size_mu
-            for mu in partitions_of(size_mu):
-                for nu in partitions_of(size_nu):
-                    cases += 1
-                    q0 = total
-                    # every pair is composed once; Counter tallies the
-                    # products, and the multiplicities come after
-                    (m1, left), (m2, right) = expand(mu, q0), expand(nu, q0)
-                    images, supports = zip(*left)
-                    tally = Counter()
-                    for p2 in right:
-                        tally.update(compose_each(images, supports, p2))
-                    weight = m1 * m2
-                    lhs = {p: weight * n for p, n in tally.items()}
-                    rhs = {}
-                    for rho, coeff in product_coefficients(mu, nu).items():
-                        # a partial permutation's cycle type on its support
-                        # is its rho, so distinct rho fill disjoint keys; the
-                        # coefficients are positive, so no count is zero
-                        m, ps = expand(rho, q0)
-                        count = coeff.numerator * m if coeff.denominator == 1 else coeff * m
-                        rhs.update(dict.fromkeys(ps, count))
-                    if lhs != rhs:
-                        failures.append(
-                            {
-                                "check": "structure-constants",
-                                "mu": list(mu),
-                                "nu": list(nu),
-                            }
-                        )
-    return cases
-
-
 def cmd_verify(ns):
     scope = ns.scope
+    characters = scope in ("characters", "all")
+    lemma = scope in ("lemma", "all")
     failures = []
     checks = []
     group_specs = [ns.group] if ns.group else ["cyclic:2", "cyclic:3", "S3"]
     structure_bound = ns.bound or 6
+    lemma_bound = ns.bound or 3
+    if scope in ("structure-constants", "all"):
+        check_structure_budget(structure_bound)
+    # each spec loads once; the lemma reads the first, cyclic:2 by default
+    tables = {}
+    for spec in group_specs if characters else group_specs[:1] if lemma else []:
+        ct = tables[spec] = _load_group(spec)
+        if characters and (problems := validate_character_table(ct)):
+            failures.append({"check": "character-table", "group": spec, "problems": problems})
+    if lemma:
+        # the lemma's largest group is refused before any scope builds one
+        check_enumeration_budget(tables[group_specs[0]], lemma_bound)
     # one group per (table, q): the scopes share it and its characters
     wreath_group = cache(WreathGroup)
-    if scope in ("structure-constants", "all"):
-        _check_structure_budget(structure_bound)
-    if scope in ("lemma", "all"):
-        # the lemma's largest group is refused before any scope builds one
-        lemma_ct = _load_group(ns.group) if ns.group else builtin_group("cyclic:2")
-        lemma_bound = ns.bound or 3
-        check_enumeration_budget(lemma_ct, lemma_bound)
-    if scope in ("characters", "all"):
-        cases = _check_character_tables(group_specs, failures)
-        checks.append({"check": "character-table", "cases": cases})
+    if characters:
+        checks.append({"check": "character-table", "cases": len(tables)})
         if not failures:
-            total = 0
-            for spec in group_specs:
-                ct = _load_group(spec)
-                if ct.group.order**2 * 2 <= 200:
-                    total += _check_wreath_orthogonality(wreath_group(ct, 2), failures)
-            checks.append({"check": "wreath-orthogonality", "cases": total})
-    if scope in ("lemma", "all"):
+            cases = {
+                spec: check_wreath_orthogonality(ct, failures, wreath_group)
+                for spec, ct in tables.items()
+            }
+            entry = {"check": "wreath-orthogonality", "cases": sum(filter(None, cases.values()))}
+            if skipped := [spec for spec, n in cases.items() if n is None]:
+                entry["skipped"] = skipped
+            checks.append(entry)
+    if lemma:
         try:
-            cases = _check_factorization_lemma(lemma_ct, lemma_bound, failures, wreath_group)
+            cases = check_factorization_lemma(
+                tables[group_specs[0]], lemma_bound, failures, wreath_group
+            )
         except (ValueError, ZeroDivisionError, AssertionError) as exc:
             # an inconsistent table breaks the wreath character construction
             cases = 0
             failures.append({"check": "factorization-lemma", "error": str(exc)})
         checks.append({"check": "factorization-lemma", "cases": cases})
     if scope in ("structure-constants", "all"):
-        cases = _check_structure_constants(structure_bound, failures)
+        cases = check_structure_constants(structure_bound, failures)
         checks.append({"check": "structure-constants", "cases": cases})
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -677,7 +537,7 @@ def cmd_report(ns):
         "schema_version": SCHEMA_VERSION,
         "family": fam.to_json(),
         "q_grid": grid,
-        "reports": [r.to_json() for r in reports],
+        "reports": [_report_json(r) for r in reports],
         "all_pass": all(verdicts) if verdicts else None,
         "limits": params.to_json() if params else None,
     }

@@ -31,6 +31,7 @@ from wreathprob.asymptotics import (
     tensor_limits,
 )
 from wreathprob import asymptotics
+from wreathprob.cli import SCHEMA_VERSION, _report_csv, _report_json
 from wreathprob.errors import Infeasible, InputError, NoLimitTable
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
@@ -579,12 +580,12 @@ def test_convergence_report_verdicts_and_emission():
     assert failing.verdict is False
     open_ended = convergence_report(fam, 3, [(0, 1)], [4, 8])
     assert open_ended.verdict is None
-    csv_text = constant.to_csv()
+    csv_text = _report_csv(constant)
     lines = csv_text.strip().splitlines()
-    assert lines[0] == "# schema_version=1"
+    assert lines[0] == f"# schema_version={SCHEMA_VERSION}"
     assert lines[1] == "q,raw,scaled,limit,abs_err,scaled_float"
     assert lines[2].split(",") == ["4", "2", "1/2", "1/2", "0", "0.5"]
-    doc = constant.to_json()
+    doc = _report_json(constant)
     assert doc["verdict"] is True
     assert doc["description"] == "condition 3 at [(0, 1)]"
     assert doc["rows"][0]["q"] == 4

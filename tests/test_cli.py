@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathprob import cli
+from wreathprob import bruteforce, cli
 from wreathprob.cli import main
 from wreathprob.groups import (
     builtin_group,
@@ -707,7 +707,7 @@ def test_sample_non_samplable_family_refused_before_sampling(capsys, monkeypatch
 
 
 def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypatch):
-    original = cli.product_coefficients
+    original = bruteforce.product_coefficients
 
     def perturbed(mu, nu):
         coeffs = dict(original(mu, nu))
@@ -716,7 +716,7 @@ def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypa
             coeffs[rho] += 1
         return coeffs
 
-    monkeypatch.setattr(cli, "product_coefficients", perturbed)
+    monkeypatch.setattr(bruteforce, "product_coefficients", perturbed)
     code, out, _ = run(capsys, "verify", "--scope", "structure-constants", "--bound", "4")
     assert code == 1
     doc = json.loads(out)
@@ -728,19 +728,19 @@ def test_verify_structure_constants_reports_a_wrong_coefficient(capsys, monkeypa
 def expansions(monkeypatch):
     """How often each (rows, q) indicator is expanded."""
     calls = Counter()
-    original = cli.expand_indicator
+    original = bruteforce.expand_indicator
 
     def counting(rows, q):
         calls[rows, q] += 1
         return original(rows, q)
 
-    monkeypatch.setattr(cli, "expand_indicator", counting)
+    monkeypatch.setattr(bruteforce, "expand_indicator", counting)
     return calls
 
 
 def test_structure_constants_expand_each_indicator_once(expansions):
     failures = []
-    assert cli._check_structure_constants(6, failures) > 0
+    assert bruteforce.check_structure_constants(6, failures) > 0
     assert failures == []
     assert expansions and set(expansions.values()) == {1}
 
@@ -748,7 +748,7 @@ def test_structure_constants_expand_each_indicator_once(expansions):
 def test_structure_constants_budget_decided_before_any_expansion(capsys, expansions):
     # bound 7 composes 683 656 partial permutations in 0.7-0.9 s on a shared
     # 2-core Xeon (Python 3.11.7); bound 8 would compose about 1.1e7
-    cli._check_structure_budget(7)
+    bruteforce.check_structure_budget(7)
     code, out, err = run(capsys, "verify", "--scope", "structure-constants", "--bound", "8")
     assert code == 3 and out == ""
     assert "structure-constant budget" in err
@@ -1273,6 +1273,53 @@ def test_verify_builds_each_wreath_group_once(group, capsys, wreath_builds):
     # orthogonality and the lemma both read q = 2
     assert (builtin_group(group or "cyclic:2").group.order, 2) in wreath_builds
     assert len(wreath_builds) == len(set(wreath_builds)), wreath_builds
+
+
+@pytest.mark.parametrize("scope", ["characters", "lemma", "structure-constants", "all"])
+@pytest.mark.parametrize("group", [None, "S3", "dihedral:4"])
+def test_verify_loads_each_group_spec_once(scope, group, capsys, monkeypatch):
+    loads = Counter()
+    original = cli._load_group
+
+    def counting(spec):
+        loads[spec] += 1
+        return original(spec)
+
+    monkeypatch.setattr(cli, "_load_group", counting)
+    argv = ["verify", "--scope", scope, "--bound", "2"] + (["--group", group] if group else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["passed"]
+    assert set(loads.values()) <= {1}, loads
+    if scope != "structure-constants":
+        assert loads[group or "cyclic:2"] == 1
+
+
+def _orthogonality_entry(capsys, group):
+    code, out, _ = run(capsys, "verify", "--scope", "characters", "--group", group)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    (entry,) = [c for c in doc["checks"] if c["check"] == "wreath-orthogonality"]
+    return entry
+
+
+def test_verify_orthogonality_checks_groups_inside_its_budget(capsys):
+    # dihedral:6 has order 12 but six irreducibles: 27 of G wr S_2, 27**3 terms
+    entry = _orthogonality_entry(capsys, "dihedral:6")
+    assert entry["cases"] == 27**2 and "skipped" not in entry
+    # cyclic:10 was the largest cyclic group checked by order; it still is
+    assert len(enumerate_irreps(builtin_group("cyclic:10"), 2)) ** 3 <= (
+        bruteforce.MAX_ORTHOGONALITY_TERMS
+    )
+
+
+@pytest.mark.parametrize("group", ["cyclic:11", "dihedral:6"])
+def test_verify_orthogonality_names_the_groups_it_skips(group, capsys, monkeypatch, wreath_builds):
+    # cyclic:11 passes the term budget; dihedral:6 (288 elements) passes a
+    # lowered enumeration budget
+    monkeypatch.setattr(bruteforce, "MAX_ELEMENTS", 100)
+    entry = _orthogonality_entry(capsys, group)
+    assert entry == {"check": "wreath-orthogonality", "cases": 0, "skipped": [group]}
+    assert wreath_builds == []
 
 
 @pytest.mark.parametrize("scope", ["lemma", "all"])
