@@ -28,8 +28,8 @@ from .groups import (
     validate_character_table,
 )
 from .partitions import is_partition
-from .sampling import SCHEMA_VERSION, batch_csv, check_specs, predicted_r_covariance
-from .sampling import require_direct_sampler, sample_batch, summary_json
+from .sampling import SCHEMA_VERSION, check_specs, normality_check, predicted_r_covariance
+from .sampling import sample_batch, spec_name, statistic_columns
 from .wreath import family_from_json
 
 
@@ -220,9 +220,7 @@ def _load_family(text):
 
 
 def _num(x):
-    """Exact-plus-float rendering of one number."""
-    if isinstance(x, float):
-        return {"exact": None, "float": x}
+    """Exact-plus-float rendering of one exact number."""
     frac = Fraction(x)
     return {"exact": str(frac), "float": float(frac)}
 
@@ -243,8 +241,6 @@ def _grid_csv(header, rows):
 
 
 def _value_cells(value):
-    if isinstance(value, float):
-        return ["", repr(value)]
     frac = Fraction(value)
     return [str(frac), repr(float(frac))]
 
@@ -424,6 +420,23 @@ def cmd_limits(ns):
     return 0
 
 
+def _sample_texts(batch, specs, predicted_cov=None):
+    """The batch's CSV, raw and centered-scaled per sample and statistic, and its JSON summary."""
+    rows, n = [], len(batch)
+    summary = {"schema_version": SCHEMA_VERSION, "q": batch.q, "root_seed": batch.root_seed}
+    if n:
+        names = [spec_name(spec) for spec in specs]
+        columns = statistic_columns(batch, specs)
+        for i in range(n):
+            rows += ([str(i), name, repr(r[i]), repr(c[i])] for name, (r, c) in zip(names, columns))
+        stats = list(zip(*(c for _, c in columns)))
+        summary = {**normality_check(stats, names, predicted_cov), **summary}
+    else:
+        summary["n_samples"] = 0
+    summary["insufficient_data"] = n < 1000
+    return _grid_csv("sample,statistic,raw,centered_scaled", rows), json.dumps(summary, indent=2)
+
+
 def cmd_sample(ns):
     fam = _load_family(ns.family)
     if ns.q is None:
@@ -431,19 +444,15 @@ def cmd_sample(ns):
     q = ns.q
     if q < 1:
         raise InputError(f"sample needs --q of at least 1, got {q}")
-    n = ns.n_samples
-    seed = ns.seed
     slots = fam.ct.num_irreps
     specs = _parse_stats(ns.stats) if ns.stats else [("R", slot, 3) for slot in range(slots)]
     check_specs(specs, slots)
-    require_direct_sampler(fam)
-    batch = sample_batch(fam, q, n, root_seed=seed, workers=ns.workers)
+    batch = sample_batch(fam, q, ns.n_samples, root_seed=ns.seed, workers=ns.workers)
     predicted = None
-    if n and all(spec[0] == "R" for spec in specs):
+    if len(batch) and all(spec[0] == "R" for spec in specs):
         table = _limit_table(fam, max(i for _, _, i in specs))
         predicted = predicted_r_covariance(table, specs)
-    csv_text = batch_csv(batch, specs)
-    summary_text = summary_json(batch, specs, predicted)
+    csv_text, summary_text = _sample_texts(batch, specs, predicted)
     if ns.out:
         _emit(csv_text, ns.out)
         _emit(summary_text, str(ns.out) + ".summary.json")

@@ -28,10 +28,9 @@ class GroupTable:
         if any(not (0 <= v < self.order) for row in self.mult for v in row):
             raise ValueError("table entries must index elements")
         self.identity = self._find_identity()
-        self.inverse = tuple(
-            next(h for h in range(self.order) if self.mult[g][h] == self.identity)
-            for g in range(self.order)
-        )
+        if any(self.identity not in row for row in self.mult):
+            raise ValueError("an element has no inverse")
+        self.inverse = tuple(row.index(self.identity) for row in self.mult)
 
     def _find_identity(self) -> int:
         for e in range(self.order):

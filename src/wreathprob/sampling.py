@@ -5,26 +5,29 @@ Robinson-Schensted row insertion builds from n i.i.d. uniforms: the
 insertion is the Plancherel growth process, so the law is exact at every
 size.  Root seeds expand to per-sample seeds through a counter scheme,
 so serial and parallel runs produce identical batches.  Shapes are
-built per slot, only for the slots a statistic reads.  Everything here
-is standard library: statistics are small moment matrices over lists.
+built per slot, only for the slots a statistic reads.  Each statistic
+is a polynomial in the free cumulants of its slot diagram (Kerov), and
+the reports are small moment matrices over lists, all standard library.
 """
 
-import json
 import math
 import os
 import random
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .asymptotics import predicted_limit
-from .diagrams import profile_moment, free_cumulants
+from .diagrams import free_cumulants
 from .errors import Infeasible, InputError
 from .indicators import (
     free_cumulant_as_indicators,
     indicator_in_free_cumulants,
     profile_moment_as_indicators,
+    profile_moment_in_free_cumulants,
 )
 from .partitions import falling
 from .wreath import Example1Family, RepFamily
@@ -32,11 +35,26 @@ from .wreath import Example1Family, RepFamily
 # the version of every CSV and JSON schema the package writes
 SCHEMA_VERSION = 1
 
-# kind -> (least index, e): the centered statistic at index i is scaled by q**(e(i) / 2)
+
+class StatisticKind(NamedTuple):
+    """One statistic kind, a polynomial in the free cumulants R_1, R_2, ... of its slot."""
+
+    least: int  # the least index
+    exponent: Callable  # the centered statistic at index i is scaled by q**(exponent(i) / 2)
+    polynomial: Callable  # index -> {monomial (R indices): int coefficient}
+    indicators: Callable | None  # index -> the statistic as indicators; None: centered empirically
+    per_falling: bool = False  # the polynomial is divided by falling(n, i) on n boxes
+
+
 STATISTIC_KINDS = {
-    "R": (2, lambda i: 1 - i),
-    "p": (2, lambda i: 2 - i),
-    "character": (1, lambda i: i),
+    "R": StatisticKind(2, lambda i: 1 - i, lambda i: {(i,): 1}, free_cumulant_as_indicators),
+    # profile power sums: [w^k] phi^k (Ivanov-Olshanski)
+    "p": StatisticKind(
+        2, lambda i: 2 - i, profile_moment_in_free_cumulants, profile_moment_as_indicators
+    ),
+    # normalized characters at an i-cycle: Kerov polynomials (Biane); direct
+    # character recursion is infeasible on large diagrams
+    "character": StatisticKind(1, lambda i: i, indicator_in_free_cumulants, None, True),
 }
 
 
@@ -124,9 +142,6 @@ class SampleBatch:
     n_samples: int
     workers: int = 1
     shapes: dict = field(default_factory=dict)
-    # per statistic key: the centered-scaled column, and the raw one
-    statistics_cache: dict = field(default_factory=dict)
-    raw_statistics: dict = field(default_factory=dict)
 
     def __len__(self):
         return self.n_samples
@@ -175,26 +190,26 @@ def sample_batch(
     return SampleBatch(family, q, root_seed, n_samples, workers)
 
 
-def statistic_value(lam, spec) -> Fraction:
-    """Raw (uncentered, unscaled) value of one statistic on its slot's shape."""
+def _depth(polynomials) -> int:
+    """The deepest free-cumulant index the polynomials read."""
+    return max(index for poly in polynomials for mono in poly for index in mono)
+
+
+def statistic_value(lam, spec, cumulants=None) -> Fraction:
+    """Raw (uncentered, unscaled) value of one statistic on its slot's shape.
+
+    ``cumulants`` are the shape's free cumulants R_1, R_2, ..., at least as
+    deep as the statistic's polynomial; they are computed when not given.
+    """
     kind, _, i = spec
-    lam = tuple(lam)
-    if kind == "R":
-        return free_cumulants(lam, i)[i - 1]
-    if kind == "p":
-        return profile_moment(lam, i)
-    if kind == "character":
-        n = sum(lam)
-        if n < i:
-            return Fraction(0)
-        # evaluate the i-cycle indicator through free cumulants; direct
-        # character recursion is infeasible on large diagrams
-        cums = free_cumulants(lam, i + 1)
-        scalar = Fraction(0)
-        for mono, coeff in indicator_in_free_cumulants(i).items():
-            scalar += coeff * math.prod(cums[idx - 1] for idx in mono)
-        return scalar / falling(n, i)
-    raise ValueError(f"unknown statistic kind {spec!r}")
+    entry = STATISTIC_KINDS[kind]
+    poly = entry.polynomial(i)
+    if cumulants is None:
+        cumulants = free_cumulants(tuple(lam), _depth([poly]))
+    value = sum(c * math.prod(cumulants[idx - 1] for idx in mono) for mono, c in poly.items())
+    if entry.per_falling:
+        return value / falling(sum(lam), i) if sum(lam) >= i else Fraction(0)
+    return value
 
 
 def check_specs(specs, slots: int) -> None:
@@ -203,7 +218,7 @@ def check_specs(specs, slots: int) -> None:
         kind, slot, index = spec
         if kind not in STATISTIC_KINDS:
             raise InputError(f"unknown statistic kind {kind!r}")
-        least = STATISTIC_KINDS[kind][0]
+        least = STATISTIC_KINDS[kind].least
         if index < least:
             raise InputError(f"{kind} statistics start at index {least}")
         if not 0 <= slot < slots:
@@ -212,44 +227,51 @@ def check_specs(specs, slots: int) -> None:
 
 def exact_mean(family: RepFamily, q: int, spec):
     """Exact expectation of the raw statistic, when a moment formula exists."""
-    kind = spec[0]
-    if kind == "R":
-        return family.moment(q, [(spec[1], free_cumulant_as_indicators(spec[2]))])
-    if kind == "p":
-        return family.moment(q, [(spec[1], profile_moment_as_indicators(spec[2]))])
-    return None
+    indicators = STATISTIC_KINDS[spec[0]].indicators
+    return None if indicators is None else family.moment(q, [(spec[1], indicators(spec[2]))])
 
 
 def _mean(xs) -> float:
     return math.fsum(xs) / len(xs)
 
 
-def fluctuation_statistics(batch: SampleBatch, specs) -> list:
-    """Rows of centered, scaled statistics: one tuple per sample.
+def statistic_columns(batch: SampleBatch, specs) -> list:
+    """Per spec, its raw column and its centered, scaled column, one value per sample.
 
     Every slot the specs read is built first, in one pass over the
-    samples; each statistic is then read off its slot's shapes.
-    Free-cumulant and shape statistics are centered at their exact means;
-    the character statistic (a ratio of random quantities) is centered
-    empirically.
+    samples.  Each shape's free cumulants are computed once, as deep as
+    its slot's statistics read, and every distinct statistic is evaluated
+    once.  Statistics with an indicator form are centered at their exact
+    means; the character statistic (a ratio of random quantities) is
+    centered empirically.
     """
     if not len(batch):
         raise ValueError("empty batch")
     keys = [tuple(spec) for spec in specs]
     check_specs(keys, batch.family.ct.num_irreps)
-    scales = {
-        key: float(batch.q) ** (STATISTIC_KINDS[key[0]][1](key[2]) / 2)
-        for key in keys
-        if key not in batch.statistics_cache
-    }
-    batch.build(slot for _, slot, _ in scales)
-    for key, scale in scales.items():
-        raw = [float(statistic_value(lam, key)) for lam in batch.shapes[key[1]]]
-        mean = exact_mean(batch.family, batch.q, key)
-        center = float(mean) if mean is not None else _mean(raw)
-        batch.raw_statistics[key] = raw
-        batch.statistics_cache[key] = [(x - center) * scale for x in raw]
-    return list(zip(*(batch.statistics_cache[key] for key in keys)))
+    by_slot: dict = {}
+    for key in dict.fromkeys(keys):
+        by_slot.setdefault(key[1], []).append(key)
+    batch.build(by_slot)
+    columns = {}
+    for slot, slot_keys in by_slot.items():
+        depth = _depth(STATISTIC_KINDS[kind].polynomial(i) for kind, _, i in slot_keys)
+        raws = [[] for _ in slot_keys]
+        for lam in batch.shapes[slot]:
+            cumulants = free_cumulants(lam, depth)
+            for raw, key in zip(raws, slot_keys):
+                raw.append(float(statistic_value(lam, key, cumulants)))
+        for key, raw in zip(slot_keys, raws):
+            scale = float(batch.q) ** (STATISTIC_KINDS[key[0]].exponent(key[2]) / 2)
+            mean = exact_mean(batch.family, batch.q, key)
+            center = float(mean) if mean is not None else _mean(raw)
+            columns[key] = (raw, [(x - center) * scale for x in raw])
+    return [columns[key] for key in keys]
+
+
+def fluctuation_statistics(batch: SampleBatch, specs) -> list:
+    """Rows of centered, scaled statistics: one tuple per sample."""
+    return list(zip(*(centered for _, centered in statistic_columns(batch, specs))))
 
 
 def spec_name(spec) -> str:
@@ -305,36 +327,3 @@ def predicted_r_covariance(params, specs) -> list:
         [float(predicted_limit(params, 4, [(s1, i1), (s2, i2)])) for _, s2, i2 in specs]
         for _, s1, i1 in specs
     ]
-
-
-def batch_csv(batch: SampleBatch, specs) -> str:
-    """One row per sample per statistic, raw and scaled-centered values."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", "sample,statistic,raw,centered_scaled"]
-    if len(batch):
-        stats = fluctuation_statistics(batch, specs)
-        raws = [batch.raw_statistics[tuple(spec)] for spec in specs]
-        names = [spec_name(spec) for spec in specs]
-        for i in range(len(batch)):
-            for j, name in enumerate(names):
-                lines.append(f"{i},{name},{raws[j][i]!r},{stats[i][j]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def summary_json(batch: SampleBatch, specs, predicted_cov=None) -> str:
-    """The batch's JSON summary: its normality report, q and seed."""
-    n = len(batch)
-    if n == 0:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "q": batch.q,
-            "root_seed": batch.root_seed,
-            "n_samples": 0,
-        }
-    else:
-        stats = fluctuation_statistics(batch, specs)
-        report = normality_check(
-            stats, [spec_name(s) for s in specs], predicted_cov=predicted_cov
-        )
-        report.update(schema_version=SCHEMA_VERSION, q=batch.q, root_seed=batch.root_seed)
-    report["insufficient_data"] = n < 1000
-    return json.dumps(report, indent=2)

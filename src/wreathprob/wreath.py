@@ -27,7 +27,7 @@ from fractions import Fraction
 from .cyclotomics import Cyclotomic, conjugate_value, numerator_denominator, value_as_fraction
 from .errors import Infeasible, InputError, NoLimitTable
 from .groups import CharacterTable, _coeff_from_json, _coeff_to_json, builtin_group
-from .groups import character_table_from_json, character_table_to_json
+from .groups import character_table_from_json, character_table_to_json, validate_character_table
 from .indicators import IndicatorSum
 from .partitions import character as sym_character
 from .partitions import dimension, falling, is_partition, partitions_of
@@ -615,8 +615,6 @@ class IrreducibleFamily(RepFamily):
             return ()
         size = sum(base)
         t = math.isqrt(n // size)
-        while t and t * t * size > n:
-            t -= 1
         rows = [part * t for part in base for _ in range(t)]
         leftover = n - t * t * size
         width = max(t * base[-1], 1) if t else leftover
@@ -882,9 +880,13 @@ class TensorFamily(_ConstructorFamily):
 
 
 def _group_from_json(doc) -> CharacterTable:
+    """A builtin group by name, or an inline character table once it validates."""
     if isinstance(doc, str):
         return builtin_group(doc)
-    return character_table_from_json(doc)
+    ct = character_table_from_json(doc)
+    if problems := validate_character_table(ct):
+        raise ValueError(f"invalid character table: {problems[0]}")
+    return ct
 
 
 FAMILY_KINDS = {

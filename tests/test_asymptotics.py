@@ -31,6 +31,7 @@ from wreathprob.asymptotics import (
     tensor_limits,
 )
 from wreathprob import asymptotics
+from wreathprob.bruteforce import WreathGroup
 from wreathprob.cli import SCHEMA_VERSION, _report_csv, _report_json
 from wreathprob.errors import Infeasible, InputError, NoLimitTable
 from wreathprob.groups import cyclic_group, symmetric3_group
@@ -251,6 +252,57 @@ def test_element_cumulant_vanishing_pattern():
     assert element_cumulant(fam, q, [colored, other]) == 0
     swap01 = ((0, 0, 0), (1, 0, 2))
     assert element_cumulant(fam, q, [swap01, ((0, 0, 1), (0, 1, 2))]) == 0
+
+
+# C2 wr S_4 elements as (colors, perm): a transposition (0 1), a
+# transposition (2 3) coloured at point 2, and points 0 and 3 coloured alone
+SWAP01 = ((0, 0, 0, 0), (1, 0, 2, 3))
+COLORED_SWAP23 = ((0, 0, 1, 0), (0, 1, 3, 2))
+COLOR0 = ((1, 0, 0, 0), (0, 1, 2, 3))
+COLOR3 = ((0, 0, 0, 1), (0, 1, 2, 3))
+
+
+def _enumerated_cumulant(fam, q, elements):
+    """First or second cumulant of group elements, read off the enumerated wreath group."""
+    group = WreathGroup(fam.ct, q)
+    values = fam.class_function(q)
+
+    def mean(i):
+        return values.get(group.class_types[group.class_of[i]], 0)
+
+    first, *rest = (group.index[x] for x in elements)
+    if not rest:
+        return mean(first)
+    (second,) = rest
+    return mean(group.mul(first, second)) - mean(first) * mean(second)
+
+
+@pytest.mark.parametrize(
+    "args, raw, scaled",
+    [
+        # a transposition has length 1: q**(1/2); two factors add q
+        ([COLORED_SWAP23], Fraction(1, 3), Fraction(2, 3)),
+        ([COLOR0, COLOR3], Fraction(-1, 3), Fraction(-4, 3)),
+        ([SWAP01, COLOR3], Fraction(-1, 3), Fraction(-8, 3)),
+        ([SWAP01], 0, 0),
+    ],
+)
+def test_condition_one_quantities_match_the_enumerated_group(args, raw, scaled):
+    # the irreducible of shapes ((2,), (1, 1)) at q = 4
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)), ((2, 1), (1,)))
+    q = 4
+    assert fam.shapes(q) == ((2,), (1, 1))
+    assert _enumerated_cumulant(fam, q, args) == raw
+    assert asymptotics.raw_cumulant(fam, 1, q, args) == raw
+    assert scaled_quantity(fam, 1, q, args) == scaled
+    report = convergence_report(fam, 1, args, [q], limit=scaled)
+    assert report.rows == [(q, raw, scaled, scaled, 0)]
+    assert report.verdict is True
+    assert report.description == f"condition 1 at {args}"
+    # one grid point: the verdict is the relative error alone, here past 15 %
+    far = convergence_report(fam, 1, args, [q], limit=scaled - 1)
+    assert far.rows == [(q, raw, scaled, scaled - 1, 1)]
+    assert far.verdict is False
 
 
 def test_condition_exponents():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathprob import bruteforce, cli
+from wreathprob import bruteforce, cli, sampling
 from wreathprob.cli import main
 from wreathprob.groups import (
     builtin_group,
@@ -429,6 +429,28 @@ def test_a_fault_in_a_limit_table_is_not_printed_as_null(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+ONE_IRREP_C2 = {
+    "mult": [[0, 1], [1, 0]],
+    "character_table": {"classes": [[0], [1]], "irreps": [{"dim": 1, "values": [1, 1]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "--q", "3"],
+        ["moments", "--rows", "0:2", "--q", "3"],
+        ["limits", "--rows", "0:2", "--q-grid", "2,4"],
+    ],
+)
+def test_invalid_inline_table_is_a_bad_family_descriptor(capsys, argv):
+    fam = json.dumps({"kind": "example1", "group": ONE_IRREP_C2})
+    code, out, err = run(capsys, argv[0], "--family", fam, *argv[1:])
+    assert code == 2 and out == ""
+    assert "bad family descriptor: invalid character table: 1 irreps for 2" in err
+    assert "Traceback" not in err
+
+
 def test_sample_prediction_beyond_default_table_depth(capsys):
     code, out, _ = run(
         capsys,
@@ -696,7 +718,7 @@ def test_sample_non_samplable_family_refused_before_sampling(capsys, monkeypatch
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    monkeypatch.setattr(sampling, "_sample_range", no_sampling)
     fam = '{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"]}'
     code, out, err = run(capsys, "sample", "--family", fam, "--q", "10")
     assert code == 3 and out == ""

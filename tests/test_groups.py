@@ -110,6 +110,14 @@ def test_json_rejects_inconsistent_classes():
         character_table_from_json(doc)
 
 
+def test_json_rejects_a_table_without_inverses():
+    # 0 is the identity, but nothing times 1 gives it
+    doc = character_table_to_json(cyclic_group(2))
+    doc["mult"] = [[0, 1], [1, 1]]
+    with pytest.raises(ValueError, match="no inverse"):
+        character_table_from_json(doc)
+
+
 def test_projection_coefficients_are_orthogonal_idempotents():
     for ct in (cyclic_group(3), symmetric3_group(), dihedral_group(4)):
         group = ct.group

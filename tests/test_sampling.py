@@ -7,14 +7,17 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wreathprob.diagrams import transition_measure
+from wreathprob.cli import _sample_texts
+from wreathprob.diagrams import free_cumulants, profile_moment, transition_measure
 from wreathprob import sampling
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.partitions import dimension, falling, indicator_scalar, partitions_of
 from wreathprob.sampling import (
+    STATISTIC_KINDS,
     SampleBatch,
-    batch_csv,
     check_specs,
     fluctuation_statistics,
     normality_check,
@@ -22,8 +25,8 @@ from wreathprob.sampling import (
     sample_batch,
     sample_canonical,
     sample_plancherel,
+    statistic_columns,
     statistic_value,
-    summary_json,
 )
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
@@ -149,8 +152,8 @@ def test_statistic_scalings_are_the_float_powers():
     batch = SampleBatch(fam, q, 0, 1, shapes={0: [(3,)], 1: [()]})
     specs = [("R", 0, 2), ("R", 0, 3), ("p", 0, 3), ("character", 0, 2)]
     (row,) = fluctuation_statistics(batch, specs)
-    for spec, value, e in zip(specs, row, (1 - 2, 1 - 3, 2 - 3, 2)):
-        raw = batch.raw_statistics[spec][0]
+    raws = [raw for raw, _ in statistic_columns(batch, specs)]
+    for spec, value, (raw,), e in zip(specs, row, raws, (1 - 2, 1 - 3, 2 - 3, 2)):
         mean = sampling.exact_mean(fam, q, spec)
         center = raw if mean is None else float(mean)
         assert value == (raw - center) * float(q) ** (e / 2)
@@ -328,13 +331,37 @@ def test_statistics_insert_only_the_slots_they_read(monkeypatch):
     assert inserted == []
 
 
-def test_statistics_cache():
+def test_free_cumulants_run_once_per_shape_per_slot(monkeypatch):
     fam = Example1Family(cyclic_group(2))
     batch = sample_batch(fam, 20, 50, root_seed=3)
-    first = fluctuation_statistics(batch, [("R", 0, 2)])
-    assert ("R", 0, 2) in batch.statistics_cache
-    again = fluctuation_statistics(batch, [("R", 0, 2)])
-    assert first == again
+    specs = [("R", 0, 2), ("p", 0, 3), ("character", 0, 2), ("R", 1, 4), ("R", 0, 2)]
+    expected = fluctuation_statistics(batch, specs)
+    depths = []
+    real = sampling.free_cumulants
+
+    def counting(lam, up_to):
+        depths.append(up_to)
+        return real(lam, up_to)
+
+    monkeypatch.setattr(sampling, "free_cumulants", counting)
+    assert fluctuation_statistics(batch, specs) == expected
+    # one call per shape of each slot, as deep as the slot's statistics read:
+    # slot 0's character:2 reads R_3, slot 1's R:4 reads R_4
+    assert Counter(depths) == {3: 50, 4: 50}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions_of(n))), st.integers(1, 8))
+def test_statistic_value_is_each_kind_direct_formula(lam, i):
+    n = sum(lam)
+    direct = {
+        "R": lambda: free_cumulants(lam, i)[i - 1],
+        "p": lambda: profile_moment(lam, i),
+        "character": lambda: indicator_scalar(lam, (i,)) / falling(n, i) if n >= i else 0,
+    }
+    for kind, formula in direct.items():
+        if i >= STATISTIC_KINDS[kind].least:
+            assert statistic_value(lam, (kind, 0, i)) == formula(), (kind, lam, i)
 
 
 def test_character_statistic_matches_direct_scalar():
@@ -450,13 +477,13 @@ def test_csv_and_summary_schema():
     fam = Example1Family(cyclic_group(2))
     batch = sample_batch(fam, 10, 12, root_seed=8)
     specs = [("R", 0, 2), ("p", 1, 2)]
-    text = batch_csv(batch, specs)
+    text, summary = _sample_texts(batch, specs)
     lines = text.strip().split("\n")
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "sample,statistic,raw,centered_scaled"
     assert len(lines) == 2 + 12 * 2
     assert lines[2].startswith("0,R[0,2],")
-    doc = json.loads(summary_json(batch, specs))
+    doc = json.loads(summary)
     assert doc["n_samples"] == 12
     assert doc["q"] == 10
     assert doc["root_seed"] == 8

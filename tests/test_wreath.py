@@ -406,6 +406,41 @@ def test_family_from_json_rejects_unknown_kinds():
         family_from_json({"kind": "tensor", "left": [], "right": []})
 
 
+C2_MULT = [[0, 1], [1, 0]]
+C2_CLASSES = [[0], [1]]
+
+
+@pytest.mark.parametrize(
+    "irreps, problem",
+    [
+        ([{"dim": 1, "values": [1, 1]}], "1 irreps for 2 conjugacy classes"),
+        ([{"dim": 1, "values": [1, 1]}, {"dim": 1, "values": [1, 1]}], "row orthogonality"),
+        ([{"dim": 1, "values": [1, 1]}, {"dim": 2, "values": [2, 0]}], "squared dimensions"),
+    ],
+)
+def test_family_descriptors_refuse_invalid_inline_tables(irreps, problem):
+    table = {"mult": C2_MULT, "character_table": {"classes": C2_CLASSES, "irreps": irreps}}
+    for kind in ("example1", "irreducible"):
+        doc = {"kind": kind, "group": table}
+        if kind == "irreducible":
+            doc["weights"] = ["1"] + ["0"] * (len(irreps) - 1)
+        with pytest.raises(ValueError, match=f"invalid character table: {problem}"):
+            family_from_json(doc)
+        with pytest.raises(ValueError, match=problem):
+            family_from_json({"kind": "restricted", "ratio": "2", "parent": doc})
+
+
+def test_builtin_group_names_skip_table_validation(monkeypatch):
+    def refuse(ct):
+        raise AssertionError("a builtin table was validated")
+
+    monkeypatch.setattr(wreath, "validate_character_table", refuse)
+    assert family_from_json({"kind": "example1", "group": "S3"}).ct.num_irreps == 3
+    inline = Example1Family(cyclic_group(2)).to_json()
+    with pytest.raises(AssertionError, match="validated"):
+        family_from_json(inline)
+
+
 # ------------------------------------------- class functions vs enumeration
 
 @st.composite
