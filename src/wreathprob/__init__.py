@@ -28,8 +28,8 @@ from .diagrams import (
     transition_measure,
 )
 from .groups import builtin_group, character_table_from_json, character_table_to_json
-from .indicators import IndicatorSum, expand_indicator, product_coefficients
-from .partitions import character, dimension, indicator_scalar, partitions_of
+from .indicators import IndicatorSum, expand_indicator, indicator_scalar, product_coefficients
+from .partitions import character, dimension, partitions_of
 from .sampling import (
     SampleBatch,
     fluctuation_statistics,

@@ -101,12 +101,19 @@ def r_cumulant(family: RepFamily, q: int, args):
 def element_cumulant(family: RepFamily, q: int, elements):
     """Cumulant of group elements under the normalized family character.
 
-    Each moment reads the family's class function at the class type of the
-    product element; the elements should have disjoint supports so that
-    products are order-independent.
+    Condition 1 fixes the elements and grows q, so identity-coloured fixed
+    points extend each element to q points.  Each moment reads the family's
+    class function at the class type of the product element; the elements
+    should have disjoint supports so that products are order-independent.
     """
-    values = family.checked_class_function(q)
     group = family.ct.group
+    if any(len(perm) > q for _, perm in elements):
+        raise InputError(f"an element has more than q={q} points")
+    elements = [
+        (tuple(c) + (group.identity,) * (q - len(p)), tuple(p) + tuple(range(len(p), q)))
+        for c, p in elements
+    ]
+    values = family.checked_class_function(q)
     identity = ((group.identity,) * q, tuple(range(q)))
 
     def moment(block):

@@ -19,6 +19,12 @@ inversion of the moment series and Biane's formula for the Kerov
 polynomials (Biane 2003, "Characters of symmetric groups and free
 cumulants"); each R_n then goes back to indicators by peeling off the
 leading Kerov term R_n of the (n-1)-cycle indicator.
+
+The same polynomials give the scalar through which an indicator acts on
+an irreducible, read off its diagram's free cumulants: that is what keeps
+scalars on diagrams of thousands of boxes cheap.  Only a term of several
+long rows, whose product expansion would be exponential, falls back to
+rim-hook removal over the whole diagram.
 """
 
 from __future__ import annotations
@@ -30,7 +36,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .partitions import falling, indicator_scalar
+from .diagrams import free_cumulants
+from .partitions import character, dimension, falling
+
+# the most point-steps (fillings times points) that one peeling step of
+# IndicatorSum.scalar_on may spend on a product expansion, which grows
+# exponentially with the rows; past it rim-hook removal is cheaper
+PEEL_WORK = 10**6
 
 PartialPerm = tuple[tuple[int, ...], int]
 
@@ -235,18 +247,63 @@ class IndicatorSum:
                 out[rho] = out.get(rho, Fraction(0)) + c1 * c2
         return IndicatorSum(out)
 
-    def scalar_on(self, lam: tuple[int, ...]) -> Fraction:
-        """Evaluate as the scalar acting on the irreducible of shape lam."""
-        return sum(
-            (c * indicator_scalar(lam, rows) for rows, c in self.terms.items()),
-            start=Fraction(0),
-        )
+    def scalar_on(self, lam) -> Fraction:
+        """Evaluate as the scalar acting on the irreducible of shape lam.
+
+        Terms with more points than lam has boxes vanish; the rest are read
+        off lam's free cumulants.  One row is its Kerov polynomial, and S_rho
+        is S_(rho1) S_rest less the lower terms of that product, unless that
+        product's expansion would pass PEEL_WORK.
+        """
+        lam = tuple(lam)
+        n = sum(lam)
+        fitting = {rows: c for rows, c in self.terms.items() if sum(rows) <= n}
+        # no row of a lower term holds more points than the largest term, and
+        # a diagram's free cumulants are integers: evaluate in ints
+        top = max(map(sum, fitting), default=0)
+        cumulants = [r.numerator for r in free_cumulants(lam, top + 1)]
+        memo: dict = {}
+
+        def scalar(rows):
+            if rows not in memo:
+                size = sum(rows)
+                # product_coefficients expands the smaller factor, one filling
+                # per partial permutation, on size points
+                expanded = min(rows[1:], rows[:1], key=sum)
+                if len(rows) < 2:
+                    memo[rows] = evaluate(indicator_in_free_cumulants(size), cumulants)
+                elif falling(size, sum(expanded)) // multiplicity(expanded) * size > PEEL_WORK:
+                    full = rows + (1,) * (n - size)
+                    memo[rows] = Fraction(falling(n, size) * character(lam, full), dimension(lam))
+                else:
+                    lower = product_coefficients(rows[:1], rows[1:]).items()
+                    memo[rows] = scalar(rows[:1]) * scalar(rows[1:]) - sum(
+                        g * scalar(sigma) for sigma, g in lower if sigma != rows
+                    )
+            return memo[rows]
+
+        return sum((c * scalar(rows) for rows, c in fitting.items()), start=Fraction(0))
 
     def __repr__(self):
         if not self.terms:
             return "IndicatorSum(0)"
         bits = [f"{c}*S{list(rows)}" for rows, c in sorted(self.terms.items())]
         return "IndicatorSum(" + " + ".join(bits) + ")"
+
+
+def indicator_scalar(lam, rows) -> Fraction:
+    """Scalar through which the indicator of ``rows`` (parts >= 1) acts on irrep ``lam``.
+
+    It vanishes when the rows hold more points than lam has boxes.
+    """
+    if any(r < 1 for r in rows):
+        raise ValueError(f"row lengths must be positive: {rows}")
+    return IndicatorSum.indicator(rows).scalar_on(lam)
+
+
+def evaluate(poly: dict, cumulants):
+    """A free-cumulant polynomial at the free cumulants R_1, R_2, ... of one diagram."""
+    return sum(c * math.prod(cumulants[idx - 1] for idx in mono) for mono, c in poly.items())
 
 
 def _series_mul(a: dict, b: dict, top: int) -> dict:
@@ -330,7 +387,7 @@ def profile_moment_in_free_cumulants(k: int) -> dict:
     return _coefficient(_phi_power(k, k), k)
 
 
-def _in_indicators(poly: dict) -> IndicatorSum:
+def in_indicators(poly: dict) -> IndicatorSum:
     """A free-cumulant polynomial with each R_n replaced by its indicator form."""
     out = IndicatorSum()
     for mono, coeff in poly.items():
@@ -349,10 +406,4 @@ def free_cumulant_as_indicators(n: int) -> IndicatorSum:
     expansion = indicator_in_free_cumulants(n - 1)
     assert expansion.get((n,)) == 1, "leading Kerov term must be R_(l+1)"
     lower = {mono: coeff for mono, coeff in expansion.items() if mono != (n,)}
-    return IndicatorSum.indicator((n - 1,)) - _in_indicators(lower)
-
-
-@cache
-def profile_moment_as_indicators(k: int) -> IndicatorSum:
-    """The k-th profile power sum as a combination of indicators."""
-    return _in_indicators(profile_moment_in_free_cumulants(k))
+    return IndicatorSum.indicator((n - 1,)) - in_indicators(lower)

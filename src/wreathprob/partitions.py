@@ -1,15 +1,16 @@
 """Integer partitions, hook lengths, and symmetric-group characters.
 
 Partitions are tuples of weakly decreasing positive integers; the empty
-partition is ``()``.  Irreducible characters are computed by rim-hook
-removal on beta-number sets and cached, so sweeping a whole character
-table's worth of (partition, class) pairs stays cheap.
+partition is ``()``.  Irreducible characters at a whole cycle type are
+computed by rim-hook removal on beta-number sets and cached, so sweeping
+a character table's worth of (partition, class) pairs stays cheap.
+Indicator scalars on large diagrams come from free cumulants instead, in
+``indicators``.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache
 
 
@@ -101,19 +102,3 @@ def falling(x, k: int):
         out = out * (x - i)
     return out
 
-
-def indicator_scalar(lam: tuple[int, ...], rows: tuple[int, ...]) -> Fraction:
-    """Scalar through which a normalized conjugacy indicator acts on irrep ``lam``.
-
-    ``rows`` lists the nontrivial cycle lengths being pinned (parts >= 1
-    allowed); the remaining points are fixed.  Vanishes when the rows do
-    not fit inside the diagram's size.
-    """
-    if any(r < 1 for r in rows):
-        raise ValueError(f"row lengths must be positive: {rows}")
-    n = sum(lam)
-    size = sum(rows)
-    if size > n:
-        return Fraction(0)
-    full = tuple(sorted(rows + (1,) * (n - size), reverse=True))
-    return Fraction(falling(n, size) * character(lam, full), dimension(lam))

@@ -23,12 +23,8 @@ from typing import NamedTuple
 from .asymptotics import predicted_limit
 from .diagrams import free_cumulants
 from .errors import Infeasible, InputError
-from .indicators import (
-    free_cumulant_as_indicators,
-    indicator_in_free_cumulants,
-    profile_moment_as_indicators,
-    profile_moment_in_free_cumulants,
-)
+from .indicators import evaluate, in_indicators, indicator_in_free_cumulants
+from .indicators import profile_moment_in_free_cumulants
 from .partitions import falling
 from .wreath import Example1Family, RepFamily
 
@@ -42,19 +38,16 @@ class StatisticKind(NamedTuple):
     least: int  # the least index
     exponent: Callable  # the centered statistic at index i is scaled by q**(exponent(i) / 2)
     polynomial: Callable  # index -> {monomial (R indices): int coefficient}
-    indicators: Callable | None  # index -> the statistic as indicators; None: centered empirically
-    per_falling: bool = False  # the polynomial is divided by falling(n, i) on n boxes
+    # the polynomial is divided by falling(n, i) on n boxes, and so centered empirically
+    per_falling: bool = False
 
 
 STATISTIC_KINDS = {
-    "R": StatisticKind(2, lambda i: 1 - i, lambda i: {(i,): 1}, free_cumulant_as_indicators),
+    "R": StatisticKind(2, lambda i: 1 - i, lambda i: {(i,): 1}),
     # profile power sums: [w^k] phi^k (Ivanov-Olshanski)
-    "p": StatisticKind(
-        2, lambda i: 2 - i, profile_moment_in_free_cumulants, profile_moment_as_indicators
-    ),
-    # normalized characters at an i-cycle: Kerov polynomials (Biane); direct
-    # character recursion is infeasible on large diagrams
-    "character": StatisticKind(1, lambda i: i, indicator_in_free_cumulants, None, True),
+    "p": StatisticKind(2, lambda i: 2 - i, profile_moment_in_free_cumulants),
+    # normalized characters at an i-cycle: Kerov polynomials (Biane)
+    "character": StatisticKind(1, lambda i: i, indicator_in_free_cumulants, True),
 }
 
 
@@ -206,7 +199,7 @@ def statistic_value(lam, spec, cumulants=None) -> Fraction:
     poly = entry.polynomial(i)
     if cumulants is None:
         cumulants = free_cumulants(tuple(lam), _depth([poly]))
-    value = sum(c * math.prod(cumulants[idx - 1] for idx in mono) for mono, c in poly.items())
+    value = evaluate(poly, cumulants)
     if entry.per_falling:
         return value / falling(sum(lam), i) if sum(lam) >= i else Fraction(0)
     return value
@@ -227,8 +220,11 @@ def check_specs(specs, slots: int) -> None:
 
 def exact_mean(family: RepFamily, q: int, spec):
     """Exact expectation of the raw statistic, when a moment formula exists."""
-    indicators = STATISTIC_KINDS[spec[0]].indicators
-    return None if indicators is None else family.moment(q, [(spec[1], indicators(spec[2]))])
+    kind, slot, i = spec
+    entry = STATISTIC_KINDS[kind]
+    if entry.per_falling:  # over a falling factorial of the random size: no moment formula
+        return None
+    return family.moment(q, [(slot, in_indicators(entry.polynomial(i)))])
 
 
 def _mean(xs) -> float:
@@ -241,9 +237,9 @@ def statistic_columns(batch: SampleBatch, specs) -> list:
     Every slot the specs read is built first, in one pass over the
     samples.  Each shape's free cumulants are computed once, as deep as
     its slot's statistics read, and every distinct statistic is evaluated
-    once.  Statistics with an indicator form are centered at their exact
-    means; the character statistic (a ratio of random quantities) is
-    centered empirically.
+    once.  Polynomial statistics are centered at their exact means; the
+    character statistic (a ratio of random quantities) is centered
+    empirically.
     """
     if not len(batch):
         raise ValueError("empty batch")

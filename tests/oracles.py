@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from different first principles
 than the library (pentagonal-number recurrences, branching rules,
-permutation modules, seminormal matrices, conjugation orbits,
-induced characters, polynomial long division and exact linear fits over
-small diagrams) so agreement is meaningful.
+permutation modules, rim-hook removal, seminormal matrices, conjugation
+orbits, induced characters, polynomial long division and exact linear
+fits over small diagrams) so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -60,6 +60,62 @@ def dimension_branching(lam: tuple[int, ...]) -> int:
             smaller = lam[:i] + (lam[i] - 1,) + lam[i + 1 :]
         total += dimension_branching(smaller)
     return total
+
+
+# ------------------------------------------------ Murnaghan-Nakayama route
+
+
+def _beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
+    # first-column hook lengths, ascending
+    r = len(lam)
+    return tuple(sorted(part + r - 1 - i for i, part in enumerate(lam)))
+
+
+@cache
+def _mn(betas: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    if not mu or mu[0] == 1:
+        # only fixed points remain (mu is descending): the value is the
+        # dimension of the remaining shape, read off its beta set
+        num = math.factorial(len(mu))
+        den = 1
+        for j, b in enumerate(betas):
+            den *= math.factorial(b)
+            for a in betas[:j]:
+                num *= b - a
+        return num // den
+    k, rest = mu[0], mu[1:]
+    bset = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - k
+        if nb < 0 or nb in bset:
+            continue
+        leg = sum(1 for x in betas if nb < x < b)
+        replaced = tuple(sorted(bset - {b} | {nb}))
+        total += (-1) ** leg * _mn(replaced, rest)
+    return total
+
+
+def character(lam, mu) -> int:
+    """Irreducible character of shape ``lam`` at cycle type ``mu``, by rim-hook removal."""
+    if sum(lam) != sum(mu):
+        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    return _mn(_beta_set(tuple(lam)), tuple(sorted(mu, reverse=True)))
+
+
+def indicator_scalar(lam, rows) -> Fraction:
+    """falling(n, |rows|) chi^lam(rows, 1^(n - |rows|)) / dim lam, by rim-hook removal."""
+    n = sum(lam)
+    size = sum(rows)
+    if size > n:
+        return Fraction(0)
+    full = tuple(rows) + (1,) * (n - size)
+    return Fraction(math.perm(n, size) * character(lam, full), character(lam, (1,) * n))
+
+
+def sum_scalar(summ, lam) -> Fraction:
+    """The scalar of an ``IndicatorSum`` on lam, term by term by rim-hook removal."""
+    return sum((c * indicator_scalar(lam, rows) for rows, c in summ.terms.items()), Fraction(0))
 
 
 # ------------------------------------------------- permutation-module route
@@ -679,11 +735,9 @@ def class_value_per_irreducible(ct, lam_tuple, t):
     per sorted product of slot characters (zero parts skipped), and each
     product's value multiplied out afresh.
     """
-    from wreathprob.partitions import character as sym_character
-
     terms: dict[tuple, int] = {}
     for ways, lengths, picked in _splits(ct, t, map(sum, lam_tuple)):
-        coeff = ways * math.prod(map(sym_character, lam_tuple, lengths))
+        coeff = ways * math.prod(map(character, lam_tuple, lengths))
         if coeff:
             product = tuple(sorted(picked))
             terms[product] = terms.get(product, 0) + coeff
@@ -1192,8 +1246,6 @@ def interpolate_in_free_cumulants(values, max_weight: int, max_size: int) -> dic
 
 def indicator_in_free_cumulants_by_fit(l: int) -> dict:
     """The one-row indicator of length l, fitted on diagrams of size <= l + 2."""
-    from wreathprob.partitions import indicator_scalar
-
     if l == 0:
         return {(): Fraction(1)}
     return interpolate_in_free_cumulants(lambda lam: indicator_scalar(lam, (l,)), l + 1, l + 2)

@@ -36,7 +36,7 @@ from wreathprob.indicators import (
     indicator_in_free_cumulants,
     product_coefficients,
 )
-from wreathprob.partitions import dimension, indicator_scalar, partitions_of
+from wreathprob.partitions import dimension, partitions_of
 from wreathprob.sampling import (
     fluctuation_statistics,
     normality_check,
@@ -51,7 +51,7 @@ from wreathprob.wreath import (
     wreath_dimension,
 )
 
-from oracles import enumerated_measure, growth_weights
+from oracles import enumerated_measure, growth_weights, indicator_scalar
 
 
 def _announce(number: int, text: str) -> None:

@@ -305,6 +305,48 @@ def test_condition_one_quantities_match_the_enumerated_group(args, raw, scaled):
     assert far.verdict is False
 
 
+def _traced_cumulant(ct, shapes, q, elements):
+    """First or second cumulant of elements under an irreducible's enumerated trace."""
+    group = WreathGroup(ct, q)
+    chi = group.irreducible_character(shapes)
+    dim = chi[group.class_of[group.identity]]
+
+    def mean(i):
+        return Fraction(chi[group.class_of[i]], dim)
+
+    first, *rest = (group.index[x] for x in elements)
+    if not rest:
+        return mean(first)
+    (second,) = rest
+    return mean(group.mul(first, second)) - mean(first) * mean(second)
+
+
+@pytest.mark.parametrize("args", [[COLORED_SWAP23], [COLOR0, COLOR3], [SWAP01, COLOR3], [SWAP01]])
+def test_condition_one_embeds_the_elements_at_every_grid_point(args):
+    # condition 1 fixes the elements and grows q: at q > 4 each element
+    # gains identity-coloured fixed points 4..q-1
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)), ((2, 1), (1,)))
+    grid = [4, 5, 6]
+    report = convergence_report(fam, 1, args, grid)
+    for q, row in zip(grid, report.rows):
+        padded = [(colors + (0,) * (q - 4), perm + tuple(range(4, q))) for colors, perm in args]
+        assert row[:2] == (q, _traced_cumulant(fam.ct, fam.shapes(q), q, padded))
+        # fixed points add as many points as cycles: the scaling is unchanged
+        assert row[2] == scaled_quantity(fam, 1, q, padded)
+
+
+def test_condition_one_refuses_a_grid_point_below_the_elements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cumulant was computed")
+
+    monkeypatch.setattr(asymptotics, "cumulant_from_moments", refuse)
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)), ((2, 1), (1,)))
+    with pytest.raises(InputError, match="more than q=3 points"):
+        convergence_report(fam, 1, [COLOR0, COLOR3], [6, 3, 4])
+    with pytest.raises(InputError, match="more than q=3 points"):
+        element_cumulant(fam, 3, [COLOR0])
+
+
 def test_condition_exponents():
     assert condition_exponent(3, [(0, 1)]) == -2
     assert condition_exponent(3, [(0, 2), (0, 2)]) == -4

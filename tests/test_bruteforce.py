@@ -21,7 +21,7 @@ from wreathprob.bruteforce import (
 from wreathprob.cyclotomics import Cyclotomic, conjugate_value, value_as_fraction
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum, expand_indicator
-from wreathprob.partitions import indicator_scalar, partitions_of
+from wreathprob.partitions import partitions_of
 from wreathprob.wreath import (
     Example1Family,
     InducedFamily,
@@ -42,6 +42,7 @@ from oracles import (
     family_values,
     fraction_tensor_algebra_image,
     full_table_measure,
+    indicator_scalar,
     w_inv,
 )
 

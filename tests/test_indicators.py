@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wreathprob
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
 from wreathprob import indicators
@@ -18,22 +19,25 @@ from wreathprob.indicators import (
     cycle_type,
     expand_indicator,
     free_cumulant_as_indicators,
+    in_indicators,
     indicator_in_free_cumulants,
     product_coefficients,
-    profile_moment_as_indicators,
     profile_moment_in_free_cumulants,
 )
-from wreathprob.partitions import falling, indicator_scalar, partitions_of
+from wreathprob.partitions import falling, partitions_of
 from wreathprob.wreath import IrreducibleFamily
 
 from oracles import (
+    character,
     from_pairs,
     indicator_in_free_cumulants_by_fit,
+    indicator_scalar,
     multiplicity_constant,
     pair_compose,
     pair_cycle_type,
     pair_indicator,
     profile_moment_in_free_cumulants_by_fit,
+    sum_scalar,
     to_pairs,
 )
 
@@ -323,9 +327,11 @@ def test_free_cumulants_as_indicators_frozen():
 def test_free_cumulants_as_indicators_evaluate_correctly():
     for n in range(2, 7):
         expansion = free_cumulant_as_indicators(n)
+        assert in_indicators({(n,): 1}) == expansion
         for size in range(10):
             for lam in partitions_of(size):
-                assert expansion.scalar_on(lam) == free_cumulants(lam, n)[n - 1]
+                expected = free_cumulants(lam, n)[n - 1]
+                assert expansion.scalar_on(lam) == sum_scalar(expansion, lam) == expected
 
 
 def test_profile_moments_in_free_cumulants_frozen():
@@ -336,10 +342,11 @@ def test_profile_moments_in_free_cumulants_frozen():
 
 def test_profile_moments_as_indicators_evaluate_correctly():
     for k in range(2, 7):
-        expansion = profile_moment_as_indicators(k)
+        expansion = in_indicators(profile_moment_in_free_cumulants(k))
         for size in range(9):
             for lam in partitions_of(size):
-                assert expansion.scalar_on(lam) == profile_moment(lam, k)
+                expected = profile_moment(lam, k)
+                assert expansion.scalar_on(lam) == sum_scalar(expansion, lam) == expected
 
 
 def test_indicator_scalar_reproduces_products_on_every_small_diagram():
@@ -354,3 +361,46 @@ def test_indicator_scalar_reproduces_products_on_every_small_diagram():
                 assert prod.scalar_on(lam) == indicator_scalar(
                     lam, mu
                 ) * indicator_scalar(lam, nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(young_diagram(12), young_diagram(7), young_diagram(7), st.booleans())
+def test_free_cumulant_route_matches_rim_hook_removal(lam, rho, sigma, as_list):
+    # rho and sigma keep their fixed points; lists must work as tuples do
+    shape, rows = (list(lam), list(rho)) if as_list else (lam, rho)
+    assert indicators.indicator_scalar(shape, rows) == indicator_scalar(lam, rho)
+    mixed = IndicatorSum.indicator(rows) - 3 * IndicatorSum.indicator(sigma)
+    assert mixed.scalar_on(shape) == sum_scalar(mixed, lam)
+    n = sum(lam)
+    if sum(rho) <= n:
+        mu = rho + (1,) * (n - sum(rho))
+        # any order of the cycle lengths names the same class
+        cycles = list(reversed(mu)) if as_list else mu
+        assert wreathprob.character(shape, cycles) == character(lam, mu)
+
+
+def test_both_scalar_routes_agree_on_every_small_diagram(monkeypatch):
+    # PEEL_WORK = 0 sends every term of several rows to rim-hook removal
+    terms = [rho for size in range(2, 8) for rho in partitions_of(size) if len(rho) > 1]
+    for peel_work in (indicators.PEEL_WORK, 0):
+        monkeypatch.setattr(indicators, "PEEL_WORK", peel_work)
+        for size in range(9):
+            for lam in partitions_of(size):
+                for rho in terms:
+                    assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
+
+
+def test_long_rows_are_never_expanded(monkeypatch):
+    # peeling (10)(10) would expand 20!/(10! 10) fillings; a term that long
+    # is read off rim hooks, and a character never expands at all
+    expand = indicators.expand_indicator
+
+    def bounded(rows, q):
+        assert falling(q, sum(rows)) <= 10**6, (rows, q)
+        return expand(rows, q)
+
+    monkeypatch.setattr(indicators, "expand_indicator", bounded)
+    for lam, rho in [((10, 10), (10, 10)), ((7, 5, 2), (6, 6, 2)), ((9, 6, 1), (7, 7))]:
+        assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
+    assert wreathprob.character((8, 8), (8, 8)) == character((8, 8), (8, 8))
+    assert wreathprob.character((10, 10), (10, 10)) == character((10, 10), (10, 10))

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from wreathprob.indicators import indicator_scalar
 from wreathprob.partitions import (
     character,
     conjugate,
     dimension,
     falling,
-    indicator_scalar,
     is_partition,
     partitions_of,
 )

@@ -1,18 +1,20 @@
 """Representation families: closed-form moments against the enumeration oracle."""
 
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from wreathprob import wreath
+from wreathprob import indicators, wreath
 from wreathprob.asymptotics import natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
-from wreathprob.partitions import indicator_scalar, partitions_of
+from wreathprob.partitions import partitions_of
 from wreathprob.wreath import (
     MAX_CLASS_WORK,
     MOMENT_MEMO_SIZE,
@@ -43,6 +45,8 @@ from oracles import (
     family_values,
     class_value_per_irreducible,
     full_table_measure,
+    indicator_scalar,
+    sum_scalar,
 )
 
 
@@ -88,6 +92,28 @@ def test_class_value_columns_match_per_irreducible_walk(spec, top):
                         assert list(map(type, new.coeffs)) == list(map(type, old.coeffs))
 
 
+def test_class_function_on_long_cycle_classes_finishes(monkeypatch):
+    # on C1 at q = 14 the class types include (7, 7) and (6, 6, 2), whose
+    # indicators would expand millions of partial permutations
+    expand = indicators.expand_indicator
+
+    def bounded(rows, q):
+        assert math.perm(q, sum(rows)) <= 10**6, (rows, q)
+        return expand(rows, q)
+
+    monkeypatch.setattr(indicators, "expand_indicator", bounded)
+    ct = cyclic_group(1)
+    fam = IrreducibleFamily(ct, (1,))
+    start = time.perf_counter()
+    values = fam.checked_class_function(14)
+    assert time.perf_counter() - start < 10
+    shapes = fam.shapes(14)
+    dim = wreath_dimension(ct, shapes)
+    for t in class_types(ct, 14):
+        expected = Fraction(class_value_per_irreducible(ct, shapes, t), dim)
+        assert values.get(t, 0) == expected, t
+
+
 def test_wreath_dimension_squares_fill_group():
     for ct, q in [(cyclic_group(2), 4), (symmetric3_group(), 3), (cyclic_group(4), 2)]:
         order = len(ct.group.mult) ** q * 1
@@ -105,7 +131,7 @@ def test_factorized_character_multiplies_slot_scalars():
     # same-slot factors combine through the indicator product, not naively
     merged = IndicatorSum.indicator((2,)) * IndicatorSum.indicator((1,))
     assert value == factorized_character(lam_tuple, [(0, (1,)), (2, merged)])
-    assert value == indicator_scalar((2,), (1,)) * merged.scalar_on((2, 1))
+    assert value == indicator_scalar((2,), (1,)) * sum_scalar(merged, (2, 1))
 
 
 FACTOR_SETS_2 = [
