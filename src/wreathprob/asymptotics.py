@@ -50,7 +50,7 @@ def cumulant_from_moments(moment, n: int):
     seen = {}
     total = Fraction(0)
     for pi in set_partitions(n):
-        term = Fraction(_mobius(len(pi)))
+        term = _mobius(len(pi))
         for block in pi:
             if block not in seen:
                 seen[block] = moment(block)
@@ -437,6 +437,8 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
     def entry(s1, l1, s2, l2):
         d1 = left.disjoint_covariance(s1, l1, s2, l2)
         d2 = right.disjoint_covariance(s1, l1, s2, l2)
+        if s1 != s2 and d1 is _ZERO and d2 is _ZERO:  # both absent: no products
+            return _ZERO
         disjoint = power1[l1 + l2] * d1 + power2[l1 + l2] * d2
         return limit_covariance_rhs(out, s1, l1, s2, l2, disjoint)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 
@@ -175,7 +176,7 @@ def indicator_image(wg: WreathGroup, slot: int, summ) -> tuple[dict[int, object]
         weight = coeff * multiplicity(rows)
         for pp in expand_indicator(rows, wg.q):
             image, denominator = phi_image(wg, slot, pp)
-            parts.append((image, weight / denominator))
+            parts.append((image, Fraction(weight, denominator)))
     common = lcm(*(w.denominator for _, w in parts))
     out: dict[int, object] = {}
     for image, w in parts:
@@ -328,8 +329,7 @@ def check_structure_constants(bound: int, failures: list) -> int:
                         # is its rho, so distinct rho fill disjoint keys; the
                         # coefficients are positive, so no count is zero
                         m, ps = expand(rho, q0)
-                        count = coeff.numerator * m if coeff.denominator == 1 else coeff * m
-                        rhs.update(dict.fromkeys(ps, count))
+                        rhs.update(dict.fromkeys(ps, coeff * m))
                     if lhs != rhs:
                         failures.append(
                             {

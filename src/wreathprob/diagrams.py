@@ -80,14 +80,14 @@ def profile_moment(lam: tuple[int, ...], n: int) -> int:
     return value
 
 
-def moments_to_free_cumulants(moments: list[Fraction]) -> list[Fraction]:
+def moments_to_free_cumulants(moments: list) -> list:
     """Invert the moment sequence (M_1, M_2, ...) into free cumulants.
 
     Uses the composition form of the noncrossing relation: the n-th moment
     is the sum over the size s of the block containing the first point of
     R_s times products of smaller moments filling the s gaps.  The
-    inversion only adds and multiplies, so integer moments are inverted
-    in integer arithmetic; the cumulants come back as Fractions.
+    inversion only adds and multiplies, so the cumulants come back in the
+    moments' own type: ints from ints, Fractions from Fractions.
     """
     n = len(moments)
     m = [1, *moments]
@@ -104,11 +104,11 @@ def moments_to_free_cumulants(moments: list[Fraction]) -> list[Fraction]:
     for k in range(1, n + 1):
         lower = sum(cumulants[s - 1] * gap_fill[s][k - s] for s in range(1, k))
         cumulants.append(m[k] - lower)
-    return [Fraction(c) for c in cumulants]
+    return cumulants
 
 
-def free_cumulants(lam, up_to: int) -> list[Fraction]:
-    """Free cumulants R_1..R_up_to of a diagram or of a measure directly.
+def free_cumulants(lam, up_to: int) -> list:
+    """Free cumulants R_1..R_up_to: ints for a diagram, Fractions for a measure.
 
     A diagram's moments come from its profile power sums p_j (Kerov):
     G(z) = prod(z - y) / prod(z - x) = z^-1 exp(sum_j p_j / (j z^j)), so

@@ -9,16 +9,18 @@ lengths is the sum over all injective fillings of those rows by points,
 each filling contributing the partial permutation whose cycles are the
 filled rows (length-one rows pin fixed points into the support).
 
-Products of indicators expand again in indicators with coefficients not
-depending on the number of points; the coefficients are extracted once
-at the smallest sufficient point count and cached.  On top of this sit
-the conversions between indicators and free cumulants in both
-directions.  They are truncated products of power series whose
-coefficients are integer free-cumulant polynomials, from Lagrange
-inversion of the moment series and Biane's formula for the Kerov
-polynomials (Biane 2003, "Characters of symmetric groups and free
-cumulants"); each R_n then goes back to indicators by peeling off the
-leading Kerov term R_n of the (n-1)-cycle indicator.
+Products of indicators expand again in indicators with integer
+coefficients not depending on the number of points; the coefficients are
+extracted once at the smallest sufficient point count and cached.  An
+integral value is an int here, and a Fraction is made only for a ratio:
+scalars on irreducibles are Fractions.  On top of this sit the
+conversions between indicators and free cumulants in both directions,
+truncated products of power series whose coefficients are integer
+free-cumulant polynomials, from Lagrange inversion of the moment series
+and Biane's formula for the Kerov polynomials (Biane 2003, "Characters
+of symmetric groups and free cumulants"); each R_n then goes back to
+indicators by peeling off the leading Kerov term R_n of the (n-1)-cycle
+indicator.
 
 The same polynomials give the scalar through which an indicator acts on
 an irreducible, read off its diagram's free cumulants: that is what keeps
@@ -164,7 +166,8 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     transitively and leaves the other indicator and every cycle type
     unchanged, so one filling of ``mu`` stands for all falling(q0, |mu|)
     of them.  Indicator products commute, so the larger factor gets that
-    one filling and only the smaller is expanded.
+    one filling and only the smaller is expanded.  The coefficients are
+    integers (Ivanov-Kerov 1999): the division is exact.
     """
     mu = tuple(sorted(mu, reverse=True))
     nu = tuple(sorted(nu, reverse=True))
@@ -175,10 +178,12 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     # nu counts each of its partial permutations multiplicity(nu) times
     totals = Counter(cycle_type(compose(p1, p2)) for p2 in expand_indicator(nu, q0))
     scale = multiplicity(nu) * falling(q0, sum(mu))
-    return {
-        rho: Fraction(total * scale, falling(q0, sum(rho)))
-        for rho, total in sorted(totals.items())
-    }
+    return {rho: total * scale // falling(q0, sum(rho)) for rho, total in sorted(totals.items())}
+
+
+def _exact(coeff):
+    """A coefficient as stored: an int as it is, any other number as its exact Fraction."""
+    return coeff if type(coeff) is int else Fraction(coeff)
 
 
 class IndicatorSum:
@@ -187,11 +192,11 @@ class IndicatorSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for rows, coeff in terms.items():
                 key = tuple(sorted(rows, reverse=True))
-                val = self.terms.get(key, Fraction(0)) + Fraction(coeff)
+                val = self.terms.get(key, 0) + _exact(coeff)
                 if val:
                     self.terms[key] = val
                 elif key in self.terms:
@@ -199,11 +204,11 @@ class IndicatorSum:
 
     @classmethod
     def indicator(cls, rows: tuple[int, ...]) -> "IndicatorSum":
-        return cls({tuple(rows): Fraction(1)})
+        return cls({tuple(rows): 1})
 
     @classmethod
     def one(cls) -> "IndicatorSum":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def of(cls, item) -> "IndicatorSum":
@@ -219,32 +224,32 @@ class IndicatorSum:
     def __add__(self, other: "IndicatorSum") -> "IndicatorSum":
         out = dict(self.terms)
         for rows, coeff in other.terms.items():
-            out[rows] = out.get(rows, Fraction(0)) + coeff
+            out[rows] = out.get(rows, 0) + coeff
         return IndicatorSum(out)
 
     def __sub__(self, other: "IndicatorSum") -> "IndicatorSum":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "IndicatorSum":
-        return IndicatorSum({rows: Fraction(scalar) * c for rows, c in self.terms.items()})
+        return IndicatorSum({rows: _exact(scalar) * c for rows, c in self.terms.items()})
 
     def __mul__(self, other) -> "IndicatorSum":
         if not isinstance(other, IndicatorSum):
             return self.__rmul__(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for mu, c1 in self.terms.items():
             for nu, c2 in other.terms.items():
                 for rho, g in product_coefficients(mu, nu).items():
-                    out[rho] = out.get(rho, Fraction(0)) + c1 * c2 * g
+                    out[rho] = out.get(rho, 0) + c1 * c2 * g
         return IndicatorSum(out)
 
     def disjoint(self, other: "IndicatorSum") -> "IndicatorSum":
         """Disjoint product: supports forced apart, rows simply concatenate."""
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict = {}
         for mu, c1 in self.terms.items():
             for nu, c2 in other.terms.items():
                 rho = tuple(sorted(mu + nu, reverse=True))
-                out[rho] = out.get(rho, Fraction(0)) + c1 * c2
+                out[rho] = out.get(rho, 0) + c1 * c2
         return IndicatorSum(out)
 
     def scalar_on(self, lam) -> Fraction:
@@ -258,10 +263,9 @@ class IndicatorSum:
         lam = tuple(lam)
         n = sum(lam)
         fitting = {rows: c for rows, c in self.terms.items() if sum(rows) <= n}
-        # no row of a lower term holds more points than the largest term, and
-        # a diagram's free cumulants are integers: evaluate in ints
+        # no row of a lower term holds more points than the largest term
         top = max(map(sum, fitting), default=0)
-        cumulants = [r.numerator for r in free_cumulants(lam, top + 1)]
+        cumulants = free_cumulants(lam, top + 1)
         memo: dict = {}
 
         def scalar(rows):

@@ -188,7 +188,7 @@ def _depth(polynomials) -> int:
     return max(index for poly in polynomials for mono in poly for index in mono)
 
 
-def statistic_value(lam, spec, cumulants=None) -> Fraction:
+def statistic_value(lam, spec, cumulants=None) -> int | Fraction:
     """Raw (uncentered, unscaled) value of one statistic on its slot's shape.
 
     ``cumulants`` are the shape's free cumulants R_1, R_2, ..., at least as
@@ -201,7 +201,7 @@ def statistic_value(lam, spec, cumulants=None) -> Fraction:
         cumulants = free_cumulants(tuple(lam), _depth([poly]))
     value = evaluate(poly, cumulants)
     if entry.per_falling:
-        return value / falling(sum(lam), i) if sum(lam) >= i else Fraction(0)
+        return Fraction(value, falling(sum(lam), i)) if sum(lam) >= i else Fraction(0)
     return value
 
 

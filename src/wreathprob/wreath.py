@@ -399,14 +399,8 @@ class RepFamily:
             raise InputError(f"factor slot {bad[0]} is out of range for {self.ct.num_irreps} slots")
         total = Fraction(0)
         for combo in itertools.product(*(per_slot[s].terms.items() for s in slots)):
-            coeff = Fraction(1)
-            items = []
-            for slot, (rows, c) in zip(slots, combo):
-                coeff *= c
-                if rows:
-                    items.append((slot, rows))
-            if coeff:
-                total += coeff * self.joint_moment(q, tuple(items))
+            items = tuple((slot, rows) for slot, (rows, _) in zip(slots, combo) if rows)
+            total += math.prod(c for _, c in combo) * self.joint_moment(q, items)
         return self._remember(key, total)
 
     def joint_moment(self, q: int, items) -> Fraction:

@@ -141,6 +141,7 @@ def test_criterion_04_structure_constants_match_convolution():
             for mu in partitions_of(a):
                 for nu in partitions_of(total - a):
                     coeffs = product_coefficients(mu, nu)
+                    assert all(type(g) is int for g in coeffs.values()), (mu, nu)
                     direct = _convolve(
                         expand_indicator(mu, total), expand_indicator(nu, total)
                     )

@@ -92,6 +92,8 @@ def test_cumulant_from_moments_low_orders():
     assert cumulant_from_moments(moment, 2) == 7 - 2 * 3
     expected = 17 - 7 * 5 - 11 * 3 - 13 * 2 + 2 * 2 * 3 * 5
     assert cumulant_from_moments(moment, 3) == expected
+    # integer moments still give an exact Fraction
+    assert type(cumulant_from_moments(lambda block: 3, 2)) is Fraction
 
 
 def test_mixed_cumulants_of_independent_variables_vanish():
@@ -126,6 +128,12 @@ def test_natural_cumulant_reference_values():
     for q in (3, 4, 7):
         assert natural_cumulant(fam, q, [(0, (1,))]) == Fraction(q, 2)
     assert natural_cumulant(fam, 4, [(0, (1,)), (1, (1,))]) == -1
+    for cumulant, args in [
+        (natural_cumulant, [(0, (2,)), (1, (1,))]),
+        (disjoint_cumulant, [(0, (2,)), (0, (1,))]),
+        (r_cumulant, [(0, 2), (1, 3)]),
+    ]:
+        assert type(cumulant(fam, 4, args)) is Fraction, cumulant
     # arguments longer than q produce identically zero variables
     assert natural_cumulant(fam, 4, [(0, (5,)), (0, (5,))]) == 0
 

@@ -151,7 +151,11 @@ def test_free_cumulants_from_power_sums_match_measure_route():
     for n in range(13):
         for lam in partitions_of(n):
             for k in range(9):
-                assert free_cumulants(lam, k) == _measure_route(lam, k), (lam, k)
+                cumulants, via_measure = free_cumulants(lam, k), _measure_route(lam, k)
+                assert cumulants == via_measure, (lam, k)
+                # a diagram's free cumulants are ints, a measure's Fractions
+                assert all(type(r) is int for r in cumulants), (lam, k)
+                assert all(type(r) is Fraction for r in via_measure), (lam, k)
 
 
 @settings(max_examples=60, deadline=None)

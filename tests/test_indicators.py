@@ -164,6 +164,17 @@ def test_structure_constants_frozen():
     assert product_coefficients((2,), (1,)) == {(2,): 2, (2, 1): 1}
     assert product_coefficients((2,), (2,)) == {(1, 1): 2, (3,): 4, (2, 2): 1}
     assert product_coefficients((3,), (3,))[(1, 1, 1)] == 3
+    # every structure constant that appears is a positive integer, held as an int
+    pairs = [
+        (mu, nu)
+        for total in range(2, 9)
+        for size in range(1, total)
+        for mu in partitions_of(size)
+        for nu in partitions_of(total - size)
+    ]
+    coeffs = [g for mu, nu in pairs for g in product_coefficients(mu, nu).values()]
+    assert (len(pairs), len(coeffs)) == (301, 1353)
+    assert all(type(g) is int and g > 0 for g in coeffs)
 
 
 def _convolve(left: Counter, right: Counter) -> Counter:
@@ -212,6 +223,47 @@ def test_indicator_sum_product_associative():
     s3 = IndicatorSum.indicator((3,))
     assert (s1 * s2) * s3 == s1 * (s2 * s3)
     assert (s1 * s1) * s2 == s1 * (s1 * s2)
+
+
+def test_int_coefficients_stay_ints():
+    s1 = IndicatorSum.indicator((1,))
+    s2 = IndicatorSum.indicator((2,))
+    built = [
+        IndicatorSum.one(),
+        s1 + s2,
+        s1 - s2,
+        s2 * s1,
+        (s2 * s2) * (s1 + s2),
+        s2.disjoint(s1 + s2),
+        3 * s2,
+        s2 * -2,
+        free_cumulant_as_indicators(5),
+        in_indicators(profile_moment_in_free_cumulants(4)),
+    ]
+    for summ in built:
+        assert summ.terms and all(type(c) is int for c in summ.terms.values()), summ
+    mixed = s2 + Fraction(1, 2) * s1
+    assert [type(mixed.terms[rows]) for rows in ((2,), (1,))] == [int, Fraction]
+
+
+def test_other_coefficients_are_stored_as_exact_fractions():
+    s2 = IndicatorSum.indicator((2,))
+    for coeff in (Fraction(1, 2), 0.5, "1/2"):
+        for summ in (IndicatorSum({(2,): coeff}), coeff * s2, s2 * coeff):
+            value = summ.terms[(2,)]
+            assert type(value) is Fraction and value == Fraction(1, 2), (coeff, summ)
+    # no float arithmetic: 0.1 * 3 would round, Fraction(0.1) * 3 does not
+    assert (0.1 * (3 * s2)).terms == {(2,): 3 * Fraction(0.1)}
+    assert type(IndicatorSum({(2,): Fraction(2)}).terms[(2,)]) is Fraction
+
+
+def test_scalars_on_irreducibles_are_fractions(monkeypatch):
+    cases = [((), (1,)), ((1,), (1,)), ((3, 2), (2,)), ((4, 4, 1), (2, 2)), ((3, 2), (9,))]
+    for lam, rows in cases:
+        assert type(indicators.indicator_scalar(lam, rows)) is Fraction, (lam, rows)
+    # the rim-hook fallback makes its own Fraction
+    monkeypatch.setattr(indicators, "PEEL_WORK", 0)
+    assert type(IndicatorSum.indicator((3, 3)).scalar_on((4, 4, 1))) is Fraction
 
 
 def test_disjoint_product_concatenates_rows():

@@ -128,6 +128,7 @@ def test_factorized_character_multiplies_slot_scalars():
     lam_tuple = ((2,), (1,), (2, 1))
     factors = [(0, (1,)), (2, (2,)), (2, (1,))]
     value = factorized_character(lam_tuple, factors)
+    assert type(value) is Fraction
     # same-slot factors combine through the indicator product, not naively
     merged = IndicatorSum.indicator((2,)) * IndicatorSum.indicator((1,))
     assert value == factorized_character(lam_tuple, [(0, (1,)), (2, merged)])
@@ -230,7 +231,8 @@ def test_moment_equals_measure_average():
             averaged = sum(
                 p * factorized_character(t, factors) for t, p in measure.items()
             )
-            assert fam.moment(q, factors) == averaged, (name, factors)
+            moment = fam.moment(q, factors)
+            assert moment == averaged and type(moment) is Fraction, (name, factors)
 
 
 def test_restricted_family_matches_enumeration():
