@@ -19,6 +19,7 @@ from .diagrams import free_cumulants
 from .errors import InputError, NoLimitTable
 from .indicators import IndicatorSum, free_cumulant_as_indicators
 from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
+from .wreath import check_class_budget
 
 
 _ZERO = Fraction(0)  # shared: a Fraction(0) per table lookup is measurable
@@ -113,7 +114,8 @@ def element_cumulant(family: RepFamily, q: int, elements):
         (tuple(c) + (group.identity,) * (q - len(p)), tuple(p) + tuple(range(len(p), q)))
         for c, p in elements
     ]
-    values = family.checked_class_function(q)
+    check_class_budget(q, family.class_cost(q)[1])
+    values = family.class_function(q)
     identity = ((group.identity,) * q, tuple(range(q)))
 
     def moment(block):
@@ -285,13 +287,6 @@ def predicted_limit(params: LimitParameters | None, condition: int, args):
     return params.covariance(s1, l1, s2, l2)
 
 
-def limit_covariance_rhs(params: LimitParameters, s1, l1, s2, l2, disjoint_cov_limit):
-    """Natural-covariance limit from a disjoint one plus the double sum."""
-    if s1 != s2:
-        return disjoint_cov_limit
-    return disjoint_cov_limit + params.double_sum(s1, l1, l2)
-
-
 def example1_limits(weights, max_l: int = 6) -> LimitParameters:
     """Limit table of the independent-box family with the given slot weights."""
     weights = [Fraction(w) for w in weights]
@@ -440,7 +435,8 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
         if s1 != s2 and d1 is _ZERO and d2 is _ZERO:  # both absent: no products
             return _ZERO
         disjoint = power1[l1 + l2] * d1 + power2[l1 + l2] * d2
-        return limit_covariance_rhs(out, s1, l1, s2, l2, disjoint)
+        # the natural covariance adds the double sum within one slot
+        return disjoint + out.double_sum(s1, l1, l2) if s1 == s2 else disjoint
 
     out.cov = _cov_table(slots, top, entry)
     return out

@@ -261,11 +261,6 @@ def class_values(ct: CharacterTable, lam_tuples, t) -> list:
     return out
 
 
-def class_value(ct: CharacterTable, lam_tuple, t):
-    """The irreducible lam_tuple's value on the class of type t."""
-    return class_values(ct, [lam_tuple], t)[0]
-
-
 def irreps_by_sizes(ct: CharacterTable, q: int) -> dict[tuple, list]:
     """The irreducibles of G wr S_q grouped by slot-size vector, in enumeration order."""
     out: dict[tuple, list] = {}
@@ -441,11 +436,6 @@ class RepFamily:
     def class_function(self, q: int) -> dict:
         """Normalized character at size q: {class type: value} on its support."""
         raise NotImplementedError
-
-    def checked_class_function(self, q: int) -> dict:
-        """``class_function(q)`` once the class budget admits its work."""
-        check_class_budget(q, self.class_cost(q)[1])
-        return self.class_function(q)
 
     def canonical_measure(self, q: int) -> dict:
         """Probability of each partition tuple under the size-q measure.
@@ -636,7 +626,7 @@ class IrreducibleFamily(RepFamily):
     def class_function(self, q: int) -> dict:
         shapes = self.shapes(q)
         scale = Fraction(1, wreath_dimension(self.ct, shapes))
-        values = {t: class_value(self.ct, shapes, t) for t in class_types(self.ct, q)}
+        values = {t: class_values(self.ct, [shapes], t)[0] for t in class_types(self.ct, q)}
         return {t: v * scale for t, v in values.items() if v}
 
     def canonical_measure(self, q: int) -> dict:

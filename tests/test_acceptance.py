@@ -19,7 +19,6 @@ from wreathprob.asymptotics import (
     example1_limits,
     induce_limits,
     irreducible_limits,
-    limit_covariance_rhs,
     restrict_limits,
 )
 from wreathprob.bruteforce import WreathGroup, tensor_algebra_image
@@ -257,7 +256,8 @@ def test_criterion_09_double_sum_reproduces_covariance_table():
                     for l2 in range(1, 6):
                         disjoint = params.disjoint_covariance(s1, l1, s2, l2)
                         got = params.covariance(s1, l1, s2, l2)
-                        want = limit_covariance_rhs(params, s1, l1, s2, l2, disjoint)
+                        same_slot = params.double_sum(s1, l1, l2) if s1 == s2 else 0
+                        want = disjoint + same_slot
                         assert got == want, (weights, s1, l1, s2, l2)
                         if l1 == l2 == 1:
                             branch = c1 * (1 - c1) if s1 == s2 else -c1 * c2

@@ -20,7 +20,6 @@ from wreathprob.asymptotics import (
     half_power,
     induce_limits,
     irreducible_limits,
-    limit_covariance_rhs,
     natural_cumulant,
     outer_limits,
     predicted_limit,
@@ -440,7 +439,7 @@ def test_example1_limit_table_reproduces_every_branch():
     for l1 in range(1, 6):
         for l2 in range(1, 6):
             disjoint = -c * c if l1 == l2 == 1 else Fraction(0)
-            want = limit_covariance_rhs(params, 0, l1, 0, l2, disjoint)
+            want = disjoint + params.double_sum(0, l1, l2)
             assert params.covariance(0, l1, 0, l2) == want
             if l1 == l2 == 1:
                 assert want == c * (1 - c)

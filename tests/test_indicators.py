@@ -5,10 +5,12 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wreathprob
+from wreathprob import bruteforce
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
 from wreathprob import indicators
@@ -40,6 +42,35 @@ from oracles import (
     sum_scalar,
     to_pairs,
 )
+
+
+@pytest.fixture
+def peel_work(monkeypatch):
+    """Set ``indicators.PEEL_WORK`` with an empty scalar cache.
+
+    Term scalars are cached by (diagram, term) alone, so a value computed
+    under one bound would answer under another; the cache is emptied on
+    every change and again at teardown.
+    """
+
+    def set_to(value):
+        monkeypatch.setattr(indicators, "PEEL_WORK", value)
+        indicators._term_scalar.cache_clear()
+
+    yield set_to
+    indicators._term_scalar.cache_clear()
+
+
+def counted(monkeypatch, name):
+    """Wrap ``indicators.<name>`` to count its calls; returns the live count."""
+    inner, calls = getattr(indicators, name), Counter()
+
+    def counting(*args):
+        calls[name] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(indicators, name, counting)
+    return calls
 
 
 def test_compose_applies_right_factor_first():
@@ -257,13 +288,15 @@ def test_other_coefficients_are_stored_as_exact_fractions():
     assert type(IndicatorSum({(2,): Fraction(2)}).terms[(2,)]) is Fraction
 
 
-def test_scalars_on_irreducibles_are_fractions(monkeypatch):
+def test_scalars_on_irreducibles_are_fractions(monkeypatch, peel_work):
     cases = [((), (1,)), ((1,), (1,)), ((3, 2), (2,)), ((4, 4, 1), (2, 2)), ((3, 2), (9,))]
     for lam, rows in cases:
         assert type(indicators.indicator_scalar(lam, rows)) is Fraction, (lam, rows)
     # the rim-hook fallback makes its own Fraction
-    monkeypatch.setattr(indicators, "PEEL_WORK", 0)
+    peel_work(0)
+    calls = counted(monkeypatch, "character")
     assert type(IndicatorSum.indicator((3, 3)).scalar_on((4, 4, 1))) is Fraction
+    assert calls["character"] == 1
 
 
 def test_disjoint_product_concatenates_rows():
@@ -431,15 +464,20 @@ def test_free_cumulant_route_matches_rim_hook_removal(lam, rho, sigma, as_list):
         assert wreathprob.character(shape, cycles) == character(lam, mu)
 
 
-def test_both_scalar_routes_agree_on_every_small_diagram(monkeypatch):
+def test_both_scalar_routes_agree_on_every_small_diagram(monkeypatch, peel_work):
     # PEEL_WORK = 0 sends every term of several rows to rim-hook removal
     terms = [rho for size in range(2, 8) for rho in partitions_of(size) if len(rho) > 1]
-    for peel_work in (indicators.PEEL_WORK, 0):
-        monkeypatch.setattr(indicators, "PEEL_WORK", peel_work)
+    calls = counted(monkeypatch, "character")
+    for bound in (indicators.PEEL_WORK, 0):
+        peel_work(bound)
+        calls.clear()
         for size in range(9):
             for lam in partitions_of(size):
                 for rho in terms:
                     assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
+        # peeling reads no character; rim hooks read one per fitting pair
+        fitting = sum(sum(rho) <= size for size in range(9) for _ in partitions_of(size) for rho in terms)
+        assert calls["character"] == (0 if bound else fitting)
 
 
 def test_long_rows_are_never_expanded(monkeypatch):
@@ -456,3 +494,30 @@ def test_long_rows_are_never_expanded(monkeypatch):
         assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
     assert wreathprob.character((8, 8), (8, 8)) == character((8, 8), (8, 8))
     assert wreathprob.character((10, 10), (10, 10)) == character((10, 10), (10, 10))
+
+
+def test_scalar_cache_computes_each_diagram_term_once(monkeypatch):
+    # the lemma reads the same terms on the same diagrams many times; each
+    # (diagram, term) pair is computed once, peeled subterms included
+    term_scalar = indicators._term_scalar
+    keys = []
+
+    def counting(lam, rows):
+        keys.append((lam, rows))
+        return term_scalar(lam, rows)
+
+    monkeypatch.setattr(indicators, "_term_scalar", counting)
+    term_scalar.cache_clear()
+    failures = []
+    cases = bruteforce.check_factorization_lemma(
+        symmetric3_group(), 3, failures, bruteforce.WreathGroup
+    )
+    assert cases > 0 and failures == []
+    distinct = set(keys)
+    info = term_scalar.cache_info()
+    assert info.maxsize == indicators.SCALAR_CACHE_SIZE
+    assert len(distinct) < len(keys) and len(distinct) <= info.maxsize
+    assert info.misses == info.currsize == len(distinct)
+    assert info.hits == len(keys) - len(distinct)
+    for lam, rows in distinct:
+        assert term_scalar(lam, rows) == indicator_scalar(lam, rows), (lam, rows)

@@ -286,6 +286,24 @@ def test_sample_canonical_slots_match_full_tuple(fam):
         sample_canonical(fam, 4, rng_for(0), [-1])
 
 
+def test_draw_on_a_slot_bound_goes_to_the_upper_slot():
+    # weights 1/2, 1/2: the bound is 0.5 and the scale exactly 1.0; the
+    # draws are 1/2, 3/4, 1/4
+    fam = Example1Family(cyclic_group(2))
+    perm = (1, 2, 0)
+    assert sample_canonical(fam, 3, PermutationRng(perm)) == ((1,), (2,))
+
+
+def test_zero_weight_slot_stays_empty():
+    # weights 1/2, 0, 1/2: slot 1 is the empty interval [0.5, 0.5); the
+    # draws are 3/6, 1/6, 2/6, 5/6, 4/6
+    fam = Example1Family(cyclic_group(3), multiplicities=(1, 0, 1))
+    perm = (2, 0, 1, 4, 3)
+    expected = ((2,), (), (2, 1))
+    assert sample_canonical(fam, 5, PermutationRng(perm)) == expected
+    assert sample_canonical(fam, 5, PermutationRng(perm), [1]) == ((),)
+
+
 @pytest.mark.parametrize("fam", LAZY_FAMILIES[:2])
 def test_lazy_batch_same_for_any_worker_count(fam):
     first = [("R", 0, 2), ("character", 0, 2)]
