@@ -20,14 +20,8 @@ free-cumulant polynomials, from Lagrange inversion of the moment series
 and Biane's formula for the Kerov polynomials (Biane 2003, "Characters
 of symmetric groups and free cumulants"); each R_n then goes back to
 indicators by peeling off the leading Kerov term R_n of the (n-1)-cycle
-indicator.
-
-The same polynomials give the scalar through which an indicator acts on
-an irreducible, read off its diagram's free cumulants and remembered by
-value per (diagram, term): that is what keeps scalars on diagrams of
-thousands of boxes cheap.  Only a term of several long rows, whose
-product expansion would be exponential, falls back to rim-hook removal
-over the whole diagram.
+indicator.  The scalar through which a sum acts on an irreducible is a
+sum of ``partitions.term_scalar`` over its terms.
 """
 
 from __future__ import annotations
@@ -37,20 +31,9 @@ import math
 import operator
 from collections import Counter
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
-from .diagrams import free_cumulants
-from .partitions import character, dimension, falling
-
-# the most point-steps (fillings times points) that one peeling step of
-# _term_scalar may spend on a product expansion, which grows exponentially
-# with the rows; past it rim-hook removal is cheaper
-PEEL_WORK = 10**6
-
-# (diagram, term) scalars, and the free cumulants their one-row terms read,
-# remembered by value: a measure's support and a command's rows read the
-# same terms on the same diagrams again and again
-SCALAR_CACHE_SIZE = 2**12
+from .partitions import falling, term_scalar
 
 PartialPerm = tuple[tuple[int, ...], int]
 
@@ -187,41 +170,6 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     return {rho: total * scale // falling(q0, sum(rho)) for rho, total in sorted(totals.items())}
 
 
-@lru_cache(maxsize=SCALAR_CACHE_SIZE)
-def _cumulants(lam: tuple[int, ...], depth: int) -> list:
-    """lam's free cumulants R_1..R_depth, remembered by value."""
-    return free_cumulants(lam, depth)
-
-
-@lru_cache(maxsize=SCALAR_CACHE_SIZE)
-def _term_scalar(lam: tuple[int, ...], rows: tuple[int, ...]):
-    """The scalar through which the indicator of the descending ``rows`` acts on irrep lam.
-
-    Rows holding more points than lam has boxes give 0.  One row is its
-    Kerov polynomial at lam's free cumulants, and S_rho is S_(rho1) S_rest
-    less the lower terms of that product, unless that product's expansion
-    would pass PEEL_WORK: then rim-hook removal over the whole diagram.
-    """
-    n, size = sum(lam), sum(rows)
-    if size > n:
-        return 0
-    if len(rows) < 2:
-        # to a power-of-two depth: the row sizes met on one diagram share
-        # a few conversions
-        cumulants = _cumulants(lam, 1 << size.bit_length())
-        return evaluate(indicator_in_free_cumulants(size), cumulants)
-    # product_coefficients expands the smaller factor, one filling per
-    # partial permutation, on size points
-    expanded = min(rows[1:], rows[:1], key=sum)
-    if falling(size, sum(expanded)) // multiplicity(expanded) * size > PEEL_WORK:
-        full = rows + (1,) * (n - size)
-        return Fraction(falling(n, size) * character(lam, full), dimension(lam))
-    lower = product_coefficients(rows[:1], rows[1:]).items()
-    return _term_scalar(lam, rows[:1]) * _term_scalar(lam, rows[1:]) - sum(
-        g * _term_scalar(lam, sigma) for sigma, g in lower if sigma != rows
-    )
-
-
 def _exact(coeff):
     """A coefficient as stored: an int as it is, any other number as its exact Fraction."""
     return coeff if type(coeff) is int else Fraction(coeff)
@@ -297,7 +245,7 @@ class IndicatorSum:
         """Evaluate as the scalar acting on the irreducible of shape lam, term by term."""
         lam = tuple(lam)
         terms = self.terms.items()
-        return sum((c * _term_scalar(lam, rows) for rows, c in terms), start=Fraction(0))
+        return sum((c * term_scalar(lam, rows) for rows, c in terms), start=Fraction(0))
 
     def __repr__(self):
         if not self.terms:

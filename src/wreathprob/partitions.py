@@ -1,17 +1,17 @@
 """Integer partitions, hook lengths, and symmetric-group characters.
 
 Partitions are tuples of weakly decreasing positive integers; the empty
-partition is ``()``.  Irreducible characters at a whole cycle type are
-computed by rim-hook removal on beta-number sets and cached, so sweeping
-a character table's worth of (partition, class) pairs stays cheap.
-Indicator scalars on large diagrams come from free cumulants instead, in
-``indicators``.
+partition is ``()``.  Every character value and every scalar through
+which a class indicator acts on an irreducible comes from one rim-hook
+removal on beta sets, ``term_scalar``, whose Frobenius hook-length
+ratios never form a factorial of the box count (Macdonald, ch. I, §7).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
+from fractions import Fraction
+from functools import cache, lru_cache
 
 
 @cache
@@ -57,42 +57,62 @@ def dimension(lam: tuple[int, ...]) -> int:
     return math.factorial(n) // hooks
 
 
-def _beta_set(lam: tuple[int, ...]) -> tuple[int, ...]:
-    # first-column hook lengths, ascending
-    r = len(lam)
-    return tuple(sorted(part + r - 1 - i for i, part in enumerate(lam)))
+# (diagram, rows) scalars remembered by value: a measure's support and a
+# command's rows read the same terms on the same diagrams again and again
+SCALAR_CACHE_SIZE = 2**12
 
 
-@cache
-def _mn(betas: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    if not mu or mu[0] == 1:
-        # only fixed points remain (mu is descending): the value is the
-        # dimension of the remaining shape, read off its beta set
-        num = math.factorial(len(mu))
-        den = 1
-        for j, b in enumerate(betas):
-            den *= math.factorial(b)
-            for a in betas[:j]:
-                num *= b - a
-        return num // den
-    k, rest = mu[0], mu[1:]
-    bset = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - k
-        if nb < 0 or nb in bset:
-            continue
-        leg = sum(1 for x in betas if nb < x < b)
-        replaced = tuple(sorted(bset - {b} | {nb}))
-        total += (-1) ** leg * _mn(replaced, rest)
-    return total
+@lru_cache(maxsize=SCALAR_CACHE_SIZE)
+def term_scalar(lam: tuple[int, ...], rows: tuple[int, ...]) -> Fraction:
+    """falling(n, |rows|) chi^lam(rows, 1^(n - |rows|)) / dim lam for lam of n boxes.
+
+    The scalar through which the indicator of the rows acts on irrep lam,
+    an integer; rows holding more than n points give 0.  Removing a k-rim
+    hook moves bead b of lam's beta set to b - k and multiplies by
+    falling(b, k) prod_{a != b} (b - k - a) / (b - a), which carries the
+    Murnaghan-Nakayama sign and is 0 when b - k is taken (Macdonald,
+    ch. I, §7); rows of length one count falling(n - |cycles|, ones).  No
+    factorial of n is formed.
+    """
+    n = sum(lam)
+    if sum(rows) > n:
+        return Fraction(0)
+    cycles = [k for k in rows if k > 1]
+    memo: dict = {}
+
+    def removed(betas, i):
+        # the scalar of cycles[i:] on the diagram of these beads: an integer,
+        # z_rows times a central character value
+        if i == len(cycles):
+            return 1
+        if (betas, i) not in memo:
+            k, ratios = cycles[i], []
+            # the factor b - (a + k) of bead a cancels that of bead a + k:
+            # what is left runs over the gaps a + k above beads and the
+            # beads above gaps (the movable ones), and -k at b itself
+            shifted = frozenset(map(k.__add__, betas))
+            gaps, movable = shifted - betas, betas - shifted
+            for b in movable:
+                if b >= k:
+                    num = falling(b, k) * math.prod(map(b.__sub__, gaps))
+                    den = -k * math.prod(map(b.__sub__, movable - {b}))
+                    ratios.append((num * removed(betas - {b} | {b - k}, i + 1), den))
+            common = math.lcm(*(den for _, den in ratios))
+            memo[betas, i] = sum(num * (common // den) for num, den in ratios) // common
+        return memo[betas, i]
+
+    betas = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
+    return Fraction(falling(n - sum(cycles), len(rows) - len(cycles)) * removed(betas, 0))
 
 
 def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    """Irreducible character of shape ``lam`` at cycle type ``mu``."""
-    if sum(lam) != sum(mu):
+    """Irreducible character of shape ``lam`` at cycle type ``mu``, read off ``term_scalar``."""
+    lam, n = tuple(lam), sum(lam)
+    if n != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn(_beta_set(lam), tuple(sorted(mu, reverse=True)))
+    cycles = tuple(sorted((k for k in mu if k > 1), reverse=True))
+    s = term_scalar(lam, cycles)
+    return dimension(lam) * s.numerator // (s.denominator * falling(n, sum(cycles)))
 
 
 def falling(x, k: int):

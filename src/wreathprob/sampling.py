@@ -95,10 +95,9 @@ def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
     require_direct_sampler(family)
     bounds = list(accumulate(float(w) for w in family.weights))
     scale, last = bounds[-1], len(bounds) - 1
-    if slots is None:
-        slots = range(len(bounds))
-    elif not all(0 <= slot <= last for slot in slots):
-        raise ValueError(f"slots {list(slots)} out of range for {len(bounds)} slots")
+    slots = range(len(bounds)) if slots is None else list(slots)
+    if not all(0 <= slot <= last for slot in slots):
+        raise ValueError(f"slots {slots} out of range for {len(bounds)} slots")
     blocks: list = [[] for _ in bounds]
     for _ in range(q):
         value = rng.random() * scale

@@ -36,11 +36,14 @@ from wreathprob.errors import Infeasible, InputError, NoLimitTable
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.wreath import (
+    MAX_CLASS_WORK,
     Example1Family,
     InducedFamily,
     IrreducibleFamily,
     OuterFamily,
     RestrictedFamily,
+    TensorFamily,
+    _capped_count,
     family_from_json,
 )
 
@@ -210,6 +213,24 @@ def test_r_cumulant_routes_agree():
     assert r_cumulant(fam, 8, [(0, 2)]) == 4  # E of the slot size
 
 
+def _measures_fit(fam, q):
+    """Whether each measure that r_cumulant enumerates at q passes the class budget.
+
+    Only a tensor node enumerates a measure, checked as
+    ``RepFamily.canonical_measure`` checks it; a restricted node asks its
+    parent at r_of(q), and an outer or induced node its two blocks.
+    """
+    if isinstance(fam, RestrictedFamily):
+        return _measures_fit(fam.parent, fam.r_of(q))
+    if isinstance(fam, OuterFamily):
+        q1, q2 = fam.split_of(q)
+        return _measures_fit(fam.left, q1) and _measures_fit(fam.right, q2)
+    if isinstance(fam, TensorFamily):
+        support, work = fam.class_cost(q)
+        return work + support * _capped_count(fam.ct.num_irreps, q) <= MAX_CLASS_WORK
+    return True
+
+
 @st.composite
 def _r_cumulant_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
@@ -217,6 +238,7 @@ def _r_cumulant_cases(draw):
     q = draw(st.integers(1, 5))
     # small families: the measure route's class work stays far below its budget
     assume(fam.class_cost(q)[1] <= 1000)
+    assume(_measures_fit(fam, q))
     arg = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([2, 3]))
     return fam, q, draw(st.lists(arg, min_size=1, max_size=2))
 
@@ -230,6 +252,18 @@ def test_r_cumulant_matches_the_measure_on_random_families(case):
     except Infeasible:
         reject()  # past the class budget, which counts more than class work
     assert r_cumulant(fam, q, args) == want, (fam.to_json(), q, args)
+
+
+def test_r_cumulant_cases_leave_out_a_parent_past_the_class_budget():
+    # the restricted family is cheap at q = 4, but r_cumulant enumerates its
+    # tensor parent at q = 8, where the class work is 36540
+    ct = symmetric3_group()
+    parent = TensorFamily(Example1Family(ct, [1, 0, 0]), Example1Family(ct, [1, 0, 0]))
+    fam = RestrictedFamily(parent, 2)
+    assert fam.class_cost(4)[1] <= 1000 and measure_r_cumulant(fam, 4, [(0, 2)]) == 4
+    assert not _measures_fit(fam, 4)
+    with pytest.raises(Infeasible, match="q=8"):
+        r_cumulant(fam, 4, [(0, 2)])
 
 
 def test_point_mass_family_has_no_fluctuations():

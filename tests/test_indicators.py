@@ -5,7 +5,6 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +12,7 @@ import wreathprob
 from wreathprob import bruteforce
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
-from wreathprob import indicators
+from wreathprob import indicators, partitions
 from wreathprob.indicators import (
     IndicatorSum,
     compose,
@@ -26,7 +25,7 @@ from wreathprob.indicators import (
     product_coefficients,
     profile_moment_in_free_cumulants,
 )
-from wreathprob.partitions import falling, partitions_of
+from wreathprob.partitions import falling, partitions_of, term_scalar
 from wreathprob.wreath import IrreducibleFamily
 
 from oracles import (
@@ -42,35 +41,6 @@ from oracles import (
     sum_scalar,
     to_pairs,
 )
-
-
-@pytest.fixture
-def peel_work(monkeypatch):
-    """Set ``indicators.PEEL_WORK`` with an empty scalar cache.
-
-    Term scalars are cached by (diagram, term) alone, so a value computed
-    under one bound would answer under another; the cache is emptied on
-    every change and again at teardown.
-    """
-
-    def set_to(value):
-        monkeypatch.setattr(indicators, "PEEL_WORK", value)
-        indicators._term_scalar.cache_clear()
-
-    yield set_to
-    indicators._term_scalar.cache_clear()
-
-
-def counted(monkeypatch, name):
-    """Wrap ``indicators.<name>`` to count its calls; returns the live count."""
-    inner, calls = getattr(indicators, name), Counter()
-
-    def counting(*args):
-        calls[name] += 1
-        return inner(*args)
-
-    monkeypatch.setattr(indicators, name, counting)
-    return calls
 
 
 def test_compose_applies_right_factor_first():
@@ -288,15 +258,11 @@ def test_other_coefficients_are_stored_as_exact_fractions():
     assert type(IndicatorSum({(2,): Fraction(2)}).terms[(2,)]) is Fraction
 
 
-def test_scalars_on_irreducibles_are_fractions(monkeypatch, peel_work):
+def test_scalars_on_irreducibles_are_fractions():
     cases = [((), (1,)), ((1,), (1,)), ((3, 2), (2,)), ((4, 4, 1), (2, 2)), ((3, 2), (9,))]
     for lam, rows in cases:
         assert type(indicators.indicator_scalar(lam, rows)) is Fraction, (lam, rows)
-    # the rim-hook fallback makes its own Fraction
-    peel_work(0)
-    calls = counted(monkeypatch, "character")
     assert type(IndicatorSum.indicator((3, 3)).scalar_on((4, 4, 1))) is Fraction
-    assert calls["character"] == 1
 
 
 def test_disjoint_product_concatenates_rows():
@@ -400,6 +366,30 @@ def test_one_row_indicators_on_large_shapes_match_kerov_polynomials():
             assert indicator_scalar(lam, (l,)) == _kerov_value(l, lam), (lam, l)
 
 
+def test_large_diagram_scalars_match_kerov_polynomials_and_peeling():
+    # the IRR slot shapes at q = 4000 hold 667 to 2667 boxes, past the
+    # oracle's recursion: one row against its Kerov polynomial, and a
+    # product of two terms against the terms of its expansion
+    fam = IrreducibleFamily(
+        symmetric3_group(), ["1/6", "2/3", "1/6"], [(2, 1), (3, 1), (1,)]
+    )
+    pairs = [
+        ((2,), (2,)),
+        ((3,), (2, 1)),
+        ((4,), (3,)),
+        ((5,), (3,)),
+        ((3, 3), (1, 1)),
+        ((2, 2), (2, 1, 1)),
+    ]
+    for lam in fam.shapes(4000):
+        for l in range(1, 9):
+            assert term_scalar(lam, (l,)) == _kerov_value(l, lam), (lam, l)
+        for rho1, rho2 in pairs:
+            expansion = product_coefficients(rho1, rho2).items()
+            peeled = sum(g * term_scalar(lam, sigma) for sigma, g in expansion)
+            assert term_scalar(lam, rho1) * term_scalar(lam, rho2) == peeled, (lam, rho1, rho2)
+
+
 def test_free_cumulants_as_indicators_frozen():
     s = IndicatorSum.indicator
     assert free_cumulant_as_indicators(2) == s((1,))
@@ -464,20 +454,14 @@ def test_free_cumulant_route_matches_rim_hook_removal(lam, rho, sigma, as_list):
         assert wreathprob.character(shape, cycles) == character(lam, mu)
 
 
-def test_both_scalar_routes_agree_on_every_small_diagram(monkeypatch, peel_work):
-    # PEEL_WORK = 0 sends every term of several rows to rim-hook removal
+def test_both_scalar_routes_agree_on_every_small_diagram():
+    # bead moves against the oracle's Murnaghan-Nakayama recursion over
+    # whole cycle types, on every term of several rows
     terms = [rho for size in range(2, 8) for rho in partitions_of(size) if len(rho) > 1]
-    calls = counted(monkeypatch, "character")
-    for bound in (indicators.PEEL_WORK, 0):
-        peel_work(bound)
-        calls.clear()
-        for size in range(9):
-            for lam in partitions_of(size):
-                for rho in terms:
-                    assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
-        # peeling reads no character; rim hooks read one per fitting pair
-        fitting = sum(sum(rho) <= size for size in range(9) for _ in partitions_of(size) for rho in terms)
-        assert calls["character"] == (0 if bound else fitting)
+    for size in range(9):
+        for lam in partitions_of(size):
+            for rho in terms:
+                assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
 
 
 def test_long_rows_are_never_expanded(monkeypatch):
@@ -497,16 +481,17 @@ def test_long_rows_are_never_expanded(monkeypatch):
 
 
 def test_scalar_cache_computes_each_diagram_term_once(monkeypatch):
-    # the lemma reads the same terms on the same diagrams many times; each
-    # (diagram, term) pair is computed once, peeled subterms included
-    term_scalar = indicators._term_scalar
+    # the lemma reads the same terms on the same diagrams many times, through
+    # scalar_on and character alike; each (diagram, rows) pair is computed once
+    term_scalar = partitions.term_scalar
     keys = []
 
     def counting(lam, rows):
         keys.append((lam, rows))
         return term_scalar(lam, rows)
 
-    monkeypatch.setattr(indicators, "_term_scalar", counting)
+    for module in (indicators, partitions):
+        monkeypatch.setattr(module, "term_scalar", counting)
     term_scalar.cache_clear()
     failures = []
     cases = bruteforce.check_factorization_lemma(
@@ -515,7 +500,7 @@ def test_scalar_cache_computes_each_diagram_term_once(monkeypatch):
     assert cases > 0 and failures == []
     distinct = set(keys)
     info = term_scalar.cache_info()
-    assert info.maxsize == indicators.SCALAR_CACHE_SIZE
+    assert info.maxsize == partitions.SCALAR_CACHE_SIZE
     assert len(distinct) < len(keys) and len(distinct) <= info.maxsize
     assert info.misses == info.currsize == len(distinct)
     assert info.hits == len(keys) - len(distinct)

@@ -286,6 +286,13 @@ def test_sample_canonical_slots_match_full_tuple(fam):
         sample_canonical(fam, 4, rng_for(0), [-1])
 
 
+def test_sample_canonical_reads_slots_from_an_iterator():
+    # the range check must not use up the slots it then inserts
+    fam = Example1Family(cyclic_group(2))
+    want = sample_canonical(fam, 10, random.Random(5), [0, 1])
+    assert sample_canonical(fam, 10, random.Random(5), iter([0, 1])) == want
+
+
 def test_draw_on_a_slot_bound_goes_to_the_upper_slot():
     # weights 1/2, 1/2: the bound is 0.5 and the scale exactly 1.0; the
     # draws are 1/2, 3/4, 1/4
