@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cyclotomics import conjugate_value, value_as_fraction
 from .diagrams import free_cumulants
-from .errors import InputError, NoLimitTable
+from .errors import InputError
 from .indicators import IndicatorSum, free_cumulant_as_indicators
-from .wreath import Example1Family, IrreducibleFamily, RepFamily, backward_cycles, class_type, w_mul
-from .wreath import check_class_budget
+from .wreath import RepFamily, backward_cycles, check_class_budget, class_type, w_mul
 
 
 _ZERO = Fraction(0)  # shared: a Fraction(0) per table lookup is measurable
@@ -321,7 +319,7 @@ def half_power(p, k: int):
     return float(p) ** (k / 2)
 
 
-def irreducible_limits(family: IrreducibleFamily, max_index: int = 7) -> LimitParameters:
+def irreducible_limits(family, max_index: int = 7) -> LimitParameters:
     """Deterministic-shape limits: dilated base cumulants, zero covariance."""
     c = {}
     for z, (w, base) in enumerate(zip(family.weights, family.bases)):
@@ -440,30 +438,6 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
 
     out.cov = _cov_table(slots, top, entry)
     return out
-
-
-def tensor_limits(
-    left: Example1Family, right: Example1Family, max_l: int = 6
-) -> LimitParameters:
-    """Pointwise product of two independent-box families: the product fibre's table.
-
-    The product of the two normalized fibres is the normalized product
-    fibre, so irreducible i weighs dim_i times its class-size-weighted
-    inner product with it.
-    """
-    for fam in (left, right):
-        if not isinstance(fam, Example1Family):
-            raise NoLimitTable(f"no tensor limit table for family kind {fam.kind!r}")
-    ct = left.ct
-    sizes = [len(cls) for cls in ct.group.conjugacy_classes]
-    weighted = [n * a * b for n, a, b in zip(sizes, left._fibre(), right._fibre())]
-    weights = [
-        irrep.dim
-        * value_as_fraction(sum(w * conjugate_value(v) for w, v in zip(weighted, irrep.values)))
-        / ct.group.order
-        for irrep in ct.irreps
-    ]
-    return example1_limits(weights, max_l)
 
 
 @dataclass

@@ -200,7 +200,7 @@ def algebra_product(wg: WreathGroup, a, b) -> tuple[dict[int, object], int]:
 def tensor_algebra_image(wg: WreathGroup, factors) -> tuple[dict[int, object], int]:
     """Image of a product of per-slot indicator sums, as (numerators, denominator)."""
     out = None
-    for slot, summ in _normalize_factors(factors).items():
+    for slot, summ in _normalize_factors(factors, wg.q).items():
         image = indicator_image(wg, slot, summ)
         # the first slot's image is the product so far: no identity product
         out = image if out is None else algebra_product(wg, out, image)

@@ -351,6 +351,9 @@ def _limit_table(fam, need=0):
 
 def cmd_family(ns):
     fam = _load_family(ns.family)
+    q = ns.q
+    # a refused measure builds no class, and a tensor's table builds q = 1 classes
+    measure = None if q is None else fam.canonical_measure(q)
     params = _limit_table(fam)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -359,9 +362,7 @@ def cmd_family(ns):
         "num_slots": fam.ct.num_irreps,
         "limits": params.to_json() if params else None,
     }
-    q = ns.q
     if q is not None:
-        measure = fam.canonical_measure(q)
         doc["measure"] = {
             "q": q,
             "atoms": [

@@ -33,7 +33,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 
-from .partitions import falling, term_scalar
+from .partitions import term_scalar
 
 PartialPerm = tuple[tuple[int, ...], int]
 
@@ -166,8 +166,8 @@ def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     p1 = _filling(mu, range(sum(mu)), q0)
     # nu counts each of its partial permutations multiplicity(nu) times
     totals = Counter(cycle_type(compose(p1, p2)) for p2 in expand_indicator(nu, q0))
-    scale = multiplicity(nu) * falling(q0, sum(mu))
-    return {rho: total * scale // falling(q0, sum(rho)) for rho, total in sorted(totals.items())}
+    scale = multiplicity(nu) * math.perm(q0, sum(mu))
+    return {rho: total * scale // math.perm(q0, sum(rho)) for rho, total in sorted(totals.items())}
 
 
 def _exact(coeff):

@@ -94,7 +94,7 @@ def term_scalar(lam: tuple[int, ...], rows: tuple[int, ...]) -> Fraction:
             gaps, movable = shifted - betas, betas - shifted
             for b in movable:
                 if b >= k:
-                    num = falling(b, k) * math.prod(map(b.__sub__, gaps))
+                    num = math.perm(b, k) * math.prod(map(b.__sub__, gaps))
                     den = -k * math.prod(map(b.__sub__, movable - {b}))
                     ratios.append((num * removed(betas - {b} | {b - k}, i + 1), den))
             common = math.lcm(*(den for _, den in ratios))
@@ -102,7 +102,7 @@ def term_scalar(lam: tuple[int, ...], rows: tuple[int, ...]) -> Fraction:
         return memo[betas, i]
 
     betas = frozenset(part + len(lam) - 1 - i for i, part in enumerate(lam))
-    return Fraction(falling(n - sum(cycles), len(rows) - len(cycles)) * removed(betas, 0))
+    return Fraction(math.perm(n - sum(cycles), len(rows) - len(cycles)) * removed(betas, 0))
 
 
 def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
@@ -112,13 +112,5 @@ def character(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
     cycles = tuple(sorted((k for k in mu if k > 1), reverse=True))
     s = term_scalar(lam, cycles)
-    return dimension(lam) * s.numerator // (s.denominator * falling(n, sum(cycles)))
-
-
-def falling(x, k: int):
-    """Falling factorial x(x-1)...(x-k+1); works for ints and Fractions."""
-    out = 1
-    for i in range(k):
-        out = out * (x - i)
-    return out
+    return dimension(lam) * s.numerator // (s.denominator * math.perm(n, sum(cycles)))
 

@@ -25,7 +25,6 @@ from .diagrams import free_cumulants
 from .errors import Infeasible, InputError
 from .indicators import evaluate, in_indicators, indicator_in_free_cumulants
 from .indicators import profile_moment_in_free_cumulants
-from .partitions import falling
 from .wreath import Example1Family, RepFamily
 
 # the version of every CSV and JSON schema the package writes
@@ -200,7 +199,7 @@ def statistic_value(lam, spec, cumulants=None) -> int | Fraction:
         cumulants = free_cumulants(tuple(lam), _depth([poly]))
     value = evaluate(poly, cumulants)
     if entry.per_falling:
-        return Fraction(value, falling(sum(lam), i)) if sum(lam) >= i else Fraction(0)
+        return Fraction(value, math.perm(sum(lam), i)) if sum(lam) >= i else Fraction(0)
     return value
 
 

@@ -12,7 +12,9 @@ partitions are determined by per-slot row data.
 A RepFamily assigns to every q a probability measure on these tuples via
 its exact joint moment rule; concrete families cover the independent-box
 construction, deterministic balanced shapes, and restriction, induction,
-outer-product, and tensor constructions on top of other families.
+outer-product, and tensor constructions on top of other families.  Only
+the tensor construction reads its moments and its limit table off a
+measure, the one its class function decomposes into.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .groups import CharacterTable, _coeff_from_json, _coeff_to_json, builtin_gr
 from .groups import character_table_from_json, character_table_to_json, validate_character_table
 from .indicators import IndicatorSum
 from .partitions import character as sym_character
-from .partitions import dimension, falling, is_partition, partitions_of
+from .partitions import dimension, is_partition, partitions_of
 
 
 def _multipartitions(k: int, q: int):
@@ -321,23 +323,17 @@ def _truncate(summ: IndicatorSum, q: int) -> IndicatorSum:
     return IndicatorSum(kept)
 
 
-def _normalize_factors(factors, q: int | None = None):
+def _normalize_factors(factors, q: int):
     """Group mixed (slot, rows-or-IndicatorSum) factors into one sum per slot.
 
-    When q is given, terms that cannot be supported at size q are dropped
-    before and after each product; this is exact and keeps the structure
-    constant expansion small.
+    Terms that cannot be supported at size q are dropped before and after
+    each product; this is exact and keeps the structure constant expansion
+    small.
     """
     per_slot: dict[int, IndicatorSum] = {}
     for slot, item in factors:
-        item = IndicatorSum.of(item)
-        if q is not None:
-            item = _truncate(item, q)
-        if slot in per_slot:
-            prod = per_slot[slot] * item
-            per_slot[slot] = _truncate(prod, q) if q is not None else prod
-        else:
-            per_slot[slot] = item
+        item = _truncate(IndicatorSum.of(item), q)
+        per_slot[slot] = _truncate(per_slot[slot] * item, q) if slot in per_slot else item
     return dict(sorted(per_slot.items()))
 
 
@@ -348,7 +344,7 @@ def factorized_character(lam_tuple, factors) -> Fraction:
     algebra; the result is the product over slots of the scalar through
     which the slot's indicator acts on the slot's partition.
     """
-    per_slot = _normalize_factors(factors)
+    per_slot = _normalize_factors(factors, sum(map(sum, lam_tuple)))
     out = Fraction(1)
     for slot, summ in per_slot.items():
         out *= summ.scalar_on(lam_tuple[slot])
@@ -358,9 +354,8 @@ def factorized_character(lam_tuple, factors) -> Fraction:
 class RepFamily:
     """A q-indexed family of probability measures on partition tuples.
 
-    A joint moment of one cross-disjoint indicator term averages the
-    factorized character over ``canonical_measure``; families with a
-    closed-form rule override it.  The public ``moment`` accepts arbitrary
+    Every family kind states its own joint moment rule for one
+    cross-disjoint indicator term.  The public ``moment`` accepts arbitrary
     per-slot indicator data and reduces products inside each slot first.
     Both are remembered by value, up to ``MOMENT_MEMO_SIZE`` entries.
     """
@@ -369,8 +364,6 @@ class RepFamily:
 
     def __init__(self, ct: CharacterTable):
         self.ct = ct
-        # the moments of one call share a q: keep only that q's measure
-        self._measure: tuple[int, dict] | None = None
         self._memo: dict = {}
 
     def _remember(self, key, value):
@@ -407,12 +400,7 @@ class RepFamily:
 
     def _joint_moment(self, q: int, items) -> Fraction:
         """E of one cross-disjoint joint indicator; items = ((slot, rows), ...)."""
-        if self._measure is None or self._measure[0] != q:
-            self._measure = (q, self.canonical_measure(q))
-        measure = self._measure[1]
-        return sum(
-            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
-        )
+        raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -505,7 +493,7 @@ class Example1Family(RepFamily):
                 return Fraction(0)
             total_ones += len(rows)
             prod *= self.weights[slot] ** len(rows)
-        return falling(q, total_ones) * prod
+        return math.perm(q, total_ones) * prod
 
     def _fibre(self) -> list:
         """The normalized fibre character per G-class: sum_i (w_i / dim_i) chi_i."""
@@ -617,6 +605,9 @@ class IrreducibleFamily(RepFamily):
             self._fill(base, n) for base, n in zip(self.bases, sizes)
         )
 
+    def _joint_moment(self, q: int, items) -> Fraction:
+        return factorized_character(self.shapes(q), items)
+
     def class_cost(self, q: int) -> tuple[int, int]:
         # a class value walks the splits of its type among the slots, which
         # grow like the irreducibles: each is counted as that many
@@ -717,7 +708,7 @@ class RestrictedFamily(_ConstructorFamily):
         if total > q:
             return Fraction(0)
         parent_value = self.parent.joint_moment(r, items)
-        return Fraction(falling(q, total), falling(r, total)) * parent_value
+        return Fraction(math.perm(q, total), math.perm(r, total)) * parent_value
 
     def limits(self, max_index: int = 6):
         from .asymptotics import restrict_limits
@@ -834,8 +825,9 @@ class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply class by class, which has no
-    indicator-level product rule, so it keeps the default joint moment:
-    the factorized character averaged over the measure it decomposes into.
+    indicator-level product rule.  So this is the one family that reads a
+    measure: a joint moment averages the factorized character over the
+    measure its class function decomposes into.
     """
 
     kind = "tensor"
@@ -847,6 +839,16 @@ class TensorFamily(_ConstructorFamily):
         super().__init__(left.ct)
         self.left = left
         self.right = right
+        # the moments of one call share a q: keep only that q's measure
+        self._measure: tuple[int, dict] | None = None
+
+    def _joint_moment(self, q: int, items) -> Fraction:
+        if self._measure is None or self._measure[0] != q:
+            self._measure = (q, self.canonical_measure(q))
+        measure = self._measure[1]
+        return sum(
+            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
+        )
 
     def class_cost(self, q: int) -> tuple[int, int]:
         (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)
@@ -858,9 +860,20 @@ class TensorFamily(_ConstructorFamily):
         return {t: v * right[t] for t, v in self.left.class_function(q).items() if t in right}
 
     def limits(self, max_index: int = 6):
-        from .asymptotics import tensor_limits
+        """The independent-box table whose slot weights are the one-box measure.
 
-        return tensor_limits(self.left, self.right, max_index)
+        Two independent-box fibres multiply into one fibre, and at q = 1 the
+        measure gives slot z that fibre's weight: dim_z times its
+        class-size-weighted inner product with chi_z.
+        """
+        from .asymptotics import example1_limits
+
+        for fam in (self.left, self.right):
+            if not isinstance(fam, Example1Family):
+                raise NoLimitTable(f"no tensor limit table for family kind {fam.kind!r}")
+        measure, slots = self.canonical_measure(1), range(self.ct.num_irreps)
+        one_box = (tuple((1,) if i == z else () for i in slots) for z in slots)
+        return example1_limits([measure.get(t, 0) for t in one_box], max_index)
 
 
 def _group_from_json(doc) -> CharacterTable:

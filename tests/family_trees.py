@@ -56,3 +56,11 @@ def nodes(ct, depth, shaped=False):
         st.builds(OuterFamily, sub, sub, st.sampled_from([0, Fraction(1, 3), Fraction(1, 2), 1])),
         st.builds(TensorFamily, sub, sub),
     )
+
+
+def moment_factors(ct):
+    """One or two (slot, rows) moment factors, each of one or two rows of length 1-3."""
+    rows = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda r: tuple(sorted(r, reverse=True))
+    )
+    return st.lists(st.tuples(st.integers(0, ct.num_irreps - 1), rows), min_size=1, max_size=2)

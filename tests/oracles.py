@@ -113,6 +113,14 @@ def indicator_scalar(lam, rows) -> Fraction:
     return Fraction(math.perm(n, size) * character(lam, full), character(lam, (1,) * n))
 
 
+def falling(x, k: int):
+    """Falling factorial x(x-1)...(x-k+1); works for ints and Fractions."""
+    out = 1
+    for i in range(k):
+        out = out * (x - i)
+    return out
+
+
 def sum_scalar(summ, lam) -> Fraction:
     """The scalar of an ``IndicatorSum`` on lam, term by term by rim-hook removal."""
     return sum((c * indicator_scalar(lam, rows) for rows, c in summ.terms.items()), Fraction(0))
@@ -598,6 +606,35 @@ def per_entry_limits(family, max_index: int = 6):
     if family.kind == "induced":
         return induce_limits(per_entry_limits(family.parent, max_index), family.ratio, family.ct)
     return family.limits(max_index)
+
+
+def tensor_fibre_weights(left, right) -> list[Fraction]:
+    """Slot weights of the product of two independent-box fibres, summed over elements.
+
+    Slot weights w give the normalized fibre character f = sum_i (w_i / dim_i)
+    chi_i; the product fibre f1 f2 gives irreducible z the weight
+    dim_z / |G| sum_g f1(g) f2(g) conj chi_z(g).
+    """
+    from wreathprob.cyclotomics import conjugate_value, value_as_fraction
+
+    ct = left.ct
+    elements = range(ct.group.order)
+
+    def fibre(family, g):
+        return sum(
+            Fraction(w, irrep.dim) * ct.value(i, g)
+            for i, (w, irrep) in enumerate(zip(family.weights, ct.irreps))
+        )
+
+    product = [fibre(left, g) * fibre(right, g) for g in elements]
+    return [
+        value_as_fraction(
+            sum(f * conjugate_value(ct.value(z, g)) for f, g in zip(product, elements))
+        )
+        * irrep.dim
+        / ct.group.order
+        for z, irrep in enumerate(ct.irreps)
+    ]
 
 
 # ------------------------------------------------------- cyclotomic numbers

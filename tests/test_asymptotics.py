@@ -1,6 +1,7 @@
 """Cumulant machinery, scaled quantities, and limit-table transforms."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,12 @@ from wreathprob.asymptotics import (
     restrict_limits,
     scaled_quantity,
     set_partitions,
-    tensor_limits,
 )
 from wreathprob import asymptotics
 from wreathprob.bruteforce import WreathGroup
 from wreathprob.cli import SCHEMA_VERSION, _report_csv, _report_json
 from wreathprob.errors import Infeasible, InputError, NoLimitTable
-from wreathprob.groups import cyclic_group, symmetric3_group
+from wreathprob.groups import builtin_group, cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.wreath import (
     MAX_CLASS_WORK,
@@ -47,9 +47,9 @@ from wreathprob.wreath import (
     family_from_json,
 )
 
-from family_trees import PROPERTY_GROUPS, nodes, trees
+from family_trees import PROPERTY_GROUPS, moment_factors, nodes, trees
 from oracles import composition_double_sum_bruteforce, compositions, measure_r_cumulant
-from oracles import per_entry_limits, per_entry_restrict_limits
+from oracles import per_entry_limits, per_entry_restrict_limits, tensor_fibre_weights
 
 
 def composition_double_sum(c_of, l1: int, l2: int, weight=None):
@@ -657,26 +657,87 @@ def test_tensor_limits_from_fibre_characters():
     ct = cyclic_group(2)
     trivial = Example1Family(ct, multiplicities=(1, 0))
     sign = Example1Family(ct, multiplicities=(0, 1))
-    params = tensor_limits(trivial, sign)
+    params = TensorFamily(trivial, sign).limits()
     assert params.c == {(1, 2): Fraction(1)}
-    both = tensor_limits(
+    both = TensorFamily(
         Example1Family(ct, multiplicities=(1, 1)),
         Example1Family(ct, multiplicities=(1, 1)),
-    )
+    ).limits()
     assert both.c == {(0, 2): Fraction(1, 2), (1, 2): Fraction(1, 2)}
     # weights alone fix the normalized fibre: 1/3, 2/3 is the fibre triv + 2 sign
     thirds = Example1Family(ct, weights=(Fraction(1, 3), Fraction(2, 3)))
     one_two = Example1Family(ct, multiplicities=(1, 2))
-    assert tensor_limits(thirds, sign) == tensor_limits(one_two, sign)
-    assert tensor_limits(thirds, thirds) == tensor_limits(one_two, one_two)
+    assert TensorFamily(thirds, sign).limits() == TensorFamily(one_two, sign).limits()
+    assert TensorFamily(thirds, thirds).limits() == TensorFamily(one_two, one_two).limits()
     # S3 has a two-dimensional irreducible: 1/3 each is the fibre 2 triv + 2 sign + std,
     # whose square (values 36, 0, 9) is 9 triv + 9 sign + 9 std
     s3 = symmetric3_group()
     even = Example1Family(s3, weights=(Fraction(1, 3),) * 3)
     square = Example1Family(s3, multiplicities=(9, 9, 9)).limits()
-    assert tensor_limits(even, even) == square
+    assert TensorFamily(even, even).limits() == square
     two_two_one = Example1Family(s3, multiplicities=(2, 2, 1))
-    assert tensor_limits(two_two_one, two_two_one) == square
+    assert TensorFamily(two_two_one, two_two_one).limits() == square
+
+
+TENSOR_GROUPS = ("cyclic:2", "cyclic:3", "cyclic:4", "cyclic:6", "S3", "dihedral:4", "dihedral:5")
+
+
+def _multiplicities(rng, k):
+    while not any(mults := [rng.randrange(3) for _ in range(k)]):
+        pass
+    return mults
+
+
+def test_tensor_tables_are_the_product_fibre_tables():
+    # the one-box measure against the fibre product summed over group elements
+    rng = random.Random(32)
+    for name in TENSOR_GROUPS:
+        ct = builtin_group(name)
+        for _ in range(15):
+            left, right = (Example1Family(ct, _multiplicities(rng, ct.num_irreps)) for _ in "lr")
+            depth = rng.randrange(2, 9)
+            want = example1_limits(tensor_fibre_weights(left, right), depth)
+            assert TensorFamily(left, right).limits(depth) == want, (name, left.to_json())
+            assert TensorFamily(right, left).limits(depth) == want
+
+
+def test_tensor_tables_need_two_independent_box_factors():
+    ct = cyclic_group(2)
+    box = Example1Family(ct)
+    point = IrreducibleFamily(ct, (Fraction(1, 2), Fraction(1, 2)))
+    cases = [
+        (box, point, "irreducible"),
+        (point, box, "irreducible"),
+        (TensorFamily(box, box), box, "tensor"),
+        (box, InducedFamily(box, Fraction(1, 2)), "induced"),
+    ]
+    for left, right, kind in cases:
+        with pytest.raises(NoLimitTable, match=f"no tensor limit table for family kind '{kind}'"):
+            TensorFamily(left, right).limits()
+
+
+@st.composite
+def _tensor_pairs(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    left, right = draw(trees(ct, 1)), draw(trees(ct, 1))
+    q = draw(st.integers(1, 4))
+    assume(_measures_fit(TensorFamily(left, right), q))
+    return left, right, q, draw(moment_factors(ct))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_tensor_pairs())
+def test_tensor_products_commute(case):
+    left, right, q, factors = case
+    ab, ba = TensorFamily(left, right), TensorFamily(right, left)
+    assert ab.moment(q, factors) == ba.moment(q, factors), (ab.to_json(), q, factors)
+    try:
+        table = ab.limits(4)
+    except NoLimitTable:
+        with pytest.raises(NoLimitTable):
+            ba.limits(4)
+        return
+    assert ba.limits(4).to_json() == table.to_json()
 
 
 def test_irreducible_limits_values():

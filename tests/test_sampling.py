@@ -14,7 +14,7 @@ from wreathprob.cli import _sample_texts
 from wreathprob.diagrams import free_cumulants, profile_moment, transition_measure
 from wreathprob import sampling
 from wreathprob.groups import cyclic_group, symmetric3_group
-from wreathprob.partitions import dimension, falling, partitions_of
+from wreathprob.partitions import dimension, partitions_of
 from wreathprob.sampling import (
     STATISTIC_KINDS,
     SampleBatch,
@@ -31,7 +31,7 @@ from wreathprob.sampling import (
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
 
-from oracles import dimension_branching, growth_weights, indicator_scalar
+from oracles import dimension_branching, falling, growth_weights, indicator_scalar
 from oracles import partition_count_pentagonal
 
 
