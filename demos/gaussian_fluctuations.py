@@ -12,7 +12,7 @@ from wreathprob.sampling import (
     fluctuation_statistics,
     normality_check,
     predicted_r_covariance,
-    sample_batch,
+    sample_shapes,
     spec_name,
 )
 from wreathprob.wreath import Example1Family
@@ -23,9 +23,9 @@ from wreathprob.wreath import Example1Family
 
 fam = Example1Family(cyclic_group(2))
 q, n_samples = 400, 1500
-batch = sample_batch(fam, q, n_samples, root_seed=11)
+shapes = sample_shapes(fam, q, n_samples, root_seed=11, slots={0})
 specs = [("R", 0, 2), ("R", 0, 3)]
-stats = fluctuation_statistics(batch, specs)
+stats = fluctuation_statistics(fam, q, shapes, specs)
 
 ############################################################
 # Compare the empirical covariance against the predicted one and

@@ -31,12 +31,11 @@ from .groups import builtin_group, character_table_from_json, character_table_to
 from .indicators import IndicatorSum, expand_indicator, indicator_scalar, product_coefficients
 from .partitions import character, dimension, partitions_of
 from .sampling import (
-    SampleBatch,
     fluctuation_statistics,
     normality_check,
-    sample_batch,
     sample_canonical,
     sample_plancherel,
+    sample_shapes,
 )
 from .wreath import (
     Example1Family,
@@ -59,7 +58,6 @@ __all__ = [
     "LimitParameters",
     "OuterFamily",
     "RestrictedFamily",
-    "SampleBatch",
     "TensorFamily",
     "TransitionMeasure",
     "builtin_group",
@@ -82,9 +80,9 @@ __all__ = [
     "product_coefficients",
     "profile_moment",
     "r_cumulant",
-    "sample_batch",
     "sample_canonical",
     "sample_plancherel",
+    "sample_shapes",
     "scaled_quantity",
     "transition_measure",
     "__version__",

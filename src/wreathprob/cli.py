@@ -29,7 +29,7 @@ from .groups import (
 )
 from .partitions import is_partition
 from .sampling import SCHEMA_VERSION, check_specs, normality_check, predicted_r_covariance
-from .sampling import sample_batch, spec_name, statistic_columns
+from .sampling import sample_shapes, spec_name, statistic_columns
 from .wreath import family_from_json
 
 
@@ -188,6 +188,8 @@ def _load_group(spec):
         return builtin_group(spec)
     except UnknownGroup:
         pass  # not a builtin name: read it as a path
+    except WreathprobError:
+        raise
     except ValueError as exc:
         raise InputError(f"bad group {spec!r}: {exc}")
     try:
@@ -212,6 +214,8 @@ def _load_family(text):
             raise InputError(f"cannot load family {text!r}: {exc}")
     try:
         return family_from_json(doc)
+    except WreathprobError:
+        raise
     except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError) as exc:
         raise InputError(f"bad family descriptor: {exc}")
 
@@ -421,13 +425,13 @@ def cmd_limits(ns):
     return 0
 
 
-def _sample_texts(batch, specs, predicted_cov=None):
-    """The batch's CSV, raw and centered-scaled per sample and statistic, and its JSON summary."""
-    rows, n = [], len(batch)
-    summary = {"schema_version": SCHEMA_VERSION, "q": batch.q, "root_seed": batch.root_seed}
+def _sample_texts(fam, q, root_seed, n, shapes, specs, predicted_cov=None):
+    """The CSV of n samples, raw and centered-scaled per statistic, and its JSON summary."""
+    rows = []
+    summary = {"schema_version": SCHEMA_VERSION, "q": q, "root_seed": root_seed}
     if n:
         names = [spec_name(spec) for spec in specs]
-        columns = statistic_columns(batch, specs)
+        columns = statistic_columns(fam, q, shapes, specs)
         for i in range(n):
             rows += ([str(i), name, repr(r[i]), repr(c[i])] for name, (r, c) in zip(names, columns))
         stats = list(zip(*(c for _, c in columns)))
@@ -442,18 +446,18 @@ def cmd_sample(ns):
     fam = _load_family(ns.family)
     if ns.q is None:
         raise InputError("need --q")
-    q = ns.q
+    q, n = ns.q, ns.n_samples
     if q < 1:
         raise InputError(f"sample needs --q of at least 1, got {q}")
     slots = fam.ct.num_irreps
     specs = _parse_stats(ns.stats) if ns.stats else [("R", slot, 3) for slot in range(slots)]
     check_specs(specs, slots)
-    batch = sample_batch(fam, q, ns.n_samples, root_seed=ns.seed, workers=ns.workers)
+    shapes = sample_shapes(fam, q, n, ns.seed, {slot for _, slot, _ in specs}, ns.workers)
     predicted = None
-    if len(batch) and all(spec[0] == "R" for spec in specs):
+    if n and all(spec[0] == "R" for spec in specs):
         table = _limit_table(fam, max(i for _, _, i in specs))
         predicted = predicted_r_covariance(table, specs)
-    csv_text, summary_text = _sample_texts(batch, specs, predicted)
+    csv_text, summary_text = _sample_texts(fam, q, ns.seed, n, shapes, specs, predicted)
     if ns.out:
         _emit(csv_text, ns.out)
         _emit(summary_text, str(ns.out) + ".summary.json")

@@ -4,8 +4,9 @@ A Plancherel-distributed diagram of n boxes is the shape that
 Robinson-Schensted row insertion builds from n i.i.d. uniforms: the
 insertion is the Plancherel growth process, so the law is exact at every
 size.  Root seeds expand to per-sample seeds through a counter scheme,
-so serial and parallel runs produce identical batches.  Shapes are
-built per slot, only for the slots a statistic reads.  Each statistic
+so serial and parallel runs produce identical shapes.  Shapes are
+inserted only for the slots the statistics read, and the statistics
+are evaluated on those shapes without drawing again.  Each statistic
 is a polynomial in the free cumulants of its slot diagram (Kerov), and
 the reports are small moment matrices over lists, all standard library.
 """
@@ -15,7 +16,6 @@ import os
 import random
 from bisect import bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
@@ -111,74 +111,32 @@ def _seed_rng(root_seed: int, index: int) -> random.Random:
 
 def _sample_range(payload):
     family, q, root_seed, slots, start, stop = payload
-    return [
-        sample_canonical(family, q, _seed_rng(root_seed, i), slots)
-        for i in range(start, stop)
-    ]
+    return [sample_canonical(family, q, _seed_rng(root_seed, i), slots) for i in range(start, stop)]
 
 
-@dataclass
-class SampleBatch:
-    """Independent draws from one family's canonical measure at fixed q.
+def sample_shapes(
+    family: RepFamily, q: int, n_samples: int, root_seed: int, slots, workers: int = 1
+) -> dict:
+    """Each given slot's shape in each of n_samples draws: {slot: [shape per sample]}.
 
-    Shapes are built per slot, on demand: ``shapes[slot]`` lists that
-    slot's shape for every sample.  Sample i is replayed from its own
-    stream ``_seed_rng(root_seed, i)`` whenever a slot is built, so a
-    slot's shapes do not depend on which other slots were built.
-    """
-
-    family: RepFamily
-    q: int
-    root_seed: int
-    n_samples: int
-    workers: int = 1
-    shapes: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return self.n_samples
-
-    def build(self, slots) -> None:
-        """Store the shapes of every given slot that is not stored yet."""
-        missing = sorted(set(slots) - self.shapes.keys())
-        if not missing:
-            return
-        n, workers = self.n_samples, self.workers
-        head = (self.family, self.q, self.root_seed, missing)
-        if workers > 1 and n:
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = (n + workers - 1) // workers
-            payloads = [
-                head + (start, min(start + chunk, n)) for start in range(0, n, chunk)
-            ]
-            rows = []
-            # under fork a pool starts every worker at its first submit
-            processes = min(workers, len(payloads), os.cpu_count() or 1)
-            with ProcessPoolExecutor(max_workers=processes) as pool:
-                for part in pool.map(_sample_range, payloads):
-                    rows.extend(part)
-        else:
-            rows = _sample_range(head + (0, n))
-        for k, slot in enumerate(missing):
-            self.shapes[slot] = [row[k] for row in rows]
-
-    @property
-    def samples(self) -> list:
-        """Every sample's full partition tuple; builds every slot."""
-        slots = range(self.family.ct.num_irreps)
-        self.build(slots)
-        return list(zip(*(self.shapes[slot] for slot in slots)))
-
-
-def sample_batch(
-    family: RepFamily, q: int, n_samples: int, root_seed: int, workers: int = 1
-) -> SampleBatch:
-    """A batch of n_samples tuples; identical output for any worker count.
-
-    Nothing is drawn here: statistics build the slots they read.
+    Sample i comes from its own stream ``_seed_rng(root_seed, i)``, so any
+    worker count gives the same shapes, and draws every uniform whichever
+    slots are given, so a slot's shapes do not depend on the other slots.
     """
     require_direct_sampler(family)
-    return SampleBatch(family, q, root_seed, n_samples, workers)
+    slots, n = sorted(set(slots)), n_samples
+    chunk = -(-n // max(workers, 1)) or 1
+    payloads = [(family, q, root_seed, slots, i, min(i + chunk, n)) for i in range(0, n, chunk)]
+    if len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # under fork a pool starts every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(len(payloads), os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(_sample_range, payloads))
+    else:
+        parts = map(_sample_range, payloads)
+    rows = [row for part in parts for row in part]
+    return {slot: [row[k] for row in rows] for k, slot in enumerate(slots)}
 
 
 def _depth(polynomials) -> int:
@@ -229,43 +187,42 @@ def _mean(xs) -> float:
     return math.fsum(xs) / len(xs)
 
 
-def statistic_columns(batch: SampleBatch, specs) -> list:
+def statistic_columns(family: RepFamily, q: int, shapes: dict, specs) -> list:
     """Per spec, its raw column and its centered, scaled column, one value per sample.
 
-    Every slot the specs read is built first, in one pass over the
-    samples.  Each shape's free cumulants are computed once, as deep as
-    its slot's statistics read, and every distinct statistic is evaluated
-    once.  Polynomial statistics are centered at their exact means; the
-    character statistic (a ratio of random quantities) is centered
-    empirically.
+    ``shapes`` maps each slot the specs read to its shape in every sample,
+    as ``sample_shapes`` returns it; nothing is drawn here.  Each shape's
+    free cumulants are computed once, as deep as its slot's statistics
+    read, and every distinct statistic is evaluated once.  Polynomial
+    statistics are centered at their exact means; the character statistic
+    (a ratio of random quantities) is centered empirically.
     """
-    if not len(batch):
+    if not any(shapes.values()):
         raise ValueError("empty batch")
     keys = [tuple(spec) for spec in specs]
-    check_specs(keys, batch.family.ct.num_irreps)
+    check_specs(keys, family.ct.num_irreps)
     by_slot: dict = {}
     for key in dict.fromkeys(keys):
         by_slot.setdefault(key[1], []).append(key)
-    batch.build(by_slot)
     columns = {}
     for slot, slot_keys in by_slot.items():
         depth = _depth(STATISTIC_KINDS[kind].polynomial(i) for kind, _, i in slot_keys)
         raws = [[] for _ in slot_keys]
-        for lam in batch.shapes[slot]:
+        for lam in shapes[slot]:
             cumulants = free_cumulants(lam, depth)
             for raw, key in zip(raws, slot_keys):
                 raw.append(float(statistic_value(lam, key, cumulants)))
         for key, raw in zip(slot_keys, raws):
-            scale = float(batch.q) ** (STATISTIC_KINDS[key[0]].exponent(key[2]) / 2)
-            mean = exact_mean(batch.family, batch.q, key)
+            scale = float(q) ** (STATISTIC_KINDS[key[0]].exponent(key[2]) / 2)
+            mean = exact_mean(family, q, key)
             center = float(mean) if mean is not None else _mean(raw)
             columns[key] = (raw, [(x - center) * scale for x in raw])
     return [columns[key] for key in keys]
 
 
-def fluctuation_statistics(batch: SampleBatch, specs) -> list:
+def fluctuation_statistics(family: RepFamily, q: int, shapes: dict, specs) -> list:
     """Rows of centered, scaled statistics: one tuple per sample."""
-    return list(zip(*(centered for _, centered in statistic_columns(batch, specs))))
+    return list(zip(*(centered for _, centered in statistic_columns(family, q, shapes, specs))))
 
 
 def spec_name(spec) -> str:
@@ -275,7 +232,8 @@ def spec_name(spec) -> str:
 
 def normality_check(stats, names=None, predicted_cov=None) -> dict:
     """Gaussianity report on rows of statistics, one row per sample."""
-    n = len(stats)
+    if not (n := len(stats)):
+        raise ValueError("no samples")
     means = [_mean(column) for column in zip(*stats)]
     centered = [[v - m for v in column] for m, column in zip(means, zip(*stats))]
     if names is None:

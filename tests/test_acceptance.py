@@ -39,8 +39,8 @@ from wreathprob.partitions import dimension, partitions_of
 from wreathprob.sampling import (
     fluctuation_statistics,
     normality_check,
-    sample_batch,
     sample_plancherel,
+    sample_shapes,
 )
 from wreathprob.wreath import (
     Example1Family,
@@ -295,8 +295,8 @@ def test_criterion_10_constructor_transforms():
 def test_criterion_11_fluctuations_are_gaussian():
     q, n_samples = 2500, 4000
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, q, n_samples, root_seed=20260819)
-    stats = fluctuation_statistics(batch, [("R", 0, 2), ("R", 0, 3)])
+    shapes = sample_shapes(fam, q, n_samples, 20260819, {0})
+    stats = fluctuation_statistics(fam, q, shapes, [("R", 0, 2), ("R", 0, 3)])
     var_boxes = statistics.fmean(row[0] ** 2 for row in stats)
     var_r3 = statistics.fmean(row[1] ** 2 for row in stats)
     assert abs(var_boxes - 0.25) <= 0.025, var_boxes

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wreathprob import bruteforce, cli, sampling
+from wreathprob import bruteforce, cli, groups, sampling
 from wreathprob.cli import main
 from wreathprob.groups import (
+    GroupTable,
     builtin_group,
     character_table_to_json,
     cyclic_group,
@@ -201,6 +202,37 @@ def test_group_file_that_is_no_table_is_a_usage_error(command, text, capsys, tmp
     code, out, err = run(capsys, command, "--group", str(path))
     assert code == 2 and out == ""
     assert "cannot load group" in err
+
+
+def test_groups_past_their_budgets_exit_3_before_any_table(capsys, monkeypatch, tmp_path):
+    def no_work(*args):
+        raise AssertionError("a table was built or validated")
+
+    table = character_table_to_json(cyclic_group(31))  # 30752 orthogonality products
+    path = tmp_path / "c31.json"
+    path.write_text(json.dumps(table))
+    monkeypatch.setattr(groups, "GroupTable", no_work)
+    monkeypatch.setattr(groups, "conjugate_value", no_work)
+    inline = json.dumps({"kind": "example1", "group": table})
+    for argv in (
+        ["group", "--group", "cyclic:129"],
+        ["group", "--group", "dihedral:65"],
+        ["verify", "--scope", "characters", "--group", "Z/129"],
+        ["family", "--family", '{"kind":"example1","group":"cyclic:129"}'],
+        ["sample", "--family", '{"kind":"example1","group":"dihedral:65"}', "--q", "5"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "budget of 128" in err and "Traceback" not in err, argv
+    monkeypatch.setattr(groups, "GroupTable", GroupTable)
+    for argv in (
+        ["group", "--group", str(path)],
+        ["verify", "--scope", "characters", "--group", str(path)],
+        ["family", "--family", inline],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "30752 orthogonality products pass 30000" in err and "Traceback" not in err, argv
 
 
 def test_family_report_with_measure(capsys):
@@ -618,7 +650,7 @@ def test_sample_rejects_bad_slot_before_sampling(capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    monkeypatch.setattr(cli, "sample_shapes", no_sampling)
     base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "3"]
     for stats in ("R:5:2", "R:0:2;character:2:2"):
         code, _, err = run(capsys, *base, "--stats", stats)
@@ -633,7 +665,7 @@ def test_sample_rejects_bad_stats_before_sampling(stats, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    monkeypatch.setattr(cli, "sample_shapes", no_sampling)
     base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "3"]
     code, out, err = run(capsys, *base, "--stats", stats)
     assert code == 2 and out == ""
@@ -697,7 +729,7 @@ def test_sample_rejects_negative_seed(tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(cli, "sample_batch", no_sampling)
+    monkeypatch.setattr(cli, "sample_shapes", no_sampling)
     base = ["sample", "--family", LEFT_REGULAR, "--q", "10", "--n-samples", "2"]
     code, _, err = run(capsys, *base, "--seed", "-1")
     assert code == 2
@@ -713,7 +745,7 @@ def test_sample_rejects_q_below_one(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sampled before checking q")
 
-    monkeypatch.setattr(cli, "sample_batch", refuse)
+    monkeypatch.setattr(cli, "sample_shapes", refuse)
     code, _, err = run(
         capsys, "sample", "--family", LEFT_REGULAR, "--q", "0", "--n-samples", "3"
     )
@@ -732,6 +764,7 @@ def test_sample_non_samplable_family_refused_before_sampling(capsys, monkeypatch
         raise AssertionError("sampling started")
 
     monkeypatch.setattr(sampling, "_sample_range", no_sampling)
+    monkeypatch.setattr(cli, "_limit_table", no_sampling)
     fam = '{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"]}'
     code, out, err = run(capsys, "sample", "--family", fam, "--q", "10")
     assert code == 3 and out == ""

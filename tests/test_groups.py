@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from oracles import projection_coefficients
 
+from wreathprob import groups
 from wreathprob.cyclotomics import Cyclotomic
+from wreathprob.errors import Infeasible
 from wreathprob.groups import (
     CharacterTable,
     GroupTable,
@@ -27,6 +29,45 @@ def test_builtin_groups_validate_clean():
     tables += [dihedral_group(n) for n in range(3, 7)]
     for ct in tables:
         assert validate_character_table(ct) == [], ct.name
+
+
+def _no_table(*args):
+    raise AssertionError("a table was built")
+
+
+def test_builtin_groups_past_the_order_budget_are_refused_before_building(monkeypatch):
+    # the largest orders are MAX_BUILTIN_ORDER = 128: cyclic:128 and dihedral:64
+    monkeypatch.setattr(groups, "GroupTable", _no_table)
+    for spec in ("cyclic:129", "Z/129", "z/200", "dihedral:65", " Dihedral:100 "):
+        with pytest.raises(Infeasible, match="budget of 128"):
+            builtin_group(spec)
+    for spec in ("cyclic:128", "Z/128", "dihedral:64"):
+        with pytest.raises(AssertionError, match="a table was built"):
+            builtin_group(spec)
+    # bad orders stay usage errors
+    with pytest.raises(ValueError, match="order must be positive"):
+        builtin_group("cyclic:0")
+    with pytest.raises(ValueError, match="start at n = 3"):
+        builtin_group("dihedral:2")
+
+
+def test_validation_past_the_budget_is_refused_before_orthogonality(monkeypatch):
+    def no_products(value):
+        raise AssertionError("an orthogonality loop ran")
+
+    ct = cyclic_group(31)  # 31 classes: 31^2 * 32 = 30752 products
+    monkeypatch.setattr(groups, "conjugate_value", no_products)
+    with pytest.raises(Infeasible, match="30752 orthogonality products pass 30000"):
+        validate_character_table(ct)
+    # k classes take k^2 (k + 1) products: 80 for k = 4, 150 for k = 5
+    monkeypatch.setattr(groups, "MAX_ORTHOGONALITY_PRODUCTS", 80)
+    with pytest.raises(AssertionError, match="loop ran"):
+        validate_character_table(cyclic_group(4))
+    with pytest.raises(Infeasible, match="150 orthogonality products pass 80"):
+        validate_character_table(cyclic_group(5))
+    # a table with too few irreducibles is reported, not refused
+    short = CharacterTable(ct.group, ct.irreps[:3])
+    assert validate_character_table(short) == ["3 irreps for 31 conjugacy classes"]
 
 
 def test_cyclic_group_structure():

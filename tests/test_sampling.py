@@ -17,14 +17,13 @@ from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.partitions import dimension, partitions_of
 from wreathprob.sampling import (
     STATISTIC_KINDS,
-    SampleBatch,
     check_specs,
     fluctuation_statistics,
     normality_check,
     predicted_r_covariance,
-    sample_batch,
     sample_canonical,
     sample_plancherel,
+    sample_shapes,
     statistic_columns,
     statistic_value,
 )
@@ -37,6 +36,13 @@ from oracles import partition_count_pentagonal
 
 def rng_for(seed):
     return random.Random(seed)
+
+
+def full_tuples(fam, q, n_samples, root_seed, workers=1):
+    """Every sample's whole partition tuple, from the shapes of every slot."""
+    slots = range(fam.ct.num_irreps)
+    shapes = sample_shapes(fam, q, n_samples, root_seed, slots, workers)
+    return list(zip(*(shapes[slot] for slot in slots)))
 
 
 def test_growth_weights_match_transition_measure():
@@ -119,10 +125,14 @@ def test_sample_canonical_rejects_other_kinds():
         sample_canonical(fam, 4, rng_for(0))
 
 
-def test_sample_batch_refuses_other_kinds_before_drawing():
+def test_sample_shapes_refuses_other_kinds_before_drawing(monkeypatch):
+    def no_sampling(payload):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(sampling, "_sample_range", no_sampling)
     fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(Infeasible, match="no direct sampler"):
-        sample_batch(fam, 4, 3, root_seed=0)
+        sample_shapes(fam, 4, 3, 0, {0})
 
 
 @pytest.mark.parametrize(
@@ -150,10 +160,10 @@ def test_statistic_scalings_are_the_float_powers():
     # is (raw - exact mean) times q**(e/2), e = 1 - i, 2 - i and i by kind
     fam = Example1Family(cyclic_group(2))
     q = 3
-    batch = SampleBatch(fam, q, 0, 1, shapes={0: [(3,)], 1: [()]})
+    shapes = {0: [(3,)], 1: [()]}
     specs = [("R", 0, 2), ("R", 0, 3), ("p", 0, 3), ("character", 0, 2)]
-    (row,) = fluctuation_statistics(batch, specs)
-    raws = [raw for raw, _ in statistic_columns(batch, specs)]
+    (row,) = fluctuation_statistics(fam, q, shapes, specs)
+    raws = [raw for raw, _ in statistic_columns(fam, q, shapes, specs)]
     for spec, value, (raw,), e in zip(specs, row, raws, (1 - 2, 1 - 3, 2 - 3, 2)):
         mean = sampling.exact_mean(fam, q, spec)
         center = raw if mean is None else float(mean)
@@ -206,24 +216,24 @@ def test_block_sizes_binomial():
 def test_mean_r2_matches_qc():
     fam = Example1Family(cyclic_group(2), multiplicities=(1, 3))
     q, trials = 100, 2000
-    batch = sample_batch(fam, q, trials, root_seed=13)
+    shapes = sample_shapes(fam, q, trials, 13, {0, 1})
     for slot, c in [(0, Fraction(1, 4)), (1, Fraction(3, 4))]:
-        values = [float(statistic_value(t[slot], ("R", slot, 2))) for t in batch.samples]
+        values = [float(statistic_value(lam, ("R", slot, 2))) for lam in shapes[slot]]
         se = math.sqrt(float(c * (1 - c)) * q / trials)
         assert abs(statistics.fmean(values) - float(q * c)) <= 4 * se
 
 
 def test_reproducibility_and_workers():
     fam = Example1Family(cyclic_group(2))
-    a = sample_batch(fam, 30, 40, root_seed=99)
-    b = sample_batch(fam, 30, 40, root_seed=99)
-    assert a.samples == b.samples
-    c = sample_batch(fam, 30, 40, root_seed=99, workers=2)
-    assert c.samples == a.samples
-    d = sample_batch(fam, 30, 40, root_seed=100)
-    assert d.samples != a.samples
+    a = full_tuples(fam, 30, 40, 99)
+    b = full_tuples(fam, 30, 40, 99)
+    assert a == b
+    c = full_tuples(fam, 30, 40, 99, workers=2)
+    assert c == a
+    d = full_tuples(fam, 30, 40, 100)
+    assert d != a
     # sample i draws from the counter-seeded stream "root_seed:i"
-    for i, sample in enumerate(a.samples):
+    for i, sample in enumerate(a):
         assert sample == sample_canonical(fam, 30, random.Random(f"99:{i}"))
 
 
@@ -253,8 +263,7 @@ def test_pool_size_is_capped(monkeypatch, workers, n, cpus, expected):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, 6, n, root_seed=5, workers=workers)
-    assert batch.samples == sample_batch(fam, 6, n, root_seed=5).samples
+    assert full_tuples(fam, 6, n, 5, workers) == full_tuples(fam, 6, n, 5)
     assert sizes == [expected]
 
 
@@ -311,29 +320,40 @@ def test_zero_weight_slot_stays_empty():
     assert sample_canonical(fam, 5, PermutationRng(perm), [1]) == ((),)
 
 
-@pytest.mark.parametrize("fam", LAZY_FAMILIES[:2])
-def test_lazy_batch_same_for_any_worker_count(fam):
+@pytest.mark.parametrize("fam", LAZY_FAMILIES)
+def test_slot_shapes_same_for_any_worker_count_and_slot_set(fam):
     first = [("R", 0, 2), ("character", 0, 2)]
     later = [("R", 1, 3), ("p", 0, 3)]
+    n_slots = fam.ct.num_irreps
+    subsets = [
+        set(subset)
+        for r in range(1, n_slots + 1)
+        for subset in itertools.combinations(range(n_slots), r)
+    ]
     stats = {}
     for workers in (1, 2):
-        batch = sample_batch(fam, 25, 30, root_seed=7, workers=workers)
-        one = fluctuation_statistics(batch, first)
-        assert sorted(batch.shapes) == [0]
-        # a second call builds the slot it lacks and keeps the built one
-        slot0 = batch.shapes[0]
-        two = fluctuation_statistics(batch, later + first)
-        assert batch.shapes[0] is slot0
-        assert sorted(batch.shapes) == [0, 1]
-        stats[workers] = (one, two, batch.samples)
-        assert len(batch.samples) == 30
+        alone = {s: sample_shapes(fam, 25, 30, 7, {s}, workers)[s] for s in range(n_slots)}
+        one = fluctuation_statistics(fam, 25, {0: alone[0]}, first)
+        for subset in subsets:
+            drawn = sample_shapes(fam, 25, 30, 7, subset, workers)
+            assert sorted(drawn) == sorted(subset)
+            # a slot's shapes are the same whichever slots are drawn with it
+            assert all(drawn[s] == alone[s] for s in subset), subset
+            if 0 in subset:
+                assert fluctuation_statistics(fam, 25, drawn, first) == one, subset
+        two = fluctuation_statistics(fam, 25, alone, later + first)
+        samples = list(zip(*(alone[s] for s in range(n_slots))))
+        stats[workers] = (one, two, samples)
+        assert len(samples) == 30
     assert stats[1] == stats[2]
     eager = [sample_canonical(fam, 25, random.Random(f"7:{i}")) for i in range(30)]
     assert stats[1][2] == eager
-    assert sample_batch(fam, 25, 0, root_seed=7, workers=2).samples == []
+    assert sample_shapes(fam, 25, 0, 7, range(n_slots), workers=2) == {
+        s: [] for s in range(n_slots)
+    }
 
 
-def test_statistics_insert_only_the_slots_they_read(monkeypatch):
+def test_only_the_given_slots_are_inserted(monkeypatch):
     fam = Example1Family(cyclic_group(2))
     q, n = 60, 20
     sizes = [
@@ -348,20 +368,20 @@ def test_statistics_insert_only_the_slots_they_read(monkeypatch):
         return real(values)
 
     monkeypatch.setattr(sampling, "_insertion_shape", counting)
-    batch = sample_batch(fam, q, n, root_seed=4)
-    assert inserted == []
-    fluctuation_statistics(batch, [("R", 0, 2)])
+    shapes = sample_shapes(fam, q, n, 4, [0, 0])
     assert inserted == [s[0] for s in sizes]
     inserted.clear()
-    fluctuation_statistics(batch, [("R", 0, 3), ("R", 0, 2)])
+    # statistics read the given shapes: they draw and insert nothing
+    fluctuation_statistics(fam, q, shapes, [("R", 0, 2)])
+    fluctuation_statistics(fam, q, shapes, [("R", 0, 3), ("R", 0, 2)])
     assert inserted == []
 
 
 def test_free_cumulants_run_once_per_shape_per_slot(monkeypatch):
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, 20, 50, root_seed=3)
+    shapes = sample_shapes(fam, 20, 50, 3, {0, 1})
     specs = [("R", 0, 2), ("p", 0, 3), ("character", 0, 2), ("R", 1, 4), ("R", 0, 2)]
-    expected = fluctuation_statistics(batch, specs)
+    expected = fluctuation_statistics(fam, 20, shapes, specs)
     depths = []
     real = sampling.free_cumulants
 
@@ -370,7 +390,7 @@ def test_free_cumulants_run_once_per_shape_per_slot(monkeypatch):
         return real(lam, up_to)
 
     monkeypatch.setattr(sampling, "free_cumulants", counting)
-    assert fluctuation_statistics(batch, specs) == expected
+    assert fluctuation_statistics(fam, 20, shapes, specs) == expected
     # one call per shape of each slot, as deep as the slot's statistics read:
     # slot 0's character:2 reads R_3, slot 1's R:4 reads R_4
     assert Counter(depths) == {3: 50, 4: 50}
@@ -395,11 +415,9 @@ def test_statistic_value_is_each_kind_direct_formula(lam, i):
 
 def test_character_statistic_matches_direct_scalar():
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, 6, 30, root_seed=21)
-    for t in batch.samples:
+    for lam in sample_shapes(fam, 6, 30, 21, {0})[0]:
         for l in (1, 2, 3):
-            via = statistic_value(t[0], ("character", 0, l))
-            lam = t[0]
+            via = statistic_value(lam, ("character", 0, l))
             n = sum(lam)
             direct = (
                 indicator_scalar(lam, (l,)) / falling(n, l)
@@ -414,16 +432,9 @@ def test_point_mass_statistics_vanish():
         cyclic_group(2), (Fraction(1, 2), Fraction(1, 2))
     )
     q = 16
-    shapes = fam.shapes(q)
-    batch = SampleBatch(
-        family=fam,
-        q=q,
-        root_seed=0,
-        n_samples=40,
-        shapes={slot: [lam] * 40 for slot, lam in enumerate(shapes)},
-    )
+    shapes = {slot: [lam] * 40 for slot, lam in enumerate(fam.shapes(q))}
     stats = fluctuation_statistics(
-        batch, [("R", 0, 2), ("R", 1, 3), ("p", 0, 4), ("character", 0, 2)]
+        fam, q, shapes, [("R", 0, 2), ("R", 1, 3), ("p", 0, 4), ("character", 0, 2)]
     )
     assert all(v == 0 for row in stats for v in row)
     report = normality_check(stats)
@@ -433,15 +444,22 @@ def test_point_mass_statistics_vanish():
 
 def test_statistic_errors():
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, 8, 5, root_seed=1)
+    shapes = sample_shapes(fam, 8, 5, 1, {0})
     with pytest.raises(ValueError):
-        fluctuation_statistics(batch, [("R", 0, 1)])
+        fluctuation_statistics(fam, 8, shapes, [("R", 0, 1)])
     with pytest.raises(ValueError):
-        fluctuation_statistics(batch, [("p", 0, 1)])
+        fluctuation_statistics(fam, 8, shapes, [("p", 0, 1)])
     with pytest.raises(ValueError):
-        fluctuation_statistics(batch, [("sigma", 0, 2)])
-    with pytest.raises(ValueError):
-        fluctuation_statistics(SampleBatch(fam, 8, 0, 0), [("R", 0, 2)])
+        fluctuation_statistics(fam, 8, shapes, [("sigma", 0, 2)])
+    with pytest.raises(ValueError, match="empty batch"):
+        fluctuation_statistics(fam, 8, sample_shapes(fam, 8, 0, 0, {0}), [("R", 0, 2)])
+
+
+def test_normality_check_refuses_no_samples():
+    with pytest.raises(ValueError, match="no samples"):
+        normality_check([])
+    with pytest.raises(ValueError, match="no samples"):
+        normality_check([], ["x"], predicted_cov=[[1]])
 
 
 def test_normality_calibration():
@@ -487,8 +505,8 @@ def test_predicted_covariance_table():
 def test_r3_fluctuations_match_limit():
     fam = Example1Family(cyclic_group(2))
     q, trials = 400, 1500
-    batch = sample_batch(fam, q, trials, root_seed=2026)
-    stats = fluctuation_statistics(batch, [("R", 0, 3), ("R", 1, 3)])
+    shapes = sample_shapes(fam, q, trials, 2026, {0, 1})
+    stats = fluctuation_statistics(fam, q, shapes, [("R", 0, 3), ("R", 1, 3)])
     report = normality_check(
         stats,
         ["r3a", "r3b"],
@@ -504,9 +522,9 @@ def test_r3_fluctuations_match_limit():
 
 def test_csv_and_summary_schema():
     fam = Example1Family(cyclic_group(2))
-    batch = sample_batch(fam, 10, 12, root_seed=8)
+    shapes = sample_shapes(fam, 10, 12, 8, {0, 1})
     specs = [("R", 0, 2), ("p", 1, 2)]
-    text, summary = _sample_texts(batch, specs)
+    text, summary = _sample_texts(fam, 10, 8, 12, shapes, specs)
     lines = text.strip().split("\n")
     assert lines[0] == "# schema_version=1"
     assert lines[1] == "sample,statistic,raw,centered_scaled"
