@@ -299,7 +299,7 @@ def check_structure_budget(bound: int) -> None:
 def check_structure_constants(bound: int, failures: list) -> int:
     """Indicator products against explicit partial-permutation algebra."""
 
-    @cache
+    @cache  # local to one check: one entry per rows up to its bound
     def expand(rows, q0):
         """The indicator, expanded once: (multiplicity, partial permutations).
 

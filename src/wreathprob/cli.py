@@ -194,6 +194,8 @@ def _load_group(spec):
         raise InputError(f"bad group {spec!r}: {exc}")
     try:
         return character_table_from_json(json.loads(Path(spec).read_text()))
+    except WreathprobError:
+        raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InputError(f"cannot load group {spec!r}: {exc}")
 

@@ -26,7 +26,7 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-@cache
+@cache  # one entry per root order; builtin values' orders divide |G| <= MAX_GROUP_ORDER
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first.
 
@@ -49,7 +49,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@cache
+@cache  # one entry per root order, as for cyclotomic_polynomial
 def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Nonzero (index, coefficient) pairs of x^k mod Phi_order, 0 <= k < 2 * order.
 
@@ -118,11 +118,6 @@ class Cyclotomic:
         out.order = order
         out.coeffs = coeffs
         return out
-
-    @classmethod
-    def reduced(cls, order: int, coeffs) -> "Cyclotomic":
-        """Wrap coefficients already reduced mod Phi_order, in canonical form."""
-        return cls._of(order, _canonical(coeffs))
 
     @classmethod
     def root(cls, order: int, exponent: int = 1) -> "Cyclotomic":

@@ -19,14 +19,16 @@ from .errors import Infeasible
 
 # k^2 (k + 1) orthogonality products for k classes; dihedral:53 (22736) validates in about 1.0 s
 MAX_ORTHOGONALITY_PRODUCTS = 30_000
-# the largest builtin cyclic or dihedral order: `family` on example1 cyclic:128 takes about 1.2 s
-MAX_BUILTIN_ORDER = 128
+# every group's largest order, checked before any table loop; `family` on cyclic:128: 1.2 s
+MAX_GROUP_ORDER = 128
 
 
 class GroupTable:
     """A finite group as a multiplication table over range(order)."""
 
     def __init__(self, mult):
+        if len(mult) > MAX_GROUP_ORDER:
+            raise Infeasible(f"order {len(mult)} passes the order budget of {MAX_GROUP_ORDER}")
         self.mult = tuple(tuple(int(v) for v in row) for row in mult)
         self.order = len(self.mult)
         if any(len(row) != self.order for row in self.mult):
@@ -191,8 +193,8 @@ def _simplify(v):
 def cyclic_group(n: int) -> CharacterTable:
     if n < 1:
         raise ValueError("order must be positive")
-    if n > MAX_BUILTIN_ORDER:
-        raise Infeasible(f"cyclic:{n} passes the builtin order budget of {MAX_BUILTIN_ORDER}")
+    if n > MAX_GROUP_ORDER:
+        raise Infeasible(f"cyclic:{n} passes the group order budget of {MAX_GROUP_ORDER}")
     mult = [[(i + j) % n for j in range(n)] for i in range(n)]
     group = GroupTable(mult)
     # classes are singletons {0},{1},..., already in element order
@@ -232,8 +234,8 @@ def dihedral_group(n: int) -> CharacterTable:
     if n < 3:
         raise ValueError("dihedral groups start at n = 3 here")
     order = 2 * n
-    if order > MAX_BUILTIN_ORDER:
-        raise Infeasible(f"dihedral:{n} has order {order}, past the budget of {MAX_BUILTIN_ORDER}")
+    if order > MAX_GROUP_ORDER:
+        raise Infeasible(f"dihedral:{n} has order {order}, past the budget of {MAX_GROUP_ORDER}")
 
     def idx(i, j):
         return i % n + n * (j % 2)

@@ -145,7 +145,7 @@ def _filling(rows: tuple[int, ...], points, q: int) -> PartialPerm:
     return tuple(images), support
 
 
-@cache
+@cache  # unbounded: 206 entries on `sample --stats R:0:14`, each costly to recompute
 def product_coefficients(mu: tuple[int, ...], nu: tuple[int, ...]) -> dict:
     """Expansion of the natural product of two indicators in indicators.
 
@@ -310,7 +310,7 @@ def _coefficient(series: dict, degree: int, divisor: int = 1) -> dict:
     return out
 
 
-@cache
+@cache  # keyed by an index: one entry per row length asked for
 def indicator_in_free_cumulants(l: int) -> dict:
     """The one-row indicator of length l as a free-cumulant polynomial (Kerov).
 
@@ -339,7 +339,7 @@ def indicator_in_free_cumulants(l: int) -> dict:
     return {mono: -c for mono, c in _coefficient(product, top, l).items()}
 
 
-@cache
+@cache  # keyed by an index: one entry per profile moment asked for
 def profile_moment_in_free_cumulants(k: int) -> dict:
     """The k-th profile power sum as a free-cumulant polynomial: [w^k] phi^k.
 
@@ -361,7 +361,7 @@ def in_indicators(poly: dict) -> IndicatorSum:
     return out
 
 
-@cache
+@cache  # keyed by an index: one entry per free cumulant asked for
 def free_cumulant_as_indicators(n: int) -> IndicatorSum:
     """Free cumulant R_n written back as a combination of indicators."""
     if n == 1:

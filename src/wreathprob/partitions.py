@@ -13,8 +13,12 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 
+# dimensions and (diagram, rows) scalars remembered by value: a measure's support
+# and a command's rows read the same terms on the same diagrams again and again
+SCALAR_CACHE_SIZE = 2**12
 
-@cache
+
+@cache  # keyed by a size: n <= q of an enumeration under the class budget, or a check bound
 def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...], ...]:
     """All partitions of ``n`` with parts at most ``max_part``, lex-descending."""
     if n < 0:
@@ -43,7 +47,7 @@ def conjugate(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for part in lam if part > j) for j in range(lam[0]))
 
 
-@cache
+@lru_cache(maxsize=SCALAR_CACHE_SIZE)
 def dimension(lam: tuple[int, ...]) -> int:
     """Number of standard Young tableaux of shape ``lam`` (hook lengths)."""
     n = sum(lam)
@@ -55,11 +59,6 @@ def dimension(lam: tuple[int, ...]) -> int:
         for j in range(row):
             hooks *= row - j + conj[j] - i - 1
     return math.factorial(n) // hooks
-
-
-# (diagram, rows) scalars remembered by value: a measure's support and a
-# command's rows read the same terms on the same diagrams again and again
-SCALAR_CACHE_SIZE = 2**12
 
 
 @lru_cache(maxsize=SCALAR_CACHE_SIZE)

@@ -19,14 +19,13 @@ measure, the one its class function decomposes into.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
 from collections import Counter
 from fractions import Fraction
 
-from .cyclotomics import Cyclotomic, conjugate_value, numerator_denominator, value_as_fraction
+from .cyclotomics import conjugate_value, numerator_denominator, value_as_fraction
 from .errors import Infeasible, InputError, NoLimitTable
 from .groups import CharacterTable, _coeff_from_json, _coeff_to_json, builtin_group
 from .groups import character_table_from_json, character_table_to_json, validate_character_table
@@ -160,62 +159,33 @@ def wreath_order(ct: CharacterTable, q: int) -> int:
     return ct.group.order**q * math.factorial(q)
 
 
-@functools.cache
-def _shares(m: int, caps: tuple[int, ...]) -> tuple:
-    """Every way to share m equal cycles among slots taking at most caps[j] each.
-
-    Each share is (takes, ways): ``ways`` = m! / prod takes! assignments
-    of the cycles to the slots give it.
-    """
-    if not caps:
-        return (((), 1),) if m == 0 else ()
-    return tuple(
-        ((take, *rest), ways * math.comb(m, take))
-        for take in range(min(m, caps[0]) + 1)
-        for rest, ways in _shares(m - take, caps[1:])
-    )
-
-
 def _split_ways(ct: CharacterTable, t, sizes) -> dict:
-    """The splits of type t's cycles among the slots, summed per key.
+    """The splits of type t's cycles among the slots, summed per cycle lengths.
 
     A split gives slot rho cycles of |lam^rho| points in all; a slot takes
-    no cycle of a G-class its irreducible vanishes on.  The key is
-    (lengths, picks): ``lengths[rho]`` lists the cycle lengths slot rho
-    receives, ascending, and ``picks[rho * k + c]`` counts its cycles of
-    G-class c, for k G-classes.  The value is the number of
-    cycle-to-slot assignments behind the key's splits.  Cells of equal
-    cycles are shared out one at a time, and equal partial keys merge.
+    no cycle of a G-class its irreducible vanishes on.  The cycles of
+    sorted(t) go out one at a time, and a state is (room per slot, cycle
+    lengths per slot, ascending).  Its value is the sum, over the
+    cycle-to-slot assignments behind it, of the product of the slot
+    characters at the cycles' colour classes; equal states merge by
+    adding values.  Returns {lengths per slot: that sum}.
     """
     irreps = ct.irreps
-    k = len(ct.group.conjugacy_classes)
-    states = {(tuple(sizes), ((),) * len(irreps), (0,) * (len(irreps) * k)): 1}
-    for (length, g_class), m in sorted(Counter(t).items()):
-        open_slots = [rho for rho, irrep in enumerate(irreps) if irrep.values[g_class] != 0]
-        merged: dict[tuple, int] = {}
-        for (room, lengths, picks), ways in states.items():
-            caps = tuple(room[rho] // length for rho in open_slots)
-            for takes, share in _shares(m, caps):
-                room2, lengths2, picks2 = list(room), list(lengths), list(picks)
-                for rho, take in zip(open_slots, takes):
-                    if take:
-                        room2[rho] -= take * length
-                        lengths2[rho] += (length,) * take
-                        picks2[rho * k + g_class] += take
-                key = (tuple(room2), tuple(lengths2), tuple(picks2))
-                merged[key] = merged.get(key, 0) + ways * share
+    states = {(tuple(sizes), ((),) * len(irreps)): 1}
+    for length, g_class in sorted(t):
+        merged: dict[tuple, object] = {}
+        for (room, lengths), value in states.items():
+            for rho, irrep in enumerate(irreps):
+                chi = irrep.values[g_class]
+                if room[rho] < length or not chi:
+                    continue
+                room2, lengths2 = list(room), list(lengths)
+                room2[rho] -= length
+                lengths2[rho] += (length,)
+                key = (tuple(room2), tuple(lengths2))
+                merged[key] = merged.get(key, 0) + value * chi
         states = merged
-    return {(lengths, picks): ways for (_, lengths, picks), ways in states.items()}
-
-
-def _colour(ct: CharacterTable, picks):
-    """Product of the slot characters at the picked G-classes (see ``_split_ways``)."""
-    k = len(ct.group.conjugacy_classes)
-    out = 1
-    for i, count in enumerate(picks):
-        for _ in range(count):
-            out = out * ct.irreps[i // k].values[i % k]
-    return out
+    return {lengths: value for (_, lengths), value in states.items()}
 
 
 def class_values(ct: CharacterTable, lam_tuples, t) -> list:
@@ -227,38 +197,19 @@ def class_values(ct: CharacterTable, lam_tuples, t) -> list:
     Each split contributes the product of the slot characters at its
     cycles' colour classes times, per slot, the symmetric-group character
     at the lengths the slot received.  The splits depend on the sizes
-    alone, so they are walked once for all the irreducibles.  Per cycle
-    lengths, the products of slot characters are summed on integer
-    coefficient vectors, one per root order; an irreducible then weighs
-    these sums by its integer character products.  A value is an int
-    unless a product with a cyclotomic value has a nonzero weight, and
-    then a cyclotomic number over the lcm of those products' orders.
+    alone, so they are walked once for all the irreducibles, and an
+    irreducible weighs each colour sum by its integer character product.
+    A value is an int unless a colour sum with a nonzero weight is
+    cyclotomic, and then a cyclotomic number over the lcm of their orders.
     """
-    per_lengths: dict[tuple, list] = {}
-    for (lengths, picks), ways in _split_ways(ct, t, map(sum, lam_tuples[0])).items():
-        entry = per_lengths.setdefault(lengths, [0, {}])
-        colour = _colour(ct, picks)
-        if isinstance(colour, Cyclotomic):
-            vector = entry[1].setdefault(colour.order, [0] * len(colour.coeffs))
-            for j, c in enumerate(colour.coeffs):
-                vector[j] += ways * c
-        else:
-            entry[0] += ways * colour
+    colours = _split_ways(ct, t, map(sum, lam_tuples[0])).items()
     out = []
     for lam_tuple in lam_tuples:
         value = 0
-        sums: dict[int, list] = {}
-        for lengths, (rational, vectors) in per_lengths.items():
+        for lengths, colour in colours:
             weight = math.prod(map(sym_character, lam_tuple, lengths))
-            if not weight:
-                continue
-            value += weight * rational
-            for order, vector in vectors.items():
-                acc = sums.setdefault(order, [0] * len(vector))
-                for j, c in enumerate(vector):
-                    acc[j] += weight * c
-        for order, acc in sums.items():
-            value += Cyclotomic.reduced(order, acc)
+            if weight:
+                value += weight * colour
         out.append(value)
     return out
 

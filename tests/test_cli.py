@@ -235,6 +235,30 @@ def test_groups_past_their_budgets_exit_3_before_any_table(capsys, monkeypatch, 
         assert "30752 orthogonality products pass 30000" in err and "Traceback" not in err, argv
 
 
+def test_tables_past_the_group_order_budget_exit_3_before_any_loop(capsys, monkeypatch, tmp_path):
+    def no_loop(*args):
+        raise AssertionError("a loop over the table ran")
+
+    # order 129 as plain int rows; the budget reads the row count alone
+    rows = [[(i + j) % 129 for j in range(129)] for i in range(129)]
+    table = {"order": 129, "mult": rows, "character_table": {"classes": [], "irreps": []}}
+    path = tmp_path / "c129.json"
+    path.write_text(json.dumps(table))
+    monkeypatch.setattr(GroupTable, "_find_identity", no_loop)
+    monkeypatch.setattr(GroupTable, "validate_group", no_loop)
+    inline = json.dumps({"kind": "example1", "group": table})
+    for argv in (
+        ["group", "--group", str(path)],
+        ["verify", "--scope", "characters", "--group", str(path)],
+        ["verify", "--scope", "lemma", "--group", str(path), "--bound", "2"],
+        ["family", "--family", inline],
+        ["family", "--family", inline, "--q", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert "order 129 passes the order budget of 128" in err and "Traceback" not in err, argv
+
+
 def test_family_report_with_measure(capsys):
     code, out, _ = run(capsys, "family", "--family", LEFT_REGULAR, "--q", "2")
     assert code == 0

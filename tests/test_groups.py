@@ -36,7 +36,7 @@ def _no_table(*args):
 
 
 def test_builtin_groups_past_the_order_budget_are_refused_before_building(monkeypatch):
-    # the largest orders are MAX_BUILTIN_ORDER = 128: cyclic:128 and dihedral:64
+    # the largest orders are MAX_GROUP_ORDER = 128: cyclic:128 and dihedral:64
     monkeypatch.setattr(groups, "GroupTable", _no_table)
     for spec in ("cyclic:129", "Z/129", "z/200", "dihedral:65", " Dihedral:100 "):
         with pytest.raises(Infeasible, match="budget of 128"):
@@ -49,6 +49,23 @@ def test_builtin_groups_past_the_order_budget_are_refused_before_building(monkey
         builtin_group("cyclic:0")
     with pytest.raises(ValueError, match="start at n = 3"):
         builtin_group("dihedral:2")
+
+
+def test_tables_past_the_order_budget_are_refused_before_any_loop(monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("a loop over the table ran")
+
+    monkeypatch.setattr(GroupTable, "_find_identity", no_loop)
+    monkeypatch.setattr(GroupTable, "validate_group", no_loop)
+    for n in (129, 200):
+        rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+        with pytest.raises(Infeasible, match=f"order {n} passes the order budget of 128"):
+            GroupTable(rows)
+        with pytest.raises(Infeasible, match="budget of 128"):
+            character_table_from_json({"mult": rows, "character_table": {}})
+    # MAX_GROUP_ORDER = 128 itself is admitted, up to the first loop
+    with pytest.raises(AssertionError, match="loop over the table ran"):
+        GroupTable([[(i + j) % 128 for j in range(128)] for i in range(128)])
 
 
 def test_validation_past_the_budget_is_refused_before_orthogonality(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from wreathprob.indicators import indicator_scalar
 from wreathprob.partitions import (
+    SCALAR_CACHE_SIZE,
     character,
     conjugate,
     dimension,
@@ -70,6 +71,8 @@ def test_dimension_frozen_values():
     assert dimension((2, 1)) == 2
     assert dimension((4, 3, 1)) == 70
     assert dimension((5, 5)) == 42  # Catalan number
+    # keyed by diagrams, so bounded like the (diagram, rows) scalars
+    assert dimension.cache_info().maxsize == SCALAR_CACHE_SIZE
 
 
 def test_dimension_squares_sum_to_group_order():

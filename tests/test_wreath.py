@@ -76,7 +76,16 @@ def test_budget_counts_match_enumeration():
 
 
 @pytest.mark.parametrize(
-    "spec, top", [("cyclic:2", 5), ("cyclic:3", 4), ("S3", 4), ("cyclic:4", 3)]
+    "spec, top",
+    [
+        ("cyclic:2", 5),
+        ("cyclic:3", 4),
+        ("S3", 4),
+        ("cyclic:4", 3),
+        # 2-dimensional irreducibles; dihedral:5 has the values z5 + z5^-1
+        ("dihedral:4", 3),
+        ("dihedral:5", 3),
+    ],
 )
 def test_class_value_columns_match_per_irreducible_walk(spec, top):
     # same value and same representation: an int where the per-irreducible
