@@ -199,8 +199,8 @@ class LimitParameters:
     c maps (slot, index >= 2) to the limit of E[R_index] q^{-index/2};
     cov maps symmetrized (slot1, l1, slot2, l2) to the limit of
     Cov(R_{l1+1}, R_{l2+1}) q^{-(l1+l2)/2}.  Missing keys mean zero.
-    cov=None means the covariance table is not determined (the induction
-    transform only propagates means).
+    cov=None means the covariance table is not determined (an induced
+    family's table withholds it).
     """
 
     slots: int
@@ -387,26 +387,6 @@ def _cov_table(slots: int, top: int, entry) -> dict:
     return cov
 
 
-def induce_limits(params: LimitParameters, p, ct) -> LimitParameters:
-    """Means after inducing from size r_q with r_q/q -> p; covariance open."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("induction density must lie in [0, 1]")
-    order = len(ct.group.mult)
-    c = {}
-    for z, irrep in enumerate(ct.irreps):
-        fresh = Fraction(irrep.dim**2, order)
-        value = p * params.c_value(z, 2) + (1 - p) * fresh
-        if value:
-            c[(z, 2)] = value
-    for (z, i), v in params.c.items():
-        if i >= 3 and v:
-            scaled = half_power(p, i) * v
-            if scaled:
-                c[(z, i)] = scaled
-    return LimitParameters(slots=params.slots, c=c, cov=None)
-
-
 def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitParameters:
     """Limits of the size-split juxtaposition with left share p1."""
     p1 = Fraction(p1)
@@ -418,8 +398,11 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
         raise ValueError("slot counts differ")
     top = max(_max_l(left), _max_l(right))
     power1, power2 = ({k: half_power(p, k) for k in range(2, 2 * top + 1)} for p in (p1, p2))
+    # an absent side adds nothing: a float power times zero would turn an
+    # exact entry of the other side into a float
+    sides = ((power1, left), (power2, right))
     c = {
-        (z, i): power1[i] * left.c_value(z, i) + power2[i] * right.c_value(z, i)
+        (z, i): sum(p[i] * v for p, side in sides if (v := side.c_value(z, i)) is not _ZERO)
         for z in range(slots)
         for i in range(2, top + 2)
     }

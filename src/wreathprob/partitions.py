@@ -35,7 +35,8 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[tuple[int, ...],
 
 
 def is_partition(lam: tuple[int, ...]) -> bool:
-    return all(isinstance(p, int) and p >= 1 for p in lam) and all(
+    # bool is an int subclass, so the type is compared exactly
+    return all(type(p) is int and p >= 1 for p in lam) and all(
         lam[i] >= lam[i + 1] for i in range(len(lam) - 1)
     )
 

@@ -19,6 +19,7 @@ measure, the one its class function decomposes into.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -510,9 +511,10 @@ class IrreducibleFamily(RepFamily):
     """Deterministic balanced shapes: one fixed tuple of partitions per q.
 
     Each slot receives a near-floor(weight * q) share of the boxes filled
-    with an integer dilation of a base diagram; the handful of leftover
-    boxes are appended as short rows, which is negligible at the scaling
-    the limit theorems use.  Moments are plain products of scalars.
+    by ``_fill``: an integer dilation of a base diagram plus leftover rows.
+    The shape is the exact dilation only at sizes n = t^2 |base|, and only
+    there do its scaled free cumulants equal the limit table's.  Moments
+    are plain products of scalars.
     """
 
     kind = "irreducible"
@@ -533,7 +535,13 @@ class IrreducibleFamily(RepFamily):
 
     @staticmethod
     def _fill(base: tuple[int, ...], n: int) -> tuple[int, ...]:
-        """Dilate the base to at most n boxes, append leftovers as short rows."""
+        """Dilate the base by t = isqrt(n // |base|), then append the rest as rows.
+
+        The n - t^2 |base| leftover boxes go into rows of width t * base[-1].
+        They vanish only when n = t^2 |base|; elsewhere they are not
+        negligible at the sqrt(n) scaling: base (3) at n = 24 gets 12
+        leftover boxes and is a 4x6 rectangle, not the 2x6 dilation.
+        """
         if n == 0:
             return ()
         size = sum(base)
@@ -767,9 +775,11 @@ class InducedFamily(OuterFamily):
         self.parent = parent
 
     def limits(self, max_index: int = 6):
-        from .asymptotics import induce_limits
+        """The outer table, its covariances withheld before ``outer_limits`` builds any."""
+        from .asymptotics import outer_limits
 
-        return induce_limits(self.parent.limits(max_index), self.ratio, self.ct)
+        parent = dataclasses.replace(self.parent.limits(max_index), cov=None)
+        return outer_limits(parent, self.right.limits(max_index), self.ratio)
 
 
 class TensorFamily(_ConstructorFamily):
@@ -811,10 +821,10 @@ class TensorFamily(_ConstructorFamily):
         return {t: v * right[t] for t, v in self.left.class_function(q).items() if t in right}
 
     def limits(self, max_index: int = 6):
-        """The independent-box table whose slot weights are the one-box measure.
+        """The independent-box table whose slot weights are one-box moments.
 
         Two independent-box fibres multiply into one fibre, and at q = 1 the
-        measure gives slot z that fibre's weight: dim_z times its
+        one-box moment of slot z is that fibre's weight: dim_z times its
         class-size-weighted inner product with chi_z.
         """
         from .asymptotics import example1_limits
@@ -822,9 +832,8 @@ class TensorFamily(_ConstructorFamily):
         for fam in (self.left, self.right):
             if not isinstance(fam, Example1Family):
                 raise NoLimitTable(f"no tensor limit table for family kind {fam.kind!r}")
-        measure, slots = self.canonical_measure(1), range(self.ct.num_irreps)
-        one_box = (tuple((1,) if i == z else () for i in slots) for z in slots)
-        return example1_limits([measure.get(t, 0) for t in one_box], max_index)
+        weights = [self.moment(1, [(z, (1,))]) for z in range(self.ct.num_irreps)]
+        return example1_limits(weights, max_index)
 
 
 def _group_from_json(doc) -> CharacterTable:

@@ -560,7 +560,12 @@ def per_entry_outer_limits(left, right, p1):
     c = {}
     for z in range(left.slots):
         for i in range(2, top + 2):
-            value = half_power(p1, i) * left.c_value(z, i) + half_power(p2, i) * right.c_value(z, i)
+            # a side without the entry adds nothing, not a float zero
+            value = sum(
+                half_power(p, i) * side.c[(z, i)]
+                for p, side in ((p1, left), (p2, right))
+                if (z, i) in side.c
+            )
             if value:
                 c[(z, i)] = value
     out = LimitParameters(slots=left.slots, c=c, cov=None)
@@ -586,17 +591,37 @@ def per_entry_outer_limits(left, right, p1):
     return out
 
 
+def induce_limits(params, p, ct):
+    """Means after inducing from size r_q with r_q/q -> p; covariance open."""
+    from wreathprob.asymptotics import LimitParameters, half_power
+
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("induction density must lie in [0, 1]")
+    order = len(ct.group.mult)
+    c = {}
+    for z, irrep in enumerate(ct.irreps):
+        fresh = Fraction(irrep.dim**2, order)
+        value = p * params.c_value(z, 2) + (1 - p) * fresh
+        if value:
+            c[(z, 2)] = value
+    for (z, i), v in params.c.items():
+        if i >= 3 and v:
+            scaled = half_power(p, i) * v
+            if scaled:
+                c[(z, i)] = scaled
+    return LimitParameters(slots=params.slots, c=c, cov=None)
+
+
 def per_entry_limits(family, max_index: int = 6):
     """A family's limit table with one composition dynamic program per entry.
 
     ``restricted`` and ``outer`` nodes run the per-entry loops that
     ``restrict_limits`` and ``outer_limits`` ran before they read one
-    ``composition_sums`` per slot; ``induced`` recurses into its parent,
-    and every other kind asks the library, which builds no double sum
-    for them.
+    ``composition_sums`` per slot; ``induced`` recurses into its parent
+    and applies ``induce_limits``, and every other kind asks the library,
+    which builds no double sum for them.
     """
-    from wreathprob.asymptotics import induce_limits
-
     if family.kind == "restricted":
         parent = per_entry_limits(family.parent, max_index)
         return per_entry_restrict_limits(parent, 1 / family.ratio)

@@ -17,7 +17,6 @@ from wreathprob.asymptotics import (
     convergence_report,
     element_cumulant,
     example1_limits,
-    induce_limits,
     irreducible_limits,
     restrict_limits,
 )
@@ -44,6 +43,7 @@ from wreathprob.sampling import (
 )
 from wreathprob.wreath import (
     Example1Family,
+    InducedFamily,
     IrreducibleFamily,
     enumerate_irreps,
     factorized_character,
@@ -287,7 +287,7 @@ def test_criterion_10_constructor_transforms():
     ct = symmetric3_group()
     parent = example1_limits(tuple(Fraction(d * d, 6) for d in ct.dims()), max_l=3)
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-        child = induce_limits(parent, p, ct)
+        child = InducedFamily(Example1Family(ct), p).limits(3)
         assert {k: v for k, v in child.c.items() if k[1] == 2} == parent.c, p
     _announce(10, "restriction endpoints and induced densities behave")
 

@@ -19,7 +19,6 @@ from wreathprob.asymptotics import (
     element_cumulant,
     example1_limits,
     half_power,
-    induce_limits,
     irreducible_limits,
     natural_cumulant,
     outer_limits,
@@ -49,7 +48,7 @@ from wreathprob.wreath import (
 
 from family_trees import PROPERTY_GROUPS, moment_factors, nodes, trees
 from oracles import composition_double_sum_bruteforce, compositions, measure_r_cumulant
-from oracles import per_entry_limits, per_entry_restrict_limits, tensor_fibre_weights
+from oracles import induce_limits, per_entry_limits, per_entry_restrict_limits, tensor_fibre_weights
 
 
 def composition_double_sum(c_of, l1: int, l2: int, weight=None):
@@ -614,7 +613,7 @@ def test_induction_limit_means():
     fam = Example1Family(ct)
     parent = fam.limits(max_index=4)
     for p in (Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-        child = induce_limits(parent, p, ct)
+        child = InducedFamily(fam, p).limits(max_index=4)
         # left-regular weights are reproduced for every density
         assert {k: v for k, v in child.c.items() if k[1] == 2} == parent.c
         assert child.cov is None
@@ -627,6 +626,48 @@ def test_induction_limit_means():
         (1, 2): Fraction(1, 6),
         (2, 2): Fraction(2, 3),
     }
+
+
+@st.composite
+def _induced_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    parent = draw(trees(ct, 2, shaped=True))
+    # square ratios keep p^{i/2} exact while 1 - p is no square
+    p = draw(st.sampled_from([0, Fraction(1, 4), Fraction(1, 3), Fraction(4, 9), Fraction(1, 2), 1]))
+    return parent, Fraction(p), draw(st.sampled_from(range(2, 11)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_induced_cases())
+def test_induced_table_is_the_outer_table_with_the_regular_block(case):
+    parent, p, depth = case
+    fam = InducedFamily(parent, p)
+    try:
+        want = induce_limits(parent.limits(depth), p, parent.ct)
+    except NoLimitTable:
+        with pytest.raises(NoLimitTable):
+            fam.limits(depth)
+        return
+    got = fam.limits(depth)
+    assert _typed(got.c) == _typed(want.c), fam.to_json()
+    assert got.cov is None
+    assert got.to_json() == want.to_json()
+    outer = OuterFamily(parent, Example1Family(parent.ct), p).limits(depth)
+    assert _typed(got.c) == _typed(outer.c), fam.to_json()
+
+
+def test_outer_mean_at_a_square_share_stays_exact():
+    # 1/4 is a square and 3/4 is not: the right block has no c(0, 3), so
+    # its float power must not turn the left block's exact entry into a float
+    ct = cyclic_group(2)
+    left = IrreducibleFamily(ct, (Fraction(1, 2), Fraction(1, 2)), [(2,), (1,)])
+    fam = OuterFamily(left, Example1Family(ct), Fraction(1, 4))
+    params = fam.limits()
+    value = params.c_value(0, 3)
+    assert value == Fraction(1, 32) and type(value) is Fraction
+    want = per_entry_limits(fam)
+    assert _typed(params.c) == _typed(want.c) and _typed(params.cov) == _typed(want.cov)
+    assert InducedFamily(left, Fraction(1, 4)).limits().c == params.c
 
 
 def test_outer_of_equal_families_is_identity():

@@ -124,6 +124,8 @@ def test_family_weight_with_zero_denominator(capsys):
         ('{"kind":"example1","group":"cyclic:2","weights":[0.5,"1/2"]}', "0.5"),
         ('{"kind":"irreducible","group":"cyclic:2","weights":["1/2",0.5]}', "0.5"),
         ('{"kind":"restricted","ratio":true,"parent":%s}' % LEFT_REGULAR, "True"),
+        # JSON true is an int to isinstance, but no partition part
+        ('{"kind":"irreducible","group":"cyclic:2","weights":["1/2","1/2"],"bases":[[true],[1]]}', "True"),
     ],
 )
 def test_non_rational_number_in_a_descriptor_is_a_usage_error(fam, value, capsys):

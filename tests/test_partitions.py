@@ -53,6 +53,13 @@ def test_partitions_are_valid_and_lex_descending():
         assert all(parts[i] > parts[i + 1] for i in range(len(parts) - 1))
 
 
+def test_booleans_are_no_partition_parts():
+    # bool is an int subclass; a JSON true must not pass as a part of 1
+    assert not is_partition((True,))
+    assert not is_partition((2, True))
+    assert is_partition((2, 1))
+
+
 def test_conjugate_is_involution():
     for n in range(9):
         for lam in partitions_of(n):
