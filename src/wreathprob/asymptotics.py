@@ -411,11 +411,11 @@ def outer_limits(left: LimitParameters, right: LimitParameters, p1) -> LimitPara
         return out
 
     def entry(s1, l1, s2, l2):
-        d1 = left.disjoint_covariance(s1, l1, s2, l2)
-        d2 = right.disjoint_covariance(s1, l1, s2, l2)
-        if s1 != s2 and d1 is _ZERO and d2 is _ZERO:  # both absent: no products
-            return _ZERO
-        disjoint = power1[l1 + l2] * d1 + power2[l1 + l2] * d2
+        # as for the means, a side whose disjoint covariance is zero adds nothing
+        key = (s1, l1, s2, l2)
+        disjoint = sum(
+            (p[l1 + l2] * d for p, side in sides if (d := side.disjoint_covariance(*key))), _ZERO
+        )
         # the natural covariance adds the double sum within one slot
         return disjoint + out.double_sum(s1, l1, l2) if s1 == s2 else disjoint
 

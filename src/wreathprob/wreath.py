@@ -13,8 +13,8 @@ A RepFamily assigns to every q a probability measure on these tuples via
 its exact joint moment rule; concrete families cover the independent-box
 construction, deterministic balanced shapes, and restriction, induction,
 outer-product, and tensor constructions on top of other families.  Only
-the tensor construction reads its moments and its limit table off a
-measure, the one its class function decomposes into.
+the tensor construction reads its moments, and so its limit table, off
+its class function, by column orthogonality; no moment reads a measure.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ def wreath_dimension(ct: CharacterTable, lam_tuple) -> int:
 FIXED = (1, 0)
 
 # One budget for every family path: the class values a class function
-# computes plus, for a measure, its support times the irreducibles it is
-# paired with, all bounded before anything is enumerated.
+# computes plus, for a measure and a tensor moment, its support times the
+# irreducibles it is paired with, all bounded before anything is enumerated.
 MAX_CLASS_WORK = 2 * 10**4
 
 # Moments and joint moments one family keeps: a cumulant asks for the
@@ -383,10 +383,13 @@ class RepFamily:
         Decomposes the family's class function over the irreducibles;
         families with a closed form override this.
         """
+        self._check_measure_budget(q)
+        return measure_from_class_function(self.ct, q, self.class_function(q))
+
+    def _check_measure_budget(self, q: int) -> None:
         support, work = self.class_cost(q)
         # every irreducible is paired with every supported class type
         check_class_budget(q, work + support * _capped_count(self.ct.num_irreps, q))
-        return measure_from_class_function(self.ct, q, self.class_function(q))
 
 
 def _weight_vector(ct: CharacterTable, weights) -> tuple[Fraction, ...]:
@@ -786,9 +789,8 @@ class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply class by class, which has no
-    indicator-level product rule.  So this is the one family that reads a
-    measure: a joint moment averages the factorized character over the
-    measure its class function decomposes into.
+    indicator-level product rule.  So a joint moment reads the class
+    function by column orthogonality, one G-class per pinned cycle.
     """
 
     kind = "tensor"
@@ -800,16 +802,33 @@ class TensorFamily(_ConstructorFamily):
         super().__init__(left.ct)
         self.left = left
         self.right = right
-        # the moments of one call share a q: keep only that q's measure
-        self._measure: tuple[int, dict] | None = None
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        if self._measure is None or self._measure[0] != q:
-            self._measure = (q, self.canonical_measure(q))
-        measure = self._measure[1]
-        return sum(
-            (p * factorized_character(lam, items) for lam, p in measure.items()), Fraction(0)
-        )
+        # charged as the measure this class function decomposes into, so a
+        # moment is refused exactly where that measure would be
+        self._check_measure_budget(q)
+        cycles = [(z, length) for z, rows in items for length in rows]
+        pinned = sum(length for _, length in cycles)
+        if pinned > q:
+            return Fraction(0)
+        values, irreps = self.class_function(q), self.ct.irreps
+        classes = self.ct.group.conjugacy_classes
+        # a cycle of length l in slot z at G-class c weighs |c| conj chi_z(c) d_z^l
+        choices = [
+            [
+                ((length, c), len(classes[c]) * conjugate_value(chi) * irreps[z].dim**length)
+                for c, chi in enumerate(irreps[z].values)
+                if chi
+            ]
+            for z, length in cycles
+        ]
+        fixed, total = (FIXED,) * (q - pinned), 0
+        for combo in itertools.product(*choices):
+            t = fixed + tuple(sorted(cycle for cycle, _ in combo))
+            if t in values:
+                total += values[t] * math.prod(w for _, w in combo)
+        scale = Fraction(math.perm(q, pinned), self.ct.group.order ** len(cycles))
+        return value_as_fraction(total * scale)
 
     def class_cost(self, q: int) -> tuple[int, int]:
         (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)

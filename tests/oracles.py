@@ -580,9 +580,12 @@ def per_entry_outer_limits(left, right, p1):
 
     cov = {}
     for s1, l1, s2, l2 in _entry_keys(left.slots, top):
-        value = half_power(p1, l1 + l2) * disjoint(left, s1, l1, s2, l2) + half_power(
-            p2, l1 + l2
-        ) * disjoint(right, s1, l1, s2, l2)
+        # a side whose disjoint covariance is zero adds nothing, not a float zero
+        value = sum(
+            half_power(p, l1 + l2) * d
+            for p, side in ((p1, left), (p2, right))
+            if (d := disjoint(side, s1, l1, s2, l2))
+        )
         if s1 == s2:
             value = value + _slot_double_sum(out, s1, l1, l2)
         if value:

@@ -572,6 +572,31 @@ def test_repeated_grid_point_would_flip_the_verdict():
         convergence_report(fam, 3, args, [10, 20, 20, 40], limit=Fraction(1, 2))
 
 
+def test_equal_nonzero_errors_at_distinct_grid_points_are_no_decrease():
+    # the scaled mean of one fixed point is the slot weight 1/2 at every q,
+    # so against 1/4 the error stays 1/4: close enough, but not decreasing
+    fam = Example1Family(cyclic_group(2))
+    report = convergence_report(fam, 3, [(0, 1)], [4, 9], limit=Fraction(1, 4), tolerance=2)
+    assert [row[4] for row in report.rows] == [Fraction(1, 4)] * 2
+    assert report.verdict is False
+
+
+def test_a_nonzero_error_after_an_exact_zero_is_no_decrease():
+    # slot 0 holds 2 of 4 boxes, then 3 of 5: errors 0, then 1/10
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
+    report = convergence_report(fam, 3, [(0, 1)], [4, 5], limit=Fraction(1, 2), tolerance=1)
+    assert [row[4] for row in report.rows] == [0, Fraction(1, 10)]
+    assert report.verdict is False
+
+
+def test_zero_limit_admits_a_last_error_equal_to_the_tolerance():
+    # against a zero limit the tolerance bounds the absolute error, inclusively
+    fam = Example1Family(cyclic_group(2))
+    report = convergence_report(fam, 3, [(0, 1)], [9], limit=0, tolerance=Fraction(1, 2))
+    assert report.rows[-1][4] == Fraction(1, 2)
+    assert report.verdict is True
+
+
 def test_restriction_of_independent_boxes_is_invariant():
     fam = Example1Family(cyclic_group(2), multiplicities=(1, 3))
     parent = fam.limits(max_index=5)
@@ -665,6 +690,9 @@ def test_outer_mean_at_a_square_share_stays_exact():
     params = fam.limits()
     value = params.c_value(0, 3)
     assert value == Fraction(1, 32) and type(value) is Fraction
+    # so must its zero disjoint covariances: (0, 2, 0, 3) is exactly 9/128
+    assert all(type(v) is Fraction for v in params.cov.values()), params.cov
+    assert params.covariance(0, 2, 0, 3) == Fraction(9, 128)
     want = per_entry_limits(fam)
     assert _typed(params.c) == _typed(want.c) and _typed(params.cov) == _typed(want.cov)
     assert InducedFamily(left, Fraction(1, 4)).limits().c == params.c

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wreathprob import indicators, wreath
 from wreathprob.asymptotics import natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
+from wreathprob.errors import Infeasible
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.partitions import partitions_of
@@ -293,6 +294,61 @@ def test_tensor_family_matches_enumeration():
     # has one fixed-point type, but 24842 irreducibles pass the budget
     with pytest.raises(ValueError, match="class budget"):
         fam.moment(20, [(0, (1,))])
+
+
+def test_tensor_moments_over_larger_groups_match_enumeration():
+    # two irreducible factors: rows longer than one point do not vanish, as
+    # they would beside an independent-box factor; cyclic:4 has non-real
+    # characters, so the conjugates in the orthogonality read matter
+    s3 = symmetric3_group()
+    weights = (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
+    left = IrreducibleFamily(s3, weights, ((1,), (2, 1), (1,)))
+    fam = TensorFamily(left, IrreducibleFamily(s3, (Fraction(1, 3),) * 3))
+    factor_sets = [[(z, rows)] for z in range(3) for rows in ((1,), (2,), (1, 1), (3,))]
+    factor_sets += [[(0, (1,)), (1, (2,))], [(1, (2,)), (2, (1,))]]
+    for q in (2, 3):
+        _check_against_brute(fam, q, factor_sets)
+    assert fam.moment(2, [(1, (2,))]) == -2
+    c4 = builtin_group("cyclic:4")
+    left = IrreducibleFamily(c4, (0, Fraction(1, 3), Fraction(2, 3), 0))
+    fam = TensorFamily(left, IrreducibleFamily(c4, (0, Fraction(2, 3), 0, Fraction(1, 3))))
+    factor_sets = [[(z, rows)] for z in range(4) for rows in ((1,), (2,), (1, 1), (3,))]
+    factor_sets += [[(1, (2,)), (3, (1,))], [(0, (1,)), (3, (2,))]]
+    for q in (2, 3):
+        _check_against_brute(fam, q, factor_sets)
+    assert fam.moment(3, [(3, (2,))]) == Fraction(2, 3)
+
+
+def test_tensor_moments_decompose_no_measure(monkeypatch):
+    def c2_tensor():
+        ct = cyclic_group(2)
+        return TensorFamily(Example1Family(ct, (1, 1)), Example1Family(ct, (2, 1)))
+
+    factor_sets = [[(0, (1,))], [(0, (1, 1)), (1, (1,))], [(1, (2,))]]
+    want = [c2_tensor().moment(6, factors) for factors in factor_sets], c2_tensor().limits()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tensor moment decomposed its class function")
+
+    for name in ("measure_from_class_function", "class_values", "factorized_character"):
+        monkeypatch.setattr(wreath, name, refuse)
+    monkeypatch.setattr(RepFamily, "canonical_measure", refuse)
+    fam = c2_tensor()
+    assert ([fam.moment(6, factors) for factors in factor_sets], fam.limits()) == want
+
+
+def test_tensor_of_c2_fibres_is_the_regular_fibre():
+    # normalized fibres (1, 0) and (1, 1/3) multiply into the regular (1, 0)
+    ct = cyclic_group(2)
+    fam = TensorFamily(Example1Family(ct, (1, 1)), Example1Family(ct, (2, 1)))
+    regular = Example1Family(ct, (3, 3))
+    factors = [(0, (1, 1)), (1, (1,))]
+    for q in range(5, 20):
+        want = Fraction(math.perm(q, 3), 8)
+        assert fam.moment(q, factors) == regular.moment(q, factors) == want, q
+    # at q = 20 the 24842 irreducibles of C2 wr S_20 pass the budget
+    with pytest.raises(Infeasible, match="q=20: class work 20023 "):
+        fam.moment(20, factors)
 
 
 def test_irreducible_family_shapes_and_moments():
