@@ -17,10 +17,11 @@ from fractions import Fraction
 from .diagrams import free_cumulants
 from .errors import InputError
 from .indicators import IndicatorSum, free_cumulant_as_indicators
-from .wreath import RepFamily, backward_cycles, check_class_budget, class_type, w_mul
+from .wreath import FIXED, RepFamily, backward_cycles, class_type, cycle_characters, w_mul
 
 
 _ZERO = Fraction(0)  # shared: a Fraction(0) per table lookup is measurable
+DEFAULT_TOLERANCE = Fraction(15, 100)  # a verdict's relative error at the largest q
 
 
 def set_partitions(n: int):
@@ -100,35 +101,37 @@ def r_cumulant(family: RepFamily, q: int, args):
 def element_cumulant(family: RepFamily, q: int, elements):
     """Cumulant of group elements under the normalized family character.
 
-    Condition 1 fixes the elements and grows q, so identity-coloured fixed
-    points extend each element to q points.  Each moment reads the family's
-    class function at the class type of the product element; the elements
-    should have disjoint supports so that products are order-independent.
+    Condition 1 fixes the elements and grows q with identity-coloured fixed
+    points.  A block's moment is the family's character at its product's
+    non-fixed cycles, the most cycles read first so that the class budget
+    refuses before any moment.  Disjoint supports make products commute.
     """
     group = family.ct.group
-    if any(len(perm) > q for _, perm in elements):
-        raise InputError(f"an element has more than q={q} points")
+    _check_quantity(1, elements, q, group.order)
+    m = max((len(p) for _, p in elements), default=0)
     elements = [
-        (tuple(c) + (group.identity,) * (q - len(p)), tuple(p) + tuple(range(len(p), q)))
+        (tuple(c) + (group.identity,) * (m - len(p)), tuple(p) + tuple(range(len(p), m)))
         for c, p in elements
     ]
-    check_class_budget(q, family.class_cost(q)[1])
-    values = family.class_function(q)
-    identity = ((group.identity,) * q, tuple(range(q)))
-
-    def moment(block):
-        colors, perm = identity
+    reads = []
+    for block in {block for pi in set_partitions(len(elements)) for block in pi}:
+        colors, perm = (group.identity,) * m, tuple(range(m))
         for i in block:
             colors, perm = w_mul(group.mult, (colors, perm), elements[i])
-        return values.get(class_type(group, colors, backward_cycles(perm)), Fraction(0))
-
-    return cumulant_from_moments(moment, len(elements))
+        t = class_type(group, colors, backward_cycles(perm))
+        reads.append(([cycle for cycle in t if cycle != FIXED], block))
+    moments = {}
+    for cycles, block in sorted(reads, key=lambda read: -len(read[0])):
+        values = cycle_characters(family, q, [length for length, _ in cycles])
+        moments[block] = values.get(tuple(c for _, c in cycles), _ZERO)
+    return cumulant_from_moments(moments.__getitem__, len(elements))
 
 
 def condition_exponent(condition: int, args) -> int:
     """Twice the exponent of q applied to the raw cumulant."""
     n = len(args)
     if condition == 1:
+        _check_quantity(1, args)
         # each permutation's length: size minus cycle count
         lengths = sum(len(perm) - len(backward_cycles(perm)) for _, perm in args)
         return lengths + 2 * (n - 1)
@@ -256,10 +259,15 @@ class LimitParameters:
         }
 
 
-def _check_quantity(condition: int, args) -> None:
-    """Refuse a scaled quantity no condition defines, before any cumulant is computed."""
+def _check_quantity(condition: int, args, q=math.inf, order=math.inf) -> None:
+    """Refuse a quantity no condition defines, or a malformed element, before any cumulant."""
     if condition == 4 and any(l < 2 for _, l in args):
         raise InputError("condition 4 indices start at 2")
+    for colors, perm in args if condition == 1 else ():
+        if sorted(perm) != list(range(len(colors))) or not all(0 <= c < order for c in colors):
+            raise InputError(f"{(colors, perm)} is not a group colour per point and a permutation")
+        if len(perm) > q:
+            raise InputError(f"an element has more than q={q} points")
 
 
 def predicted_limit(params: LimitParameters | None, condition: int, args):
@@ -438,7 +446,7 @@ def convergence_report(
     args,
     q_grid,
     limit=None,
-    tolerance: Fraction = Fraction(15, 100),
+    tolerance: Fraction = DEFAULT_TOLERANCE,
 ) -> ConvergenceReport:
     """Evaluate one scaled cumulant over a q grid and judge the trend.
 

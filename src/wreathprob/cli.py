@@ -15,7 +15,7 @@ from functools import cache
 from pathlib import Path
 
 from .asymptotics import convergence_report, disjoint_cumulant, natural_cumulant
-from .asymptotics import predicted_limit, r_cumulant
+from .asymptotics import DEFAULT_TOLERANCE, predicted_limit, r_cumulant
 from .bruteforce import WreathGroup, check_enumeration_budget, check_factorization_lemma
 from .bruteforce import check_structure_budget, check_structure_constants
 from .bruteforce import check_wreath_orthogonality
@@ -358,7 +358,7 @@ def _limit_table(fam, need=0):
 def cmd_family(ns):
     fam = _load_family(ns.family)
     q = ns.q
-    # a refused measure builds no class, and a tensor's table builds q = 1 classes
+    # a refused measure builds no class, and no limit table builds one
     measure = None if q is None else fam.canonical_measure(q)
     params = _limit_table(fam)
     doc = {
@@ -639,7 +639,7 @@ def _build_parser(invoked=None):
         p.add_argument(
             "--tolerance",
             type=_at_least(0, Fraction, "a rational number"),
-            default=Fraction(15, 100),
+            default=DEFAULT_TOLERANCE,
             help="relative tolerance at the last grid point",
         )
 

@@ -12,9 +12,9 @@ partitions are determined by per-slot row data.
 A RepFamily assigns to every q a probability measure on these tuples via
 its exact joint moment rule; concrete families cover the independent-box
 construction, deterministic balanced shapes, and restriction, induction,
-outer-product, and tensor constructions on top of other families.  Only
-the tensor construction reads its moments, and so its limit table, off
-its class function, by column orthogonality; no moment reads a measure.
+outer-product, and tensor constructions on top of other families.  A
+tensor reads its moments off its factors' characters at the pinned cycles
+(``cycle_characters``); no moment reads a class function or a measure.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ def wreath_dimension(ct: CharacterTable, lam_tuple) -> int:
 
 FIXED = (1, 0)
 
-# One budget for every family path: the class values a class function
-# computes plus, for a measure and a tensor moment, its support times the
-# irreducibles it is paired with, all bounded before anything is enumerated.
+# One budget for the class paths: the class values a class function computes
+# plus a measure's support times the irreducibles it pairs with, and the
+# products ``cycle_characters`` makes, each bounded before anything is built.
 MAX_CLASS_WORK = 2 * 10**4
 
 # Moments and joint moments one family keeps: a cumulant asks for the
@@ -383,13 +383,10 @@ class RepFamily:
         Decomposes the family's class function over the irreducibles;
         families with a closed form override this.
         """
-        self._check_measure_budget(q)
-        return measure_from_class_function(self.ct, q, self.class_function(q))
-
-    def _check_measure_budget(self, q: int) -> None:
         support, work = self.class_cost(q)
         # every irreducible is paired with every supported class type
         check_class_budget(q, work + support * _capped_count(self.ct.num_irreps, q))
+        return measure_from_class_function(self.ct, q, self.class_function(q))
 
 
 def _weight_vector(ct: CharacterTable, weights) -> tuple[Fraction, ...]:
@@ -785,12 +782,39 @@ class InducedFamily(OuterFamily):
         return outer_limits(parent, self.right.limits(max_index), self.ratio)
 
 
+def cycle_characters(family: RepFamily, q: int, lengths) -> dict:
+    """{(c_1..c_n): chi / dim at cycles (l_i, c_i) plus q - L identity fixed points}, nonzero.
+
+    That is falling(q, L)^-1 sum_z prod_i chi_{z_i}(c_i) d_{z_i}^-l_i M(z), with M(z) the
+    joint moment pinning cycle i in slot z_i (Macdonald ch. I app. B).  The terms go over one
+    denominator and turn from slots into classes one cycle at a time, on integer numerators.
+    """
+    irreps, n = family.ct.irreps, len(lengths)
+    check_class_budget(q, n * len(irreps) ** (n + 1))  # the products it makes
+    terms = {}
+    for slots in itertools.product(range(len(irreps)), repeat=n):
+        cycles = sorted(zip(slots, lengths), key=lambda cycle: (cycle[0], -cycle[1]))
+        runs = itertools.groupby(cycles, operator.itemgetter(0))
+        moment = family.joint_moment(q, tuple((z, tuple(l for _, l in run)) for z, run in runs))
+        terms[slots] = moment / math.prod(irreps[z].dim**l for z, l in zip(slots, lengths))
+    denominator = math.lcm(*(m.denominator for m in terms.values()))
+    values = {key: m.numerator * (denominator // m.denominator) for key, m in terms.items() if m}
+    for i in range(n):
+        turned: Counter = Counter()
+        for key, value in values.items():
+            for c, chi in enumerate(irreps[key[i]].values):
+                turned[key[:i] + (c,) + key[i + 1 :]] += value * chi
+        values = turned
+    scale = Fraction(1, denominator * math.perm(q, sum(lengths)))
+    return {key: value * scale for key, value in values.items() if value}
+
+
 class TensorFamily(_ConstructorFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply class by class, which has no
-    indicator-level product rule.  So a joint moment reads the class
-    function by column orthogonality, one G-class per pinned cycle.
+    indicator-level product rule.  So a joint moment multiplies the factors'
+    ``cycle_characters`` and reads the product by column orthogonality.
     """
 
     kind = "tensor"
@@ -804,31 +828,19 @@ class TensorFamily(_ConstructorFamily):
         self.right = right
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        # charged as the measure this class function decomposes into, so a
-        # moment is refused exactly where that measure would be
-        self._check_measure_budget(q)
-        cycles = [(z, length) for z, rows in items for length in rows]
-        pinned = sum(length for _, length in cycles)
-        if pinned > q:
+        cycles = [(self.ct.irreps[z], length) for z, rows in items for length in rows]
+        lengths = [length for _, length in cycles]
+        if sum(lengths) > q:
             return Fraction(0)
-        values, irreps = self.class_function(q), self.ct.irreps
-        classes = self.ct.group.conjugacy_classes
-        # a cycle of length l in slot z at G-class c weighs |c| conj chi_z(c) d_z^l
-        choices = [
-            [
-                ((length, c), len(classes[c]) * conjugate_value(chi) * irreps[z].dim**length)
-                for c, chi in enumerate(irreps[z].values)
-                if chi
-            ]
-            for z, length in cycles
-        ]
-        fixed, total = (FIXED,) * (q - pinned), 0
-        for combo in itertools.product(*choices):
-            t = fixed + tuple(sorted(cycle for cycle, _ in combo))
-            if t in values:
-                total += values[t] * math.prod(w for _, w in combo)
-        scale = Fraction(math.perm(q, pinned), self.ct.group.order ** len(cycles))
-        return value_as_fraction(total * scale)
+        left, right = (cycle_characters(fam, q, lengths) for fam in (self.left, self.right))
+        shares = [Fraction(len(c), self.ct.group.order) for c in self.ct.group.conjugacy_classes]
+        total = 0
+        for key, value in left.items():
+            # a cycle of length l in slot z at G-class c weighs |c| / |G| conj chi_z(c) d_z^l
+            for c, (irrep, length) in zip(key, cycles):
+                value *= shares[c] * conjugate_value(irrep.values[c]) * irrep.dim**length
+            total += value * right.get(key, 0)
+        return value_as_fraction(total * math.perm(q, sum(lengths)))
 
     def class_cost(self, q: int) -> tuple[int, int]:
         (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)

@@ -1240,6 +1240,71 @@ def measure_r_cumulant(family, q: int, args) -> Fraction:
     return total
 
 
+# ----------------------------------------------- characters by the class function
+#
+# The routes the library's moment rules replaced: a tensor moment and a
+# condition-1 cumulant read off the family's whole class function at q, each
+# charged the class budget its route was charged.
+
+
+def class_function_tensor_moment(family, q: int, items) -> Fraction:
+    """A tensor family's joint moment read off its class function by column orthogonality."""
+    from wreathprob.cyclotomics import conjugate_value, value_as_fraction
+    from wreathprob.wreath import FIXED, _capped_count, check_class_budget
+
+    # charged as the measure this class function decomposes into
+    support, work = family.class_cost(q)
+    check_class_budget(q, work + support * _capped_count(family.ct.num_irreps, q))
+    cycles = [(z, length) for z, rows in items for length in rows]
+    pinned = sum(length for _, length in cycles)
+    if pinned > q:
+        return Fraction(0)
+    values, irreps = family.class_function(q), family.ct.irreps
+    classes = family.ct.group.conjugacy_classes
+    # a cycle of length l in slot z at G-class c weighs |c| conj chi_z(c) d_z^l
+    choices = [
+        [
+            ((length, c), len(classes[c]) * conjugate_value(chi) * irreps[z].dim**length)
+            for c, chi in enumerate(irreps[z].values)
+            if chi
+        ]
+        for z, length in cycles
+    ]
+    fixed, total = (FIXED,) * (q - pinned), 0
+    for combo in itertools.product(*choices):
+        t = fixed + tuple(sorted(cycle for cycle, _ in combo))
+        if t in values:
+            total += values[t] * math.prod(w for _, w in combo)
+    scale = Fraction(math.perm(q, pinned), family.ct.group.order ** len(cycles))
+    return value_as_fraction(total * scale)
+
+
+def class_function_element_cumulant(family, q: int, elements):
+    """Cumulant of group elements: each block's product read off the class function at q."""
+    from wreathprob.asymptotics import cumulant_from_moments
+    from wreathprob.errors import InputError
+    from wreathprob.wreath import backward_cycles, check_class_budget, class_type, w_mul
+
+    group = family.ct.group
+    if any(len(perm) > q for _, perm in elements):
+        raise InputError(f"an element has more than q={q} points")
+    elements = [
+        (tuple(c) + (group.identity,) * (q - len(p)), tuple(p) + tuple(range(len(p), q)))
+        for c, p in elements
+    ]
+    check_class_budget(q, family.class_cost(q)[1])
+    values = family.class_function(q)
+    identity = ((group.identity,) * q, tuple(range(q)))
+
+    def moment(block):
+        colors, perm = identity
+        for i in block:
+            colors, perm = w_mul(group.mult, (colors, perm), elements[i])
+        return values.get(class_type(group, colors, backward_cycles(perm)), Fraction(0))
+
+    return cumulant_from_moments(moment, len(elements))
+
+
 # ------------------------------------- free-cumulant polynomials by interpolation
 
 

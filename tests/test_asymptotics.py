@@ -1,5 +1,6 @@
 """Cumulant machinery, scaled quantities, and limit-table transforms."""
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -30,24 +31,23 @@ from wreathprob.asymptotics import (
 )
 from wreathprob import asymptotics
 from wreathprob.bruteforce import WreathGroup
-from wreathprob.cli import SCHEMA_VERSION, _report_csv, _report_json
+from wreathprob.cli import SCHEMA_VERSION, _build_parser, _report_csv, _report_json
 from wreathprob.errors import Infeasible, InputError, NoLimitTable
 from wreathprob.groups import builtin_group, cyclic_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.wreath import (
-    MAX_CLASS_WORK,
     Example1Family,
     InducedFamily,
     IrreducibleFamily,
     OuterFamily,
     RestrictedFamily,
     TensorFamily,
-    _capped_count,
     family_from_json,
 )
 
 from family_trees import PROPERTY_GROUPS, moment_factors, nodes, trees
-from oracles import composition_double_sum_bruteforce, compositions, measure_r_cumulant
+from oracles import class_function_element_cumulant, composition_double_sum_bruteforce
+from oracles import compositions, measure_r_cumulant
 from oracles import induce_limits, per_entry_limits, per_entry_restrict_limits, tensor_fibre_weights
 
 
@@ -212,24 +212,6 @@ def test_r_cumulant_routes_agree():
     assert r_cumulant(fam, 8, [(0, 2)]) == 4  # E of the slot size
 
 
-def _measures_fit(fam, q):
-    """Whether each measure that r_cumulant enumerates at q passes the class budget.
-
-    Only a tensor node enumerates a measure, checked as
-    ``RepFamily.canonical_measure`` checks it; a restricted node asks its
-    parent at r_of(q), and an outer or induced node its two blocks.
-    """
-    if isinstance(fam, RestrictedFamily):
-        return _measures_fit(fam.parent, fam.r_of(q))
-    if isinstance(fam, OuterFamily):
-        q1, q2 = fam.split_of(q)
-        return _measures_fit(fam.left, q1) and _measures_fit(fam.right, q2)
-    if isinstance(fam, TensorFamily):
-        support, work = fam.class_cost(q)
-        return work + support * _capped_count(fam.ct.num_irreps, q) <= MAX_CLASS_WORK
-    return True
-
-
 @st.composite
 def _r_cumulant_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
@@ -237,7 +219,6 @@ def _r_cumulant_cases(draw):
     q = draw(st.integers(1, 5))
     # small families: the measure route's class work stays far below its budget
     assume(fam.class_cost(q)[1] <= 1000)
-    assume(_measures_fit(fam, q))
     arg = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([2, 3]))
     return fam, q, draw(st.lists(arg, min_size=1, max_size=2))
 
@@ -254,15 +235,16 @@ def test_r_cumulant_matches_the_measure_on_random_families(case):
 
 
 def test_r_cumulant_cases_leave_out_a_parent_past_the_class_budget():
-    # the restricted family is cheap at q = 4, but r_cumulant enumerates its
-    # tensor parent at q = 8, where the class work is 36540
+    # the restricted family is cheap at q = 4, and r_cumulant asks its tensor
+    # parent for moments at q = 8, where that parent's measure would pass the
+    # class budget (class work 36540); a tensor moment is charged no measure
     ct = symmetric3_group()
     parent = TensorFamily(Example1Family(ct, [1, 0, 0]), Example1Family(ct, [1, 0, 0]))
     fam = RestrictedFamily(parent, 2)
     assert fam.class_cost(4)[1] <= 1000 and measure_r_cumulant(fam, 4, [(0, 2)]) == 4
-    assert not _measures_fit(fam, 4)
+    assert r_cumulant(fam, 4, [(0, 2)]) == 4
     with pytest.raises(Infeasible, match="q=8"):
-        r_cumulant(fam, 4, [(0, 2)])
+        parent.canonical_measure(8)
 
 
 def test_point_mass_family_has_no_fluctuations():
@@ -385,6 +367,64 @@ def test_condition_one_refuses_a_grid_point_below_the_elements(monkeypatch):
         convergence_report(fam, 1, [COLOR0, COLOR3], [6, 3, 4])
     with pytest.raises(InputError, match="more than q=3 points"):
         element_cumulant(fam, 3, [COLOR0])
+
+
+# malformed condition-1 elements on the irreducible C2 family at q = 4: a
+# repeated point, a colour missing, and a colour that is no element of C2
+MALFORMED = [((0, 0, 0), (1, 1, 2)), ((1,), (1, 0)), ((0, 2), (1, 0))]
+
+
+@pytest.mark.parametrize("element", MALFORMED)
+def test_condition_one_refuses_a_malformed_element(element):
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InputError, match="is not a group colour per point and a permutation"):
+        element_cumulant(fam, 4, [SWAP01, element])
+    with pytest.raises(InputError, match="is not a group colour per point"):
+        convergence_report(fam, 1, [element], [4, 9])
+    if element != MALFORMED[-1]:  # the exponent reads permutations only
+        with pytest.raises(InputError, match="is not a group colour per point"):
+            condition_exponent(1, [element])
+
+
+def test_condition_one_refuses_a_permutation_leaving_its_points(monkeypatch):
+    # perm (0, 2) on two points: walking its cycles never returns to point 1
+    def refuse(perm):
+        raise AssertionError(f"the cycles of {perm} were walked")
+
+    monkeypatch.setattr(asymptotics, "backward_cycles", refuse)
+    fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
+    element = ((0, 0), (0, 2))
+    with pytest.raises(InputError, match="is not a group colour per point and a permutation"):
+        element_cumulant(fam, 4, [element])
+    with pytest.raises(InputError, match="is not a group colour per point and a permutation"):
+        condition_exponent(1, [element])
+
+
+@st.composite
+def _element_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(trees(ct, 2))
+    q = draw(st.integers(1, 5))
+    assume(fam.class_cost(q)[1] <= 1000)
+
+    def element(points):
+        colors = st.lists(st.integers(0, ct.group.order - 1), min_size=points, max_size=points)
+        return st.tuples(colors.map(tuple), st.permutations(range(points)).map(tuple))
+
+    # every element starts at point 0, so supports may overlap
+    elements = st.lists(st.integers(1, q).flatmap(element), min_size=1, max_size=3)
+    return fam, q, draw(elements)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_element_cases())
+def test_element_cumulant_matches_the_class_function_route(case):
+    fam, q, elements = case
+    try:
+        want = class_function_element_cumulant(fam, q, elements)
+    except Infeasible:
+        reject()  # past the budget of the class-function route
+    assert element_cumulant(fam, q, elements) == want, (fam.to_json(), q, elements)
 
 
 def test_condition_exponents():
@@ -597,6 +637,13 @@ def test_zero_limit_admits_a_last_error_equal_to_the_tolerance():
     assert report.verdict is True
 
 
+def test_limits_reads_the_report_tolerance_default():
+    # `report` takes convergence_report's default and `limits` the parser's
+    ns = _build_parser("limits").parse_args(["limits"])
+    signature = inspect.signature(convergence_report)
+    assert ns.tolerance == signature.parameters["tolerance"].default == Fraction(15, 100)
+
+
 def test_restriction_of_independent_boxes_is_invariant():
     fam = Example1Family(cyclic_group(2), multiplicities=(1, 3))
     parent = fam.limits(max_index=5)
@@ -790,7 +837,6 @@ def _tensor_pairs(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
     left, right = draw(trees(ct, 1)), draw(trees(ct, 1))
     q = draw(st.integers(1, 4))
-    assume(_measures_fit(TensorFamily(left, right), q))
     return left, right, q, draw(moment_factors(ct))
 
 

@@ -6,11 +6,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from wreathprob import indicators, wreath
-from wreathprob.asymptotics import natural_cumulant
+from wreathprob.asymptotics import element_cumulant, natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
 from wreathprob.errors import Infeasible
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
@@ -38,9 +38,10 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from family_trees import PROPERTY_GROUPS, trees
+from family_trees import PROPERTY_GROUPS, moment_factors, trees
 from oracles import (
     brute_moment,
+    class_function_tensor_moment,
     enumerated_group,
     enumerated_measure,
     enumerated_sizes,
@@ -290,10 +291,9 @@ def test_tensor_family_matches_enumeration():
     fam = TensorFamily(left, right)
     _check_against_brute(fam, 2, FACTOR_SETS_2[:8])
     _check_against_brute(fam, 3, [[(0, (1,))], [(0, (2,))], [(0, (1,)), (1, (1,))]])
-    # C2 wr S20: the regular fibre vanishes off the identity, so the product
-    # has one fixed-point type, but 24842 irreducibles pass the budget
-    with pytest.raises(ValueError, match="class budget"):
-        fam.moment(20, [(0, (1,))])
+    # C2 wr S20 has 24842 irreducibles, but a moment pairs none of them with
+    # a class: the product is the regular fibre, half of the 20 points in slot 0
+    assert fam.moment(20, [(0, (1,))]) == 10
 
 
 def test_tensor_moments_over_larger_groups_match_enumeration():
@@ -325,16 +325,24 @@ def test_tensor_moments_decompose_no_measure(monkeypatch):
         return TensorFamily(Example1Family(ct, (1, 1)), Example1Family(ct, (2, 1)))
 
     factor_sets = [[(0, (1,))], [(0, (1, 1)), (1, (1,))], [(1, (2,))]]
-    want = [c2_tensor().moment(6, factors) for factors in factor_sets], c2_tensor().limits()
+    # a coloured transposition, a coloured fixed point, and both
+    elements = [((1, 0), (1, 0)), ((0, 0, 1), (0, 1, 2)), ((1, 0, 1), (1, 0, 2))]
+
+    def answers(fam):
+        moments = [fam.moment(6, factors) for factors in factor_sets]
+        return moments, fam.limits(), element_cumulant(fam, 6, elements)
+
+    want = answers(c2_tensor())
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a tensor moment decomposed its class function")
+        raise AssertionError("a tensor moment read a class function or decomposed a measure")
 
     for name in ("measure_from_class_function", "class_values", "factorized_character"):
         monkeypatch.setattr(wreath, name, refuse)
     monkeypatch.setattr(RepFamily, "canonical_measure", refuse)
-    fam = c2_tensor()
-    assert ([fam.moment(6, factors) for factors in factor_sets], fam.limits()) == want
+    for cls in (RepFamily, *wreath.FAMILY_KINDS.values()):
+        monkeypatch.setattr(cls, "class_function", refuse)
+    assert answers(c2_tensor()) == want
 
 
 def test_tensor_of_c2_fibres_is_the_regular_fibre():
@@ -343,12 +351,30 @@ def test_tensor_of_c2_fibres_is_the_regular_fibre():
     fam = TensorFamily(Example1Family(ct, (1, 1)), Example1Family(ct, (2, 1)))
     regular = Example1Family(ct, (3, 3))
     factors = [(0, (1, 1)), (1, (1,))]
-    for q in range(5, 20):
+    # from q = 20 on, C2 wr S_q has more irreducibles than the class budget
+    for q in [*range(5, 41), 1000]:
         want = Fraction(math.perm(q, 3), 8)
         assert fam.moment(q, factors) == regular.moment(q, factors) == want, q
-    # at q = 20 the 24842 irreducibles of C2 wr S_20 pass the budget
-    with pytest.raises(Infeasible, match="q=20: class work 20023 "):
-        fam.moment(20, factors)
+
+
+@st.composite
+def _tensor_moment_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    fam = draw(st.builds(TensorFamily, trees(ct, 1), trees(ct, 1)))
+    # one cross-disjoint term: one row tuple per slot
+    items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
+    return fam, draw(st.integers(1, 5)), items
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_tensor_moment_cases())
+def test_tensor_moments_match_the_class_function_route(case):
+    fam, q, items = case
+    try:
+        want = class_function_tensor_moment(fam, q, items)
+    except Infeasible:
+        reject()  # past the budget of the class-function route
+    assert fam.joint_moment(q, items) == want, (fam.to_json(), q, items)
 
 
 def test_irreducible_family_shapes_and_moments():
