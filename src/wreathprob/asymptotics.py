@@ -124,7 +124,9 @@ def element_cumulant(family: RepFamily, q: int, elements):
     for cycles, block in sorted(reads, key=lambda read: -len(read[0])):
         values = cycle_characters(family, q, [length for length, _ in cycles])
         moments[block] = values.get(tuple(c for _, c in cycles), _ZERO)
-    return cumulant_from_moments(moments.__getitem__, len(elements))
+    total = cumulant_from_moments(moments.__getitem__, len(elements))
+    # a rational cumulant is a Fraction, which a float scaling can multiply
+    return total if isinstance(total, Fraction) or not total.is_rational() else total.as_fraction()
 
 
 def condition_exponent(condition: int, args) -> int:
@@ -273,11 +275,11 @@ def _check_quantity(condition: int, args, q=math.inf, order=math.inf) -> None:
 def predicted_limit(params: LimitParameters | None, condition: int, args):
     """The table's limit of one scaled quantity: a mean or a covariance entry.
 
-    args as for ``raw_cumulant`` at conditions 2-4.  None where the table
-    has no entry: no table, no covariances, or more than two factors.
+    args as for ``raw_cumulant``.  None where the table has no entry: no
+    table, condition 1, no covariances, or more than two factors.
     """
     _check_quantity(condition, args)
-    if params is None or len(args) > 2:
+    if params is None or condition == 1 or len(args) > 2:
         return None
     if condition == 4:
         # R_l of a slot diagram scales as the row-(l - 1) quantity

@@ -20,6 +20,7 @@ tensor reads its moments off its factors' characters at the pinned cycles
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import itertools
 import math
 import operator
@@ -303,6 +304,9 @@ def factorized_character(lam_tuple, factors) -> Fraction:
     return out
 
 
+FAMILY_KINDS: dict[str, type] = {}  # kind -> class; every RepFamily subclass enters itself
+
+
 class RepFamily:
     """A q-indexed family of probability measures on partition tuples.
 
@@ -313,6 +317,10 @@ class RepFamily:
     """
 
     kind = "abstract"
+    fields: tuple[str, ...] = ()  # descriptor keys in output order, coded by ``_FIELDS``
+
+    def __init_subclass__(cls):
+        FAMILY_KINDS[cls.kind] = cls
 
     def __init__(self, ct: CharacterTable):
         self.ct = ct
@@ -332,14 +340,14 @@ class RepFamily:
         key = (q, frozenset(Counter(factors).items()))
         if key in self._memo:
             return self._memo[key]
-        per_slot = _normalize_factors(factors, q)
-        slots = list(per_slot)
-        bad = [s for s in slots if not 0 <= s < self.ct.num_irreps]
-        if bad:
+        if bad := sorted(slot for slot, _ in factors if not 0 <= slot < self.ct.num_irreps):
             raise InputError(f"factor slot {bad[0]} is out of range for {self.ct.num_irreps} slots")
+        if any(r < 1 for _, summ in factors for rows in summ.terms for r in rows):
+            raise InputError("moment rows must be at least 1")
+        per_slot = _normalize_factors(factors, q)
         total = Fraction(0)
-        for combo in itertools.product(*(per_slot[s].terms.items() for s in slots)):
-            items = tuple((slot, rows) for slot, (rows, _) in zip(slots, combo) if rows)
+        for combo in itertools.product(*(summ.terms.items() for summ in per_slot.values())):
+            items = tuple((slot, rows) for slot, (rows, _) in zip(per_slot, combo) if rows)
             total += math.prod(c for _, c in combo) * self.joint_moment(q, items)
         return self._remember(key, total)
 
@@ -355,11 +363,31 @@ class RepFamily:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """The descriptor: ``kind``, then every set field in ``fields`` order."""
+        doc = {"kind": self.kind}
+        for key in self.fields:
+            attr, encode, _ = _FIELDS[key]
+            if (value := getattr(self, attr)) is not None:
+                doc[key] = encode(value)
+        return doc
 
-    @classmethod
-    def from_json(cls, doc) -> "RepFamily":
-        raise NotImplementedError
+    @staticmethod
+    def from_json(doc) -> "RepFamily":
+        """Build a family from its descriptor; a key outside its kind's ``fields`` is refused."""
+        if not isinstance(doc, dict):
+            raise ValueError("a family descriptor must be a JSON object")
+        if (cls := FAMILY_KINDS.get(doc.get("kind"))) is None:
+            raise ValueError(f"unknown family kind: {doc.get('kind')!r}")
+        if stray := [key for key in doc if key != "kind" and key not in cls.fields]:
+            raise ValueError(f"unknown {cls.kind} descriptor key {stray[0]!r}")
+        params = inspect.signature(cls).parameters
+        args = {}
+        for key in cls.fields:
+            attr, _, decode = _FIELDS[key]
+            # a missing key the constructor needs is a KeyError naming it
+            if key in doc or params[attr].default is inspect.Parameter.empty:
+                args[attr] = decode(doc[key])
+        return cls(**args)
 
     def limits(self, max_index: int = 6):
         """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
@@ -410,6 +438,7 @@ class Example1Family(RepFamily):
     """
 
     kind = "example1"
+    fields = ("group", "multiplicities", "weights")
 
     def __init__(self, ct: CharacterTable, multiplicities=None, weights=None):
         super().__init__(ct)
@@ -492,19 +521,11 @@ class Example1Family(RepFamily):
         return example1_limits(self.weights, max_l=max_index)
 
     def to_json(self) -> dict:
-        doc = {"kind": self.kind, "group": character_table_to_json(self.ct)}
+        # given multiplicities imply the weights, so only they are written
+        doc = super().to_json()
         if self.multiplicities is not None:
-            doc["multiplicities"] = list(self.multiplicities)
-        else:
-            doc["weights"] = [_coeff_to_json(w) for w in self.weights]
+            del doc["weights"]
         return doc
-
-    @classmethod
-    def from_json(cls, doc) -> "Example1Family":
-        weights = doc.get("weights")
-        if weights is not None:
-            weights = [_coeff_from_json(w) for w in weights]
-        return cls(_group_from_json(doc["group"]), doc.get("multiplicities"), weights)
 
 
 class IrreducibleFamily(RepFamily):
@@ -518,6 +539,7 @@ class IrreducibleFamily(RepFamily):
     """
 
     kind = "irreducible"
+    fields = ("group", "weights", "bases")
 
     def __init__(self, ct: CharacterTable, weights, bases=None):
         super().__init__(ct)
@@ -587,48 +609,8 @@ class IrreducibleFamily(RepFamily):
 
         return irreducible_limits(self, max_index=max_index + 1)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "group": character_table_to_json(self.ct),
-            "weights": [_coeff_to_json(w) for w in self.weights],
-            "bases": [list(b) for b in self.bases],
-        }
 
-    @classmethod
-    def from_json(cls, doc) -> "IrreducibleFamily":
-        weights = [_coeff_from_json(w) for w in doc["weights"]]
-        bases = doc.get("bases")
-        if bases is not None:
-            bases = [tuple(b) for b in bases]
-        return cls(_group_from_json(doc["group"]), weights, bases)
-
-
-class _ConstructorFamily(RepFamily):
-    """A constructor over other families, described by its arguments.
-
-    ``fields`` names the constructor arguments in descriptor order: a
-    ``ratio`` is a fraction, every other field a nested family.
-    """
-
-    fields: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        doc = {"kind": self.kind}
-        for name in self.fields:
-            value = getattr(self, name)
-            doc[name] = _coeff_to_json(value) if name == "ratio" else value.to_json()
-        return doc
-
-    @classmethod
-    def from_json(cls, doc) -> "_ConstructorFamily":
-        def decode(name):
-            return (_coeff_from_json if name == "ratio" else family_from_json)(doc[name])
-
-        return cls(**{name: decode(name) for name in cls.fields})
-
-
-class RestrictedFamily(_ConstructorFamily):
+class RestrictedFamily(RepFamily):
     """Restriction from a family living on floor(ratio * q) points, ratio >= 1.
 
     Restricting keeps the ambient measure and shrinks the indicator's
@@ -689,7 +671,7 @@ def _row_splits(rows):
         yield ways, left, right
 
 
-class OuterFamily(_ConstructorFamily):
+class OuterFamily(RepFamily):
     """Outer product: two independent blocks induced up to the full group.
 
     Every pinned cycle must land inside one block, rows of equal length
@@ -789,6 +771,9 @@ def cycle_characters(family: RepFamily, q: int, lengths) -> dict:
     joint moment pinning cycle i in slot z_i (Macdonald ch. I app. B).  The terms go over one
     denominator and turn from slots into classes one cycle at a time, on integer numerators.
     """
+    memo = (q, tuple(lengths), "characters")  # moment keys are pairs: it never equals one
+    if memo in family._memo:
+        return family._memo[memo]
     irreps, n = family.ct.irreps, len(lengths)
     check_class_budget(q, n * len(irreps) ** (n + 1))  # the products it makes
     terms = {}
@@ -806,10 +791,10 @@ def cycle_characters(family: RepFamily, q: int, lengths) -> dict:
                 turned[key[:i] + (c,) + key[i + 1 :]] += value * chi
         values = turned
     scale = Fraction(1, denominator * math.perm(q, sum(lengths)))
-    return {key: value * scale for key, value in values.items() if value}
+    return family._remember(memo, {key: value * scale for key, value in values.items() if value})
 
 
-class TensorFamily(_ConstructorFamily):
+class TensorFamily(RepFamily):
     """Pointwise tensor product of two families' representations.
 
     Normalized characters multiply class by class, which has no
@@ -828,17 +813,18 @@ class TensorFamily(_ConstructorFamily):
         self.right = right
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        cycles = [(self.ct.irreps[z], length) for z, rows in items for length in rows]
-        lengths = [length for _, length in cycles]
+        # (length, slot) order: one factor table serves every order of the same lengths
+        cycles = sorted((length, z) for z, rows in items for length in rows)
+        lengths = [length for length, _ in cycles]
         if sum(lengths) > q:
             return Fraction(0)
         left, right = (cycle_characters(fam, q, lengths) for fam in (self.left, self.right))
         shares = [Fraction(len(c), self.ct.group.order) for c in self.ct.group.conjugacy_classes]
-        total = 0
+        irreps, total = self.ct.irreps, 0
         for key, value in left.items():
             # a cycle of length l in slot z at G-class c weighs |c| / |G| conj chi_z(c) d_z^l
-            for c, (irrep, length) in zip(key, cycles):
-                value *= shares[c] * conjugate_value(irrep.values[c]) * irrep.dim**length
+            for c, (length, z) in zip(key, cycles):
+                value *= shares[c] * conjugate_value(irreps[z].values[c]) * irreps[z].dim**length
             total += value * right.get(key, 0)
         return value_as_fraction(total * math.perm(q, sum(lengths)))
 
@@ -877,21 +863,17 @@ def _group_from_json(doc) -> CharacterTable:
     return ct
 
 
-FAMILY_KINDS = {
-    "example1": Example1Family,
-    "irreducible": IrreducibleFamily,
-    "restricted": RestrictedFamily,
-    "induced": InducedFamily,
-    "outer": OuterFamily,
-    "tensor": TensorFamily,
+family_from_json = RepFamily.from_json  # groups inline or by name
+
+
+# descriptor key -> (attribute, which is also the constructor argument, encoder, decoder)
+_FIELDS = {
+    "group": ("ct", character_table_to_json, _group_from_json),
+    "ratio": ("ratio", _coeff_to_json, _coeff_from_json),
+    "weights": (
+        "weights", lambda w: [*map(_coeff_to_json, w)], lambda w: [*map(_coeff_from_json, w)]
+    ),
+    "multiplicities": ("multiplicities", list, lambda mults: mults),
+    "bases": ("bases", lambda bases: [*map(list, bases)], lambda bases: bases),
+    **{k: (k, lambda fam: fam.to_json(), family_from_json) for k in ("parent", "left", "right")},
 }
-
-
-def family_from_json(doc) -> RepFamily:
-    """Build a family from its JSON descriptor (groups inline or by name)."""
-    if not isinstance(doc, dict):
-        raise ValueError("a family descriptor must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in FAMILY_KINDS:
-        raise ValueError(f"unknown family kind: {kind!r}")
-    return FAMILY_KINDS[kind].from_json(doc)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wreathprob.groups import cyclic_group, symmetric3_group
 from wreathprob.wreath import (
+    _FIELDS,
+    FAMILY_KINDS,
     Example1Family,
     InducedFamily,
     IrreducibleFamily,
@@ -64,3 +66,30 @@ def moment_factors(ct):
         lambda r: tuple(sorted(r, reverse=True))
     )
     return st.lists(st.tuples(st.integers(0, ct.num_irreps - 1), rows), min_size=1, max_size=2)
+
+
+def descriptors(doc):
+    """Every family descriptor in a descriptor tree, the root first."""
+    yield doc
+    for key in ("parent", "left", "right"):
+        if key in doc:
+            yield from descriptors(doc[key])
+
+
+@st.composite
+def stray_keys(draw):
+    """(descriptor, key): a random tree's descriptor with one unknown key at a random depth.
+
+    Any key but ``kind`` and the fields of the kind it joins is unknown
+    there, so another kind's field, such as ``left`` beside an induced
+    ``parent``, is drawn too.
+    """
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    doc = draw(trees(ct, 2, shaped=True)).to_json()
+    target = draw(st.sampled_from(list(descriptors(doc))))
+    known = {"kind", *FAMILY_KINDS[target["kind"]].fields}
+    keys = st.sampled_from(sorted(_FIELDS)) | st.text(max_size=8)
+    key = draw(keys.filter(lambda key: key not in known))
+    family = st.just({"kind": "example1", "group": "cyclic:2"})
+    target[key] = draw(st.none() | st.integers() | st.text(max_size=4) | family)
+    return doc, key

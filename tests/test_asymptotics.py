@@ -569,6 +569,24 @@ def test_predicted_limit_reads_the_table(condition, args, want):
     assert got == want and (want is None) == (got is None)
 
 
+# a rational cumulant summed from the cyclotomic characters of cyclic:4
+C4_FIBRE = {"kind": "example1", "group": "cyclic:4", "multiplicities": [1, 0, 1, 1]}
+
+
+def test_condition_one_scales_a_rational_cumulant_by_a_float_power():
+    fam = family_from_json(C4_FIBRE)
+    args = [((1,), (0,)), ((0, 0), (1, 0))]
+    raw = element_cumulant(fam, 3, args)
+    assert raw == 0 and type(raw) is Fraction
+    # half_power(3, 3) is a float
+    assert scaled_quantity(fam, 1, 3, args) == 0
+
+
+def test_predicted_limit_has_no_condition_one_entry():
+    params = family_from_json(C4_FIBRE).limits()
+    assert predicted_limit(params, 1, [((1,), (0,))]) is None
+
+
 def test_predicted_limit_without_a_table():
     induced = InducedFamily(Example1Family(cyclic_group(2)), Fraction(1, 2)).limits()
     assert induced.cov is None

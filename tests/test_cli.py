@@ -25,6 +25,8 @@ from wreathprob.groups import (
 )
 from wreathprob.wreath import Example1Family, enumerate_irreps
 
+from family_trees import stray_keys
+
 LEFT_REGULAR = '{"kind":"example1","group":"cyclic:2"}'
 
 
@@ -133,6 +135,31 @@ def test_non_rational_number_in_a_descriptor_is_a_usage_error(fam, value, capsys
     code, out, err = run(capsys, "family", "--family", fam, "--q", "10")
     assert code == 2 and out == ""
     assert "bad family descriptor" in err and value in err and "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None)
+@given(stray_keys())
+def test_unknown_descriptor_key_is_a_usage_error(case):
+    doc, key = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["family", "--family", json.dumps(doc)])
+    assert code == 2 and out.getvalue() == ""
+    assert "bad family descriptor" in err.getvalue() and repr(key) in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "fam, key",
+    [
+        ('{"kind":"example1","group":"cyclic:2","multiplicites":[1,0]}', "'multiplicites'"),
+        ('{"kind":"induced","ratio":"1/2","parent":%s,"left":%s}' % ((LEFT_REGULAR,) * 2), "'left'"),
+        ('{"kind":"irreducible","group":"cyclic:2"}', "'weights'"),
+    ],
+)
+def test_stray_and_missing_descriptor_keys_are_named(fam, key, capsys):
+    code, out, err = run(capsys, "family", "--family", fam)
+    assert code == 2 and out == ""
+    assert "bad family descriptor" in err and key in err and "Traceback" not in err
 
 
 def test_group_builtin(capsys):

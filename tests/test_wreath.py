@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from wreathprob import indicators, wreath
 from wreathprob.asymptotics import element_cumulant, natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
-from wreathprob.errors import Infeasible
+from wreathprob.errors import Infeasible, InputError
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
 from wreathprob.indicators import IndicatorSum
 from wreathprob.partitions import partitions_of
@@ -38,7 +39,7 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from family_trees import PROPERTY_GROUPS, moment_factors, trees
+from family_trees import PROPERTY_GROUPS, moment_factors, stray_keys, trees
 from oracles import (
     brute_moment,
     class_function_tensor_moment,
@@ -345,6 +346,26 @@ def test_tensor_moments_decompose_no_measure(monkeypatch):
     assert answers(c2_tensor()) == want
 
 
+def test_tensor_cumulant_builds_each_character_table_once(monkeypatch):
+    # a 3-cycle and a coloured transposition on disjoint points: the blocks
+    # read cycle lengths (3,), (2,) and (2, 3), the last in either slot order
+    ct = cyclic_group(2)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    left, right = (IrreducibleFamily(ct, half, bases) for bases in [((2, 1), (1,)), ((1,), (2,))])
+    fam = TensorFamily(left, right)
+    builds, check = [], wreath.check_class_budget  # the first step of every table build
+
+    def counting(q, work):
+        builds.append(q)
+        check(q, work)
+
+    monkeypatch.setattr(wreath, "check_class_budget", counting)
+    elements = [((0, 0, 0, 0, 0), (1, 2, 0, 3, 4)), ((0, 0, 0, 1, 0), (0, 1, 2, 4, 3))]
+    assert element_cumulant(fam, 6, elements) == Fraction(-3, 5000)
+    # one table per family and multiset of lengths: the tensor's and each factor's
+    assert len(builds) == 3 * 3
+
+
 def test_tensor_of_c2_fibres_is_the_regular_fibre():
     # normalized fibres (1, 0) and (1, 1/3) multiply into the regular (1, 0)
     ct = cyclic_group(2)
@@ -516,6 +537,48 @@ def test_equal_factors_compute_each_distinct_moment_once(monkeypatch):
     # 31 blocks of 5 equal factors are 5 distinct moments, one per block size
     assert sorted(computed) == [1, 2, 3, 4, 5]
     assert cumulant == natural_cumulant(Example1Family(cyclic_group(2)), 40, [(0, (2,))] * 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stray_keys())
+def test_family_from_json_refuses_an_unknown_key_at_every_depth(case):
+    doc, key = case
+    with pytest.raises(ValueError, match=f"unknown .* key {re.escape(repr(key))}$"):
+        family_from_json(doc)
+
+
+def test_family_from_json_names_a_missing_required_key():
+    for doc, key in [
+        ({"kind": "irreducible", "group": "cyclic:2"}, "weights"),
+        ({"kind": "example1", "weights": ["1/2", "1/2"]}, "group"),
+        ({"kind": "outer", "ratio": "1/2", "left": {"kind": "example1", "group": "S3"}}, "right"),
+    ]:
+        with pytest.raises(KeyError, match=key):
+            family_from_json(doc)
+
+
+def test_moment_rows_start_at_one_on_every_kind():
+    # a row of length 0 is no cycle: example1 read it as a missing fixed
+    # point and irreducible as a present one, so every kind refuses it
+    ct = cyclic_group(2)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    base = Example1Family(ct)
+    families = [
+        base,
+        IrreducibleFamily(ct, half),
+        RestrictedFamily(base, 2),
+        InducedFamily(base, Fraction(1, 2)),
+        OuterFamily(base, IrreducibleFamily(ct, half), Fraction(1, 2)),
+        TensorFamily(base, IrreducibleFamily(ct, half)),
+    ]
+    for fam in families:
+        for rows in [(0,), (2, 0), (-1,)]:
+            with pytest.raises(InputError, match="at least 1"):
+                fam.moment(6, [(0, rows)])
+            with pytest.raises(InputError, match="at least 1"):
+                fam.moment(6, [(1, (1,)), (0, IndicatorSum({(2,): 1, rows: 1}))])
+        # the unit's empty rows pin no point
+        assert fam.moment(6, [(0, IndicatorSum.one())]) == 1, fam.kind
 
 
 def test_family_from_json_rejects_unknown_kinds():
