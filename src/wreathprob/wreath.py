@@ -352,10 +352,12 @@ class RepFamily:
         return self._remember(key, total)
 
     def joint_moment(self, q: int, items) -> Fraction:
-        """``_joint_moment``, remembered by (q, items)."""
+        """``_joint_moment``, remembered by (q, items); rows start at 1, as in ``moment``."""
         key = (q, items)
         if key in self._memo:
             return self._memo[key]
+        if any(r < 1 for _, rows in items for r in rows):
+            raise InputError("moment rows must be at least 1")
         return self._remember(key, self._joint_moment(q, items))
 
     def _joint_moment(self, q: int, items) -> Fraction:
@@ -380,6 +382,8 @@ class RepFamily:
             raise ValueError(f"unknown family kind: {doc.get('kind')!r}")
         if stray := [key for key in doc if key != "kind" and key not in cls.fields]:
             raise ValueError(f"unknown {cls.kind} descriptor key {stray[0]!r}")
+        if null := [key for key, value in doc.items() if value is None]:
+            raise ValueError(f"{cls.kind} descriptor key {null[0]!r} is null; omit it instead")
         params = inspect.signature(cls).parameters
         args = {}
         for key in cls.fields:

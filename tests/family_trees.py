@@ -42,6 +42,20 @@ def leaves(ct, shaped=False):
     )
 
 
+def one_per_kind(ct):
+    """One small family of every kind over ct, on left-regular and uniform leaves."""
+    k = ct.num_irreps
+    base, uniform = Example1Family(ct), IrreducibleFamily(ct, [Fraction(1, k)] * k)
+    return [
+        base,
+        uniform,
+        RestrictedFamily(base, 2),
+        InducedFamily(base, Fraction(1, 2)),
+        OuterFamily(base, uniform, Fraction(1, 2)),
+        TensorFamily(base, uniform),
+    ]
+
+
 def trees(ct, depth, shaped=False):
     """Families at most depth constructor nodes above the leaves."""
     if depth == 0:

@@ -1139,6 +1139,15 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_package_root_loads_no_submodule():
+    # the root re-exports nothing: each name comes from the module that owns it
+    proc = _fresh_python(
+        "import sys, wreathprob; print(sorted(m for m in sys.modules if m.startswith('wreathprob.')))"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sample_runs_without_numpy():
     proc = _fresh_python(
         "import sys; sys.modules['numpy'] = None\n"

@@ -8,7 +8,6 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wreathprob
 from wreathprob import bruteforce
 from wreathprob.diagrams import free_cumulants, profile_moment
 from wreathprob.groups import symmetric3_group
@@ -452,7 +451,7 @@ def test_free_cumulant_route_matches_rim_hook_removal(lam, rho, sigma, as_list):
         mu = rho + (1,) * (n - sum(rho))
         # any order of the cycle lengths names the same class
         cycles = list(reversed(mu)) if as_list else mu
-        assert wreathprob.character(shape, cycles) == character(lam, mu)
+        assert partitions.character(shape, cycles) == character(lam, mu)
 
 
 def test_both_scalar_routes_agree_on_every_small_diagram():
@@ -477,8 +476,8 @@ def test_long_rows_are_never_expanded(monkeypatch):
     monkeypatch.setattr(indicators, "expand_indicator", bounded)
     for lam, rho in [((10, 10), (10, 10)), ((7, 5, 2), (6, 6, 2)), ((9, 6, 1), (7, 7))]:
         assert indicators.indicator_scalar(lam, rho) == indicator_scalar(lam, rho)
-    assert wreathprob.character((8, 8), (8, 8)) == character((8, 8), (8, 8))
-    assert wreathprob.character((10, 10), (10, 10)) == character((10, 10), (10, 10))
+    assert partitions.character((8, 8), (8, 8)) == character((8, 8), (8, 8))
+    assert partitions.character((10, 10), (10, 10)) == character((10, 10), (10, 10))
 
 
 def test_scalar_cache_computes_each_diagram_term_once(monkeypatch):

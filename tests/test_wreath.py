@@ -39,7 +39,7 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from family_trees import PROPERTY_GROUPS, moment_factors, stray_keys, trees
+from family_trees import PROPERTY_GROUPS, moment_factors, one_per_kind, stray_keys, trees
 from oracles import (
     brute_moment,
     class_function_tensor_moment,
@@ -560,18 +560,7 @@ def test_family_from_json_names_a_missing_required_key():
 def test_moment_rows_start_at_one_on_every_kind():
     # a row of length 0 is no cycle: example1 read it as a missing fixed
     # point and irreducible as a present one, so every kind refuses it
-    ct = cyclic_group(2)
-    half = (Fraction(1, 2), Fraction(1, 2))
-    base = Example1Family(ct)
-    families = [
-        base,
-        IrreducibleFamily(ct, half),
-        RestrictedFamily(base, 2),
-        InducedFamily(base, Fraction(1, 2)),
-        OuterFamily(base, IrreducibleFamily(ct, half), Fraction(1, 2)),
-        TensorFamily(base, IrreducibleFamily(ct, half)),
-    ]
-    for fam in families:
+    for fam in one_per_kind(cyclic_group(2)):
         for rows in [(0,), (2, 0), (-1,)]:
             with pytest.raises(InputError, match="at least 1"):
                 fam.moment(6, [(0, rows)])
@@ -579,6 +568,55 @@ def test_moment_rows_start_at_one_on_every_kind():
                 fam.moment(6, [(1, (1,)), (0, IndicatorSum({(2,): 1, rows: 1}))])
         # the unit's empty rows pin no point
         assert fam.moment(6, [(0, IndicatorSum.one())]) == 1, fam.kind
+
+
+def test_joint_moment_and_cycle_characters_refuse_rows_below_one():
+    # as in moment: on C2 at q = 6 a row of length 0 read 0 on example1 and
+    # 3 on irreducible, and its characters {} and {(0,): 6}
+    families = one_per_kind(cyclic_group(2))
+    assert sorted(fam.kind for fam in families) == sorted(wreath.FAMILY_KINDS)
+    for fam in families:
+        for rows in [(0,), (2, 0), (-1,)]:
+            with pytest.raises(InputError, match="at least 1"):
+                fam.joint_moment(6, ((0, rows),))
+            with pytest.raises(InputError, match="at least 1"):
+                fam.joint_moment(6, ((0, (1,)), (1, rows)))
+            with pytest.raises(InputError, match="at least 1"):
+                wreath.cycle_characters(fam, 6, list(rows))
+        # rows from 1 still answer after the refusals
+        assert fam.joint_moment(6, ((0, (1,)),)) == fam.moment(6, [(0, (1,))]), fam.kind
+        assert wreath.cycle_characters(fam, 6, [1]), fam.kind
+
+
+C2_REGULAR = {"kind": "example1", "group": "cyclic:2"}
+C2_UNIFORM = {"kind": "irreducible", "group": "cyclic:2", "weights": ["1/2", "1/2"]}
+C2_NULL_MULTIPLICITIES = {**C2_REGULAR, "multiplicities": None}
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (C2_NULL_MULTIPLICITIES, "multiplicities"),
+        ({**C2_REGULAR, "weights": None}, "weights"),
+        ({**C2_UNIFORM, "bases": None}, "bases"),
+        ({**C2_UNIFORM, "weights": None}, "weights"),
+        ({"kind": "restricted", "ratio": None, "parent": C2_REGULAR}, "ratio"),
+        ({"kind": "tensor", "left": C2_REGULAR, "right": None}, "right"),
+        (
+            {
+                "kind": "outer",
+                "ratio": "1/2",
+                "left": {"kind": "induced", "ratio": "1/2", "parent": C2_NULL_MULTIPLICITIES},
+                "right": C2_UNIFORM,
+            },
+            "multiplicities",
+        ),
+    ],
+)
+def test_family_from_json_refuses_a_null_key_at_every_depth(doc, key):
+    # null is not absence: only a missing key takes the constructor's default
+    with pytest.raises(ValueError, match=f"key {re.escape(repr(key))} is null"):
+        family_from_json(doc)
 
 
 def test_family_from_json_rejects_unknown_kinds():
