@@ -358,7 +358,8 @@ def _limit_table(fam, need=0):
 def cmd_family(ns):
     fam = _load_family(ns.family)
     q = ns.q
-    # a refused measure builds no class, and no limit table builds one
+    # a measure is charged before its first moment and its first pair, and no
+    # limit table builds one
     measure = None if q is None else fam.canonical_measure(q)
     params = _limit_table(fam)
     doc = {

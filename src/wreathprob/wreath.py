@@ -12,14 +12,17 @@ partitions are determined by per-slot row data.
 A RepFamily assigns to every q a probability measure on these tuples via
 its exact joint moment rule; concrete families cover the independent-box
 construction, deterministic balanced shapes, and restriction, induction,
-outer-product, and tensor constructions on top of other families.  A
-tensor reads its moments off its factors' characters at the pinned cycles
-(``cycle_characters``); no moment reads a class function or a measure.
+outer-product, and tensor constructions on top of other families.  The
+size-q measure inverts the joint moments that pin all q points by S_n
+column orthogonality, and a tensor reads its moments off its factors'
+characters at the pinned cycles (``cycle_characters``), so no family
+states a class function and no moment reads a measure.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import itertools
 import math
@@ -27,7 +30,7 @@ import operator
 from collections import Counter
 from fractions import Fraction
 
-from .cyclotomics import conjugate_value, numerator_denominator, value_as_fraction
+from .cyclotomics import conjugate_value, value_as_fraction
 from .errors import Infeasible, InputError, NoLimitTable
 from .groups import CharacterTable, _coeff_from_json, _coeff_to_json, builtin_group
 from .groups import character_table_from_json, character_table_to_json, validate_character_table
@@ -73,9 +76,10 @@ def wreath_dimension(ct: CharacterTable, lam_tuple) -> int:
 
 FIXED = (1, 0)
 
-# One budget for the class paths: the class values a class function computes
-# plus a measure's support times the irreducibles it pairs with, and the
-# products ``cycle_characters`` makes, each bounded before anything is built.
+# One budget for the measure and character paths: a measure's irreducibles,
+# charged before its first moment, and the (moment, irreducible) pairs it
+# sums, before the first pair; and the products ``cycle_characters`` makes,
+# before its first moment.
 MAX_CLASS_WORK = 2 * 10**4
 
 # Moments and joint moments one family keeps: a cumulant asks for the
@@ -134,27 +138,6 @@ def class_type(group, colors, walk) -> tuple:
         key.append((len(cycle), group.class_of[g]))
     key.sort()
     return tuple(key)
-
-
-def class_types(ct: CharacterTable, q: int) -> list[tuple]:
-    """Every class type of G wr S_q, one per tuple of partitions over the G-classes.
-
-    Each part l of the c-th partition is one cycle (l, c).
-    """
-    return [
-        tuple(sorted((part, c) for c, lam in enumerate(lams) for part in lam))
-        for lams in _multipartitions(len(ct.group.conjugacy_classes), q)
-    ]
-
-
-def centralizer(ct: CharacterTable, t) -> int:
-    """z(t) = prod (l |G| / |c|)^m m!; the class has |G|^q q! / z(t) elements."""
-    group = ct.group
-    out = 1
-    for (length, g_class), m in Counter(t).items():
-        size = len(group.conjugacy_classes[g_class])
-        out *= (length * group.order // size) ** m * math.factorial(m)
-    return out
 
 
 def wreath_order(ct: CharacterTable, q: int) -> int:
@@ -243,31 +226,6 @@ def check_class_budget(q: int, work: int) -> None:
         raise Infeasible(f"q={q}: class work {work} passes the class budget of {MAX_CLASS_WORK}")
 
 
-def measure_from_class_function(ct: CharacterTable, q: int, values: dict) -> dict:
-    """Decompose a normalized class function into the probability it induces.
-
-    The mass of one irreducible is its dimension times the inner product
-    sum_t values[t] conj(chi(t)) / z(t) over the support.  The weights
-    values[t] / z(t) are brought to one denominator first, so the inner
-    products run on integer coefficients and divide once.
-    """
-    parts = [(t, *numerator_denominator(value), centralizer(ct, t)) for t, value in values.items()]
-    denominator = math.lcm(*(d * z for _, _, d, z in parts))
-    support = [(t, n * (denominator // (d * z))) for t, n, d, z in parts]
-    totals = dict.fromkeys(enumerate_irreps(ct, q), 0)
-    for lam_tuples in irreps_by_sizes(ct, q).values():
-        for t, weight in support:
-            for lam_tuple, chi in zip(lam_tuples, class_values(ct, lam_tuples, t)):
-                totals[lam_tuple] = totals[lam_tuple] + weight * conjugate_value(chi)
-    scale = Fraction(1, denominator)
-    out = {}
-    for lam_tuple, total in totals.items():
-        mass = value_as_fraction(total * scale) * wreath_dimension(ct, lam_tuple)
-        if mass:
-            out[lam_tuple] = mass
-    return out
-
-
 def _truncate(summ: IndicatorSum, q: int) -> IndicatorSum:
     # indicators needing more than q points are the zero element at size q
     kept = {rows: c for rows, c in summ.terms.items() if sum(rows) <= q}
@@ -318,6 +276,7 @@ class RepFamily:
 
     kind = "abstract"
     fields: tuple[str, ...] = ()  # descriptor keys in output order, coded by ``_FIELDS``
+    boxes = None  # the ``example1`` family this one equals, where its kind shows one
 
     def __init_subclass__(cls):
         FAMILY_KINDS[cls.kind] = cls
@@ -397,28 +356,43 @@ class RepFamily:
         """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
         raise NoLimitTable(f"no limit table for family kind {self.kind!r}")
 
-    def class_cost(self, q: int) -> tuple[int, int]:
-        """(support, work) of ``class_function(q)``, counted without building it.
-
-        ``support`` bounds the class types it is nonzero on, ``work`` the
-        class values and pairs of class types it computes.
-        """
-        raise NotImplementedError
-
-    def class_function(self, q: int) -> dict:
-        """Normalized character at size q: {class type: value} on its support."""
-        raise NotImplementedError
-
     def canonical_measure(self, q: int) -> dict:
         """Probability of each partition tuple under the size-q measure.
 
-        Decomposes the family's class function over the irreducibles;
-        families with a closed form override this.
+        The joint moment M(rho) that pins all q points, rho_z |- n_z in
+        slot z, sees only the tuples with |lam^z| = n_z, on which the
+        indicator of rho_z acts by n_z! chi^lam^z(rho_z) / dim lam^z.  So
+        column orthogonality in each S_(n_z) inverts the moments of one
+        slot-size block, with integer characters (Macdonald ch. I §7):
+
+            P(Lam) = prod_z (dim lam^z / n_z!) sum_rho M(rho) prod_z chi^lam^z(rho_z) / z(rho_z)
+
+        Budget, against ``MAX_CLASS_WORK``: the irreducibles are charged
+        before the first moment, and the (rho, Lam) pairs that the nonzero
+        moments form before the first pair.  Closed forms override this.
         """
-        support, work = self.class_cost(q)
-        # every irreducible is paired with every supported class type
-        check_class_budget(q, work + support * _capped_count(self.ct.num_irreps, q))
-        return measure_from_class_function(self.ct, q, self.class_function(q))
+        check_class_budget(q, _capped_count(self.ct.num_irreps, q))
+        blocks = []
+        for lam_tuples in irreps_by_sizes(self.ct, q).values():
+            weights = {}  # rho: M(rho) / prod_z z(rho_z), on the nonzero moments
+            for rho in lam_tuples:
+                if m := self.joint_moment(q, tuple((z, r) for z, r in enumerate(rho) if r)):
+                    z = (k**c * math.factorial(c) for r in rho for k, c in Counter(r).items())
+                    weights[rho] = m / math.prod(z)
+            if weights:
+                blocks.append((lam_tuples, weights))
+        check_class_budget(q, sum(len(lams) * len(weights) for lams, weights in blocks))
+        chi, out = functools.cache(sym_character), {}
+        for lam_tuples, weights in blocks:
+            # the sums run on integer numerators over one denominator per block
+            common = math.lcm(*(w.denominator for w in weights.values()))
+            numerators = [(rho, int(w * common)) for rho, w in weights.items()]
+            common *= math.prod(math.factorial(sum(lam)) for lam in lam_tuples[0])
+            for lam_tuple in lam_tuples:
+                total = sum(n * math.prod(map(chi, lam_tuple, rho)) for rho, n in numerators)
+                if total:
+                    out[lam_tuple] = Fraction(total * math.prod(map(dimension, lam_tuple)), common)
+        return out
 
 
 def _weight_vector(ct: CharacterTable, weights) -> tuple[Fraction, ...]:
@@ -480,27 +454,9 @@ class Example1Family(RepFamily):
             prod *= self.weights[slot] ** len(rows)
         return math.perm(q, total_ones) * prod
 
-    def _fibre(self) -> list:
-        """The normalized fibre character per G-class: sum_i (w_i / dim_i) chi_i."""
-        scales = [w / r.dim for w, r in zip(self.weights, self.ct.irreps)]
-        columns = zip(*(r.values for r in self.ct.irreps))
-        return [sum(map(operator.mul, scales, col)) for col in columns]
-
-    def class_cost(self, q: int) -> tuple[int, int]:
-        # fixed-point types over the G-classes the fibre character is nonzero on
-        nonzero = sum(1 for v in self._fibre() if v)
-        fixed_point_types = math.comb(q + nonzero - 1, q)
-        return fixed_point_types, fixed_point_types
-
-    def class_function(self, q: int) -> dict:
-        # the tensor power lives on the base group's q-fold product: only
-        # fixed-point types, each point contributing the normalized fibre character
-        fibre, one = self._fibre(), Fraction(1)
-        nonzero = [c for c, v in enumerate(fibre) if v]
-        return {
-            tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=one)
-            for classes in itertools.combinations_with_replacement(nonzero, q)
-        }
+    @property
+    def boxes(self) -> "Example1Family":
+        return self
 
     def canonical_probability(self, q: int, lam_tuple) -> Fraction:
         """Closed-form mass of one partition tuple under the size-q measure."""
@@ -593,18 +549,6 @@ class IrreducibleFamily(RepFamily):
     def _joint_moment(self, q: int, items) -> Fraction:
         return factorized_character(self.shapes(q), items)
 
-    def class_cost(self, q: int) -> tuple[int, int]:
-        # a class value walks the splits of its type among the slots, which
-        # grow like the irreducibles: each is counted as that many
-        types = _capped_count(len(self.ct.group.conjugacy_classes), q)
-        return types, types * _capped_count(self.ct.num_irreps, q)
-
-    def class_function(self, q: int) -> dict:
-        shapes = self.shapes(q)
-        scale = Fraction(1, wreath_dimension(self.ct, shapes))
-        values = {t: class_values(self.ct, [shapes], t)[0] for t in class_types(self.ct, q)}
-        return {t: v * scale for t, v in values.items() if v}
-
     def canonical_measure(self, q: int) -> dict:
         return {self.shapes(q): Fraction(1)}
 
@@ -634,18 +578,6 @@ class RestrictedFamily(RepFamily):
 
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
-
-    def class_cost(self, q: int) -> tuple[int, int]:
-        return self.parent.class_cost(self.r_of(q))
-
-    def class_function(self, q: int) -> dict:
-        # x at q embeds at r with r - q more identity fixed points
-        fixed = self.r_of(q) - q
-        return {
-            t[fixed:]: v
-            for t, v in self.parent.class_function(q + fixed).items()
-            if t[:fixed] == (FIXED,) * fixed
-        }
 
     def _joint_moment(self, q: int, items) -> Fraction:
         r = self.r_of(q)
@@ -700,31 +632,14 @@ class OuterFamily(RepFamily):
         q1 = math.floor(self.ratio * q)
         return q1, q - q1
 
-    def class_cost(self, q: int) -> tuple[int, int]:
-        q1, q2 = self.split_of(q)
-        (s1, w1), (s2, w2) = self.left.class_cost(q1), self.right.class_cost(q2)
-        types = _capped_count(len(self.ct.group.conjugacy_classes), q)
-        return min(s1 * s2, types), w1 + w2 + s1 * s2
-
-    def class_function(self, q: int) -> dict:
-        # Frobenius over the splits t = t1 + t2 into the two blocks, each
-        # weighted z(t) / (C(q, q1) z(t1) z(t2))
-        (q1, q2), ct = self.split_of(q), self.ct
-        right = self.right.class_function(q2)
-        out: dict[tuple, object] = {}
-        for t1, v1 in self.left.class_function(q1).items():
-            w1 = v1 * Fraction(1, math.comb(q, q1) * centralizer(ct, t1))
-            for t2, v2 in right.items():
-                t = tuple(sorted(t1 + t2))
-                term = w1 * v2 * Fraction(centralizer(ct, t), centralizer(ct, t2))
-                out[t] = out.get(t, 0) + term
-        return {t: v for t, v in out.items() if v}
-
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
         splits = [[(slot, *split) for split in _row_splits(rows)] for slot, rows in items]
-        total = Fraction(0)
+        pinned, total = sum(sum(rows) for _, rows in items), Fraction(0)
         for combo in itertools.product(*splits):
+            # a block pinning more points than it has is 0 on any family
+            if not pinned - q2 <= sum(sum(l) for _, _, l, _ in combo) <= q1:
+                continue
             # an induced family's right block is the regular family, which
             # vanishes unless every row it gets is a fixed point
             right = self.right.joint_moment(q2, tuple((s, r) for s, _, _, r in combo if r))
@@ -803,7 +718,9 @@ class TensorFamily(RepFamily):
 
     Normalized characters multiply class by class, which has no
     indicator-level product rule.  So a joint moment multiplies the factors'
-    ``cycle_characters`` and reads the product by column orthogonality.
+    ``cycle_characters`` and reads the product by column orthogonality,
+    unless both factors are independent-box families: then so is the
+    tensor (``boxes``), and its moments, measure and limits are that family's.
     """
 
     kind = "tensor"
@@ -816,7 +733,25 @@ class TensorFamily(RepFamily):
         self.left = left
         self.right = right
 
+    @functools.cached_property
+    def boxes(self) -> Example1Family | None:
+        """The independent-box family whose slot weights are the one-box moments, if any.
+
+        Two independent-box fibres multiply into one fibre, and at q = 1 the
+        one-box moment of slot z is that fibre's weight: dim_z times its
+        class-size-weighted inner product with chi_z.
+        """
+        if self.left.boxes and self.right.boxes:
+            weights = [self._cycle_moment(1, ((z, (1,)),)) for z in range(self.ct.num_irreps)]
+            return Example1Family(self.ct, weights=weights)
+        return None
+
     def _joint_moment(self, q: int, items) -> Fraction:
+        if self.boxes:
+            return self.boxes._joint_moment(q, items)
+        return self._cycle_moment(q, items)
+
+    def _cycle_moment(self, q: int, items) -> Fraction:
         # (length, slot) order: one factor table serves every order of the same lengths
         cycles = sorted((length, z) for z, rows in items for length in rows)
         lengths = [length for length, _ in cycles]
@@ -832,29 +767,14 @@ class TensorFamily(RepFamily):
             total += value * right.get(key, 0)
         return value_as_fraction(total * math.perm(q, sum(lengths)))
 
-    def class_cost(self, q: int) -> tuple[int, int]:
-        (s1, w1), (s2, w2) = self.left.class_cost(q), self.right.class_cost(q)
-        return min(s1, s2), w1 + w2
-
-    def class_function(self, q: int) -> dict:
-        # class functions keep nonzero values only, so no product vanishes
-        right = self.right.class_function(q)
-        return {t: v * right[t] for t, v in self.left.class_function(q).items() if t in right}
+    def canonical_measure(self, q: int) -> dict:
+        return self.boxes.canonical_measure(q) if self.boxes else super().canonical_measure(q)
 
     def limits(self, max_index: int = 6):
-        """The independent-box table whose slot weights are one-box moments.
-
-        Two independent-box fibres multiply into one fibre, and at q = 1 the
-        one-box moment of slot z is that fibre's weight: dim_z times its
-        class-size-weighted inner product with chi_z.
-        """
-        from .asymptotics import example1_limits
-
-        for fam in (self.left, self.right):
-            if not isinstance(fam, Example1Family):
-                raise NoLimitTable(f"no tensor limit table for family kind {fam.kind!r}")
-        weights = [self.moment(1, [(z, (1,))]) for z in range(self.ct.num_irreps)]
-        return example1_limits(weights, max_index)
+        if not self.boxes:
+            kind = next(fam.kind for fam in (self.left, self.right) if not fam.boxes)
+            raise NoLimitTable(f"no tensor limit table for family kind {kind!r}")
+        return self.boxes.limits(max_index)
 
 
 def _group_from_json(doc) -> CharacterTable:
@@ -867,6 +787,13 @@ def _group_from_json(doc) -> CharacterTable:
     return ct
 
 
+def _weights_from_json(weights) -> list[Fraction]:
+    # a string is iterable too, but its characters are no weights
+    if not isinstance(weights, list):
+        raise ValueError(f"weights must be a list, one per base irreducible: {weights!r}")
+    return [*map(_coeff_from_json, weights)]
+
+
 family_from_json = RepFamily.from_json  # groups inline or by name
 
 
@@ -874,9 +801,7 @@ family_from_json = RepFamily.from_json  # groups inline or by name
 _FIELDS = {
     "group": ("ct", character_table_to_json, _group_from_json),
     "ratio": ("ratio", _coeff_to_json, _coeff_from_json),
-    "weights": (
-        "weights", lambda w: [*map(_coeff_to_json, w)], lambda w: [*map(_coeff_from_json, w)]
-    ),
+    "weights": ("weights", lambda w: [*map(_coeff_to_json, w)], _weights_from_json),
     "multiplicities": ("multiplicities", list, lambda mults: mults),
     "bases": ("bases", lambda bases: [*map(list, bases)], lambda bases: bases),
     **{k: (k, lambda fam: fam.to_json(), family_from_json) for k in ("parent", "left", "right")},

@@ -1240,6 +1240,162 @@ def measure_r_cumulant(family, q: int, args) -> Fraction:
     return total
 
 
+# ----------------------------------------------- class functions of families
+#
+# The class-level description of every family kind that the library's
+# measures replaced with the moment inversion: a normalized character as
+# {class type: value} on its support, its cost, and the decomposition of a
+# class function into the measure it induces.
+
+def class_types(ct, q: int) -> list[tuple]:
+    """Every class type of G wr S_q, one per tuple of partitions over the G-classes.
+
+    Each part l of the c-th partition is one cycle (l, c).
+    """
+    from wreathprob.wreath import _multipartitions
+
+    return [
+        tuple(sorted((part, c) for c, lam in enumerate(lams) for part in lam))
+        for lams in _multipartitions(len(ct.group.conjugacy_classes), q)
+    ]
+
+
+def centralizer(ct, t) -> int:
+    """z(t) = prod (l |G| / |c|)^m m!; the class has |G|^q q! / z(t) elements."""
+    group = ct.group
+    out = 1
+    for (length, g_class), m in Counter(t).items():
+        size = len(group.conjugacy_classes[g_class])
+        out *= (length * group.order // size) ** m * math.factorial(m)
+    return out
+
+
+def example1_fibre(family) -> list:
+    """The normalized fibre character per G-class: sum_i (w_i / dim_i) chi_i."""
+    scales = [w / r.dim for w, r in zip(family.weights, family.ct.irreps)]
+    columns = zip(*(r.values for r in family.ct.irreps))
+    return [sum(s * v for s, v in zip(scales, col)) for col in columns]
+
+
+def class_cost(family, q: int) -> tuple[int, int]:
+    """(support, work) of ``class_function(family, q)``, counted without building it.
+
+    ``support`` bounds the class types it is nonzero on, ``work`` the
+    class values and pairs of class types it computes.
+    """
+    from wreathprob.wreath import _capped_count
+
+    kind, ct = family.kind, family.ct
+    if kind == "example1":
+        # fixed-point types over the G-classes the fibre character is nonzero on
+        nonzero = sum(1 for v in example1_fibre(family) if v)
+        fixed_point_types = math.comb(q + nonzero - 1, q)
+        return fixed_point_types, fixed_point_types
+    if kind == "irreducible":
+        # a class value walks the splits of its type among the slots, which
+        # grow like the irreducibles: each is counted as that many
+        types = _capped_count(len(ct.group.conjugacy_classes), q)
+        return types, types * _capped_count(ct.num_irreps, q)
+    if kind == "restricted":
+        return class_cost(family.parent, family.r_of(q))
+    if kind == "tensor":
+        (s1, w1), (s2, w2) = class_cost(family.left, q), class_cost(family.right, q)
+        return min(s1, s2), w1 + w2
+    # outer, and induced, which is outer with the regular right block
+    q1, q2 = family.split_of(q)
+    (s1, w1), (s2, w2) = class_cost(family.left, q1), class_cost(family.right, q2)
+    types = _capped_count(len(ct.group.conjugacy_classes), q)
+    return min(s1 * s2, types), w1 + w2 + s1 * s2
+
+
+def class_function(family, q: int) -> dict:
+    """Normalized character at size q: {class type: value} on its support."""
+    from wreathprob.wreath import class_values, wreath_dimension
+
+    kind, ct = family.kind, family.ct
+    if kind == "example1":
+        # the tensor power lives on the base group's q-fold product: only
+        # fixed-point types, each point contributing the normalized fibre character
+        fibre, one = example1_fibre(family), Fraction(1)
+        nonzero = [c for c, v in enumerate(fibre) if v]
+        return {
+            tuple((1, c) for c in classes): math.prod((fibre[c] for c in classes), start=one)
+            for classes in itertools.combinations_with_replacement(nonzero, q)
+        }
+    if kind == "irreducible":
+        shapes = family.shapes(q)
+        scale = Fraction(1, wreath_dimension(ct, shapes))
+        values = {t: class_values(ct, [shapes], t)[0] for t in class_types(ct, q)}
+        return {t: v * scale for t, v in values.items() if v}
+    if kind == "restricted":
+        from wreathprob.wreath import FIXED
+
+        # x at q embeds at r with r - q more identity fixed points
+        fixed = family.r_of(q) - q
+        return {
+            t[fixed:]: v
+            for t, v in class_function(family.parent, q + fixed).items()
+            if t[:fixed] == (FIXED,) * fixed
+        }
+    if kind == "tensor":
+        # class functions keep nonzero values only, so no product vanishes
+        right = class_function(family.right, q)
+        return {t: v * right[t] for t, v in class_function(family.left, q).items() if t in right}
+    # outer and induced: Frobenius over the splits t = t1 + t2 into the two
+    # blocks, each weighted z(t) / (C(q, q1) z(t1) z(t2))
+    q1, q2 = family.split_of(q)
+    right = class_function(family.right, q2)
+    out: dict[tuple, object] = {}
+    for t1, v1 in class_function(family.left, q1).items():
+        w1 = v1 * Fraction(1, math.comb(q, q1) * centralizer(ct, t1))
+        for t2, v2 in right.items():
+            t = tuple(sorted(t1 + t2))
+            term = w1 * v2 * Fraction(centralizer(ct, t), centralizer(ct, t2))
+            out[t] = out.get(t, 0) + term
+    return {t: v for t, v in out.items() if v}
+
+
+def measure_from_class_function(ct, q: int, values: dict) -> dict:
+    """Decompose a normalized class function into the probability it induces.
+
+    The mass of one irreducible is its dimension times the inner product
+    sum_t values[t] conj(chi(t)) / z(t) over the support.  The weights
+    values[t] / z(t) are brought to one denominator first, so the inner
+    products run on integer coefficients and divide once.
+    """
+    from wreathprob.cyclotomics import conjugate_value, numerator_denominator, value_as_fraction
+    from wreathprob.wreath import class_values, enumerate_irreps, irreps_by_sizes, wreath_dimension
+
+    parts = [(t, *numerator_denominator(value), centralizer(ct, t)) for t, value in values.items()]
+    denominator = math.lcm(*(d * z for _, _, d, z in parts))
+    support = [(t, n * (denominator // (d * z))) for t, n, d, z in parts]
+    totals = dict.fromkeys(enumerate_irreps(ct, q), 0)
+    for lam_tuples in irreps_by_sizes(ct, q).values():
+        for t, weight in support:
+            for lam_tuple, chi in zip(lam_tuples, class_values(ct, lam_tuples, t)):
+                totals[lam_tuple] = totals[lam_tuple] + weight * conjugate_value(chi)
+    scale = Fraction(1, denominator)
+    out = {}
+    for lam_tuple, total in totals.items():
+        mass = value_as_fraction(total * scale) * wreath_dimension(ct, lam_tuple)
+        if mass:
+            out[lam_tuple] = mass
+    return out
+
+
+def class_function_measure(family, q: int) -> dict:
+    """The size-q measure decomposed from the family's class function.
+
+    Charged as the class route was: the class work plus every supported
+    class type paired with every irreducible.
+    """
+    from wreathprob.wreath import _capped_count, check_class_budget
+
+    support, work = class_cost(family, q)
+    check_class_budget(q, work + support * _capped_count(family.ct.num_irreps, q))
+    return measure_from_class_function(family.ct, q, class_function(family, q))
+
+
 # ----------------------------------------------- characters by the class function
 #
 # The routes the library's moment rules replaced: a tensor moment and a
@@ -1253,13 +1409,13 @@ def class_function_tensor_moment(family, q: int, items) -> Fraction:
     from wreathprob.wreath import FIXED, _capped_count, check_class_budget
 
     # charged as the measure this class function decomposes into
-    support, work = family.class_cost(q)
+    support, work = class_cost(family, q)
     check_class_budget(q, work + support * _capped_count(family.ct.num_irreps, q))
     cycles = [(z, length) for z, rows in items for length in rows]
     pinned = sum(length for _, length in cycles)
     if pinned > q:
         return Fraction(0)
-    values, irreps = family.class_function(q), family.ct.irreps
+    values, irreps = class_function(family, q), family.ct.irreps
     classes = family.ct.group.conjugacy_classes
     # a cycle of length l in slot z at G-class c weighs |c| conj chi_z(c) d_z^l
     choices = [
@@ -1292,8 +1448,8 @@ def class_function_element_cumulant(family, q: int, elements):
         (tuple(c) + (group.identity,) * (q - len(p)), tuple(p) + tuple(range(len(p), q)))
         for c, p in elements
     ]
-    check_class_budget(q, family.class_cost(q)[1])
-    values = family.class_function(q)
+    check_class_budget(q, class_cost(family, q)[1])
+    values = class_function(family, q)
     identity = ((group.identity,) * q, tuple(range(q)))
 
     def moment(block):

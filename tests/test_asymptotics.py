@@ -29,7 +29,7 @@ from wreathprob.asymptotics import (
     scaled_quantity,
     set_partitions,
 )
-from wreathprob import asymptotics
+from wreathprob import asymptotics, wreath
 from wreathprob.bruteforce import WreathGroup
 from wreathprob.cli import SCHEMA_VERSION, _build_parser, _report_csv, _report_json
 from wreathprob.errors import Infeasible, InputError, NoLimitTable
@@ -46,7 +46,8 @@ from wreathprob.wreath import (
 )
 
 from family_trees import PROPERTY_GROUPS, moment_factors, nodes, trees
-from oracles import class_function_element_cumulant, composition_double_sum_bruteforce
+from oracles import class_cost, class_function, class_function_element_cumulant
+from oracles import composition_double_sum_bruteforce
 from oracles import compositions, measure_r_cumulant
 from oracles import induce_limits, per_entry_limits, per_entry_restrict_limits, tensor_fibre_weights
 
@@ -218,7 +219,7 @@ def _r_cumulant_cases(draw):
     fam = draw(trees(ct, 2))
     q = draw(st.integers(1, 5))
     # small families: the measure route's class work stays far below its budget
-    assume(fam.class_cost(q)[1] <= 1000)
+    assume(class_cost(fam, q)[1] <= 1000)
     arg = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([2, 3]))
     return fam, q, draw(st.lists(arg, min_size=1, max_size=2))
 
@@ -234,17 +235,27 @@ def test_r_cumulant_matches_the_measure_on_random_families(case):
     assert r_cumulant(fam, q, args) == want, (fam.to_json(), q, args)
 
 
-def test_r_cumulant_cases_leave_out_a_parent_past_the_class_budget():
-    # the restricted family is cheap at q = 4, and r_cumulant asks its tensor
-    # parent for moments at q = 8, where that parent's measure would pass the
-    # class budget (class work 36540); a tensor moment is charged no measure
-    ct = symmetric3_group()
-    parent = TensorFamily(Example1Family(ct, [1, 0, 0]), Example1Family(ct, [1, 0, 0]))
-    fam = RestrictedFamily(parent, 2)
-    assert fam.class_cost(4)[1] <= 1000 and measure_r_cumulant(fam, 4, [(0, 2)]) == 4
-    assert r_cumulant(fam, 4, [(0, 2)]) == 4
-    with pytest.raises(Infeasible, match="q=8"):
-        parent.canonical_measure(8)
+def test_r_cumulant_cases_leave_out_a_parent_past_the_class_budget(monkeypatch):
+    # a depth-2 tree at q = 5, cheap by the filter above, whose tensor parent
+    # lives on 20 points, where its measure would pass the budget: C2 wr S20
+    # has 24842 irreducibles.  r_cumulant asks the parent for moments, which
+    # are charged no measure, and so does the restricted family's own measure
+    ct = cyclic_group(2)
+    parent = TensorFamily(Example1Family(ct, [1, 1]), Example1Family(ct, [2, 1]))
+    fam = RestrictedFamily(RestrictedFamily(parent, 2), 2)
+    # the product fibre is the regular one: slot 0 holds half the boxes
+    assert class_cost(fam, 5)[1] <= 1000 and measure_r_cumulant(fam, 5, [(0, 2)]) == Fraction(5, 2)
+    assert r_cumulant(fam, 5, [(0, 2)]) == Fraction(5, 2)
+
+    def refuse(*args):
+        raise AssertionError("a refused measure computed past its charge")
+
+    # refused on the irreducible count, before any moment or irreducible
+    for cls in wreath.FAMILY_KINDS.values():
+        monkeypatch.setattr(cls, "_joint_moment", refuse)
+    monkeypatch.setattr(wreath, "enumerate_irreps", refuse)
+    with pytest.raises(Infeasible, match="q=20: class work 20001 passes"):
+        parent.canonical_measure(20)
 
 
 def test_point_mass_family_has_no_fluctuations():
@@ -287,7 +298,7 @@ COLOR3 = ((0, 0, 0, 1), (0, 1, 2, 3))
 def _enumerated_cumulant(fam, q, elements):
     """First or second cumulant of group elements, read off the enumerated wreath group."""
     group = WreathGroup(fam.ct, q)
-    values = fam.class_function(q)
+    values = class_function(fam, q)
 
     def mean(i):
         return values.get(group.class_types[group.class_of[i]], 0)
@@ -405,7 +416,7 @@ def _element_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
     fam = draw(trees(ct, 2))
     q = draw(st.integers(1, 5))
-    assume(fam.class_cost(q)[1] <= 1000)
+    assume(class_cost(fam, q)[1] <= 1000)
 
     def element(points):
         colors = st.lists(st.integers(0, ct.group.order - 1), min_size=points, max_size=points)
@@ -842,12 +853,16 @@ def test_tensor_tables_need_two_independent_box_factors():
     cases = [
         (box, point, "irreducible"),
         (point, box, "irreducible"),
-        (TensorFamily(box, box), box, "tensor"),
+        (TensorFamily(box, point), box, "tensor"),
         (box, InducedFamily(box, Fraction(1, 2)), "induced"),
     ]
     for left, right, kind in cases:
         with pytest.raises(NoLimitTable, match=f"no tensor limit table for family kind '{kind}'"):
             TensorFamily(left, right).limits()
+    # a tensor of two independent-box families is one, so it nests
+    nested = TensorFamily(TensorFamily(box, box), box)
+    want = example1_limits(tensor_fibre_weights(Example1Family(ct, (2, 2)), box), 6)
+    assert nested.limits() == want
 
 
 @st.composite

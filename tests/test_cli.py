@@ -980,24 +980,26 @@ def wreath_builds(monkeypatch):
 
 
 @pytest.fixture
-def class_calls(monkeypatch):
-    """Every class function, class type list and class-value column computed."""
+def measure_calls(monkeypatch):
+    """(name, q) of every joint moment computed, and (name, None) of every S_n
+    character and class-value column that ``wreath`` reads."""
     from wreathprob import wreath
 
     calls = []
 
-    def counting(name, fn):
+    def counting(name, fn, moment):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args[1] if moment else None))
             return fn(*args, **kwargs)
 
         return wrapper
 
     for cls in wreath.FAMILY_KINDS.values():
-        name = f"{cls.kind}.class_function"
-        monkeypatch.setattr(cls, "class_function", counting(name, cls.class_function))
-    for name in ("class_types", "class_values"):
-        monkeypatch.setattr(wreath, name, counting(name, getattr(wreath, name)))
+        if "_joint_moment" in vars(cls):  # induced inherits outer's rule
+            name = f"{cls.kind}._joint_moment"
+            monkeypatch.setattr(cls, "_joint_moment", counting(name, cls._joint_moment, True))
+    for name in ("sym_character", "class_values"):
+        monkeypatch.setattr(wreath, name, counting(name, getattr(wreath, name), False))
     return calls
 
 
@@ -1006,7 +1008,7 @@ S3_FIBRE_201 = {"kind": "example1", "group": "S3", "multiplicities": [2, 0, 1]}
 S3_IRREDUCIBLE = {"kind": "irreducible", "group": "S3", "weights": ["1/3", "1/3", "1/3"]}
 
 
-def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, class_calls):
+def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, measure_calls):
     # the left block reads S3 wr S16 at q = 8 (restriction by 4 at q1 = 4);
     # the regular fibre vanishes off the identity, so each block has one
     # supported type; an outer product of example1 blocks is example1 again
@@ -1023,8 +1025,14 @@ def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, 
         assert sum(atoms.values()) == 1
         assert atoms == example1_closed_form(symmetric3_group(), q)
     assert wreath_builds == []
-    # the counter sees the class path, down to the class-value columns
-    assert {"restricted.class_function", "class_values"} <= set(class_calls)
+    # the counter sees the moment path, down to the S_n characters, and no
+    # class-value column: no family kind states a class function
+    names = {name for name, _ in measure_calls}
+    assert {"outer._joint_moment", "restricted._joint_moment", "sym_character"} <= names
+    assert "class_values" not in names
+    from wreathprob.wreath import FAMILY_KINDS
+
+    assert not any(hasattr(cls, "class_function") for cls in FAMILY_KINDS.values())
 
 
 def test_family_induced_s3_at_q6(capsys, wreath_builds):
@@ -1061,33 +1069,44 @@ def test_benchmark_family_jobs_build_no_group(capsys, wreath_builds, workload):
 
 
 @pytest.mark.parametrize(
-    "fam, q",
+    "fam, q, computed",
     [
-        # the parent's 2640 class values at S3 wr S10, each counted at 2640
-        # irreducibles
-        ({"kind": "restricted", "ratio": "2", "parent": S3_IRREDUCIBLE}, 5),
-        # the fibre 2 triv + std is nonzero on every S3 class: 153 and 15
-        # fixed-point types in the blocks, 810 supported types at q = 8 times
-        # 810 irreducibles
+        # S3 wr S14 has more irreducibles than the budget: no moment is asked
+        ({"kind": "restricted", "ratio": "2", "parent": S3_IRREDUCIBLE}, 14, set()),
+        # a tensor of two example1 families is the example1 family of the
+        # product fibre: its one-box moments at q = 1, then the closed form,
+        # which counts S3 wr S40's irreducibles first
         (
-            {
-                "kind": "outer",
-                "ratio": "1/2",
-                "left": {"kind": "restricted", "ratio": "4", "parent": S3_FIBRE_201},
-                "right": S3_FIBRE_201,
-            },
-            8,
+            {"kind": "tensor", "left": S3_EXAMPLE1, "right": S3_EXAMPLE1},
+            40,
+            {("example1._joint_moment", 1)},
         ),
-        ({"kind": "tensor", "left": S3_EXAMPLE1, "right": S3_EXAMPLE1}, 40),
     ],
 )
-def test_family_past_class_budget_refused_before_any_class_is_built(
-    capsys, wreath_builds, class_calls, fam, q
+def test_family_past_the_irreducible_count_refused_before_any_moment(
+    capsys, wreath_builds, measure_calls, fam, q, computed
 ):
     code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", str(q))
     assert code == 3
     assert "class budget" in err
-    assert class_calls == []
+    assert set(measure_calls) == computed
+    assert wreath_builds == []
+
+
+def test_family_past_the_pair_count_refused_before_any_character(
+    capsys, wreath_builds, measure_calls
+):
+    # C2 wr S14 has 2665 irreducibles, but the point mass of ((4,3), (4,3))
+    # has 121 nonzero pinning moments in a block of 225 irreducibles: 27225 pairs
+    irreducible = {"kind": "irreducible", "group": "cyclic:2", "weights": ["1/2", "1/2"]}
+    fam = {"kind": "restricted", "ratio": "1", "parent": irreducible}
+    code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "14")
+    assert code == 3
+    assert "q=14: class work 27225 passes the class budget" in err
+    # the charge counts the nonzero moments, so they come first: one per
+    # irreducible of C2 wr S14, each the parent's moment at the same size
+    assert measure_calls.count(("restricted._joint_moment", 14)) == 2665
+    assert not [name for name, _ in measure_calls if name in ("sym_character", "class_values")]
     assert wreath_builds == []
 
 
@@ -1191,6 +1210,26 @@ def test_example1_multiplicities_must_be_non_negative_integers(multiplicities, c
     code, out, err = run(capsys, "family", "--family", json.dumps(fam))
     assert code == 2 and out == ""
     assert "multiplicities must be non-negative integers" in err
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        # a string's characters used to be read as weights [1, 0] and [0, 1]
+        {"kind": "example1", "group": "cyclic:2", "weights": "10"},
+        {"kind": "irreducible", "group": "cyclic:2", "weights": "01"},
+        {"kind": "irreducible", "group": "cyclic:2", "weights": {"0": "1/2", "1": "1/2"}},
+        {
+            "kind": "restricted",
+            "ratio": "2",
+            "parent": {"kind": "example1", "group": "cyclic:2", "weights": "1"},
+        },
+    ],
+)
+def test_family_weights_must_be_a_list(fam, capsys):
+    code, out, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "2")
+    assert code == 2 and out == ""
+    assert "weights must be a list" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from wreathprob.wreath import (
     TensorFamily,
     _capped_count,
     check_class_budget,
-    class_types,
     class_values,
     enumerate_irreps,
     factorized_character,
@@ -40,9 +39,11 @@ from wreathprob.wreath import (
 )
 
 from family_trees import PROPERTY_GROUPS, moment_factors, one_per_kind, stray_keys, trees
+import oracles
 from oracles import (
     brute_moment,
     class_function_tensor_moment,
+    class_types,
     enumerated_group,
     enumerated_measure,
     enumerated_sizes,
@@ -118,8 +119,8 @@ def test_class_function_on_long_cycle_classes_finishes(monkeypatch):
     ct = cyclic_group(1)
     fam = IrreducibleFamily(ct, (1,))
     start = time.perf_counter()
-    check_class_budget(14, fam.class_cost(14)[1])  # the budget admits it
-    values = fam.class_function(14)
+    check_class_budget(14, oracles.class_cost(fam, 14)[1])  # the budget admits it
+    values = oracles.class_function(fam, 14)
     assert time.perf_counter() - start < 10
     shapes = fam.shapes(14)
     dim = wreath_dimension(ct, shapes)
@@ -338,11 +339,12 @@ def test_tensor_moments_decompose_no_measure(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tensor moment read a class function or decomposed a measure")
 
-    for name in ("measure_from_class_function", "class_values", "factorized_character"):
+    # the measure inversion reads its characters through sym_character
+    for name in ("class_values", "factorized_character", "sym_character"):
         monkeypatch.setattr(wreath, name, refuse)
-    monkeypatch.setattr(RepFamily, "canonical_measure", refuse)
     for cls in (RepFamily, *wreath.FAMILY_KINDS.values()):
-        monkeypatch.setattr(cls, "class_function", refuse)
+        monkeypatch.setattr(cls, "canonical_measure", refuse)
+        assert not hasattr(cls, "class_function"), cls.kind  # no kind states one
     assert answers(c2_tensor()) == want
 
 
@@ -385,6 +387,39 @@ def _tensor_moment_cases(draw):
     # one cross-disjoint term: one row tuple per slot
     items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
     return fam, draw(st.integers(1, 5)), items
+
+
+def _box_oracle(fam):
+    """The example1 family an independent-box tree equals, by the fibre-product oracle."""
+    if fam.kind == "example1":
+        return fam
+    weights = oracles.tensor_fibre_weights(_box_oracle(fam.left), _box_oracle(fam.right))
+    return Example1Family(fam.ct, weights=weights)
+
+
+@st.composite
+def _box_tensor_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    boxes = trees(ct, 0).filter(lambda fam: fam.kind == "example1")
+    # nested tensors too: a tensor of independent-box families is one
+    inner = boxes | st.builds(TensorFamily, boxes, boxes)
+    fam = draw(st.builds(TensorFamily, inner, inner))
+    items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
+    return fam, draw(st.integers(1, 5)), items, draw(st.integers(2, 8))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_box_tensor_cases())
+def test_tensor_of_independent_box_families_is_the_product_fibre_family(case):
+    fam, q, items, depth = case
+    want = _box_oracle(fam)
+    assert fam.boxes.weights == want.weights, fam.to_json()
+    # the identity holds on the characters route that the family no longer takes
+    assert fam._cycle_moment(q, items) == want.joint_moment(q, items), (fam.to_json(), q, items)
+    assert fam.joint_moment(q, items) == want.joint_moment(q, items)
+    assert fam.canonical_measure(q) == want.canonical_measure(q)
+    assert RepFamily.canonical_measure(fam, q) == want.canonical_measure(q)
+    assert fam.limits(depth) == want.limits(depth)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -463,7 +498,7 @@ def _round_trip_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
     fam = draw(trees(ct, 2, shaped=True))
     # a tensor node's moments read a class function: keep its work small
-    assume(fam.class_cost(3)[1] <= 1000)
+    assume(oracles.class_cost(fam, 3)[1] <= 1000)
     factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.integers(1, 3).map(lambda l: (l,)))
     return fam, [draw(factor), draw(factor)]
 
@@ -482,7 +517,7 @@ def test_family_json_round_trip_on_random_trees(case):
 def _memo_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
     fam = draw(trees(ct, 2))
-    assume(fam.class_cost(3)[1] <= 1000)
+    assume(oracles.class_cost(fam, 3)[1] <= 1000)
     factor = st.tuples(st.integers(0, ct.num_irreps - 1), st.sampled_from([(1,), (2,), (1, 1)]))
     asked = draw(
         st.lists(
@@ -682,10 +717,36 @@ def test_class_function_and_measure_match_enumeration(case):
     fam, q, factors = case
     wg = enumerated_group(fam.ct, q)
     values = family_values(fam, q)
-    class_function = fam.class_function(q)
+    class_function = oracles.class_function(fam, q)
     for t, cls in zip(wg.class_types, wg.classes):
         assert class_function.get(t, 0) == values[cls[0]], (fam.to_json(), q, t)
     assert set(class_function) <= set(wg.class_types)
-    assert len(class_function) <= fam.class_cost(q)[0]
+    assert len(class_function) <= oracles.class_cost(fam, q)[0]
     assert RepFamily.canonical_measure(fam, q) == full_table_measure(wg, values)
+    assert oracles.measure_from_class_function(fam.ct, q, class_function) == full_table_measure(
+        wg, values
+    )
     assert fam.moment(q, factors) == brute_moment(fam, q, factors), (fam.to_json(), q, factors)
+
+
+@st.composite
+def _measure_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    return draw(trees(ct, 2)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_measure_cases())
+def test_measure_inversion_matches_the_class_function_measure(case):
+    # the sizes test_class_function_and_measure_match_enumeration draws, with
+    # no enumeration: the oracle decomposes the class function at the class level
+    fam, q = case
+    try:
+        want = oracles.class_function_measure(fam, q)
+    except Infeasible:
+        reject()  # past the budget of the class-function route
+    measure = fam.canonical_measure(q)
+    assert measure == want, (fam.to_json(), q)
+    assert sum(measure.values()) == 1
+    # the inversion itself, on the kinds with a closed form too
+    assert RepFamily.canonical_measure(fam, q) == want, (fam.to_json(), q)
