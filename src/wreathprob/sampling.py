@@ -25,7 +25,7 @@ from .diagrams import free_cumulants
 from .errors import Infeasible, InputError
 from .indicators import evaluate, in_indicators, indicator_in_free_cumulants
 from .indicators import profile_moment_in_free_cumulants
-from .wreath import Example1Family, RepFamily
+from .wreath import RepFamily
 
 # the version of every CSV and JSON schema the package writes
 SCHEMA_VERSION = 1
@@ -75,13 +75,13 @@ def sample_plancherel(n: int, rng) -> tuple:
 
 
 def require_direct_sampler(family: RepFamily) -> None:
-    """Refuse a family whose canonical measure has no direct sampler."""
-    if not isinstance(family, Example1Family):
+    """Refuse a family that is no independent-box family: its ``boxes`` is None."""
+    if family.boxes is None:
         raise Infeasible(f"family kind {family.kind!r} has no direct sampler")
 
 
 def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
-    """One partition tuple from the independent-box canonical measure.
+    """One partition tuple from the canonical measure of ``family.boxes``.
 
     Each of q uniforms picks its slot by the float slot weights, as
     ``random.choices`` does, and is row-inserted in that slot.  Given its
@@ -92,7 +92,7 @@ def sample_canonical(family: RepFamily, q: int, rng, slots=None) -> tuple:
     their shapes come back in the order given.
     """
     require_direct_sampler(family)
-    bounds = list(accumulate(float(w) for w in family.weights))
+    bounds = list(accumulate(float(w) for w in family.boxes.weights))
     scale, last = bounds[-1], len(bounds) - 1
     slots = range(len(bounds)) if slots is None else list(slots)
     if not all(0 <= slot <= last for slot in slots):

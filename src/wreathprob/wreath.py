@@ -13,10 +13,12 @@ A RepFamily assigns to every q a probability measure on these tuples via
 its exact joint moment rule; concrete families cover the independent-box
 construction, deterministic balanced shapes, and restriction, induction,
 outer-product, and tensor constructions on top of other families.  The
-size-q measure inverts the joint moments that pin all q points by S_n
-column orthogonality, and a tensor reads its moments off its factors'
-characters at the pinned cycles (``cycle_characters``), so no family
-states a class function and no moment reads a measure.
+size-q measure of every kind but ``irreducible``, a point mass, inverts
+the joint moments that pin all q points by S_n column orthogonality, and
+a tensor reads its moments off its factors' characters at the pinned
+cycles (``cycle_characters``), so no family states a class function and
+no moment reads a measure.  A family whose ``boxes`` is set is an
+independent-box family, which is all the sampler needs to know.
 """
 
 from __future__ import annotations
@@ -276,7 +278,9 @@ class RepFamily:
 
     kind = "abstract"
     fields: tuple[str, ...] = ()  # descriptor keys in output order, coded by ``_FIELDS``
-    boxes = None  # the ``example1`` family this one equals, where its kind shows one
+    # the ``example1`` family this one equals, where its kind shows one; the
+    # one test for an independent-box family, which the sampler draws from
+    boxes = None
 
     def __init_subclass__(cls):
         FAMILY_KINDS[cls.kind] = cls
@@ -369,7 +373,8 @@ class RepFamily:
 
         Budget, against ``MAX_CLASS_WORK``: the irreducibles are charged
         before the first moment, and the (rho, Lam) pairs that the nonzero
-        moments form before the first pair.  Closed forms override this.
+        moments form before the first pair.  Only ``irreducible``, a point
+        mass, overrides this.
         """
         check_class_budget(q, _capped_count(self.ct.num_irreps, q))
         blocks = []
@@ -457,23 +462,6 @@ class Example1Family(RepFamily):
     @property
     def boxes(self) -> "Example1Family":
         return self
-
-    def canonical_probability(self, q: int, lam_tuple) -> Fraction:
-        """Closed-form mass of one partition tuple under the size-q measure."""
-        if sum(sum(lam) for lam in lam_tuple) != q:
-            return Fraction(0)
-        out = Fraction(math.factorial(q))
-        for slot, lam in enumerate(lam_tuple):
-            n = sum(lam)
-            out *= self.weights[slot] ** n
-            out *= Fraction(dimension(lam) ** 2, math.factorial(n) ** 2)
-        return out
-
-    def canonical_measure(self, q: int) -> dict:
-        # the closed form builds no class type: only irreducibles count
-        check_class_budget(q, _capped_count(self.ct.num_irreps, q))
-        masses = {t: self.canonical_probability(q, t) for t in enumerate_irreps(self.ct, q)}
-        return {t: p for t, p in masses.items() if p}
 
     def limits(self, max_index: int = 6):
         from .asymptotics import example1_limits
@@ -593,14 +581,20 @@ class RestrictedFamily(RepFamily):
         return restrict_limits(self.parent.limits(max_index), 1 / self.ratio)
 
 
-def _row_splits(rows):
-    """(ways, left, right): each split of rows between the two blocks.
+def _row_splits(rows, left_cap, right_cap):
+    """(ways, left, right): each split of rows between the two blocks, no row past its block's cap.
 
     Taking k of the m rows of one length gives C(m, k) ways; both row
     tuples stay in descending order.
     """
     cells = sorted(Counter(rows).items(), reverse=True)
-    for take in itertools.product(*(range(m + 1) for _, m in cells)):
+    # the left block takes k of the m rows of one length: none past its
+    # cap, and all of them past the right block's
+    takes = [
+        range(m if length > right_cap else 0, (0 if length > left_cap else m) + 1)
+        for length, m in cells
+    ]
+    for take in itertools.product(*takes):
         ways = math.prod(math.comb(m, k) for (_, m), k in zip(cells, take))
         left = tuple(length for (length, _), k in zip(cells, take) for _ in range(k))
         right = tuple(length for (length, m), k in zip(cells, take) for _ in range(m - k))
@@ -634,14 +628,15 @@ class OuterFamily(RepFamily):
 
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
-        splits = [[(slot, *split) for split in _row_splits(rows)] for slot, rows in items]
+        # a block with ``boxes`` set (an induced family's right block, for
+        # one) is 0 on a row longer than 1, so no split hands it one
+        caps = [1 if fam.boxes else math.inf for fam in (self.left, self.right)]
+        splits = [[(slot, *split) for split in _row_splits(rows, *caps)] for slot, rows in items]
         pinned, total = sum(sum(rows) for _, rows in items), Fraction(0)
         for combo in itertools.product(*splits):
             # a block pinning more points than it has is 0 on any family
             if not pinned - q2 <= sum(sum(l) for _, _, l, _ in combo) <= q1:
                 continue
-            # an induced family's right block is the regular family, which
-            # vanishes unless every row it gets is a fixed point
             right = self.right.joint_moment(q2, tuple((s, r) for s, _, _, r in combo if r))
             if right:
                 left = self.left.joint_moment(q1, tuple((s, l) for s, _, l, _ in combo if l))
@@ -766,9 +761,6 @@ class TensorFamily(RepFamily):
                 value *= shares[c] * conjugate_value(irreps[z].values[c]) * irreps[z].dim**length
             total += value * right.get(key, 0)
         return value_as_fraction(total * math.perm(q, sum(lengths)))
-
-    def canonical_measure(self, q: int) -> dict:
-        return self.boxes.canonical_measure(q) if self.boxes else super().canonical_measure(q)
 
     def limits(self, max_index: int = 6):
         if not self.boxes:

@@ -74,6 +74,13 @@ def nodes(ct, depth, shaped=False):
     )
 
 
+def box_tensors(ct):
+    """Tensors of independent-box families, nested too: each is one itself (``boxes``)."""
+    boxes = leaves(ct).filter(lambda fam: fam.kind == "example1")
+    inner = boxes | st.builds(TensorFamily, boxes, boxes)
+    return st.builds(TensorFamily, inner, inner)
+
+
 def moment_factors(ct):
     """One or two (slot, rows) moment factors, each of one or two rows of length 1-3."""
     rows = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(

@@ -641,7 +641,9 @@ def tensor_fibre_weights(left, right) -> list[Fraction]:
 
     Slot weights w give the normalized fibre character f = sum_i (w_i / dim_i)
     chi_i; the product fibre f1 f2 gives irreducible z the weight
-    dim_z / |G| sum_g f1(g) f2(g) conj chi_z(g).
+    dim_z / |G| sum_g f1(g) f2(g) conj chi_z(g).  Either factor may itself
+    be a tensor of independent-box families, whose fibre is its factors'
+    product.
     """
     from wreathprob.cyclotomics import conjugate_value, value_as_fraction
 
@@ -649,6 +651,8 @@ def tensor_fibre_weights(left, right) -> list[Fraction]:
     elements = range(ct.group.order)
 
     def fibre(family, g):
+        if family.kind == "tensor":
+            return fibre(family.left, g) * fibre(family.right, g)
         return sum(
             Fraction(w, irrep.dim) * ct.value(i, g)
             for i, (w, irrep) in enumerate(zip(family.weights, ct.irreps))
@@ -663,6 +667,54 @@ def tensor_fibre_weights(left, right) -> list[Fraction]:
         / ct.group.order
         for z, irrep in enumerate(ct.irreps)
     ]
+
+
+def independent_box_weights(family) -> list[Fraction]:
+    """Slot weights of the example1 family that an independent-box tree equals."""
+    if family.kind == "example1":
+        return list(family.weights)
+    return tensor_fibre_weights(family.left, family.right)
+
+
+def example1_probability(family, q: int, lam_tuple) -> Fraction:
+    """Closed-form mass of one partition tuple under an example1 family's size-q measure.
+
+    Slot sizes are multinomial in the slot weights, and each slot's shape
+    is Plancherel given its size: q! prod_z w_z^n_z (dim lam^z / n_z!)^2.
+    """
+    if sum(sum(lam) for lam in lam_tuple) != q:
+        return Fraction(0)
+    out = Fraction(math.factorial(q))
+    for w, lam in zip(family.weights, lam_tuple):
+        n = sum(lam)
+        out *= w**n * Fraction(dimension_branching(tuple(lam)), math.factorial(n)) ** 2
+    return out
+
+
+def outer_joint_moment_every_split(family, q: int, items) -> Fraction:
+    """An outer family's joint moment, walking every split of the rows between its blocks.
+
+    Each row goes to the left block, on floor(ratio * q) points, or to the
+    right one, on the rest; rows are told apart by position, so equal rows
+    need no binomial weight.  A block given more points than it has is 0.
+    """
+    q1 = math.floor(family.ratio * q)
+    q2 = q - q1
+    per_slot = []
+    for slot, rows in items:
+        per_slot.append([])
+        for sides in itertools.product((0, 1), repeat=len(rows)):
+            left = tuple(r for r, side in zip(rows, sides) if side == 0)
+            right = tuple(r for r, side in zip(rows, sides) if side == 1)
+            per_slot[-1].append((slot, left, right))
+    total = Fraction(0)
+    for combo in itertools.product(*per_slot):
+        left = tuple((slot, rows) for slot, rows, _ in combo if rows)
+        right = tuple((slot, rows) for slot, _, rows in combo if rows)
+        if sum(sum(r) for _, r in left) > q1 or sum(sum(r) for _, r in right) > q2:
+            continue
+        total += family.left.joint_moment(q1, left) * family.right.joint_moment(q2, right)
+    return total
 
 
 # ------------------------------------------------------- cyclotomic numbers

@@ -50,7 +50,7 @@ from wreathprob.wreath import (
     wreath_dimension,
 )
 
-from oracles import enumerated_measure, growth_weights, indicator_scalar
+from oracles import enumerated_measure, example1_probability, growth_weights, indicator_scalar
 
 
 def _announce(number: int, text: str) -> None:
@@ -223,10 +223,11 @@ def test_criterion_07_canonical_measure_closed_form():
     ]
     for fam, qs in cases:
         for q in qs:
-            closed = fam.canonical_measure(q)
-            brute = enumerated_measure(fam, q)
-            assert closed == brute, (fam.ct.group.order, q)
-            assert sum(closed.values()) == 1
+            measure = fam.canonical_measure(q)
+            closed = {t: example1_probability(fam, q, t) for t in enumerate_irreps(fam.ct, q)}
+            assert measure == {t: p for t, p in closed.items() if p}, (fam.ct.group.order, q)
+            assert measure == enumerated_measure(fam, q), (fam.ct.group.order, q)
+            assert sum(measure.values()) == 1
     _announce(7, "multinomial times growth law equals the brute decomposition")
 
 

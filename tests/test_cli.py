@@ -23,9 +23,10 @@ from wreathprob.groups import (
     cyclic_group,
     symmetric3_group,
 )
-from wreathprob.wreath import Example1Family, enumerate_irreps
+from wreathprob.wreath import FAMILY_KINDS, Example1Family, enumerate_irreps
 
-from family_trees import stray_keys
+from family_trees import PROPERTY_GROUPS, one_per_kind, stray_keys
+from oracles import example1_probability
 
 LEFT_REGULAR = '{"kind":"example1","group":"cyclic:2"}'
 
@@ -321,8 +322,23 @@ def measure_atoms(out):
 def example1_closed_form(ct, q, multiplicities=None):
     """The multinomial-times-Plancherel masses of an example1 family."""
     fam = Example1Family(ct, multiplicities)
-    masses = {t: fam.canonical_probability(q, t) for t in enumerate_irreps(ct, q)}
+    masses = {t: example1_probability(fam, q, t) for t in enumerate_irreps(ct, q)}
     return {t: p for t, p in masses.items() if p}
+
+
+@pytest.mark.parametrize("ct", PROPERTY_GROUPS, ids=lambda ct: ct.name)
+def test_sample_refuses_every_kind_without_boxes_before_any_draw(capsys, monkeypatch, ct):
+    def no_draw(root_seed, index):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(sampling, "_seed_rng", no_draw)
+    refused = [fam for fam in one_per_kind(ct) if fam.boxes is None]
+    assert {fam.kind for fam in refused} == set(FAMILY_KINDS) - {"example1"}
+    for fam in refused:
+        family = json.dumps(fam.to_json())
+        code, _, err = run(capsys, "sample", "--family", family, "--q", "4", "--n-samples", "3")
+        assert code == 3, fam.kind
+        assert f"family kind {fam.kind!r} has no direct sampler" in err
 
 
 def test_family_measure_past_enumeration_budget(capsys):
@@ -1073,14 +1089,10 @@ def test_benchmark_family_jobs_build_no_group(capsys, wreath_builds, workload):
     [
         # S3 wr S14 has more irreducibles than the budget: no moment is asked
         ({"kind": "restricted", "ratio": "2", "parent": S3_IRREDUCIBLE}, 14, set()),
-        # a tensor of two example1 families is the example1 family of the
-        # product fibre: its one-box moments at q = 1, then the closed form,
-        # which counts S3 wr S40's irreducibles first
-        (
-            {"kind": "tensor", "left": S3_EXAMPLE1, "right": S3_EXAMPLE1},
-            40,
-            {("example1._joint_moment", 1)},
-        ),
+        # a tensor of two example1 families: the measure counts S3 wr S40's
+        # irreducibles before any moment, even the one-box moments at q = 1
+        # that name the tensor's product fibre family
+        ({"kind": "tensor", "left": S3_EXAMPLE1, "right": S3_EXAMPLE1}, 40, set()),
     ],
 )
 def test_family_past_the_irreducible_count_refused_before_any_moment(

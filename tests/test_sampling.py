@@ -30,8 +30,9 @@ from wreathprob.sampling import (
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
 
+from family_trees import PROPERTY_GROUPS, box_tensors
 from oracles import dimension_branching, falling, growth_weights, indicator_scalar
-from oracles import partition_count_pentagonal
+from oracles import independent_box_weights, partition_count_pentagonal
 
 
 def rng_for(seed):
@@ -133,6 +134,24 @@ def test_sample_shapes_refuses_other_kinds_before_drawing(monkeypatch):
     fam = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(Infeasible, match="no direct sampler"):
         sample_shapes(fam, 4, 3, 0, {0})
+
+
+@st.composite
+def _box_tensor_draws(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    slots = draw(st.sets(st.integers(0, ct.num_irreps - 1), min_size=1))
+    return draw(box_tensors(ct)), draw(st.integers(1, 40)), draw(st.integers(0, 99)), slots
+
+
+@settings(max_examples=50, deadline=None)
+@given(_box_tensor_draws())
+def test_tensor_of_box_families_samples_as_its_product_fibre_family(case):
+    fam, q, seed, slots = case
+    want = sample_shapes(fam.boxes, q, 3, seed, slots)
+    assert sample_shapes(fam, q, 3, seed, slots) == want, fam.to_json()
+    # the same draws from the product fibre family that the fibre oracle names
+    oracle = Example1Family(fam.ct, weights=independent_box_weights(fam))
+    assert sample_shapes(oracle, q, 3, seed, slots) == want
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,8 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from family_trees import PROPERTY_GROUPS, moment_factors, one_per_kind, stray_keys, trees
+from family_trees import PROPERTY_GROUPS, box_tensors, moment_factors, nodes, one_per_kind
+from family_trees import stray_keys, trees
 import oracles
 from oracles import (
     brute_moment,
@@ -199,24 +200,28 @@ def test_canonical_measure_matches_decomposition():
         measure = enumerated_measure(fam, q)
         total = Fraction(0)
         for lam_tuple in enumerate_irreps(ct, q):
-            p = fam.canonical_probability(q, lam_tuple)
+            p = oracles.example1_probability(fam, q, lam_tuple)
             assert measure.get(lam_tuple, Fraction(0)) == p
             total += p
         assert total == 1
+        assert fam.canonical_measure(q) == measure
 
 
 def test_canonical_measure_frozen_small_case():
     fam = Example1Family(cyclic_group(2))
-    probs = {t: fam.canonical_probability(2, t) for t in enumerate_irreps(cyclic_group(2), 2)}
+    probs = {
+        t: oracles.example1_probability(fam, 2, t) for t in enumerate_irreps(cyclic_group(2), 2)
+    }
     assert probs[((2,), ())] == Fraction(1, 8)
     assert probs[((1, 1), ())] == Fraction(1, 8)
     assert probs[((1,), (1,))] == Fraction(1, 2)
     assert probs[((), (2,))] == Fraction(1, 8)
     assert probs[((), (1, 1))] == Fraction(1, 8)
+    assert fam.canonical_measure(2) == probs
 
 
 def test_example1_closed_form_measure_counts_only_irreducibles():
-    # the closed form builds no class type: C2 at q = 12 reads 1165
+    # the measure builds no class type: C2 at q = 12 reads 1165
     # irreducibles, well inside the budget, and q = 50 reads past it
     fam = Example1Family(cyclic_group(2))
     measure = fam.canonical_measure(12)
@@ -224,6 +229,50 @@ def test_example1_closed_form_measure_counts_only_irreducibles():
     assert sum(measure.values()) == 1
     with pytest.raises(ValueError, match="class budget"):
         fam.canonical_measure(50)
+
+
+def _multiplicities(ct):
+    """One non-negative multiplicity per slot, zeros allowed, not all zero."""
+    k = ct.num_irreps
+    return st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PROPERTY_GROUPS).flatmap(lambda ct: st.tuples(st.just(ct), _multiplicities(ct))),
+    st.integers(0, 10),
+)
+def test_example1_measure_is_the_closed_form(case, q):
+    ct, multiplicities = case
+    fam = Example1Family(ct, multiplicities)
+    masses = {t: oracles.example1_probability(fam, q, t) for t in enumerate_irreps(ct, q)}
+    measure = fam.canonical_measure(q)
+    assert measure == {t: p for t, p in masses.items() if p}, (multiplicities, q)
+    assert sum(measure.values()) == 1
+
+
+@st.composite
+def _outer_box_block_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    # an induced family's right block is always the left-regular example1
+    outer = nodes(ct, 2).filter(lambda fam: fam.kind in ("outer", "induced"))
+    fam = draw(outer.filter(lambda fam: "example1" in (fam.left.kind, fam.right.kind)))
+    items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
+    return fam, draw(st.integers(0, 6)), items
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(_outer_box_block_cases())
+def test_outer_moment_drops_only_splits_that_vanish(case):
+    # a block with ``boxes`` set gets no row longer than 1: the walk over
+    # every split, which still takes those, must agree
+    fam, q, items = case
+    want = oracles.outer_joint_moment_every_split(fam, q, items)
+    assert fam._joint_moment(q, items) == want, (fam.to_json(), q, items)
 
 
 def test_moment_equals_measure_average():
@@ -389,21 +438,10 @@ def _tensor_moment_cases(draw):
     return fam, draw(st.integers(1, 5)), items
 
 
-def _box_oracle(fam):
-    """The example1 family an independent-box tree equals, by the fibre-product oracle."""
-    if fam.kind == "example1":
-        return fam
-    weights = oracles.tensor_fibre_weights(_box_oracle(fam.left), _box_oracle(fam.right))
-    return Example1Family(fam.ct, weights=weights)
-
-
 @st.composite
 def _box_tensor_cases(draw):
     ct = draw(st.sampled_from(PROPERTY_GROUPS))
-    boxes = trees(ct, 0).filter(lambda fam: fam.kind == "example1")
-    # nested tensors too: a tensor of independent-box families is one
-    inner = boxes | st.builds(TensorFamily, boxes, boxes)
-    fam = draw(st.builds(TensorFamily, inner, inner))
+    fam = draw(box_tensors(ct))
     items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
     return fam, draw(st.integers(1, 5)), items, draw(st.integers(2, 8))
 
@@ -412,7 +450,7 @@ def _box_tensor_cases(draw):
 @given(_box_tensor_cases())
 def test_tensor_of_independent_box_families_is_the_product_fibre_family(case):
     fam, q, items, depth = case
-    want = _box_oracle(fam)
+    want = Example1Family(fam.ct, weights=oracles.independent_box_weights(fam))
     assert fam.boxes.weights == want.weights, fam.to_json()
     # the identity holds on the characters route that the family no longer takes
     assert fam._cycle_moment(q, items) == want.joint_moment(q, items), (fam.to_json(), q, items)
