@@ -303,7 +303,8 @@ def example1_limits(weights, max_l: int = 6) -> LimitParameters:
     for z, w in enumerate(weights):
         if w:
             c[(z, 2)] = w
-            cov[(z, 1, z, 1)] = w * (1 - w)
+            if w < 1:  # a slot holding every box does not fluctuate
+                cov[(z, 1, z, 1)] = w * (1 - w)
             for l in range(2, max_l + 1):
                 cov[(z, l, z, l)] = l * w**l
         for z2 in range(z + 1, len(weights)):

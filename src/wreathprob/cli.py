@@ -458,8 +458,8 @@ def cmd_sample(ns):
     shapes = sample_shapes(fam, q, n, ns.seed, {slot for _, slot, _ in specs}, ns.workers)
     predicted = None
     if n and all(spec[0] == "R" for spec in specs):
-        table = _limit_table(fam, max(i for _, _, i in specs))
-        predicted = predicted_r_covariance(table, specs)
+        # the table of the family drawn from: an induced one withholds covariances
+        predicted = predicted_r_covariance(fam.boxes.limits(max(6, *(i for *_, i in specs))), specs)
     csv_text, summary_text = _sample_texts(fam, q, ns.seed, n, shapes, specs, predicted)
     if ns.out:
         _emit(csv_text, ns.out)

@@ -18,7 +18,7 @@ the joint moments that pin all q points by S_n column orthogonality, and
 a tensor reads its moments off its factors' characters at the pinned
 cycles (``cycle_characters``), so no family states a class function and
 no moment reads a measure.  A family whose ``boxes`` is set is an
-independent-box family, which is all the sampler needs to know.
+independent-box family: its moments, limit table and draws are that family's.
 """
 
 from __future__ import annotations
@@ -278,8 +278,7 @@ class RepFamily:
 
     kind = "abstract"
     fields: tuple[str, ...] = ()  # descriptor keys in output order, coded by ``_FIELDS``
-    # the ``example1`` family this one equals, where its kind shows one; the
-    # one test for an independent-box family, which the sampler draws from
+    # the ``example1`` family this one equals, where its kind's tree shows one
     boxes = None
 
     def __init_subclass__(cls):
@@ -321,7 +320,7 @@ class RepFamily:
             return self._memo[key]
         if any(r < 1 for _, rows in items for r in rows):
             raise InputError("moment rows must be at least 1")
-        return self._remember(key, self._joint_moment(q, items))
+        return self._remember(key, (self.boxes or self)._joint_moment(q, items))
 
     def _joint_moment(self, q: int, items) -> Fraction:
         """E of one cross-disjoint joint indicator; items = ((slot, rows), ...)."""
@@ -357,7 +356,11 @@ class RepFamily:
         return cls(**args)
 
     def limits(self, max_index: int = 6):
-        """Limit table (``asymptotics.LimitParameters``) along the constructor tree."""
+        """Limit table (``asymptotics.LimitParameters``): the closed form where ``boxes`` is set."""
+        if self.boxes:
+            from .asymptotics import example1_limits
+
+            return example1_limits(self.boxes.weights, max_l=max_index)
         raise NoLimitTable(f"no limit table for family kind {self.kind!r}")
 
     def canonical_measure(self, q: int) -> dict:
@@ -372,21 +375,22 @@ class RepFamily:
             P(Lam) = prod_z (dim lam^z / n_z!) sum_rho M(rho) prod_z chi^lam^z(rho_z) / z(rho_z)
 
         Budget, against ``MAX_CLASS_WORK``: the irreducibles are charged
-        before the first moment, and the (rho, Lam) pairs that the nonzero
-        moments form before the first pair.  Only ``irreducible``, a point
-        mass, overrides this.
+        before the first moment, and the (rho, Lam) pairs as each nonzero
+        moment adds its block's, before the first pair.  Only ``irreducible``,
+        a point mass, overrides this.
         """
         check_class_budget(q, _capped_count(self.ct.num_irreps, q))
-        blocks = []
+        blocks, pairs = [], 0
         for lam_tuples in irreps_by_sizes(self.ct, q).values():
             weights = {}  # rho: M(rho) / prod_z z(rho_z), on the nonzero moments
             for rho in lam_tuples:
                 if m := self.joint_moment(q, tuple((z, r) for z, r in enumerate(rho) if r)):
+                    pairs += len(lam_tuples)
+                    check_class_budget(q, pairs)
                     z = (k**c * math.factorial(c) for r in rho for k, c in Counter(r).items())
                     weights[rho] = m / math.prod(z)
             if weights:
                 blocks.append((lam_tuples, weights))
-        check_class_budget(q, sum(len(lams) * len(weights) for lams, weights in blocks))
         chi, out = functools.cache(sym_character), {}
         for lam_tuples, weights in blocks:
             # the sums run on integer numerators over one denominator per block
@@ -462,11 +466,6 @@ class Example1Family(RepFamily):
     @property
     def boxes(self) -> "Example1Family":
         return self
-
-    def limits(self, max_index: int = 6):
-        from .asymptotics import example1_limits
-
-        return example1_limits(self.weights, max_l=max_index)
 
     def to_json(self) -> dict:
         # given multiplicities imply the weights, so only they are written
@@ -564,6 +563,11 @@ class RestrictedFamily(RepFamily):
         if self.ratio < 1:
             raise ValueError("restriction ratio must be at least 1")
 
+    @functools.cached_property
+    def boxes(self) -> Example1Family | None:
+        # restricting an independent-box family gives it back
+        return self.parent.boxes
+
     def r_of(self, q: int) -> int:
         return math.floor(self.ratio * q)
 
@@ -622,14 +626,20 @@ class OuterFamily(RepFamily):
         if not 0 <= self.ratio <= 1:
             raise ValueError("outer ratio must lie in [0, 1]")
 
+    @functools.cached_property
+    def boxes(self) -> Example1Family | None:
+        # one fibre in both blocks: sum_k C(m, k) falling(q1, k) falling(q2, m - k)
+        # = falling(q, m), so left-regular induction keeps an independent-box family
+        left, right = self.left.boxes, self.right.boxes
+        return left if left and right and left.weights == right.weights else None
+
     def split_of(self, q: int) -> tuple[int, int]:
         q1 = math.floor(self.ratio * q)
         return q1, q - q1
 
     def _joint_moment(self, q: int, items) -> Fraction:
         q1, q2 = self.split_of(q)
-        # a block with ``boxes`` set (an induced family's right block, for
-        # one) is 0 on a row longer than 1, so no split hands it one
+        # a block with ``boxes`` set is 0 on a row longer than 1: no split hands it one
         caps = [1 if fam.boxes else math.inf for fam in (self.left, self.right)]
         splits = [[(slot, *split) for split in _row_splits(rows, *caps)] for slot, rows in items]
         pinned, total = sum(sum(rows) for _, rows in items), Fraction(0)
@@ -713,9 +723,9 @@ class TensorFamily(RepFamily):
 
     Normalized characters multiply class by class, which has no
     indicator-level product rule.  So a joint moment multiplies the factors'
-    ``cycle_characters`` and reads the product by column orthogonality,
-    unless both factors are independent-box families: then so is the
-    tensor (``boxes``), and its moments, measure and limits are that family's.
+    ``cycle_characters`` and reads the product by column orthogonality.
+    Where both factors are independent-box families, so is the tensor
+    (``boxes``), and ``RepFamily`` takes that family's moments and table.
     """
 
     kind = "tensor"
@@ -737,16 +747,11 @@ class TensorFamily(RepFamily):
         class-size-weighted inner product with chi_z.
         """
         if self.left.boxes and self.right.boxes:
-            weights = [self._cycle_moment(1, ((z, (1,)),)) for z in range(self.ct.num_irreps)]
+            weights = [self._joint_moment(1, ((z, (1,)),)) for z in range(self.ct.num_irreps)]
             return Example1Family(self.ct, weights=weights)
         return None
 
     def _joint_moment(self, q: int, items) -> Fraction:
-        if self.boxes:
-            return self.boxes._joint_moment(q, items)
-        return self._cycle_moment(q, items)
-
-    def _cycle_moment(self, q: int, items) -> Fraction:
         # (length, slot) order: one factor table serves every order of the same lengths
         cycles = sorted((length, z) for z, rows in items for length in rows)
         lengths = [length for length, _ in cycles]
@@ -761,12 +766,6 @@ class TensorFamily(RepFamily):
                 value *= shares[c] * conjugate_value(irreps[z].values[c]) * irreps[z].dim**length
             total += value * right.get(key, 0)
         return value_as_fraction(total * math.perm(q, sum(lengths)))
-
-    def limits(self, max_index: int = 6):
-        if not self.boxes:
-            kind = next(fam.kind for fam in (self.left, self.right) if not fam.boxes)
-            raise NoLimitTable(f"no tensor limit table for family kind {kind!r}")
-        return self.boxes.limits(max_index)
 
 
 def _group_from_json(doc) -> CharacterTable:

@@ -81,6 +81,11 @@ def box_tensors(ct):
     return st.builds(TensorFamily, inner, inner)
 
 
+def box_trees(ct):
+    """Constructor trees of at most two nodes that are independent-box families (``boxes``)."""
+    return nodes(ct, 2).filter(lambda fam: fam.boxes)
+
+
 def moment_factors(ct):
     """One or two (slot, rows) moment factors, each of one or two rows of length 1-3."""
     rows = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(

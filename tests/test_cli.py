@@ -23,7 +23,7 @@ from wreathprob.groups import (
     cyclic_group,
     symmetric3_group,
 )
-from wreathprob.wreath import FAMILY_KINDS, Example1Family, enumerate_irreps
+from wreathprob.wreath import Example1Family, enumerate_irreps
 
 from family_trees import PROPERTY_GROUPS, one_per_kind, stray_keys
 from oracles import example1_probability
@@ -333,7 +333,8 @@ def test_sample_refuses_every_kind_without_boxes_before_any_draw(capsys, monkeyp
 
     monkeypatch.setattr(sampling, "_seed_rng", no_draw)
     refused = [fam for fam in one_per_kind(ct) if fam.boxes is None]
-    assert {fam.kind for fam in refused} == set(FAMILY_KINDS) - {"example1"}
+    # restricting or inducing the left-regular family gives it back
+    assert {fam.kind for fam in refused} == {"irreducible", "outer", "tensor"}
     for fam in refused:
         family = json.dumps(fam.to_json())
         code, _, err = run(capsys, "sample", "--family", family, "--q", "4", "--n-samples", "3")
@@ -1041,10 +1042,11 @@ def test_family_budget_decided_before_any_group_is_built(capsys, wreath_builds, 
         assert sum(atoms.values()) == 1
         assert atoms == example1_closed_form(symmetric3_group(), q)
     assert wreath_builds == []
-    # the counter sees the moment path, down to the S_n characters, and no
+    # the family is the left-regular one (its ``boxes``), so the counter sees
+    # that family's moment rule, down to the S_n characters, and no
     # class-value column: no family kind states a class function
     names = {name for name, _ in measure_calls}
-    assert {"outer._joint_moment", "restricted._joint_moment", "sym_character"} <= names
+    assert {"example1._joint_moment", "sym_character"} <= names
     assert "class_values" not in names
     from wreathprob.wreath import FAMILY_KINDS
 
@@ -1109,15 +1111,17 @@ def test_family_past_the_pair_count_refused_before_any_character(
     capsys, wreath_builds, measure_calls
 ):
     # C2 wr S14 has 2665 irreducibles, but the point mass of ((4,3), (4,3))
-    # has 121 nonzero pinning moments in a block of 225 irreducibles: 27225 pairs
+    # has 121 nonzero pinning moments in a block of 225 irreducibles; the
+    # 89th of them takes the pair count to 89 * 225 = 20025, past the budget
     irreducible = {"kind": "irreducible", "group": "cyclic:2", "weights": ["1/2", "1/2"]}
     fam = {"kind": "restricted", "ratio": "1", "parent": irreducible}
     code, _, err = run(capsys, "family", "--family", json.dumps(fam), "--q", "14")
     assert code == 3
-    assert "q=14: class work 27225 passes the class budget" in err
-    # the charge counts the nonzero moments, so they come first: one per
-    # irreducible of C2 wr S14, each the parent's moment at the same size
-    assert measure_calls.count(("restricted._joint_moment", 14)) == 2665
+    assert "q=14: class work 20025 passes the class budget" in err
+    # the charge runs as the moments come, so it stops at that one: the 1220
+    # moments of the slot-size blocks before (7, 7) and 183 of that block's
+    # 225, each the parent's moment at the same size
+    assert measure_calls.count(("restricted._joint_moment", 14)) == 1220 + 183
     assert not [name for name, _ in measure_calls if name in ("sym_character", "class_values")]
     assert wreath_builds == []
 

@@ -30,7 +30,7 @@ from wreathprob.sampling import (
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.wreath import Example1Family, InducedFamily, IrreducibleFamily
 
-from family_trees import PROPERTY_GROUPS, box_tensors
+from family_trees import PROPERTY_GROUPS, box_tensors, box_trees
 from oracles import dimension_branching, falling, growth_weights, indicator_scalar
 from oracles import independent_box_weights, partition_count_pentagonal
 
@@ -152,6 +152,22 @@ def test_tensor_of_box_families_samples_as_its_product_fibre_family(case):
     # the same draws from the product fibre family that the fibre oracle names
     oracle = Example1Family(fam.ct, weights=independent_box_weights(fam))
     assert sample_shapes(oracle, q, 3, seed, slots) == want
+
+
+@st.composite
+def _box_tree_draws(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    slots = draw(st.sets(st.integers(0, ct.num_irreps - 1), min_size=1))
+    return draw(box_trees(ct)), draw(st.integers(1, 40)), draw(st.integers(0, 99)), slots
+
+
+@settings(max_examples=50, deadline=None)
+@given(_box_tree_draws())
+def test_box_trees_sample_as_their_boxes_family(case):
+    # restricted, outer and induced trees too: each draws what its ``boxes`` draws
+    fam, q, seed, slots = case
+    want = sample_shapes(fam.boxes, q, 3, seed, slots)
+    assert sample_shapes(fam, q, 3, seed, slots) == want, fam.to_json()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 
 from wreathprob import indicators, wreath
-from wreathprob.asymptotics import element_cumulant, natural_cumulant
+from wreathprob.asymptotics import element_cumulant, example1_limits, natural_cumulant
 from wreathprob.bruteforce import MAX_ELEMENTS
 from wreathprob.errors import Infeasible, InputError
 from wreathprob.groups import builtin_group, cyclic_group, dihedral_group, symmetric3_group
@@ -38,8 +38,8 @@ from wreathprob.wreath import (
     wreath_order,
 )
 
-from family_trees import PROPERTY_GROUPS, box_tensors, moment_factors, nodes, one_per_kind
-from family_trees import stray_keys, trees
+from family_trees import PROPERTY_GROUPS, box_tensors, box_trees, moment_factors, nodes
+from family_trees import one_per_kind, stray_keys, trees
 import oracles
 from oracles import (
     brute_moment,
@@ -452,12 +452,39 @@ def test_tensor_of_independent_box_families_is_the_product_fibre_family(case):
     fam, q, items, depth = case
     want = Example1Family(fam.ct, weights=oracles.independent_box_weights(fam))
     assert fam.boxes.weights == want.weights, fam.to_json()
-    # the identity holds on the characters route that the family no longer takes
-    assert fam._cycle_moment(q, items) == want.joint_moment(q, items), (fam.to_json(), q, items)
+    # the tensor's own characters rule, which the protocol no longer runs on it
+    got = TensorFamily._joint_moment(fam, q, items)
+    assert got == want.joint_moment(q, items), (fam.to_json(), q, items)
     assert fam.joint_moment(q, items) == want.joint_moment(q, items)
     assert fam.canonical_measure(q) == want.canonical_measure(q)
     assert RepFamily.canonical_measure(fam, q) == want.canonical_measure(q)
     assert fam.limits(depth) == want.limits(depth)
+
+
+@st.composite
+def _box_tree_cases(draw):
+    ct = draw(st.sampled_from(PROPERTY_GROUPS))
+    items = tuple(sorted(dict(draw(moment_factors(ct))).items()))
+    return draw(box_trees(ct)), draw(st.integers(0, 8)), items
+
+
+def _withholds_covariances(fam) -> bool:
+    # induction withholds them; restriction and outer products pass that on
+    blocks = {"restricted": ("parent",), "outer": ("left", "right")}.get(fam.kind, ())
+    return fam.kind == "induced" or any(_withholds_covariances(getattr(fam, b)) for b in blocks)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_box_tree_cases())
+def test_box_trees_own_rules_and_tables_are_their_boxes(case):
+    fam, q, items = case
+    # the kind's own moment rule, which the protocol no longer runs on a box tree
+    got = type(fam)._joint_moment(fam, q, items)
+    assert got == fam.boxes._joint_moment(q, items), (fam.to_json(), q, items)
+    # restricted, outer and induced keep their table rules, which must agree
+    table, want = fam.limits(6), example1_limits(fam.boxes.weights, 6)
+    assert table.c == want.c, fam.to_json()
+    assert table.cov == (None if _withholds_covariances(fam) else want.cov), fam.to_json()
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -582,12 +609,16 @@ def test_memoized_moments_match_a_fresh_family(case):
 
 
 def test_moment_memo_stays_within_its_bound():
-    base = Example1Family(cyclic_group(2), (1, 3))
+    # an irreducible parent: a restricted independent-box family would take
+    # its ``boxes`` rule and never ask the parent
+    base = IrreducibleFamily(cyclic_group(2), (Fraction(1, 2), Fraction(1, 2)))
     fam = RestrictedFamily(base, 2)
     factors = [(0, (1,)), (1, (1,))]
     for q in range(1, 5000):
-        # each q adds a moment and a joint moment to fam, a joint moment to base
-        assert fam.moment(q, factors) == Fraction(3, 16) * q * (q - 1)
+        # each q adds a moment and a joint moment to fam, a joint moment to base;
+        # the parent at 2q puts q boxes in each slot, where one fixed point acts
+        # by q, and restriction scales by falling(q, 2) / falling(2q, 2)
+        assert fam.moment(q, factors) == Fraction(q * (q - 1), 2 * q * (2 * q - 1)) * q * q
         assert len(fam._memo) <= MOMENT_MEMO_SIZE and len(base._memo) <= MOMENT_MEMO_SIZE
     assert len(fam._memo) == len(base._memo) == MOMENT_MEMO_SIZE
     # the oldest entries went first: the latest q are still remembered
